@@ -34,6 +34,7 @@ from .hull import FacetList, HullCheck, equals_hull, facets_of_points, lift_hrep
 from .lpsolve import (
     InternalError,
     LpOutcome,
+    UnboundedError,
     contains_point,
     emptiness,
     feasible_point,

@@ -171,7 +171,13 @@ def _cmd_optimize(args, cfg):
         raise InputError(f"objective has {len(c)} entries, the formulation {Q.n}")
     if Q.empty_marker:
         raise InputError("the formulation is empty; nothing to optimize")
-    out = lpsolve.optimize(Q, c, "max" if args.max else "min")
+    try:
+        out = lpsolve.optimize(Q, c, "max" if args.max else "min")
+    except lpsolve.UnboundedError as exc:
+        raise InputError(f"{args.ef}: the objective is unbounded over this formulation; "
+                         "a lifted relaxation of a 0/1 set is bounded") from exc
+    if out.status == "infeasible":
+        raise InputError(f"{args.ef}: the formulation is empty; nothing to optimize")
     print(out.value)
     if cfg.verbose:
         print("at " + " ".join(str(v) for v in out.x), file=sys.stderr)

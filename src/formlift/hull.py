@@ -16,14 +16,9 @@ from fractions import Fraction
 from math import gcd
 
 from . import formula as fm
+from .lpsolve import _rational
 
 HULL_LIMIT = 8
-
-
-def _frac(v) -> Fraction:
-    if isinstance(v, float):
-        raise TypeError("floating point input is not accepted; pass int, str or Fraction")
-    return Fraction(v)
 
 
 def _dot(a, b) -> Fraction:
@@ -272,11 +267,8 @@ class FacetList:
 
     def to_text(self) -> str:
         """Serialize in the extended-formulation text format with yvars 0."""
-        from .polytope import _fmt
-        lines = ["ef", f"xvars {self.n}", "yvars 0"]
-        for a, rhs in self.rows():
-            lines.append("ineq " + " ".join(_fmt(v) for v in a) + " >= " + _fmt(rhs))
-        return "\n".join(lines) + "\n"
+        from .polytope import _pairs, _write
+        return _write(self.n, 0, [(_pairs(a), rhs) for a, rhs in self.rows()], ())
 
 
 def facets_of_points(points, limit: int = HULL_LIMIT) -> FacetList:
@@ -289,7 +281,7 @@ def facets_of_points(points, limit: int = HULL_LIMIT) -> FacetList:
     if isinstance(points, fm.PointSet01):
         pts = [tuple(Fraction(v) for v in p) for p in points.points]
     else:
-        pts = [tuple(_frac(v) for v in p) for p in points]
+        pts = [tuple(_rational(v) for v in p) for p in points]
     if not pts:
         raise ValueError("empty point set has no hull")
     n = len(pts[0])
@@ -420,7 +412,7 @@ def equals_hull(Q, V, limit: int = HULL_LIMIT) -> HullCheck:
     if isinstance(V, fm.PointSet01):
         pts = [tuple(Fraction(v) for v in p) for p in V.points]
     else:
-        pts = [tuple(_frac(v) for v in p) for p in V]
+        pts = [tuple(_rational(v) for v in p) for p in V]
     if not pts:
         raise ValueError("empty point set; hull comparison needs at least one point")
     F = facets_of_points(pts, limit)
@@ -468,7 +460,7 @@ def lift_hrep(phi, base, limit: int = HULL_LIMIT):
         rows = base.rows()
         n = base.n
     else:
-        rows = [(tuple(_frac(v) for v in a), _frac(rhs)) for a, rhs in base]
+        rows = [(tuple(_rational(v) for v in a), _rational(rhs)) for a, rhs in base]
         n = phi.n
     if n > limit:
         raise ValueError(f"dimension {n} exceeds hull limit {limit}")

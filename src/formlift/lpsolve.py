@@ -35,15 +35,27 @@ class InternalError(RuntimeError):
     """An exact self-check on a computed LP certificate failed."""
 
 
-def _q(v):
+class UnboundedError(InternalError):
+    """`optimize` found no finite optimum, so the formulation is not a polytope."""
+
+
+def _rational(v) -> Fraction:
+    """v as an exact Fraction; floats are refused because they are not exact."""
     if isinstance(v, float):
         raise TypeError("floating point input is not accepted; pass int, str or Fraction")
-    if isinstance(v, Fraction):
-        return _Q(v.numerator, v.denominator)
-    return _Q(v)
+    return Fraction(v)
+
+
+def _q(v):
+    """v in the backend type; a Fraction is returned as is when that is the backend."""
+    if not isinstance(v, Fraction):
+        v = _rational(v)
+    return v if _Q is Fraction else _Q(v.numerator, v.denominator)
 
 
 def _frac(q) -> Fraction:
+    if isinstance(q, Fraction):
+        return q
     return Fraction(int(q.numerator), int(q.denominator))
 
 
@@ -359,11 +371,11 @@ def optimize(Q, c, sense: str = "min") -> LpOutcome:
     decide emptiness first (the lift constructors already guarantee that a
     non-marker result is nonempty).  A lifted formulation describes a
     polytope, so an unbounded answer means the formulation is corrupted and
-    raises InternalError.
+    raises UnboundedError, a kind of InternalError.
     """
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', not {sense!r}")
-    c = tuple(Fraction(v) if not isinstance(v, float) else _bad(v) for v in c)
+    c = tuple(_rational(v) for v in c)
     if len(c) != Q.n:
         raise ValueError("objective length does not match the variable count")
     if Q.empty_marker:
@@ -372,14 +384,10 @@ def optimize(Q, c, sense: str = "min") -> LpOutcome:
     obj, const = _y_objective(Q, tuple(flip * v for v in c))
     status, value, y, dual, farkas = _solve(Q.rows, Q.ydim, obj)
     if status == "unbounded":
-        raise InternalError("lifted formulations are bounded; unbounded solve")
+        raise UnboundedError("lifted formulations are bounded; unbounded solve")
     if status == "infeasible":
         return LpOutcome("infeasible", farkas=farkas)
     return LpOutcome("optimal", flip * (value + const), _project(Q, y), y, dual, None)
-
-
-def _bad(v):
-    raise TypeError("floating point input is not accepted; pass int, str or Fraction")
 
 
 def emptiness(Q) -> LpOutcome:
@@ -412,7 +420,7 @@ def feasible_point(Q):
 
 def contains_point(Q, x) -> bool:
     """Exact membership of an x-space point in the projected set."""
-    x = tuple(Fraction(v) if not isinstance(v, float) else _bad(v) for v in x)
+    x = tuple(_rational(v) for v in x)
     if len(x) != Q.n:
         raise ValueError("point length does not match the variable count")
     if Q.empty_marker:

@@ -26,16 +26,12 @@ from fractions import Fraction
 
 from . import formula as fm
 from . import hull, lpsolve
+from .lpsolve import _rational
+from .polytope import _fmt
 
 PITCH_SEARCH_LIMIT = 8
 NOTCH_SEARCH_LIMIT = 6
 FACE_LIMIT = 8
-
-
-def _frac(v) -> Fraction:
-    if isinstance(v, float):
-        raise TypeError("floating point input is not accepted; pass int, str or Fraction")
-    return Fraction(v)
 
 
 @dataclass(frozen=True)
@@ -60,7 +56,7 @@ class StandardFormInequality:
         ns = set(self.neg)
         total = Fraction(0)
         for i in range(1, self.n + 1):
-            v = _frac(point[i - 1])
+            v = _rational(point[i - 1])
             total += self.coeffs[i - 1] * ((1 - v) if i in ns else v)
         return total
 
@@ -77,13 +73,10 @@ class StandardFormInequality:
 
 def std_line(q: StandardFormInequality) -> str:
     """One-line serialization: std I+ {..} I- {..} c .. delta .."""
-    def fmt(v):
-        v = Fraction(v)
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
     pos = ",".join(str(i) for i in q.pos)
     neg = ",".join(str(i) for i in q.neg)
-    cs = " ".join(fmt(c) for c in q.coeffs)
-    return f"std I+ {{{pos}}} I- {{{neg}}} c {cs} delta {fmt(q.delta)}"
+    cs = " ".join(_fmt(c) for c in q.coeffs)
+    return f"std I+ {{{pos}}} I- {{{neg}}} c {cs} delta {_fmt(q.delta)}"
 
 
 def to_standard_form(a, rhs):
@@ -93,8 +86,8 @@ def to_standard_form(a, rhs):
     coefficient becomes nonnegative; the right side shifts accordingly.
     A shifted right side below zero means the inequality is trivial.
     """
-    a = tuple(_frac(v) for v in a)
-    rhs = _frac(rhs)
+    a = tuple(_rational(v) for v in a)
+    rhs = _rational(rhs)
     neg = tuple(i for i, v in enumerate(a, start=1) if v < 0)
     delta = rhs - sum(a[i - 1] for i in neg)
     if delta < 0:

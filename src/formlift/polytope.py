@@ -23,15 +23,10 @@ from fractions import Fraction
 
 from . import formula as fm
 from . import lpsolve
+from .lpsolve import _rational
 
 # A linear expression over lifted variables: ((index, coef), ...) sorted by
 # index with nonzero coefficients.  A row (expr, rhs) means expr·y >= rhs.
-
-
-def _frac(v) -> Fraction:
-    if isinstance(v, float):
-        raise TypeError("floating point input is not accepted; pass int, str or Fraction")
-    return Fraction(v)
 
 
 def _pairs(dense) -> tuple:
@@ -110,12 +105,18 @@ def from_hrep(n: int, rows) -> ExtendedFormulation:
         raise ValueError("need at least one variable")
     out = []
     for a, rhs in rows:
-        a = tuple(_frac(v) for v in a)
+        a = tuple(_rational(v) for v in a)
         if len(a) != n:
             raise ValueError(f"row has {len(a)} coefficients, expected {n}")
-        out.append((_pairs(a), _frac(rhs)))
+        out.append((_pairs(a), _rational(rhs)))
+    return _boxed(n, out)
+
+
+def _boxed(n, rows) -> ExtendedFormulation:
+    """x-space formulation from sparse rows, with the unit-box rows appended."""
+    out = list(rows)
+    one = Fraction(1)
     for i in range(n):
-        one = Fraction(1)
         out.append((((i, one),), Fraction(0)))
         out.append((((i, -one),), Fraction(-1)))
     return ExtendedFormulation(n, n, tuple(dict.fromkeys(out)), _identity_proj(n))
@@ -125,7 +126,7 @@ def face_restrict(Q: ExtendedFormulation, var: int, value) -> ExtendedFormulatio
     """Restrict to the face x_var = value (var is 1-based, value 0 or 1)."""
     if not 1 <= var <= Q.n:
         raise ValueError(f"variable x{var} out of range 1..{Q.n}")
-    value = _frac(value)
+    value = _rational(value)
     if Q.empty_marker:
         return Q
     pairs, off = Q.proj[var - 1]
@@ -193,7 +194,7 @@ def with_xspace_rows(Q: ExtendedFormulation, rows) -> ExtendedFormulation:
         return Q
     extra = []
     for a, rhs in rows:
-        a = tuple(_frac(v) for v in a)
+        a = tuple(_rational(v) for v in a)
         if len(a) != Q.n:
             raise ValueError(f"row has {len(a)} coefficients, expected {Q.n}")
         acc = {}
@@ -205,7 +206,7 @@ def with_xspace_rows(Q: ExtendedFormulation, rows) -> ExtendedFormulation:
             for j, c in pairs:
                 acc[j] = acc.get(j, Fraction(0)) + ai * c
         expr = tuple((j, c) for j, c in sorted(acc.items()) if c != 0)
-        extra.append((expr, _frac(rhs) - off))
+        extra.append((expr, _rational(rhs) - off))
     return ExtendedFormulation(Q.n, Q.ydim, Q.rows + tuple(extra), Q.proj)
 
 
@@ -472,9 +473,9 @@ def _hull_report(phi, base_rows, out_rows, n):
 # text format
 
 
-def _fmt(v: Fraction) -> str:
-    v = Fraction(v)
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+def _fmt(v) -> str:
+    """An exact rational as text: `p`, or `p/q` in lowest terms."""
+    return str(v if isinstance(v, Fraction) else Fraction(v))
 
 
 def _parse_frac(tok: str, where: str) -> Fraction:
@@ -482,6 +483,24 @@ def _parse_frac(tok: str, where: str) -> Fraction:
         return Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{where}: bad rational {tok!r}") from exc
+
+
+def _coeffs(pairs, width) -> str:
+    """A sparse expression as `width` dense entries; only nonzeros are formatted."""
+    out = ["0"] * width
+    for j, c in pairs:
+        out[j] = _fmt(c)
+    return " ".join(out)
+
+
+def _write(n, ydim, rows, proj) -> str:
+    """The text of sparse rows and projection; ydim 0 writes x-space rows."""
+    width = ydim or n
+    lines = ["ef", f"xvars {n}", f"yvars {ydim}"]
+    lines.extend("ineq " + _coeffs(pairs, width) + " >= " + _fmt(rhs) for pairs, rhs in rows)
+    lines.extend(f"proj {i} {_fmt(off)} " + _coeffs(pairs, width)
+                 for i, (pairs, off) in enumerate(proj, start=1))
+    return "\n".join(lines) + "\n"
 
 
 def to_text(Q: ExtendedFormulation) -> str:
@@ -492,30 +511,37 @@ def to_text(Q: ExtendedFormulation) -> str:
     per row, and one `proj i offset c1..cd` line per x variable (i is
     1-based).  All numbers are exact rationals p or p/q.
     """
-    lines = ["ef", f"xvars {Q.n}"]
     if Q.is_hrep:
-        lines.append("yvars 0")
-        for pairs, rhs in Q.rows:
-            dense = _dense(pairs, Q.n)
-            lines.append("ineq " + " ".join(_fmt(v) for v in dense) + " >= " + _fmt(rhs))
-    else:
-        lines.append(f"yvars {Q.ydim}")
-        for pairs, rhs in Q.rows:
-            dense = _dense(pairs, Q.ydim)
-            lines.append("ineq " + " ".join(_fmt(v) for v in dense) + " >= " + _fmt(rhs))
-        for i, (pairs, off) in enumerate(Q.proj):
-            dense = _dense(pairs, Q.ydim)
-            lines.append(f"proj {i + 1} " + _fmt(off) + " " + " ".join(_fmt(v) for v in dense))
-    return "\n".join(lines) + "\n"
+        return _write(Q.n, 0, Q.rows, ())
+    return _write(Q.n, Q.ydim, Q.rows, Q.proj)
+
+
+def _sparse(toks, where, memo) -> tuple:
+    """Nonzero (index, value) pairs of coefficient tokens.
+
+    `memo` maps each token already read in this file to its value, so each
+    distinct coefficient token is parsed once per file.  The literal `0`, which fills
+    most of a lifted row, is skipped before the lookup.
+    """
+    pairs = []
+    for j, tok in enumerate(toks):
+        if tok == "0":
+            continue
+        v = memo.get(tok)
+        if v is None:
+            v = memo[tok] = _parse_frac(tok, where)
+        if v:
+            pairs.append((j, v))
+    return tuple(pairs)
 
 
 def from_text(text: str) -> ExtendedFormulation:
     """Parse the `to_text` format.
 
-    `yvars 0` input is routed through `from_hrep`, so the unit-box rows are
-    present afterwards no matter what the file listed; a single all-zero row
-    with positive right side is read back as the empty marker.  Lines may
-    carry `#` comments.
+    `yvars 0` input is routed through the `from_hrep` construction, so the
+    unit-box rows are present afterwards no matter what the file listed; a
+    single all-zero row with positive right side is read back as the empty
+    marker.  Lines may carry `#` comments.
     """
     lines = []
     for raw in text.splitlines():
@@ -535,6 +561,7 @@ def from_text(text: str) -> ExtendedFormulation:
         raise ValueError("variable counts out of range")
 
     width = n if d == 0 else d
+    memo = {}
     rows = []
     proj = {}
     for line in lines[3:]:
@@ -542,8 +569,8 @@ def from_text(text: str) -> ExtendedFormulation:
         if toks[0] == "ineq":
             if len(toks) != width + 3 or toks[-2] != ">=":
                 raise ValueError(f"bad ineq line: {line!r}")
-            coeffs = tuple(_parse_frac(t, "ineq") for t in toks[1:width + 1])
-            rows.append((coeffs, _parse_frac(toks[-1], "ineq")))
+            pairs = _sparse(toks[1:width + 1], "ineq", memo)
+            rows.append((pairs, _parse_frac(toks[-1], "ineq")))
         elif toks[0] == "proj":
             if d == 0:
                 raise ValueError("proj line in an x-space formulation")
@@ -553,17 +580,14 @@ def from_text(text: str) -> ExtendedFormulation:
             if not 1 <= i <= n or i in proj:
                 raise ValueError(f"bad or repeated proj index {i}")
             off = _parse_frac(toks[2], "proj")
-            coeffs = tuple(_parse_frac(t, "proj") for t in toks[3:])
-            proj[i] = (_pairs(coeffs), off)
+            proj[i] = (_sparse(toks[3:], "proj", memo), off)
         else:
             raise ValueError(f"unknown line: {line!r}")
 
     if d == 0:
-        if len(rows) == 1 and all(v == 0 for v in rows[0][0]) and rows[0][1] > 0:
+        if len(rows) == 1 and not rows[0][0] and rows[0][1] > 0:
             return empty_formulation(n)
-        return from_hrep(n, rows)
+        return _boxed(n, rows)
     if sorted(proj) != list(range(1, n + 1)):
         raise ValueError("need exactly one proj line per x variable")
-    srows = tuple((_pairs(a), rhs) for a, rhs in rows)
-    sproj = tuple(proj[i] for i in range(1, n + 1))
-    return ExtendedFormulation(n, d, srows, sproj)
+    return ExtendedFormulation(n, d, tuple(rows), tuple(proj[i] for i in range(1, n + 1)))

@@ -59,11 +59,11 @@ class CheckReport:
 
 
 def _vec(xs) -> str:
-    return "(" + ",".join(str(Fraction(v)) for v in xs) + ")"
+    return "(" + ",".join(pt._fmt(v) for v in xs) + ")"
 
 
 def _row(a, rhs) -> str:
-    return f"{_vec(a)}>={Fraction(rhs)}"
+    return f"{_vec(a)}>={pt._fmt(rhs)}"
 
 
 def _report(check, instance, params, verdict, certificate, t0, stats):

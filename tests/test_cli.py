@@ -187,6 +187,21 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_optimize_unbounded_or_empty_file_exits_two(tmp_path, capsys):
+    unb = tmp_path / "unb.ef"
+    unb.write_text("ef\nxvars 1\nyvars 2\nineq 1 -1 >= 0\nproj 1 0 1 0\n")
+    code, out, err = run(capsys, "optimize", "--ef", str(unb), "--max", "--obj=1")
+    assert code == 2 and out == ""
+    assert err.startswith("formlift: ") and "unbounded" in err
+    assert len(err.splitlines()) == 1
+    empty = tmp_path / "empty.ef"
+    empty.write_text("ef\nxvars 1\nyvars 1\nineq 1 >= 1\nineq -1 >= 0\nproj 1 0 1\n")
+    code, out, err = run(capsys, "optimize", "--ef", str(empty), "--min", "--obj=1")
+    assert code == 2 and out == ""
+    assert err.startswith("formlift: ") and "empty" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_run_config_validation():
     import pytest
     with pytest.raises(ValueError):

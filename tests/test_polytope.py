@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from formlift import cli
 from formlift import formula as fm
 from formlift import hull
 from formlift import lpsolve as lp
@@ -226,3 +229,82 @@ def test_from_text_rejects_garbage():
         pt.from_text("not an ef\n")
     with pytest.raises(ValueError):
         pt.from_text("ef\nxvars 2\nyvars 0\nineq 1 >= 0\n")
+
+
+@pytest.mark.parametrize("family,rounds", [
+    (("bz", "--n", "4"), 2),
+    (("bz", "--n", "5"), 1),
+    (("matching-k4",), 1),
+])
+def test_text_round_trip_of_written_lift_files(tmp_path, capsys, family, rounds):
+    assert cli.dispatch(["gen", *family, "--out", str(tmp_path)]) == 0
+    name = capsys.readouterr().out.split()[1]
+    formula = tmp_path / f"{name}.bool"
+    ef = tmp_path / "lift.ef"
+    assert cli.dispatch(["lift", "--formula", str(formula), "--rounds", str(rounds),
+                         "--out", str(ef)]) == 0
+    text = ef.read_text()
+    back = pt.from_text(text)
+    assert pt.to_text(back) == text
+    phi = fm.reduce(fm.parse(formula.read_text()))
+    assert back == pt.iterate_lift(phi, pt.cube(phi.n), rounds)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("ef\nxvars 2\nyvars 0\nineq 1/0 1 >= 0\nineq 1/0 0 >= 1\n", "ineq: bad rational '1/0'"),
+    ("ef\nxvars 2\nyvars 0\nineq 1 2/3 >= 0\nineq 2/3 1/0 >= 0\nineq 1/0 1/0 >= 0\n",
+     "ineq: bad rational '1/0'"),
+    ("ef\nxvars 1\nyvars 2\nineq 1 1 >= 0\nproj 1 0 1/0 1/0\n", "proj: bad rational '1/0'"),
+    ("ef\nxvars 1\nyvars 2\nineq x 1 >= 0\nineq x x >= 0\nproj 1 0 1 0\n",
+     "ineq: bad rational 'x'"),
+])
+def test_from_text_repeated_bad_token_same_error(text, message):
+    with pytest.raises(ValueError) as info:
+        pt.from_text(text)
+    assert str(info.value) == message
+
+
+def test_from_text_reads_unlike_spellings_of_one_value():
+    Q = pt.from_text("ef\nxvars 1\nyvars 3\nineq 00 -0/4 2/4 >= -0\nproj 1 3/3 1/2 0 +1/2\n")
+    assert Q.rows == ((((2, F(1, 2)),), F(0)),)
+    assert Q.proj == ((((0, F(1, 2)), (2, F(1, 2))), F(1)),)
+
+
+_coef = st.builds(F, st.integers(-9, 9), st.integers(1, 12))
+
+
+@st.composite
+def _sparse_expr(draw, width):
+    """Sorted (index, coef) pairs with nonzero coefficients."""
+    vals = draw(st.dictionaries(st.integers(0, width - 1), _coef, max_size=width))
+    return tuple((j, c) for j, c in sorted(vals.items()) if c)
+
+
+@st.composite
+def _formulations(draw):
+    n = draw(st.integers(1, 4))
+    d = draw(st.sampled_from((0, n, n + 1, n + 3)))
+    if d == 0:
+        rows = draw(st.lists(st.tuples(st.lists(_coef, min_size=n, max_size=n), _coef),
+                             max_size=6))
+        return pt.from_hrep(n, rows)
+    rows = draw(st.lists(st.tuples(_sparse_expr(d), _coef), max_size=8))
+    proj = draw(st.lists(st.tuples(_sparse_expr(d), _coef), min_size=n, max_size=n))
+    Q = pt.ExtendedFormulation(n, d, tuple(rows), tuple(proj))
+    # an identity projection would be written as x-space rows, without box rows
+    assume(not Q.is_hrep)
+    return Q
+
+
+@settings(max_examples=150, deadline=None)
+@given(_formulations())
+def test_text_round_trip_property(Q):
+    text = pt.to_text(Q)
+    back = pt.from_text(text)
+    assert pt.to_text(back) == text
+    if Q.is_hrep:
+        # x-space rows are read through from_hrep, whose box rows are already there
+        assert text.splitlines()[2] == "yvars 0"
+        assert back == Q
+    else:
+        assert (back.n, back.ydim, back.rows, back.proj) == (Q.n, Q.ydim, Q.rows, Q.proj)
