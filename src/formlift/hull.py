@@ -1,11 +1,15 @@
 """Exact convex hulls in small dimension by the double description method.
 
-Everything here is rational arithmetic on `fractions.Fraction`; no floating
-point and no perturbation.  Facet enumeration of a point set reduces to
-vertex enumeration of the polar body inside the affine hull, and vertex
-enumeration of an inequality system runs double description on its
-homogenization.  Inputs are capped at a configurable dimension (default 8)
-because the method is exponential in general.
+No floating point and no perturbation.  Facet enumeration of a point set
+reduces to vertex enumeration of the polar body inside the affine hull, and
+vertex enumeration of an inequality system runs double description on its
+homogenization.  The kernel runs on Python ints: rows, rays and points
+are primitive integer tuples (a point X/d is kept as (X, d)), Gaussian
+elimination is fraction-free, and each ray carries its zero set as a
+bitmask.  `fractions.Fraction` appears only at the edges: reading rational
+rows and points, dividing a ray by its homogenizing coordinate, and the
+values handed back to callers.  Inputs are capped at a configurable
+dimension (default 8) because the method is exponential in general.
 """
 
 from __future__ import annotations
@@ -13,7 +17,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from . import formula as fm
 from .lpsolve import _rational
@@ -25,23 +30,19 @@ def _dot(a, b) -> Fraction:
     return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
-def _primitive(vec) -> tuple[Fraction, ...]:
+def _reduced(ints) -> tuple[int, ...]:
+    """An integer vector divided by the gcd of its entries."""
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
+
+
+def _primitive(vec) -> tuple[int, ...]:
     """Scale a rational vector by a positive factor to coprime integers."""
-    vec = [Fraction(v) for v in vec]
-    mult = 1
-    for v in vec:
-        d = v.denominator
-        mult = mult * d // gcd(mult, d)
-    ints = [int(v * mult) for v in vec]
-    g = 0
-    for i in ints:
-        g = gcd(g, abs(i))
-    if g == 0:
-        return tuple(Fraction(0) for _ in vec)
-    return tuple(Fraction(i // g) for i in ints)
+    mult = lcm(*(v.denominator for v in vec))
+    return _reduced([v.numerator * (mult // v.denominator) for v in vec])
 
 
-def _sign_normalized(vec) -> tuple[Fraction, ...]:
+def _sign_normalized(vec) -> tuple[int, ...]:
     """Primitive vector with its first nonzero entry positive."""
     p = _primitive(vec)
     for v in p:
@@ -52,13 +53,42 @@ def _sign_normalized(vec) -> tuple[Fraction, ...]:
     return p
 
 
+def _homogeneous(a, rhs) -> tuple[int, ...]:
+    """The row a·x >= rhs as a primitive int row h with h·(x, 1) >= 0."""
+    return _primitive((*a, -rhs))
+
+
+def _point(g) -> tuple[Fraction, ...]:
+    """The rational point X/d of a homogeneous point g = (X, d), d > 0."""
+    d = g[-1]
+    return tuple(Fraction(v, d) for v in g[:-1])
+
+
+def _fractions(vec) -> tuple[Fraction, ...]:
+    return tuple(map(Fraction, vec))
+
+
 # ---------------------------------------------------------------------------
-# exact Gaussian elimination
+# fraction-free Gaussian elimination
+
+
+def _eliminate(row, prow, c):
+    """`row` with column c cleared by `prow`, divided by its gcd."""
+    p, f = prow[c], row[c]
+    return _reduced([p * a - f * b for a, b in zip(row, prow)])
 
 
 def _rref(mat):
-    """Reduced row echelon form; returns (nonzero rows, pivot column list)."""
-    rows = [list(r) for r in mat]
+    """Reduced row echelon form up to row scaling: (nonzero rows, pivot columns).
+
+    Fraction-free Gauss-Jordan in the style of Edmonds and Bareiss: rational
+    rows become primitive integer rows, each step replaces a row by an
+    integer multiply-subtract divided by its gcd, and no division by a
+    pivot happens here.  Row k is zero in every pivot column but pivots[k];
+    dividing it by that entry gives row k of the (unique) reduced row
+    echelon form.
+    """
+    rows = [_primitive(r) for r in mat]
     m = len(rows)
     ncols = len(rows[0]) if m else 0
     pivots = []
@@ -68,12 +98,9 @@ def _rref(mat):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
         for i in range(m):
             if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = _eliminate(rows[i], rows[r], c)
         pivots.append(c)
         r += 1
         if r == m:
@@ -81,31 +108,35 @@ def _rref(mat):
     return rows[:r], pivots
 
 
-def _nullspace(mat, ncols):
-    """Basis of {v : mat v = 0}, one vector per free column, deterministic."""
-    rref, pivots = _rref(mat)
-    free = [c for c in range(ncols) if c not in pivots]
+def _nullspace(rref, pivots, ncols):
+    """Null space basis of a `_rref` result as primitive int vectors.
+
+    One vector per free column, positive in that column; it is the
+    textbook basis vector (1 in the free column) scaled by a positive
+    integer.
+    """
+    scale = lcm(*(row[pc] for row, pc in zip(rref, pivots)))
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [0] * ncols
+        v[fc] = scale
         for row, pc in zip(rref, pivots):
-            v[pc] = -row[fc]
-        basis.append(tuple(v))
+            v[pc] = -row[fc] * (scale // row[pc])
+        basis.append(_reduced(v))
     return basis
 
 
 def _solve_affine(equations, n):
     """Particular solution and direction basis of a·x = rhs rows; None if inconsistent."""
-    aug = [list(a) + [rhs] for a, rhs in equations]
-    rref, pivots = _rref(aug)
+    rref, pivots = _rref([list(a) + [rhs] for a, rhs in equations])
     if n in pivots:
         return None
     x0 = [Fraction(0)] * n
     for row, pc in zip(rref, pivots):
-        x0[pc] = row[n]
-    basis = _nullspace([row[:n] for row in rref], n)
-    return tuple(x0), basis
+        x0[pc] = Fraction(row[n], row[pc])
+    return tuple(x0), _nullspace(rref, pivots, n)
 
 
 # ---------------------------------------------------------------------------
@@ -115,130 +146,159 @@ def _solve_affine(equations, n):
 def _dd_pointed(rows, dim):
     """Extreme rays of {z : r·z >= 0 for r in rows} for a pointed cone.
 
-    Rows must be primitive, deduplicated, nonzero and already sorted; the
-    caller guarantees full rank (pointedness).  Classic insertion with the
-    combinatorial adjacency test; tight sets are recomputed exactly so
-    degeneracy is harmless.
+    Rows must be primitive integer tuples, deduplicated, nonzero and already
+    sorted.  Returns None when they do not have full rank, that is when the
+    cone has a lineality space and is not pointed.  Classic insertion with
+    the combinatorial adjacency test, on Python ints throughout.  Each ray
+    carries its zero set, the processed rows it is tight on, as an int
+    bitmask over row indices.  A new ray vp·rn - vn·rp (vp > 0 > vn) is a
+    positive combination of two rays that are nonnegative on every processed
+    row, so it is tight exactly on (zp & zn) plus the new row: zero sets are
+    carried forward, never recomputed.
     """
     if dim == 0:
         return []
     # Greedy independent square subsystem for the initial simplicial cone.
-    elim = []  # (pivot column, normalized row) pairs
+    elim = []  # (pivot column, reduced row) pairs
     chosen = []
     for idx, row in enumerate(rows):
-        v = list(row)
+        v = row
         for pc, urow in elim:
             if v[pc] != 0:
-                f = v[pc]
-                v = [a - f * b for a, b in zip(v, urow)]
+                v = _eliminate(v, urow, pc)
         pc = next((c for c in range(dim) if v[c] != 0), None)
         if pc is None:
             continue
-        pv = v[pc]
-        elim.append((pc, [a / pv for a in v]))
+        elim.append((pc, v))
         chosen.append(idx)
         if len(chosen) == dim:
             break
     if len(chosen) < dim:
-        raise RuntimeError("internal: cone not pointed after lineality removal")
+        return None
 
-    # Initial rays are the columns of the inverse of the chosen submatrix.
-    basis = [list(rows[i]) for i in chosen]
-    inv = [[Fraction(1 if i == j else 0) for j in range(dim)] for i in range(dim)]
-    work = [list(r) for r in basis]
-    for c in range(dim):
-        pr = next(i for i in range(c, dim) if work[i][c] != 0)
-        work[c], work[pr] = work[pr], work[c]
-        inv[c], inv[pr] = inv[pr], inv[c]
-        pv = work[c][c]
-        work[c] = [v / pv for v in work[c]]
-        inv[c] = [v / pv for v in inv[c]]
-        for i in range(dim):
-            if i != c and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [a - f * b for a, b in zip(work[i], work[c])]
-                inv[i] = [a - f * b for a, b in zip(inv[i], inv[c])]
-    rays = [_primitive([inv[i][j] for i in range(dim)]) for j in range(dim)]
+    # Initial rays are the columns of the inverse of the chosen submatrix B:
+    # eliminating [B | I] leaves [D | D·B^-1] with D diagonal.
+    aug = [rows[i] + tuple(int(j == k) for j in range(dim)) for k, i in enumerate(chosen)]
+    red, _ = _rref(aug)
+    scale = lcm(*(red[k][k] for k in range(dim)))
+    rays = [_reduced([red[k][dim + j] * (scale // red[k][k]) for k in range(dim)])
+            for j in range(dim)]
+    tight = sum(1 << i for i in chosen)
+    zs = [tight & ~(1 << i) for i in chosen]
 
-    processed = list(chosen)
-
-    def tightset(vec):
-        return frozenset(i for i in processed if _dot(rows[i], vec) == 0)
-
-    ray_z = [(r, tightset(r)) for r in rays]
-
-    for idx in range(len(rows)):
-        if idx in chosen:
+    done = set(chosen)
+    for idx, row in enumerate(rows):
+        if idx in done:
             continue
-        row = rows[idx]
-        vals = [(_dot(row, r), r, z) for r, z in ray_z]
-        pos = [(v, r, z) for v, r, z in vals if v > 0]
-        zero = [(r, z) for v, r, z in vals if v == 0]
-        neg = [(v, r, z) for v, r, z in vals if v < 0]
-        processed.append(idx)
-        if not neg:
-            ray_z = [(r, z | {idx}) for r, z in zero] + [(r, z) for v, r, z in pos]
-            continue
-        others = [z for _, _, z in vals]
-        new = []
-        for vp, rp, zp in pos:
-            for vn, rn, zn in neg:
-                zc = zp & zn
-                if len(zc) < dim - 2:
+        bit = 1 << idx
+        vals = [sum(map(mul, row, r)) for r in rays]
+        neg = [k for k, v in enumerate(vals) if v < 0]
+        new_rays, new_zs = [], []
+        for kp, vp in enumerate(vals):
+            if vp <= 0:
+                continue
+            rp, zp = rays[kp], zs[kp]
+            for kn in neg:
+                zc = zp & zs[kn]
+                if zc.bit_count() < dim - 2:
                     continue
-                if any(zc <= z2 for z2 in others if z2 is not zp and z2 is not zn):
+                # adjacent unless a third ray is tight on all of zc
+                if sum(1 for z in zs if z & zc == zc) > 2:
                     continue
-                vec = _primitive([vp * b - vn * a for a, b in zip(rp, rn)])
-                new.append((vec, tightset(vec)))
-        ray_z = [(r, z | {idx}) for r, z in zero] + [(r, z) for v, r, z in pos] + new
-
-    return sorted({r for r, _ in ray_z})
+                vn, rn = vals[kn], rays[kn]
+                new_rays.append(_reduced([vp * b - vn * a for a, b in zip(rp, rn)]))
+                new_zs.append(zc | bit)
+        keep = [k for k, v in enumerate(vals) if v >= 0]
+        rays = [rays[k] for k in keep] + new_rays
+        zs = [zs[k] | bit if vals[k] == 0 else zs[k] for k in keep] + new_zs
+    return sorted(set(rays))
 
 
 def _dd_cone(raw_rows, dim):
-    """Generators of {z : r·z >= 0}: (extreme rays, lineality basis)."""
-    rows = sorted({_primitive(r) for r in raw_rows if any(v != 0 for v in r)})
+    """Generators of {z : r·z >= 0}: (extreme rays, lineality basis).
+
+    Rows are integer tuples; the generators are primitive integer tuples.
+    """
+    rows = sorted({_reduced(r) for r in raw_rows if any(r)})
     if not rows:
-        return [], [_sign_normalized(tuple(Fraction(1 if j == i else 0) for j in range(dim)))
-                    for i in range(dim)]
-    lineality = _nullspace(rows, dim)
-    if not lineality:
-        return _dd_pointed(rows, dim), []
+        return [], [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
+    rays = _dd_pointed(rows, dim)
+    if rays is not None:
+        return rays, []
+    rref, pivots = _rref(rows)
     # Quotient out the lineality space: pivot coordinates of the row space
     # parametrize representatives, and every row descends to them.
-    _, pivots = _rref(rows)
-    qrows = sorted({_primitive([r[p] for p in pivots]) for r in rows})
-    qrays = _dd_pointed(qrows, len(pivots))
+    qrows = sorted({_reduced([r[p] for p in pivots]) for r in rows})
     lifted = []
-    for w in qrays:
-        vec = [Fraction(0)] * dim
+    for w in _dd_pointed(qrows, len(pivots)):
+        vec = [0] * dim
         for p, val in zip(pivots, w):
             vec[p] = val
-        lifted.append(_primitive(vec))
-    return sorted(lifted), [_sign_normalized(v) for v in lineality]
+        lifted.append(tuple(vec))
+    return sorted(lifted), [_sign_normalized(v) for v in _nullspace(rref, pivots, dim)]
 
 
-def _vertices_of_rows(ineq_rows, n):
-    """Minimal V-description of {x : a·x >= b}: (vertices, rays, lineality).
+def _vertices_of_rows(hrows, n):
+    """Minimal V-description of {x : h·(x, 1) >= 0 for h in hrows}.
 
-    An empty polyhedron yields three empty lists.  Rays and lineality are
-    primitive integer directions.
+    Rows are integer tuples of length n + 1.  Returns (points, rays,
+    lineality) as primitive int tuples; a point is homogeneous, (X, d) with
+    d > 0 for the vertex X/d.  An empty polyhedron yields three empty lists.
     """
-    hrows = [tuple(a) + (-Fraction(rhs),) for a, rhs in ineq_rows]
-    hrows.append(tuple(Fraction(0) for _ in range(n)) + (Fraction(1),))
-    rays, lineality = _dd_cone(hrows, n + 1)
-    verts = set()
-    rec = set()
-    for g in rays:
-        x0 = g[n]
-        if x0 > 0:
-            verts.add(tuple(v / x0 for v in g[:n]))
-        elif any(v != 0 for v in g[:n]):
-            rec.add(_primitive(g[:n]))
-    if not verts:
+    gens, lineality = _dd_cone(hrows + [(0,) * n + (1,)], n + 1)
+    points = [g for g in gens if g[n] > 0]
+    if not points:
         return [], [], []
-    lin = [_sign_normalized(l[:n]) for l in lineality]
-    return sorted(verts), sorted(rec), sorted(set(lin))
+    rays = [g[:n] for g in gens if g[n] == 0]
+    return points, rays, sorted({_sign_normalized(l[:n]) for l in lineality})
+
+
+def _hull(points, n):
+    """Facets and affine-hull equations of conv(points) as homogeneous rows.
+
+    `points` are homogeneous int points (X, d), d > 0.  Returns (facets,
+    equations): primitive int rows h, with h·(x, 1) >= 0 for a facet and
+    h·(x, 1) = 0 for an equation; an equation's first nonzero entry is
+    positive.
+    The points are scaled to integers by their common denominator D.  The
+    equations come from fraction-free elimination; the facets from vertex
+    enumeration of the polar body around the centroid c inside the affine
+    hull, whose rows (c - w)·a >= -1 are multiplied by the point count so
+    that they stay integral too.
+    """
+    D = lcm(*(g[n] for g in points))
+    X = sorted({tuple(v * (D // g[n]) for v in g[:n]) for g in points})
+    x0 = X[0]
+    rref, pivots = _rref([[a - b for a, b in zip(x, x0)] for x in X[1:]])
+    equations = []
+    for b in _nullspace(rref, pivots, n):
+        b = _sign_normalized(b)
+        equations.append(_reduced([D * v for v in b] + [-sum(map(mul, b, x0))]))
+    q = len(pivots)
+    if q == 0:
+        return [], equations
+
+    m = len(X)
+    W = [[x[p] - x0[p] for p in pivots] for x in X]
+    S = [sum(col) for col in zip(*W)]
+    polar = [tuple(s - m * w for s, w in zip(S, wj)) + (m,) for wj in W]
+    pverts, prays, plin = _vertices_of_rows(polar, q)
+    if prays or plin:
+        raise RuntimeError("internal: polar of a full-dimensional hull must be bounded")
+    # a·(w - c) <= 1 for all w, tight on a facet, with a = g[:q]/g[q],
+    # w_i = X[pivots[i]] - x0[pivots[i]], c = S/m and X = D·x; times m·g[q]
+    # and flipped to >= form.
+    shift = [S[i] + m * x0[p] for i, p in enumerate(pivots)]
+    facets = []
+    for g in pverts:
+        if not any(g[:q]):
+            continue
+        h = [0] * (n + 1)
+        for i, p in enumerate(pivots):
+            h[p] = -m * D * g[i]
+        h[n] = m * g[q] + sum(map(mul, g, shift))
+        facets.append(_reduced(h))
+    return facets, equations
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +331,16 @@ class FacetList:
         return _write(self.n, 0, [(_pairs(a), rhs) for a, rhs in self.rows()], ())
 
 
+def _facet_list(n, facets, equations) -> FacetList:
+    """The canonical FacetList of the homogeneous rows `_hull` returns."""
+    eqs = []
+    for h in equations:
+        k = gcd(*h[:n])
+        eqs.append((tuple(Fraction(v // k) for v in h[:n]), Fraction(-h[n], k)))
+    return FacetList(n, tuple(sorted((_fractions(h[:n]), Fraction(-h[n])) for h in facets)),
+                     tuple(sorted(eqs)))
+
+
 def facets_of_points(points, limit: int = HULL_LIMIT) -> FacetList:
     """Facets and affine-hull equations of the convex hull of finitely many points.
 
@@ -289,39 +359,7 @@ def facets_of_points(points, limit: int = HULL_LIMIT) -> FacetList:
         raise ValueError("points have inconsistent dimensions")
     if n > limit:
         raise ValueError(f"dimension {n} exceeds hull limit {limit}")
-    pts = sorted(set(pts))
-
-    v0 = pts[0]
-    diffs = [[p[i] - v0[i] for i in range(n)] for p in pts[1:]]
-    equations = tuple(sorted(
-        (a, _dot(a, v0))
-        for a in (_sign_normalized(b) for b in _nullspace(diffs, n))
-    ))
-    _, pivots = _rref(diffs) if diffs else ([], [])
-    q = len(pivots)
-    if q == 0:
-        return FacetList(n, (), equations)
-
-    wpts = [tuple(p[c] - v0[c] for c in pivots) for p in pts]
-    centroid = tuple(sum(w[i] for w in wpts) / len(wpts) for i in range(q))
-    polar_rows = [(tuple(centroid[i] - w[i] for i in range(q)), Fraction(-1)) for w in wpts]
-    pverts, prays, plin = _vertices_of_rows(polar_rows, q)
-    if prays or plin:
-        raise RuntimeError("internal: polar of a full-dimensional hull must be bounded")
-
-    facets = []
-    for a in pverts:
-        if all(v == 0 for v in a):
-            continue
-        # a·(w - centroid) <= 1 for all w, tight on a facet; rewritten over x
-        # via w_i = x[pivots[i]] - v0[pivots[i]] and flipped to >= form.
-        bound = Fraction(1) + _dot(a, centroid) + sum(a[i] * v0[pivots[i]] for i in range(q))
-        g = [Fraction(0)] * n
-        for i in range(q):
-            g[pivots[i]] = -a[i]
-        norm = _primitive(g + [-bound])
-        facets.append((norm[:n], norm[n]))
-    return FacetList(n, tuple(sorted(facets)), equations)
+    return _facet_list(n, *_hull({_primitive((*p, 1)) for p in pts}, n))
 
 
 def vertices_of_hrep(F: FacetList, limit: int = HULL_LIMIT):
@@ -350,37 +388,30 @@ def vertices_of_hrep(F: FacetList, limit: int = HULL_LIMIT):
                 if wrhs > 0:
                     return (), ()
                 continue
-            wrows.append((wa, wrhs))
-        verts_w, rays_w, lin_w = _vertices_of_rows(wrows, q)
+            wrows.append(_homogeneous(wa, wrhs))
+        points_w, rays_w, lin_w = _vertices_of_rows(wrows, q)
 
         def back(w):
             x = list(x0)
-            for coef, d in zip(w, basis):
+            for coef, d in zip(_point(w), basis):
                 for i in range(n):
                     x[i] += coef * d[i]
             return tuple(x)
 
         def backdir(w):
-            x = [Fraction(0)] * n
-            for coef, d in zip(w, basis):
-                for i in range(n):
-                    x[i] += coef * d[i]
-            return _primitive(x)
+            return _reduced([sum(c * d[i] for c, d in zip(w, basis)) for i in range(n)])
 
-        verts = sorted(back(w) for w in verts_w)
+        verts = [back(w) for w in points_w]
         rays = {backdir(w) for w in rays_w}
-        for l in lin_w:
-            d = backdir(l)
-            rays.add(d)
-            rays.add(tuple(-v for v in d))
-        return tuple(verts), tuple(sorted(rays))
-
-    verts, rays, lin = _vertices_of_rows(list(F.facets), n)
-    allrays = set(rays)
+        lin = [backdir(l) for l in lin_w]
+    else:
+        points, rays, lin = _vertices_of_rows([_homogeneous(a, rhs) for a, rhs in F.facets], n)
+        verts = [_point(g) for g in points]
+        rays = set(rays)
     for l in lin:
-        allrays.add(l)
-        allrays.add(tuple(-v for v in l))
-    return tuple(verts), tuple(sorted(allrays))
+        rays.add(l)
+        rays.add(tuple(-v for v in l))
+    return tuple(sorted(verts)), tuple(_fractions(r) for r in sorted(rays))
 
 
 # ---------------------------------------------------------------------------
@@ -465,41 +496,41 @@ def lift_hrep(phi, base, limit: int = HULL_LIMIT):
     if n > limit:
         raise ValueError(f"dimension {n} exceeds hull limit {limit}")
 
-    out = _lift_rows(phi, rows, n, limit)
+    out = _lift_rows(phi, [_homogeneous(a, rhs) for a, rhs in rows], n)
     if out is None:
         return None
-    verts = _bounded_vertices(out, n)
-    if not verts:
+    points = _bounded_vertices(out, n)
+    if not points:
         return None
-    return facets_of_points(verts, limit)
+    return _facet_list(n, *_hull(points, n))
 
 
 def _bounded_vertices(rows, n):
-    verts, rays, lin = _vertices_of_rows(rows, n)
+    points, rays, lin = _vertices_of_rows(rows, n)
     if rays or lin:
         raise RuntimeError("internal: lift arms must stay bounded inside the box")
-    return verts
+    return points
 
 
-def _lift_rows(node, rows, n, limit):
+def _lift_rows(node, rows, n):
+    """The lift of `node` over homogeneous int rows, as such rows; None if empty."""
     k = node.kind
     if k is fm.Kind.CONST:
         return rows if node.value else None
     if k is fm.Kind.LIT:
-        v = Fraction(0 if node.negated else 1)
-        a = tuple(Fraction(1 if i == node.var - 1 else 0) for i in range(n))
-        na = tuple(-x for x in a)
-        return rows + [(a, v), (na, -v)]
-    left = _lift_rows(node.children[0], rows, n, limit)
-    right = _lift_rows(node.children[1], rows, n, limit)
+        v = 0 if node.negated else 1
+        a = tuple(int(i == node.var - 1) for i in range(n))
+        return rows + [a + (-v,), tuple(-x for x in a) + (v,)]
+    left = _lift_rows(node.children[0], rows, n)
+    right = _lift_rows(node.children[1], rows, n)
     if k is fm.Kind.AND:
         if left is None or right is None:
             return None
         return list(dict.fromkeys(itertools.chain(left, right)))
     # OR: convex hull of the two arms
-    va = _bounded_vertices(left, n) if left is not None else []
-    vb = _bounded_vertices(right, n) if right is not None else []
-    verts = sorted(set(va) | set(vb))
-    if not verts:
+    points = set(_bounded_vertices(left, n) if left is not None else [])
+    points.update(_bounded_vertices(right, n) if right is not None else [])
+    if not points:
         return None
-    return facets_of_points(verts, limit).rows()
+    facets, equations = _hull(points, n)
+    return facets + equations + [tuple(-v for v in h) for h in equations]

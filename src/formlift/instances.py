@@ -15,6 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import formula as fm
+from . import polytope as pt
 from .hull import FacetList
 
 SET_ENUM_LIMIT = 12
@@ -221,26 +222,16 @@ def load_bundle(directory, name: str | None = None) -> Instance:
 def _read_facets(text: str, n: int) -> FacetList:
     """Parse yvars-0 formulation text back into facets and equations.
 
-    Rows whose negation also appears are folded back into a single equation;
-    the remaining rows stay inequalities.
+    The text goes through the `.ef` parser of `polytope`, so malformed input
+    raises its ValueError.  Rows whose negation also appears are folded back
+    into a single equation; the remaining rows stay inequalities.
     """
-    rows = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if parts[0] in ("ef", "xvars", "yvars"):
-            if parts[0] == "xvars" and int(parts[1]) != n:
-                raise ValueError(f"reference is over {parts[1]} variables, expected {n}")
-            continue
-        if parts[0] != "ineq" or ">=" not in parts:
-            raise ValueError(f"line {lineno}: expected an ineq row")
-        sep = parts.index(">=")
-        coeffs = tuple(Fraction(t) for t in parts[1:sep])
-        if len(coeffs) != n or sep + 2 != len(parts):
-            raise ValueError(f"line {lineno}: expected {n} coefficients and one bound")
-        rows.append((coeffs, Fraction(parts[sep + 1])))
+    m, d, sparse, _ = pt._parse_text(text)
+    if d != 0:
+        raise ValueError(f"reference must be an x-space file (yvars 0), got yvars {d}")
+    if m != n:
+        raise ValueError(f"reference is over {m} variables, expected {n}")
+    rows = [(pt._dense(pairs, n), rhs) for pairs, rhs in sparse]
     used = [False] * len(rows)
     facets, equations = [], []
     for i, (a, rhs) in enumerate(rows):

@@ -543,6 +543,21 @@ def from_text(text: str) -> ExtendedFormulation:
     single all-zero row with positive right side is read back as the empty
     marker.  Lines may carry `#` comments.
     """
+    n, d, rows, proj = _parse_text(text)
+    if d == 0:
+        if len(rows) == 1 and not rows[0][0] and rows[0][1] > 0:
+            return empty_formulation(n)
+        return _boxed(n, rows)
+    return ExtendedFormulation(n, d, rows, proj)
+
+
+def _parse_text(text: str) -> tuple:
+    """The fields of a `to_text` file exactly as listed: (n, d, rows, proj).
+
+    Rows are (sparse pairs, rhs) in file order and proj is ordered by x
+    index (empty when d is 0); nothing is added or dropped.  Malformed
+    input raises ValueError.
+    """
     lines = []
     for raw in text.splitlines():
         body = raw.split("#", 1)[0].strip()
@@ -584,10 +599,6 @@ def from_text(text: str) -> ExtendedFormulation:
         else:
             raise ValueError(f"unknown line: {line!r}")
 
-    if d == 0:
-        if len(rows) == 1 and not rows[0][0] and rows[0][1] > 0:
-            return empty_formulation(n)
-        return _boxed(n, rows)
-    if sorted(proj) != list(range(1, n + 1)):
+    if d > 0 and sorted(proj) != list(range(1, n + 1)):
         raise ValueError("need exactly one proj line per x variable")
-    return ExtendedFormulation(n, d, tuple(rows), tuple(proj[i] for i in range(1, n + 1)))
+    return n, d, tuple(rows), tuple(proj[i] for i in sorted(proj))

@@ -138,15 +138,18 @@ def check_sandwich(phi, Q, instance: str = "adhoc", lifted=None,
                    [("points", members), ("rows", rows_checked)] + stats_tail)
 
 
-def _hull_rounds(phi, k):
-    """Rows of phi^k(cube) computed entirely in x-space; None when empty."""
+def _hull_rounds(phi):
+    """Rows of phi^k(cube) for k = 1, 2, ..., computed entirely in x-space.
+
+    Each round is lifted once, from the round before; a round is None when
+    it is empty, and so is every round after it.
+    """
     cur = pt.cube(phi.n).xspace_rows()
-    for _ in range(k):
-        F = hull.lift_hrep(phi, cur)
-        if F is None:
-            return None
-        cur = F.rows()
-    return cur
+    while True:
+        if cur is not None:
+            F = hull.lift_hrep(phi, cur)
+            cur = None if F is None else F.rows()
+        yield cur
 
 
 def check_completeness(phi, k_max: int, instance: str = "adhoc",
@@ -163,28 +166,27 @@ def check_completeness(phi, k_max: int, instance: str = "adhoc",
     n = phi.n
     S = points if points is not None else fm.enumerate_set(phi)
     params = [("n", n), ("k_max", k_max)]
+    rounds_of = _hull_rounds(phi)
     if not S.points:
-        out = _hull_rounds(phi, 1)
+        out = next(rounds_of)
         verdict = "pass" if out is None else "fail"
         cert = None if out is None else "empty target but the lift is nonempty"
         return _report("complete", instance, params, verdict, cert, t0,
                        [("first_equal", "none"), ("rounds", 1)])
-    cur = pt.cube(n).xspace_rows()
     first_equal = None
     chk = None
     rounds = 0
     for k in range(1, n + 1):
-        F = hull.lift_hrep(phi, cur)
+        rows = next(rounds_of)
         rounds = k
-        ef = pt.empty_formulation(n) if F is None else pt.from_hrep(n, F.rows())
+        ef = pt.empty_formulation(n) if rows is None else pt.from_hrep(n, rows)
         chk = hull.equals_hull(ef, S)
         if chk:
             if k <= k_max:
                 first_equal = k
             break
-        if F is None:
+        if rows is None:
             break
-        cur = F.rows()
     if chk:
         return _report("complete", instance, params, "pass", None, t0,
                        [("first_equal", first_equal if first_equal is not None else "none"),
@@ -232,11 +234,12 @@ def _progression(mode, check_name, limit, phi, level_max, instance, relaxations)
     S = fm.enumerate_set(phi)
     params = [("n", phi.n), ("levels", level_max)]
     examined = priced = 0
+    rounds_of = _hull_rounds(phi)
     for k in range(1, level_max + 1):
         if relaxations is not None:
             R = relaxations[k - 1]
         else:
-            rows = _hull_rounds(phi, k)
+            rows = next(rounds_of)
             R = pt.empty_formulation(phi.n) if rows is None else pt.from_hrep(phi.n, rows)
         rep = measures.verify_closure(measures.ClosureQuery(mode, k, S, R))
         examined += rep.examined

@@ -210,3 +210,53 @@ def test_run_config_validation():
         cli.RunConfig("lift", (), jobs=0)
     with pytest.raises(ValueError):
         cli.RunConfig("lift", (), hull_cap=0)
+
+
+# The closure-chain checks of `verify pitch|notch --rounds 2`, with their
+# report lines as the Fraction-based double description printed them.
+NOTCH_FORMULAS = {"n1": "x4 & x2 | !x4 | x3 & !x1",
+                  "n2": "(x1 | !x2) & (x3 | x4) | !x1 & x2 & !x3"}
+PINNED_LINES = {
+    ("pitch", "bz4"): "check=pitch instance=bz4 verdict=pass n=4 levels=2 examined=30 priced=14\n",
+    ("pitch", "bz5"): "check=pitch instance=bz5 verdict=pass n=5 levels=2 examined=62 priced=17\n",
+    ("pitch", "covering"):
+        "check=pitch instance=covering verdict=pass n=3 levels=2 examined=14 priced=11\n",
+    ("notch", "n1"): "check=notch instance=n1 verdict=pass n=4 levels=2 examined=32 priced=7\n",
+    ("notch", "n2"): "check=notch instance=n2 verdict=pass n=4 levels=2 examined=32 priced=11\n",
+}
+
+
+def _closure_inputs(tmp_path, capsys):
+    tri = tmp_path / "tri.txt"
+    tri.write_text("1 1 0\n0 1 1\n1 0 1\n")
+    for gen in (["bz", "--n", "4"], ["bz", "--n", "5"], ["covering", "--matrix", str(tri)]):
+        assert run(capsys, "gen", *gen, "--out", str(tmp_path))[0] == 0
+    for name, text in NOTCH_FORMULAS.items():
+        (tmp_path / f"{name}.bool").write_text(text + "\n")
+
+
+def test_closure_chain_report_lines_are_pinned(tmp_path, capsys):
+    _closure_inputs(tmp_path, capsys)
+    for (mode, name), line in PINNED_LINES.items():
+        got = run(capsys, "verify", mode, "--formula", str(tmp_path / f"{name}.bool"),
+                  "--rounds", "2")
+        assert got[:2] == (0, line)
+
+
+def test_progression_lifts_each_round_once(tmp_path, capsys, monkeypatch):
+    from formlift import hull
+    _closure_inputs(tmp_path, capsys)
+    calls = []
+    real = hull.lift_hrep
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(hull, "lift_hrep", counting)
+    for mode, name in (("pitch", "bz4"), ("notch", "n1")):
+        calls.clear()
+        got = run(capsys, "verify", mode, "--formula", str(tmp_path / f"{name}.bool"),
+                  "--rounds", "2")
+        assert got[:2] == (0, PINNED_LINES[mode, name])
+        assert len(calls) == 2

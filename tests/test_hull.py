@@ -1,8 +1,11 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formlift import formula as fm
 from formlift import hull
@@ -183,3 +186,110 @@ def test_facet_list_to_text_parses_as_formulation():
     assert Q.n == 2
     assert lp.contains_point(Q, (F(1, 2), F(1, 4)))
     assert not lp.contains_point(Q, (1, 1))
+
+
+# ---------------------------------------------------------------------------
+# property tests of the integer kernel against brute force
+
+
+def _solve_square(rows):
+    """The unique solution of the square system a·x = rhs, or None."""
+    n = len(rows)
+    m = [list(a) + [rhs] for a, rhs in rows]
+    for c in range(n):
+        pr = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if pr is None:
+            return None
+        m[c], m[pr] = m[pr], m[c]
+        for i in range(n):
+            if i != c and m[i][c] != 0:
+                f = m[i][c] / m[c][c]
+                m[i] = [u - f * v for u, v in zip(m[i], m[c])]
+    return tuple(m[i][n] / m[i][i] for i in range(n))
+
+
+def _brute_vertices(rows, n):
+    """Feasible solutions of every nonsingular n-subset of rows held tight."""
+    out = set()
+    for sub in itertools.combinations(rows, n):
+        x = _solve_square(sub)
+        if x is not None and all(sum(ai * xi for ai, xi in zip(a, x)) >= rhs for a, rhs in rows):
+            out.add(x)
+    return tuple(sorted(out))
+
+
+@st.composite
+def _boxed_systems(draw):
+    n = draw(st.integers(1, 4))
+    ints = st.integers(-4, 4)
+    extra = draw(st.lists(st.tuples(st.lists(ints, min_size=n, max_size=n), ints), max_size=4))
+    rows = pt.cube(n).xspace_rows()
+    rows += [(tuple(F(v) for v in a), F(rhs)) for a, rhs in extra]
+    return n, rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(_boxed_systems())
+def test_vertices_of_hrep_match_brute_force(system):
+    n, rows = system
+    verts, rays = hull.vertices_of_hrep(hull.FacetList(n, tuple(rows)))
+    assert rays == ()
+    assert verts == _brute_vertices(rows, n)
+    assert all(isinstance(v, F) for p in verts for v in p)
+
+
+_coords = st.one_of(st.integers(0, 1), st.builds(F, st.integers(-3, 3), st.integers(1, 3)))
+
+
+@st.composite
+def _point_sets(draw):
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        cube = list(itertools.product((0, 1), repeat=n))
+        return draw(st.lists(st.sampled_from(cube), min_size=1, max_size=8, unique=True))
+    point = st.tuples(*[_coords] * n)
+    return draw(st.lists(point, min_size=1, max_size=6, unique=True))
+
+
+@settings(max_examples=120, deadline=None)
+@given(_point_sets())
+def test_facets_of_points_round_trip_to_extreme_points(pts):
+    Fl = hull.facets_of_points(pts)
+    verts, rays = hull.vertices_of_hrep(Fl)
+    assert rays == ()
+    pts = sorted({tuple(F(v) for v in p) for p in pts})
+    assert set(verts) == set(_extreme(pts))
+    for a, rhs in Fl.facets:
+        assert all(v.denominator == 1 for v in a) and rhs.denominator == 1
+        assert all(sum(ai * xi for ai, xi in zip(a, p)) >= rhs for p in pts)
+    for a, rhs in Fl.equations:
+        assert all(sum(ai * xi for ai, xi in zip(a, p)) == rhs for p in pts)
+
+
+# sha256 of the `to_text` of rounds 1 and 2 of each closure chain, as the
+# Fraction-based double description wrote them; pins every facet and the
+# order of the rows.
+PINNED_ROUNDS = {
+    "bz4": "30cebfb5ef642b41966377365a3cb2fecbf317fb5a1e729133e3f5c0a857326d",
+    "bz5": "256ccf00fbc6d66c53199781b863133c380f7a6c53de70645772220bda28aa3c",
+    "covering": "bc7feff514b5be7110b9dd3772b0677544c48f4a816a9ad57354e6838702b49e",
+    "n1": "9c45ac49c67c8ff714820c6c535cd4806cf3ecdb571f3a2c3941dea13ab5f563",
+    "n2": "b6aa160ddc1034f1907f8900f0b12ef9ed1d1395ea9cabedb89780878c1a4c4d",
+}
+
+
+def test_closure_chain_rounds_are_pinned():
+    from formlift import instances as inst
+    phis = {"bz4": inst.gen_bz(4).formula, "bz5": inst.gen_bz(5).formula,
+            "covering": inst.gen_covering([[1, 1, 0], [0, 1, 1], [1, 0, 1]]).formula,
+            "n1": fm.parse("x4 & x2 | !x4 | x3 & !x1", 4),
+            "n2": fm.parse("(x1 | !x2) & (x3 | x4) | !x1 & x2 & !x3", 4)}
+    for name, phi in phis.items():
+        phi = fm.reduce(phi)
+        cur = pt.cube(phi.n).xspace_rows()
+        texts = []
+        for _ in range(2):
+            Fl = hull.lift_hrep(phi, cur)
+            texts.append(Fl.to_text())
+            cur = Fl.rows()
+        assert hashlib.sha256("".join(texts).encode()).hexdigest() == PINNED_ROUNDS[name]

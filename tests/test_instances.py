@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -148,3 +149,30 @@ def test_load_bundle_errors(tmp_path):
         inst.load_bundle(tmp_path)  # ambiguous
     with pytest.raises(ValueError):
         inst.load_bundle(tmp_path, "nope")
+
+
+@pytest.mark.parametrize("body, message", [
+    ("ef\nxvars 3\nyvars 0\nineq 1/0 1 1 >= 2\n", "bad rational '1/0'"),
+    ("ef\nxvars 3\nyvars 0\nineq 1 x 1 >= 2\n", "bad rational 'x'"),
+    ("ef\nxvars 3\nyvars 0\nineq 1 1 >= 2\n", "bad ineq line"),
+    ("xvars 3\nineq 1 1 1 >= 2\n", "expected header line 'ef'"),
+    ("ef\nxvars 2\nyvars 0\nineq 1 1 >= 2\n", "reference is over 2 variables, expected 3"),
+    ("ef\nxvars 3\nyvars 1\nineq 1 >= 0\nproj 1 0 1\nproj 2 0 1\nproj 3 0 1\n",
+     "x-space file"),
+])
+def test_load_bundle_bad_reference_raises_value_error(tmp_path, body, message):
+    inst.save_bundle(inst.gen_bz(3), tmp_path)
+    (tmp_path / "bz3.ef").write_text(body)
+    with pytest.raises(ValueError, match=message):
+        inst.load_bundle(tmp_path)
+
+
+def test_load_bundle_keeps_reference_rows_and_refolds_equations(tmp_path):
+    inst.save_bundle(inst.gen_bz(3), tmp_path)
+    # the box rows are not added; the +-pair comes back as one equation
+    (tmp_path / "bz3.ef").write_text(
+        "ef\nxvars 3\nyvars 0\n# comment\nineq 1 1 1 >= 2\n"
+        "ineq 1/2 0 -1 >= 0\nineq -1/2 0 1 >= 0\n")
+    ref = inst.load_bundle(tmp_path).reference
+    assert ref.facets == (((1, 1, 1), 2),)
+    assert ref.equations == (((Fraction(1, 2), 0, -1), 0),)
