@@ -9,6 +9,7 @@ output is exact rational text.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -120,7 +121,10 @@ def _parse_ineq(text: str, n: int):
         m = _TERM.match(term)
         if not m:
             raise InputError(f"cannot read term {term!r}")
-        c = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+        try:
+            c = Fraction(m.group(1)) if m.group(1) else Fraction(1)
+        except ZeroDivisionError as exc:
+            raise InputError(f"bad coefficient in term {term!r}") from exc
         var = int(m.group(2))
         if not 1 <= var <= n:
             raise InputError(f"variable x{var} outside 1..{n}")
@@ -283,7 +287,10 @@ def _cmd_gen(args, cfg):
         elif args.family == "covering":
             inst = instances.gen_covering(_read_matrix(args.matrix))
         elif args.family == "bounded":
-            b = tuple(int(v) for v in _parse_vector(args.b, "--b"))
+            b = _parse_vector(args.b, "--b")
+            if any(v.denominator != 1 for v in b):
+                raise InputError(f"--b thresholds must be integers, got {args.b!r}")
+            b = tuple(int(v) for v in b)
             inst = instances.gen_bounded_covering(_read_matrix(args.matrix), b)
         else:
             inst = instances.gen_matching_k4()
@@ -349,7 +356,9 @@ def _cmd_verify(args, cfg):
 # argument grammar
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument grammar, built on first use and shared by every dispatch."""
     top = argparse.ArgumentParser(
         prog="formlift",
         description="Strengthen 0/1 relaxations with Boolean formulas, exactly.")
@@ -455,8 +464,7 @@ def _config(args) -> RunConfig:
 
 
 def dispatch(argv) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _config(args)
         return args.run(args, cfg)

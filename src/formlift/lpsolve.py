@@ -12,8 +12,11 @@ returning a wrong answer.  Input data is read through gmpy2.mpq when
 available, fractions.Fraction otherwise.
 
 The public entry points work either on a lifted formulation object (duck
-typed: fields n, ydim, rows, proj, empty_marker) or on plain dense
-inequality rows in x-space.
+typed: fields n, ydim, rows, proj, empty_marker, point_map and the property
+is_hrep) or on plain dense inequality rows in x-space.  `contains_point`
+decides an x-space formulation by evaluating its rows, and proves a 0/1
+point inside a lifted one by evaluating the rows at the lifted point that
+`point_map` proposes; no certificate is needed beyond that evaluation.
 """
 
 from __future__ import annotations
@@ -418,13 +421,39 @@ def feasible_point(Q):
     return out.x if out.status == "optimal" else None
 
 
+def _holds(rows, y) -> bool:
+    """Every sparse row pairs·y >= rhs holds at the point y, exactly."""
+    for pairs, rhs in rows:
+        lhs = 0
+        for j, c in pairs:
+            v = y[j]
+            if v:
+                lhs += c if v == 1 else c * v
+        if lhs < rhs:
+            return False
+    return True
+
+
 def contains_point(Q, x) -> bool:
-    """Exact membership of an x-space point in the projected set."""
+    """Exact membership of an x-space point in the projected set.
+
+    An x-space formulation (identity projection) is decided by evaluating
+    its rows at x.  A 0/1 point of a lifted formulation with a point map is
+    inside when the proposed y satisfies every row and projects to x.  Every
+    other question, and every "outside" answer on a lifted formulation, is
+    an exact feasibility solve.
+    """
     x = tuple(_rational(v) for v in x)
     if len(x) != Q.n:
         raise ValueError("point length does not match the variable count")
     if Q.empty_marker:
         return False
+    if Q.is_hrep:
+        return _holds(Q.rows, x)
+    if Q.point_map is not None and all(v == 0 or v == 1 for v in x):
+        y = Q.point_map(x)
+        if y is not None and _holds(Q.rows, y) and _project(Q, y) == x:
+            return True
     rows = list(Q.rows)
     for xi, (pairs, off) in zip(x, Q.proj):
         rhs = xi - off

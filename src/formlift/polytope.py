@@ -14,15 +14,25 @@ for such systems feasibility of {y : A y >= s*b} already forces s >= 0, so
 each arm's block pins lam into [0,1].  `from_hrep` therefore always appends
 the box rows; hand-built formulations fed to `balas_union` must satisfy the
 same scale property.
+
+Every formulation these constructors build in memory also carries the point
+map of its own construction: for a 0/1 point p it returns the lifted y that
+the construction assigns to p, or None when p is not in the set.  A box
+keeps y = p when its rows hold at p, a face restriction keeps the base's y
+when p has the fixed value, an intersection concatenates the two arms' ys,
+and a union puts p in arm A with lam = 1 or in arm B with lam = 0 and zeros
+the other arm.  Evaluating the rows at that y certifies membership and
+nonemptiness without an LP; a y that fails the rows decides nothing.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import formula as fm
-from . import lpsolve
+from . import hull, lpsolve
 from .lpsolve import _rational
 
 # A linear expression over lifted variables: ((index, coef), ...) sorted by
@@ -55,6 +65,9 @@ class ExtendedFormulation:
     `rows` are (expr, rhs) inequalities over y; `proj` gives one (expr,
     offset) per x coordinate.  `empty_marker` flags the canonical empty
     formulation, which carries the single unsatisfiable row 0 >= 1.
+    `point_map` maps a 0/1 point to the lifted y its construction assigns
+    (see the module docstring), or is None for formulations read from text
+    or built by hand; it takes no part in equality, hashing or the repr.
     """
 
     n: int
@@ -62,6 +75,7 @@ class ExtendedFormulation:
     rows: tuple
     proj: tuple
     empty_marker: bool = False
+    point_map: object = field(default=None, compare=False, repr=False)
 
     @property
     def is_hrep(self) -> bool:
@@ -119,7 +133,50 @@ def _boxed(n, rows) -> ExtendedFormulation:
     for i in range(n):
         out.append((((i, one),), Fraction(0)))
         out.append((((i, -one),), Fraction(-1)))
-    return ExtendedFormulation(n, n, tuple(dict.fromkeys(out)), _identity_proj(n))
+    rows = tuple(dict.fromkeys(out))
+
+    def point_map(p):
+        return tuple(p) if lpsolve._holds(rows, p) else None
+
+    return ExtendedFormulation(n, n, rows, _identity_proj(n), point_map=point_map)
+
+
+def _face_map(base, i, value):
+    """Point map of a face restriction x_(i+1) = value: the base's y on the face."""
+    if base is None:
+        return None
+    return lambda p: base(p) if p[i] == value else None
+
+
+def _meet_map(ma, mb):
+    """Point map of an intersection: both arms' ys, concatenated."""
+    if ma is None or mb is None:
+        return None
+
+    def point_map(p):
+        ya = ma(p)
+        if ya is None:
+            return None
+        yb = mb(p)
+        return None if yb is None else ya + yb
+
+    return point_map
+
+
+def _union_map(ma, mb, dA, dB):
+    """Point map of a disjunctive union: (yA, 0, 1) from arm A, else (0, yB, 0)."""
+    if ma is None or mb is None:
+        return None
+    zA, zB = (0,) * dA, (0,) * dB
+
+    def point_map(p):
+        ya = ma(p)
+        if ya is not None:
+            return ya + zB + (1,)
+        yb = mb(p)
+        return None if yb is None else zA + yb + (0,)
+
+    return point_map
 
 
 def face_restrict(Q: ExtendedFormulation, var: int, value) -> ExtendedFormulation:
@@ -132,7 +189,8 @@ def face_restrict(Q: ExtendedFormulation, var: int, value) -> ExtendedFormulatio
     pairs, off = Q.proj[var - 1]
     rhs = value - off
     rows = Q.rows + ((pairs, rhs), (_neg(pairs), -rhs))
-    return ExtendedFormulation(Q.n, Q.ydim, rows, Q.proj)
+    return ExtendedFormulation(Q.n, Q.ydim, rows, Q.proj,
+                               point_map=_face_map(Q.point_map, var - 1, value))
 
 
 def intersect(A: ExtendedFormulation, B: ExtendedFormulation) -> ExtendedFormulation:
@@ -151,7 +209,8 @@ def intersect(A: ExtendedFormulation, B: ExtendedFormulation) -> ExtendedFormula
         rhs = tb - ta
         rows.append((tie, rhs))
         rows.append((_neg(tie), -rhs))
-    return ExtendedFormulation(A.n, dA + B.ydim, tuple(rows), A.proj)
+    return ExtendedFormulation(A.n, dA + B.ydim, tuple(rows), A.proj,
+                               point_map=_meet_map(A.point_map, B.point_map))
 
 
 def balas_union(A: ExtendedFormulation, B: ExtendedFormulation) -> ExtendedFormulation:
@@ -185,7 +244,8 @@ def balas_union(A: ExtendedFormulation, B: ExtendedFormulation) -> ExtendedFormu
         if ta != tb:
             p = p + ((lam, ta - tb),)
         proj.append((p, tb))
-    return ExtendedFormulation(A.n, dA + dB + 1, tuple(rows), tuple(proj))
+    return ExtendedFormulation(A.n, dA + dB + 1, tuple(rows), tuple(proj),
+                               point_map=_union_map(A.point_map, B.point_map, dA, dB))
 
 
 def with_xspace_rows(Q: ExtendedFormulation, rows) -> ExtendedFormulation:
@@ -221,10 +281,12 @@ class LiftReport:
     `blocks` counts conjunction blocks applied as batched face restrictions,
     `elided_arms` counts disjunction arms dropped because they were proved
     empty, and `emptiness` records each feasibility decision in construction
-    order as "<site>:<verdict>".  `route` is "ef" for the extended-formulation
-    construction and "hull" for rounds compacted through vertex enumeration.
-    The row bound size(phi)*(base_rows+2) + 2n*and_count applies to the "ef"
-    route.
+    order as "<site>:<verdict>".  Of those decisions, `witnessed` were made by
+    a 0/1 point whose lifted y satisfies every row and the rest, `lp_decided`,
+    by an exact LP; every "empty" verdict is an LP's.  `route` is "ef" for
+    the extended-formulation construction and "hull" for rounds compacted
+    through vertex enumeration.  The row bound
+    size(phi)*(base_rows+2) + 2n*and_count applies to the "ef" route.
     """
 
     n: int
@@ -238,6 +300,11 @@ class LiftReport:
     elided_arms: int
     route: str = "ef"
     emptiness: tuple = ()
+    witnessed: int = 0
+
+    @property
+    def lp_decided(self) -> int:
+        return len(self.emptiness) - self.witnessed
 
     @property
     def row_bound(self) -> int:
@@ -298,8 +365,28 @@ def _restrict_block(Q, fixings, stats):
     return ef
 
 
+def _witnessed(ef) -> bool:
+    """True when some 0/1 point's lifted y satisfies every row of ef.
+
+    Such a y proves ef nonempty.  The scan runs only when ef carries a point
+    map and n is at most hull.HULL_LIMIT; finding no witness decides nothing.
+    """
+    point_map = ef.point_map
+    if point_map is None or ef.n > hull.HULL_LIMIT:
+        return False
+    for p in itertools.product((0, 1), repeat=ef.n):
+        y = point_map(p)
+        if y is not None and lpsolve._holds(ef.rows, y):
+            return True
+    return False
+
+
 def _decide_empty(ef, site, stats):
-    empty = lpsolve.is_empty(ef)
+    if _witnessed(ef):
+        stats["witnessed"] += 1
+        empty = False
+    else:
+        empty = lpsolve.is_empty(ef)
     stats["emptiness"].append(f"{site}:{'empty' if empty else 'nonempty'}")
     return empty
 
@@ -373,15 +460,16 @@ def lift(phi: fm.Formula, Q: ExtendedFormulation, collapse: bool = True):
     """Lifted relaxation phi(Q) plus a LiftReport.
 
     Requires a reduced formula.  Every returned non-marker formulation is
-    nonempty: emptiness is decided by an exact feasibility solve after each
-    restriction block and each intersection, and empty disjunction arms are
-    dropped before the union is formed.
+    nonempty: emptiness is decided after each restriction block and each
+    intersection, first by a 0/1 witness from the point map and otherwise by
+    an exact feasibility solve, and empty disjunction arms are dropped before
+    the union is formed.
     """
     if not phi.is_reduced():
         raise ValueError("formula must be reduced before lifting")
     if phi.n != Q.n:
         raise ValueError(f"dimension mismatch: formula {phi.n}, relaxation {Q.n}")
-    stats = {"blocks": 0, "elided_arms": 0, "emptiness": []}
+    stats = {"blocks": 0, "elided_arms": 0, "emptiness": [], "witnessed": 0}
     if Q.empty_marker:
         ef = Q
     else:
@@ -398,6 +486,7 @@ def lift(phi: fm.Formula, Q: ExtendedFormulation, collapse: bool = True):
         elided_arms=stats["elided_arms"],
         route="ef",
         emptiness=tuple(stats["emptiness"]),
+        witnessed=stats["witnessed"],
     )
     return ef, report
 
@@ -430,7 +519,6 @@ def iterate_lift(phi: fm.Formula, Q: ExtendedFormulation, k: int,
     if k == 0:
         return _done(Q)
     if k > 1 and Q.is_hrep and not Q.empty_marker and n <= hull_cap:
-        from . import hull
         cur = Q.xspace_rows()
         for _ in range(k - 1):
             F = hull.lift_hrep(phi, cur, limit=hull_cap)

@@ -89,6 +89,19 @@ def test_measure_rejects_bad_input(capsys):
     assert code == 2
 
 
+def test_measure_zero_denominator_is_a_diagnostic(capsys):
+    code, out, err = run(capsys, "measure", "--ineq", "1/0 x1 >= 1", "--n", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("formlift: ") and len(err.splitlines()) == 1
+
+
+def test_parser_is_built_once(capsys):
+    run(capsys, "measure", "--ineq", "x1 >= 1", "--n", "1")
+    built = cli._parser.cache_info().misses
+    run(capsys, "measure", "--ineq", "x1 >= 1", "--n", "1")
+    assert cli._parser.cache_info().misses == built == 1
+
+
 def test_notchset_from_points_and_formula(tmp_path, capsys):
     pts = tmp_path / "pts.txt"
     pts.write_text("1 1 0\n1 0 1\n0 1 1\n1 1 1\n")
@@ -128,6 +141,17 @@ def test_gen_families(tmp_path, capsys):
     assert code == 0
     code, _, err = run(capsys, "gen", "bz")
     assert code == 2 and "needs --n" in err
+
+
+def test_gen_bounded_rejects_fractional_thresholds(tmp_path, capsys):
+    m = tmp_path / "m.txt"
+    m.write_text("1 1 0\n0 1 1\n")
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, "gen", "bounded", "--matrix", str(m),
+                         "--b", "3/2,5/4", "--out", str(out_dir))
+    assert code == 2 and out == ""
+    assert err.startswith("formlift: ") and len(err.splitlines()) == 1
+    assert not out_dir.exists()
 
 
 def test_verify_subcommand_and_jobs(tmp_path, capsys):

@@ -1,0 +1,133 @@
+"""Cross-route and witness properties of the lift.
+
+The extended-formulation route (`polytope.lift`) and the hull route
+(`hull.lift_hrep`) must describe sets with the same 0/1 points, namely the
+satisfying points inside the base.  The lift's point map must propose a
+verifying lifted point for exactly those points: a broken map would
+otherwise hide behind the LP fallback of `contains_point`.  Every emptiness
+verdict a witness gives must be the LP's verdict at that site.
+"""
+
+import itertools
+from fractions import Fraction
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from formlift import hull
+from formlift import formula as fm
+from formlift import lpsolve as lp
+from formlift import polytope as pt
+
+
+@st.composite
+def _formulas(draw, n, size):
+    """A reduced formula over n variables: an AND/OR tree of `size` literals."""
+    if size == 1:
+        return fm.lit(draw(st.integers(1, n)), n, negated=draw(st.booleans()))
+    left = draw(st.integers(1, size - 1))
+    op = draw(st.sampled_from((fm.land, fm.lor)))
+    return op(draw(_formulas(n, left)), draw(_formulas(n, size - left)))
+
+
+@st.composite
+def _instances(draw, max_size=7):
+    """(phi, Q): a formula with n <= 5 and the cube or a box-rooted polytope."""
+    n = draw(st.integers(1, 5))
+    phi = draw(_formulas(n, draw(st.integers(1, max_size))))
+    rows = draw(st.lists(st.tuples(st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+                                   st.integers(-2, 2)), max_size=2))
+    return phi, pt.from_hrep(n, rows)
+
+
+def _points(n):
+    return itertools.product((0, 1), repeat=n)
+
+
+def _holds(rows, p):
+    return all(sum((a * x for a, x in zip(coeffs, p)), Fraction(0)) >= rhs
+               for coeffs, rhs in rows)
+
+
+def _target(phi, Q, p):
+    return phi.evaluate(p) and _holds(Q.xspace_rows(), p)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_instances())
+def test_routes_agree_on_every_01_point(inst):
+    phi, Q = inst
+    ef, _ = pt.lift(phi, Q)
+    F = hull.lift_hrep(phi, Q.xspace_rows())
+    for p in _points(Q.n):
+        on_hull = F is not None and _holds(F.rows(), p)
+        assert on_hull == _target(phi, Q, p), p
+        assert lp.contains_point(ef, p) == on_hull, p
+    if F is not None:
+        verts, rays = hull.vertices_of_hrep(F)
+        assert not rays
+        assert hull.equals_hull(ef, verts)
+
+
+def _check_map(phi, Q, ef):
+    if ef.empty_marker:
+        assert not any(_target(phi, Q, p) for p in _points(Q.n))
+        return
+    assert ef.point_map is not None
+    for p in _points(Q.n):
+        y = ef.point_map(p)
+        if _target(phi, Q, p):
+            assert y is not None, p
+            assert len(y) == ef.ydim
+            assert lp._holds(ef.rows, y), p
+            assert lp._project(ef, y) == p
+        else:
+            assert y is None, p
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_instances())
+def test_point_map_verifies_exactly_on_target(inst):
+    phi, Q = inst
+    ef, _ = pt.lift(phi, Q)
+    _check_map(phi, Q, ef)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_instances(max_size=4))
+def test_point_map_of_a_second_ef_round(inst):
+    # hull_cap=0 keeps both rounds on the extended-formulation route, so the
+    # second round restricts, intersects and unites lifted formulations
+    phi, Q = inst
+    ef = pt.iterate_lift(phi, Q, 2, hull_cap=0)
+    _check_map(phi, Q, ef)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_instances())
+def test_witness_verdicts_are_the_lp_verdicts(inst):
+    phi, Q = inst
+    ef, rep = pt.lift(phi, Q)
+    with mock.patch.object(pt, "_witnessed", lambda ef: False):
+        ef_lp, rep_lp = pt.lift(phi, Q)
+    assert rep.emptiness == rep_lp.emptiness
+    assert rep.summary_line() == rep_lp.summary_line()
+    assert ef == ef_lp
+    assert rep_lp.witnessed == 0 and rep_lp.lp_decided == len(rep_lp.emptiness)
+    assert rep.witnessed <= sum(e.endswith(":nonempty") for e in rep.emptiness)
+
+
+def test_witness_and_lp_decisions_are_counted():
+    bz4 = fm.reduce(fm.parse("(x1 | x2) & (x2 | x3) & (x3 | x4) & (x1 | x4)", 4))
+    _, rep = pt.lift(bz4, pt.cube(4))
+    assert rep.emptiness and rep.witnessed == len(rep.emptiness)
+    assert rep.lp_decided == 0
+    # x1 = 1/2 has no 0/1 point: every site, nonempty ones too, needs the LP
+    half = pt.from_hrep(2, [((2, 0), 1), ((-2, 0), -1)])
+    phi = fm.reduce(fm.parse("(x1 | x2) & (!x1 | x2)", 2))
+    ef, rep = pt.lift(phi, half)
+    assert not ef.empty_marker
+    assert rep.emptiness == ("block:empty", "block:nonempty", "block:empty",
+                             "block:nonempty", "intersect:nonempty")
+    assert rep.witnessed == 0 and rep.lp_decided == 5
