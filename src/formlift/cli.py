@@ -12,7 +12,6 @@ import argparse
 import functools
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -33,7 +32,6 @@ class RunConfig:
     hull_cap: int = hull.HULL_LIMIT
     seed: int = 0
     out: str | None = None
-    jobs: int = 1
     verbose: int = 0
 
     def __post_init__(self):
@@ -43,8 +41,6 @@ class RunConfig:
             raise ValueError("level must be at least 1")
         if self.hull_cap < 1:
             raise ValueError("dimension cap must be at least 1")
-        if self.jobs < 1:
-            raise ValueError("jobs must be at least 1")
 
 
 class InputError(Exception):
@@ -335,16 +331,9 @@ def cfg_polytope(cfg):
 def _cmd_verify(args, cfg):
     if args.kind in ("complete", "pitch", "notch") and cfg.rounds < 1:
         raise InputError("this check needs --rounds at least 1")
-    jobs = min(cfg.jobs, len(args.formula))
     try:
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                futs = [pool.submit(_one_check, args.kind, path, cfg, args.covering_m)
-                        for path in args.formula]
-                reports = [f.result() for f in futs]
-        else:
-            reports = [_one_check(args.kind, path, cfg, args.covering_m)
-                       for path in args.formula]
+        reports = [_one_check(args.kind, path, cfg, args.covering_m)
+                   for path in args.formula]
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     for rep in reports:
@@ -438,7 +427,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--covering-m", type=int, dest="covering_m",
                    help="report the covering yardstick ratio (size)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(run=_cmd_verify)
 
     return top
@@ -458,7 +446,6 @@ def _config(args) -> RunConfig:
         hull_cap=getattr(args, "hull_cap", hull.HULL_LIMIT),
         seed=getattr(args, "seed", 0),
         out=getattr(args, "out", None),
-        jobs=getattr(args, "jobs", 1),
         verbose=args.verbose,
     )
 

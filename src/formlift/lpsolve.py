@@ -4,12 +4,16 @@ The tableau is fraction-free: each row, the cost row included, holds Python
 int numerators with one positive int denominator per row, so pivots run on
 ints (multiply-subtract, then division by the row's gcd) whichever rational
 backend is installed.  Pricing is Bland's rule, which guarantees
-termination.  Every answer carries an exact certificate that is re-verified
-in `Fraction` arithmetic before it is returned: an optimal solve checks
-primal feasibility, dual feasibility and strong duality, an infeasible solve
-checks its Farkas vector.  A failed check raises InternalError rather than
-returning a wrong answer.  Input data is read through gmpy2.mpq when
-available, fractions.Fraction otherwise.
+termination.  A variable's first sign row c·z_j >= 0 (c > 0) is presolved
+into a column bound: it adds no tableau row, and z_j gets one column where a
+free variable gets two; that row's dual or Farkas multiplier is read off as
+the column's reduced cost over c.  Every answer carries an exact certificate
+that is re-verified in `Fraction` arithmetic, on the rows as given, before
+it is returned: an optimal solve checks primal feasibility, dual
+feasibility and strong duality, an infeasible solve checks its Farkas
+vector.  A failed check raises InternalError rather than returning a wrong
+answer.  Input data is read through gmpy2.mpq when available,
+fractions.Fraction otherwise.
 
 The public entry points work either on a lifted formulation object (duck
 typed: fields n, ydim, rows, proj, empty_marker, point_map and the property
@@ -82,7 +86,7 @@ class LpOutcome:
 
 
 # ---------------------------------------------------------------------------
-# core solver on sparse rows over free variables
+# core solver on sparse rows over free and sign-bounded variables
 #
 # A tableau row is a dict from column to int numerator, its right-hand side
 # stored under one more column (RHS, past the last artificial), with one
@@ -181,44 +185,74 @@ def _run(tab, den, basis, cost, cden, col_limit, rhs):
         cden = _pivot(tab, den, basis, cost, cden, best, pc)
 
 
+def _multipliers(cost, cden, m, slack, bound):
+    """Row multipliers read off a final cost row, one per original row.
+
+    A tableau row's multiplier is the reduced cost of its slack; a sign row
+    presolved into the bound of variable j is the reduced cost of column 2j
+    divided by the row's coefficient.
+    """
+    u = [Fraction(cost.get(slack + i, 0), cden) for i in range(m)]
+    for j, (i, c) in bound.items():
+        u[i] = Fraction(cost.get(2 * j, 0), cden) / _frac(c)
+    return tuple(u)
+
+
 def _solve(rows, dim, obj):
-    """Minimize sum(obj[j]*z_j) over {z free : pairs·z >= rhs for each row}.
+    """Minimize sum(obj[j]*z_j) over {z : pairs·z >= rhs for each row}.
 
     rows: sequence of (pairs, rhs), pairs = ((index, coef), ...).
     obj: dict index -> coef.  Returns (status, value, z, dual, farkas),
     exact and self-verified.
+
+    The first sign row c·z_j >= 0 (c > 0) of a variable is presolved into
+    the bound z_j >= 0: it gets no tableau row, and z_j keeps only its
+    column 2j.  Every other variable is free, split into columns 2j and
+    2j+1, and every other row is a tableau row with its own slack.  The
+    dual and Farkas multipliers of presolved rows are reduced costs (see
+    `_multipliers`), so both certificates cover the rows as given and are
+    checked against all of them.
     """
     m = len(rows)
     SLACK = 2 * dim
     ART = SLACK + m
     RHS = ART + m
 
-    tab = []
-    den = []
-    basis = []
-    art_rows = []
     qrows = []
+    bound = {}  # variable -> (index, coefficient) of its presolved sign row
     for i, (pairs, rhs) in enumerate(rows):
         beta = _q(rhs)
         acc = {}
         for j, coef in pairs:
-            c = _q(coef)
-            if c:
-                acc[j] = acc.get(j, _ZERO) + c
+            acc[j] = acc.get(j, _ZERO) + _q(coef)
+        acc = {j: c for j, c in acc.items() if c}
         qrows.append((acc, beta))
+        if not beta and len(acc) == 1:
+            (j, c), = acc.items()
+            if c > 0 and j not in bound:
+                bound[j] = (i, c)
+    presolved = {i for i, _ in bound.values()}
+
+    tab = []
+    den = []
+    basis = []
+    art_rows = []
+    for i, (acc, beta) in enumerate(qrows):
+        if i in presolved:
+            continue
         # a·z - s_i = beta; flip so the slack can start basic when beta <= 0
         f = -1 if beta <= 0 else 1
         vals = {}
         for j, c in acc.items():
-            if c:
-                vals[2 * j] = f * c
+            vals[2 * j] = f * c
+            if j not in bound:
                 vals[2 * j + 1] = -f * c
         vals[SLACK + i] = _Q(-f)
         vals[RHS] = f * beta
         if f > 0:
             vals[ART + i] = _ONE
             basis.append(ART + i)
-            art_rows.append(i)
+            art_rows.append(len(tab))
         else:
             basis.append(SLACK + i)
         row, d = _int_row(vals)
@@ -228,11 +262,11 @@ def _solve(rows, dim, obj):
     # Phase 1: drive the artificials to zero.  The cost row is minus the sum
     # of the artificial rows outside the artificial columns.
     if art_rows:
-        cden = lcm(*(den[i] for i in art_rows))
+        cden = lcm(*(den[r] for r in art_rows))
         cost = {}
-        for i in art_rows:
-            s = cden // den[i]
-            for c, v in tab[i].items():
+        for r in art_rows:
+            s = cden // den[r]
+            for c, v in tab[r].items():
                 if c < ART or c == RHS:
                     nv = cost.get(c, 0) - s * v
                     if nv:
@@ -244,19 +278,19 @@ def _solve(rows, dim, obj):
         if status != "optimal":
             raise InternalError("phase one cannot be unbounded")
         if cost.get(RHS, 0) < 0:
-            farkas = tuple(Fraction(cost.get(SLACK + i, 0), cden) for i in range(m))
+            farkas = _multipliers(cost, cden, m, SLACK, bound)
             _check_farkas(qrows, farkas, dim)
             return "infeasible", None, None, None, farkas
         # Pivot leftover artificials out; rows that go all-zero are redundant.
         keep = []
-        for r in range(m):
+        for r in range(len(tab)):
             if basis[r] >= ART:
                 pc = min((c for c in tab[r] if c < ART), default=None)
                 if pc is None:
                     continue
                 cden = _pivot(tab, den, basis, cost, cden, r, pc)
             keep.append(r)
-        if len(keep) < m:
+        if len(keep) < len(tab):
             tab = [tab[r] for r in keep]
             den = [den[r] for r in keep]
             basis = [basis[r] for r in keep]
@@ -267,7 +301,8 @@ def _solve(rows, dim, obj):
         c = _q(c)
         if c:
             vals[2 * j] = c
-            vals[2 * j + 1] = -c
+            if j not in bound:
+                vals[2 * j + 1] = -c
     cost, cden = _int_row(vals)
     for i, row in enumerate(tab):
         if basis[i] in cost:
@@ -280,7 +315,7 @@ def _solve(rows, dim, obj):
     zero = Fraction(0)
     z = tuple(vals.get(2 * j, zero) - vals.get(2 * j + 1, zero) for j in range(dim))
     value = Fraction(-cost.get(RHS, 0), cden)
-    dual = tuple(Fraction(cost.get(SLACK + i, 0), cden) for i in range(m))
+    dual = _multipliers(cost, cden, m, SLACK, bound)
     _check_optimal(qrows, dim, obj, value, z, dual)
     return "optimal", value, z, dual, None
 

@@ -286,8 +286,10 @@ def check_size_accounting(phi, Q, instance: str = "adhoc", covering_m=None,
     the plain product size(phi)*rows(Q), the saving against the block-free
     construction, and (when covering_m is given) the ratio against the
     covering yardstick 2n*(covering_m*n)^rounds are reported without being
-    judged.
+    judged; covering_m must be at least 1.
     """
+    if covering_m is not None and covering_m < 1:
+        raise ValueError(f"covering_m must be at least 1, not {covering_m}")
     t0 = time.perf_counter()
     phi = _prepare(phi, fm.ENUM_LIMIT, "check_size_accounting")
     if report is None:

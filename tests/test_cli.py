@@ -154,20 +154,36 @@ def test_gen_bounded_rejects_fractional_thresholds(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_verify_subcommand_and_jobs(tmp_path, capsys):
+def test_verify_subcommand_several_formulas(tmp_path, capsys):
+    import pytest
     run(capsys, "gen", "bz", "--n", "4", "--out", str(tmp_path))
     run(capsys, "gen", "matching-k4", "--out", str(tmp_path))
     bz = str(tmp_path / "bz4.bool")
     k4 = str(tmp_path / "matching-k4.bool")
-    code, out, _ = run(capsys, "verify", "sandwich", "--formula", bz, k4,
-                       "--jobs", "2")
+    code, out, _ = run(capsys, "verify", "sandwich", "--formula", k4, bz)
     assert code == 0
     lines = out.strip().splitlines()
-    assert len(lines) == 2
-    assert lines[0].startswith("check=sandwich instance=bz4 verdict=pass")
-    assert lines[1].startswith("check=sandwich instance=matching-k4 verdict=pass")
-    code, out2, _ = run(capsys, "verify", "sandwich", "--formula", bz, k4)
-    assert out2.strip().splitlines() == lines  # independent of --jobs
+    assert len(lines) == 2  # one line per formula, in argument order
+    assert lines[0].startswith("check=sandwich instance=matching-k4 verdict=pass")
+    assert lines[1].startswith("check=sandwich instance=bz4 verdict=pass")
+    with pytest.raises(SystemExit) as exc:  # no --jobs option: a usage error
+        cli.dispatch(["verify", "sandwich", "--formula", bz, "--jobs", "2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
+def test_verify_size_rejects_covering_m_below_one(tmp_path, capsys):
+    f = tmp_path / "f.bool"
+    f.write_text("x1 & x2\n")
+    for m in ("0", "-2"):
+        code, out, err = run(capsys, "verify", "size", "--formula", str(f),
+                             "--covering-m", m)
+        assert code == 2 and out == ""
+        assert err.startswith("formlift: ") and len(err.splitlines()) == 1
+        assert "covering_m must be at least 1" in err
+    code, out, _ = run(capsys, "verify", "size", "--formula", str(f),
+                       "--covering-m", "1")
+    assert code == 0 and "covering_yardstick=8 covering_ratio=1" in out
 
 
 def test_verify_complete_example(tmp_path, capsys):
@@ -230,8 +246,6 @@ def test_run_config_validation():
     import pytest
     with pytest.raises(ValueError):
         cli.RunConfig("lift", (), rounds=-1)
-    with pytest.raises(ValueError):
-        cli.RunConfig("lift", (), jobs=0)
     with pytest.raises(ValueError):
         cli.RunConfig("lift", (), hull_cap=0)
 

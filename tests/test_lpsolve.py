@@ -3,9 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formlift import formula as fm
 from formlift import hull
+from formlift import instances as inst
 from formlift import lpsolve as lp
 from formlift import polytope as pt
 
@@ -239,3 +242,108 @@ def test_unlike_denominators_infeasible_farkas():
     out = lp.optimize_rows(rows, 2, (F(1, 3), F(0)), "min")
     _assert_certified(rows, (F(1, 3), F(0)), out)
     assert _vertex_minimum(rows, 2, (F(1, 3), F(0)))[0] == ()
+
+
+# Sign rows c·y_j >= 0 with c > 0 become column bounds inside the solver; the
+# first such row of a variable is presolved, later ones stay tableau rows.
+# Negative coefficients and nonzero right-hand sides are ordinary rows.
+SIGN_COEFS = (F(1), F(2), F(1, 3), F(5, 2), F(-1))
+
+
+def _dot(a, x):
+    return sum((ai * xi for ai, xi in zip(a, x)), F(0))
+
+
+@st.composite
+def _sign_row_systems(draw):
+    n = draw(st.integers(1, 3))
+    rows = []
+    for j in range(n):
+        for _ in range(draw(st.integers(0, 2))):  # none: free; two: duplicated
+            e = [F(0)] * n
+            e[j] = draw(st.sampled_from(SIGN_COEFS))
+            rows.append((tuple(e), F(0)))
+    for _ in range(draw(st.integers(0, 4))):
+        rows.append((tuple(draw(st.sampled_from(UNLIKE)) for _ in range(n)),
+                     draw(st.sampled_from(UNLIKE))))
+    if draw(st.booleans()):
+        for j in range(n):
+            rows.append((tuple(F(-1) if i == j else F(0) for i in range(n)), F(-3)))
+    rows = draw(st.permutations(rows))
+    c = tuple(draw(st.sampled_from(UNLIKE)) for _ in range(n))
+    return n, rows, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sign_row_systems(), st.sampled_from(("min", "max")))
+def test_presolved_sign_rows_match_vertex_enumeration(system, sense):
+    n, rows, c = system
+    flip = -1 if sense == "max" else 1
+    out = lp.optimize_rows(rows, n, c, sense)
+    verts, rays = hull.vertices_of_hrep(hull.FacetList(n, tuple(rows)))
+    if not verts:
+        assert out.status == "infeasible"
+    elif any(flip * _dot(c, r) < 0 for r in rays):
+        assert out.status == "unbounded"
+    else:
+        assert out.status == "optimal"
+        assert out.value == flip * min(flip * _dot(c, v) for v in verts)
+        assert all(_dot(a, out.x) >= rhs for a, rhs in rows)
+        assert _dot(c, out.x) == out.value
+    if out.status != "unbounded":
+        _assert_certified(rows, c, out, flip)
+
+
+def test_presolved_sign_row_in_farkas_vector():
+    # 2·y0 >= 0 and -y0 >= 1 contradict only together
+    rows = [((F(2),), F(0)), ((F(-1),), F(1))]
+    out = lp.optimize_rows(rows, 1, (F(0),), "min")
+    _assert_certified(rows, (F(0),), out)
+    assert out.farkas[0] > 0
+
+
+def test_presolved_sign_row_unbounded():
+    # y0 >= 0 and y0 + y1 >= 1 with y1 free: y0 grows without limit
+    rows = [((F(1), F(0)), F(0)), ((F(1), F(1)), F(1))]
+    assert lp.optimize_rows(rows, 2, (F(1), F(0)), "max").status == "unbounded"
+    assert lp.optimize_rows(rows, 2, (F(1), F(1)), "min").value == 1
+
+
+def test_presolved_sign_row_carries_dual():
+    # min 3·y0 + y1 at (0, 1): only 2·y0 >= 0 and y0 + y1 >= 1 are tight,
+    # and their multipliers 1 and 1 are the unique dual
+    rows = [((F(2), F(0)), F(0)), ((F(0), F(1)), F(0)),
+            ((F(1), F(1)), F(1)), ((F(0), F(-1)), F(-3))]
+    out = lp.optimize_rows(rows, 2, (F(3), F(1)), "min")
+    assert (out.value, out.x) == (1, (0, 1))
+    assert out.dual == (1, 0, 1, 0)
+    _assert_certified(rows, (F(3), F(1)), out)
+
+
+# bz5 lifted once over the cube and read back from its .ef text: 280 rows over
+# 115 lifted variables, 100 of them sign rows.  Optima recorded when every
+# variable was still split into two columns.
+BZ5_OPTIMA = (
+    ("min", (-2, -3, 3, -3, 2), -8), ("max", (3, 1, 2, 0, 3), 9),
+    ("min", (0, -3, -1, 1, -1), -5), ("max", (-3, 2, -2, -1, 3), 5),
+    ("min", (3, -1, 0, -1, 1), -2), ("max", (0, -3, -3, -1, 1), 1),
+    ("min", (-1, -3, 2, -3, 3), -7), ("max", (-3, 3, -2, 3, 2), 8),
+    ("min", (-1, -3, -1, 1, -3), -8), ("min", (-2, -2, -3, 2, -1), -8),
+)
+BZ5_MEMBERS = (
+    ((1, F(1, 2), F(1, 2), 1, 0), True),
+    ((F(3, 4), F(1, 4), 0, F(1, 4), 0), False),
+    ((F(1, 2), F(3, 4), F(1, 4), F(3, 4), 1), True),
+    ((0, 1, F(1, 4), 0, F(1, 4)), False),
+    ((F(3, 4), F(1, 2), F(1, 4), F(3, 4), F(1, 4)), True),
+)
+
+
+def test_bz5_round_one_pins():
+    ef, _ = pt.lift(inst.gen_bz(5).formula, pt.cube(5))
+    ef = pt.from_text(pt.to_text(ef))
+    assert len(ef.rows) == 280 and ef.ydim == 115
+    for sense, c, want in BZ5_OPTIMA:
+        assert lp.optimize(ef, c, sense).value == want
+    for x, inside in BZ5_MEMBERS:
+        assert lp.contains_point(ef, x) == inside
