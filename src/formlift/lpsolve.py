@@ -1,26 +1,30 @@
 """Exact rational linear programming by a two-phase primal simplex.
 
-The tableau is fraction-free: each row, the cost row included, holds Python
-int numerators with one positive int denominator per row, so pivots run on
-ints (multiply-subtract, then division by the row's gcd) whichever rational
-backend is installed.  Pricing is Bland's rule, which guarantees
-termination.  A variable's first sign row c·z_j >= 0 (c > 0) is presolved
-into a column bound: it adds no tableau row, and z_j gets one column where a
-free variable gets two; that row's dual or Farkas multiplier is read off as
-the column's reduced cost over c.  Every answer carries an exact certificate
-that is re-verified in `Fraction` arithmetic, on the rows as given, before
-it is returned: an optimal solve checks primal feasibility, dual
-feasibility and strong duality, an infeasible solve checks its Farkas
-vector.  A failed check raises InternalError rather than returning a wrong
-answer.  Input data is read through gmpy2.mpq when available,
-fractions.Fraction otherwise.
+Every row is converted once into integers (`_int_rows`): int numerators, an
+int right-hand side and one positive int scale, the least common
+denominator of the row.  The tableau is built from those integers and stays
+fraction-free: each row, the cost row included, holds Python int numerators
+with one positive int denominator per row, so pivots run on ints
+(multiply-subtract, then division by the row's gcd).  Pricing is Bland's
+rule, which guarantees termination.  A variable's first sign row c·z_j >= 0
+(c > 0) is presolved into a column bound: it adds no tableau row, and z_j
+gets one column where a free variable gets two; that row's dual or Farkas
+multiplier is read off as the column's reduced cost over c.  Every answer
+carries an exact certificate that is re-verified on all of the rows as given
+before it is returned, by integer cross-multiplication over common
+denominators: an optimal solve checks primal feasibility, dual feasibility
+and strong duality, an infeasible solve checks its Farkas vector.  A failed
+check raises InternalError rather than returning a wrong answer.  Values,
+points and multipliers are handed back as `Fraction`s.
 
 The public entry points work either on a lifted formulation object (duck
-typed: fields n, ydim, rows, proj, empty_marker, point_map and the property
-is_hrep) or on plain dense inequality rows in x-space.  `contains_point`
-decides an x-space formulation by evaluating its rows, and proves a 0/1
-point inside a lifted one by evaluating the rows at the lifted point that
-`point_map` proposes; no certificate is needed beyond that evaluation.
+typed: fields n, ydim, rows, proj, empty_marker and point_map, properties
+is_hrep and int_rows, its rows as `_int_rows` converts them, computed once
+and kept) or on plain dense inequality rows in x-space, converted on each
+call.  `contains_point` decides an x-space
+formulation by evaluating its rows, and proves a 0/1 point inside a lifted
+one by evaluating the rows at the lifted point that `point_map` proposes; no
+certificate is needed beyond that evaluation.
 """
 
 from __future__ import annotations
@@ -29,13 +33,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
+# The installed rational type, reported as the arithmetic backend; the solver
+# itself computes on Python ints and answers in Fractions either way.
 try:
     from gmpy2 import mpq as _Q
 except ImportError:  # pragma: no cover
     _Q = Fraction
-
-_ZERO = _Q(0)
-_ONE = _Q(1)
 
 
 class InternalError(RuntimeError):
@@ -51,19 +54,6 @@ def _rational(v) -> Fraction:
     if isinstance(v, float):
         raise TypeError("floating point input is not accepted; pass int, str or Fraction")
     return Fraction(v)
-
-
-def _q(v):
-    """v in the backend type; a Fraction is returned as is when that is the backend."""
-    if not isinstance(v, Fraction):
-        v = _rational(v)
-    return v if _Q is Fraction else _Q(v.numerator, v.denominator)
-
-
-def _frac(q) -> Fraction:
-    if isinstance(q, Fraction):
-        return q
-    return Fraction(int(q.numerator), int(q.denominator))
 
 
 @dataclass(frozen=True)
@@ -86,19 +76,87 @@ class LpOutcome:
 
 
 # ---------------------------------------------------------------------------
-# core solver on sparse rows over free and sign-bounded variables
+# integer rows
+#
+# An int row (a, b, l) stands for the rational row (a/l)·z >= b/l: a is a dict
+# from column to nonzero int numerator, b an int and l the least common
+# denominator of the row's coefficients and right-hand side.
+
+
+def _int_rows(rows) -> tuple:
+    """Each sparse row (pairs, rhs) as an int row (a, b, l).
+
+    Coefficients of a repeated column are added up; floats are refused.
+    """
+    out = []
+    for pairs, rhs in rows:
+        acc = {}
+        for j, v in pairs:
+            if type(v) is not int and type(v) is not Fraction:
+                v = _rational(v)
+            acc[j] = acc[j] + v if j in acc else v
+        if type(rhs) is not int and type(rhs) is not Fraction:
+            rhs = _rational(rhs)
+        l = lcm(rhs.denominator, *[v.denominator for v in acc.values()])
+        a = {j: v.numerator * (l // v.denominator) for j, v in acc.items() if v.numerator}
+        out.append((a, rhs.numerator * (l // rhs.denominator), l))
+    return tuple(out)
+
+
+def _objective(pairs):
+    """The objective pairs·z as one int row (numerators, 0, scale)."""
+    return _int_rows(((pairs, 0),))[0]
+
+
+def _common(u):
+    """Int numerators of the rationals u over their least common denominator."""
+    d = lcm(*(v.denominator for v in u))
+    return [v.numerator * (d // v.denominator) for v in u], d
+
+
+def _combination(irows, u):
+    """u·A and u·rhs of the rows as given, for rational row multipliers u.
+
+    Returns (comb, total, M): int numerators over one positive int M, comb a
+    dict by column.  Row i contributes with the int weight w_i = (u_i/l_i)·M.
+    """
+    M = lcm(*(v.denominator * l for v, (_, _, l) in zip(u, irows) if v))
+    comb = {}
+    total = 0
+    for (a, b, l), v in zip(irows, u):
+        if v:
+            w = v.numerator * (M // (v.denominator * l))
+            for j, c in a.items():
+                comb[j] = comb.get(j, 0) + w * c
+            total += w * b
+    return comb, total, M
+
+
+def _holds(irows, y) -> bool:
+    """Every int row holds at the point y, exactly.
+
+    With y = Y/D over a common denominator, (a/l)·y >= b/l is a·Y >= b·D.
+    """
+    Y, D = _common(y)
+    for a, b, _ in irows:
+        lhs = 0
+        for j, c in a.items():
+            v = Y[j]
+            if v:
+                lhs += c * v
+        if lhs < b * D:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# core solver on int rows over free and sign-bounded variables
 #
 # A tableau row is a dict from column to int numerator, its right-hand side
 # stored under one more column (RHS, past the last artificial), with one
 # positive int denominator per row kept alongside: the row stands for
 # numerators/denominator.  The cost row has the same form and holds the
 # negated objective value under RHS.  Zero entries are never stored.
-
-
-def _int_row(vals):
-    """Numerators of the rationals `vals` over their least common denominator."""
-    d = lcm(*(int(v.denominator) for v in vals.values()))
-    return {c: int(v.numerator) * (d // int(v.denominator)) for c, v in vals.items() if v}, d
 
 
 def _reduce(row, d):
@@ -189,21 +247,26 @@ def _multipliers(cost, cden, m, slack, bound):
     """Row multipliers read off a final cost row, one per original row.
 
     A tableau row's multiplier is the reduced cost of its slack; a sign row
-    presolved into the bound of variable j is the reduced cost of column 2j
-    divided by the row's coefficient.
+    (c/l)·z_j >= 0 presolved into the bound of variable j is the reduced cost
+    of column 2j divided by c/l.
     """
-    u = [Fraction(cost.get(slack + i, 0), cden) for i in range(m)]
-    for j, (i, c) in bound.items():
-        u[i] = Fraction(cost.get(2 * j, 0), cden) / _frac(c)
+    zero = Fraction(0)
+    u = [zero] * m
+    for i in range(m):
+        v = cost.get(slack + i)
+        if v:
+            u[i] = Fraction(v, cden)
+    for j, (i, c, l) in bound.items():
+        u[i] = Fraction(cost.get(2 * j, 0) * l, cden * c)
     return tuple(u)
 
 
-def _solve(rows, dim, obj):
-    """Minimize sum(obj[j]*z_j) over {z : pairs·z >= rhs for each row}.
+def _solve(irows, dim, obj):
+    """Minimize obj·z over {z : (a/l)·z >= b/l for each int row (a, b, l)}.
 
-    rows: sequence of (pairs, rhs), pairs = ((index, coef), ...).
-    obj: dict index -> coef.  Returns (status, value, z, dual, farkas),
-    exact and self-verified.
+    irows come from `_int_rows`, obj is one int row (numerators, 0, scale)
+    of the objective.  Returns (status, value, z, dual, farkas), exact and
+    self-verified.
 
     The first sign row c·z_j >= 0 (c > 0) of a variable is presolved into
     the bound z_j >= 0: it gets no tableau row, and z_j keeps only its
@@ -213,51 +276,45 @@ def _solve(rows, dim, obj):
     `_multipliers`), so both certificates cover the rows as given and are
     checked against all of them.
     """
-    m = len(rows)
+    m = len(irows)
     SLACK = 2 * dim
     ART = SLACK + m
     RHS = ART + m
 
-    qrows = []
-    bound = {}  # variable -> (index, coefficient) of its presolved sign row
-    for i, (pairs, rhs) in enumerate(rows):
-        beta = _q(rhs)
-        acc = {}
-        for j, coef in pairs:
-            acc[j] = acc.get(j, _ZERO) + _q(coef)
-        acc = {j: c for j, c in acc.items() if c}
-        qrows.append((acc, beta))
-        if not beta and len(acc) == 1:
-            (j, c), = acc.items()
+    bound = {}  # variable -> (index, numerator, scale) of its presolved sign row
+    for i, (a, b, l) in enumerate(irows):
+        if not b and len(a) == 1:
+            (j, c), = a.items()
             if c > 0 and j not in bound:
-                bound[j] = (i, c)
-    presolved = {i for i, _ in bound.values()}
+                bound[j] = (i, c, l)
+    presolved = {i for i, _, _ in bound.values()}
 
+    # Row i is a·z - l·s_i = b over the denominator l, flipped so the slack
+    # can start basic when b <= 0.
     tab = []
     den = []
     basis = []
     art_rows = []
-    for i, (acc, beta) in enumerate(qrows):
+    for i, (a, b, l) in enumerate(irows):
         if i in presolved:
             continue
-        # a·z - s_i = beta; flip so the slack can start basic when beta <= 0
-        f = -1 if beta <= 0 else 1
-        vals = {}
-        for j, c in acc.items():
-            vals[2 * j] = f * c
+        f = -1 if b <= 0 else 1
+        row = {}
+        for j, c in a.items():
+            row[2 * j] = f * c
             if j not in bound:
-                vals[2 * j + 1] = -f * c
-        vals[SLACK + i] = _Q(-f)
-        vals[RHS] = f * beta
+                row[2 * j + 1] = -f * c
+        row[SLACK + i] = -f * l
+        if b:
+            row[RHS] = f * b
         if f > 0:
-            vals[ART + i] = _ONE
+            row[ART + i] = l
             basis.append(ART + i)
             art_rows.append(len(tab))
         else:
             basis.append(SLACK + i)
-        row, d = _int_row(vals)
         tab.append(row)
-        den.append(d)
+        den.append(l)
 
     # Phase 1: drive the artificials to zero.  The cost row is minus the sum
     # of the artificial rows outside the artificial columns.
@@ -279,7 +336,7 @@ def _solve(rows, dim, obj):
             raise InternalError("phase one cannot be unbounded")
         if cost.get(RHS, 0) < 0:
             farkas = _multipliers(cost, cden, m, SLACK, bound)
-            _check_farkas(qrows, farkas, dim)
+            _check_farkas(irows, farkas)
             return "infeasible", None, None, None, farkas
         # Pivot leftover artificials out; rows that go all-zero are redundant.
         keep = []
@@ -296,14 +353,12 @@ def _solve(rows, dim, obj):
             basis = [basis[r] for r in keep]
 
     # Phase 2: price out the basic columns of the objective row.
-    vals = {}
-    for j, c in obj.items():
-        c = _q(c)
-        if c:
-            vals[2 * j] = c
-            if j not in bound:
-                vals[2 * j + 1] = -c
-    cost, cden = _int_row(vals)
+    cost = {}
+    for j, c in obj[0].items():
+        cost[2 * j] = c
+        if j not in bound:
+            cost[2 * j + 1] = -c
+    cden = obj[2]
     for i, row in enumerate(tab):
         if basis[i] in cost:
             cden = _eliminate(cost, cden, row, den[i], basis[i])
@@ -311,47 +366,47 @@ def _solve(rows, dim, obj):
     if status != "optimal":
         return "unbounded", None, None, None, None
 
-    vals = {col: Fraction(row.get(RHS, 0), d) for col, row, d in zip(basis, tab, den)}
-    zero = Fraction(0)
-    z = tuple(vals.get(2 * j, zero) - vals.get(2 * j + 1, zero) for j in range(dim))
+    z = [Fraction(0)] * dim
+    for col, row, d in zip(basis, tab, den):
+        v = row.get(RHS)
+        if v and col < SLACK:
+            j, neg = divmod(col, 2)
+            q = Fraction(-v if neg else v, d)
+            z[j] = z[j] + q if z[j] else q
+    z = tuple(z)
     value = Fraction(-cost.get(RHS, 0), cden)
     dual = _multipliers(cost, cden, m, SLACK, bound)
-    _check_optimal(qrows, dim, obj, value, z, dual)
+    _check_optimal(irows, obj, value, z, dual)
     return "optimal", value, z, dual, None
 
 
-def _check_farkas(qrows, farkas, dim):
-    comb = [Fraction(0)] * dim
-    gain = Fraction(0)
-    for (acc, beta), u in zip(qrows, farkas):
-        if u < 0:
-            raise InternalError("negative Farkas multiplier")
-        if u:
-            for j, c in acc.items():
-                comb[j] += u * _frac(c)
-            gain += u * _frac(beta)
-    if any(v != 0 for v in comb) or gain <= 0:
+def _check_farkas(irows, farkas):
+    """farkas >= 0, farkas·A = 0 and farkas·rhs > 0 over the rows as given."""
+    if any(u < 0 for u in farkas):
+        raise InternalError("negative Farkas multiplier")
+    comb, gain, _ = _combination(irows, farkas)
+    if any(comb.values()) or gain <= 0:
         raise InternalError("Farkas certificate does not refute the system")
 
 
-def _check_optimal(qrows, dim, obj, value, z, dual):
-    comb = [Fraction(0)] * dim
-    paid = Fraction(0)
-    for (acc, beta), lam in zip(qrows, dual):
-        lhs = sum((_frac(c) * z[j] for j, c in acc.items()), Fraction(0))
-        if lhs < _frac(beta):
-            raise InternalError("reported optimum violates a constraint")
-        if lam < 0:
-            raise InternalError("negative dual multiplier")
-        if lam:
-            for j, c in acc.items():
-                comb[j] += lam * _frac(c)
-            paid += lam * _frac(beta)
-    cobj = {j: _frac(_q(c)) for j, c in obj.items()}
-    got = sum((cobj.get(j, Fraction(0)) * z[j] for j in range(dim)), Fraction(0))
-    if got != value:
+def _check_optimal(irows, obj, value, z, dual):
+    """z is feasible, dual >= 0, dual·A = obj and dual·rhs = obj·z = value.
+
+    Each identity is checked on ints over common denominators: z = Z/D,
+    obj = C/k, value = p/q and the dual's combination comb/M.
+    """
+    if not _holds(irows, z):
+        raise InternalError("reported optimum violates a constraint")
+    if any(u < 0 for u in dual):
+        raise InternalError("negative dual multiplier")
+    Z, D = _common(z)
+    C, _, k = obj
+    p, q = value.numerator, value.denominator
+    if sum(c * Z[j] for j, c in C.items()) * q != p * k * D:
         raise InternalError("objective value disagrees with the reported point")
-    if any(comb[j] != cobj.get(j, Fraction(0)) for j in range(dim)) or paid != value:
+    comb, paid, M = _combination(irows, dual)
+    if (any(comb.get(j, 0) * k != C.get(j, 0) * M for j in comb.keys() | C.keys())
+            or paid * q != p * M):
         raise InternalError("dual certificate does not prove optimality")
 
 
@@ -373,8 +428,8 @@ def optimize_rows(rows, dim, c, sense: str = "min") -> LpOutcome:
     if len(c) != dim:
         raise ValueError("objective length does not match dimension")
     flip = -1 if sense == "max" else 1
-    obj = {j: flip * v for j, v in enumerate(c) if v != 0}
-    status, value, z, dual, farkas = _solve(srows, dim, obj)
+    obj = tuple((j, flip * v) for j, v in enumerate(c) if v != 0)
+    status, value, z, dual, farkas = _solve(_int_rows(srows), dim, _objective(obj))
     if status == "optimal":
         return LpOutcome("optimal", flip * value, z, None, dual, None)
     if status == "infeasible":
@@ -420,7 +475,7 @@ def optimize(Q, c, sense: str = "min") -> LpOutcome:
         raise ValueError("cannot optimize over the empty marker")
     flip = -1 if sense == "max" else 1
     obj, const = _y_objective(Q, tuple(flip * v for v in c))
-    status, value, y, dual, farkas = _solve(Q.rows, Q.ydim, obj)
+    status, value, y, dual, farkas = _solve(Q.int_rows, Q.ydim, _objective(obj.items()))
     if status == "unbounded":
         raise UnboundedError("lifted formulations are bounded; unbounded solve")
     if status == "infeasible":
@@ -439,7 +494,7 @@ def emptiness(Q) -> LpOutcome:
     """
     if Q.empty_marker:
         return LpOutcome("infeasible")
-    status, value, y, dual, farkas = _solve(Q.rows, Q.ydim, {})
+    status, value, y, dual, farkas = _solve(Q.int_rows, Q.ydim, _objective(()))
     if status == "infeasible":
         return LpOutcome("infeasible", farkas=farkas)
     return LpOutcome("optimal", Fraction(0), _project(Q, y), y, dual, None)
@@ -454,19 +509,6 @@ def feasible_point(Q):
     """Some point of the projected set, or None when empty."""
     out = emptiness(Q)
     return out.x if out.status == "optimal" else None
-
-
-def _holds(rows, y) -> bool:
-    """Every sparse row pairs·y >= rhs holds at the point y, exactly."""
-    for pairs, rhs in rows:
-        lhs = 0
-        for j, c in pairs:
-            v = y[j]
-            if v:
-                lhs += c if v == 1 else c * v
-        if lhs < rhs:
-            return False
-    return True
 
 
 def contains_point(Q, x) -> bool:
@@ -484,15 +526,15 @@ def contains_point(Q, x) -> bool:
     if Q.empty_marker:
         return False
     if Q.is_hrep:
-        return _holds(Q.rows, x)
+        return _holds(Q.int_rows, x)
     if Q.point_map is not None and all(v == 0 or v == 1 for v in x):
         y = Q.point_map(x)
-        if y is not None and _holds(Q.rows, y) and _project(Q, y) == x:
+        if y is not None and _holds(Q.int_rows, y) and _project(Q, y) == x:
             return True
-    rows = list(Q.rows)
+    fix = []
     for xi, (pairs, off) in zip(x, Q.proj):
         rhs = xi - off
-        rows.append((pairs, rhs))
-        rows.append((tuple((j, -coef) for j, coef in pairs), -rhs))
-    status, *_ = _solve(rows, Q.ydim, {})
+        fix.append((pairs, rhs))
+        fix.append((tuple((j, -coef) for j, coef in pairs), -rhs))
+    status, *_ = _solve(Q.int_rows + _int_rows(fix), Q.ydim, _objective(()))
     return status == "optimal"

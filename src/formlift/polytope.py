@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from . import formula as fm
@@ -68,6 +69,7 @@ class ExtendedFormulation:
     `point_map` maps a 0/1 point to the lifted y its construction assigns
     (see the module docstring), or is None for formulations read from text
     or built by hand; it takes no part in equality, hashing or the repr.
+    `is_hrep` and `int_rows` are computed once per formulation and kept.
     """
 
     n: int
@@ -77,13 +79,18 @@ class ExtendedFormulation:
     empty_marker: bool = False
     point_map: object = field(default=None, compare=False, repr=False)
 
-    @property
+    @cached_property
     def is_hrep(self) -> bool:
         """True when y is x itself: identity projection, rows in x-space."""
         if self.ydim != self.n:
             return False
         return all(pairs == ((i, Fraction(1)),) and off == 0
                    for i, (pairs, off) in enumerate(self.proj))
+
+    @cached_property
+    def int_rows(self) -> tuple:
+        """`rows` as the exact int rows every LP and row evaluation reads."""
+        return lpsolve._int_rows(self.rows)
 
     def xspace_rows(self) -> list:
         """Rows as dense x-space constraints; only valid when is_hrep."""
@@ -134,9 +141,13 @@ def _boxed(n, rows) -> ExtendedFormulation:
         out.append((((i, one),), Fraction(0)))
         out.append((((i, -one),), Fraction(-1)))
     rows = tuple(dict.fromkeys(out))
+    irows = None  # converted on the first call; most boxes never map a point
 
     def point_map(p):
-        return tuple(p) if lpsolve._holds(rows, p) else None
+        nonlocal irows
+        if irows is None:
+            irows = lpsolve._int_rows(rows)
+        return tuple(p) if lpsolve._holds(irows, p) else None
 
     return ExtendedFormulation(n, n, rows, _identity_proj(n), point_map=point_map)
 
@@ -376,7 +387,7 @@ def _witnessed(ef) -> bool:
         return False
     for p in itertools.product((0, 1), repeat=ef.n):
         y = point_map(p)
-        if y is not None and lpsolve._holds(ef.rows, y):
+        if y is not None and lpsolve._holds(ef.int_rows, y):
             return True
     return False
 
@@ -432,31 +443,7 @@ def _lift_collapse(f, Q, stats):
     return ef
 
 
-def _lift_naive(f, Q, stats):
-    k = f.kind
-    if k is fm.Kind.CONST:
-        return Q if f.value else empty_formulation(Q.n)
-    if k is fm.Kind.LIT:
-        return _restrict_block(Q, {f.var: 0 if f.negated else 1}, stats)
-    a = _lift_naive(f.children[0], Q, stats)
-    b = _lift_naive(f.children[1], Q, stats)
-    if k is fm.Kind.AND:
-        if a.empty_marker or b.empty_marker:
-            return empty_formulation(Q.n)
-        ef = intersect(a, b)
-        if _decide_empty(ef, "intersect", stats):
-            return empty_formulation(Q.n)
-        return ef
-    if a.empty_marker:
-        stats["elided_arms"] += 1
-        return b
-    if b.empty_marker:
-        stats["elided_arms"] += 1
-        return a
-    return balas_union(a, b)
-
-
-def lift(phi: fm.Formula, Q: ExtendedFormulation, collapse: bool = True):
+def lift(phi: fm.Formula, Q: ExtendedFormulation):
     """Lifted relaxation phi(Q) plus a LiftReport.
 
     Requires a reduced formula.  Every returned non-marker formulation is
@@ -473,7 +460,7 @@ def lift(phi: fm.Formula, Q: ExtendedFormulation, collapse: bool = True):
     if Q.empty_marker:
         ef = Q
     else:
-        ef = _lift_collapse(phi, Q, stats) if collapse else _lift_naive(phi, Q, stats)
+        ef = _lift_collapse(phi, Q, stats)
     report = LiftReport(
         n=Q.n,
         formula_size=phi.size,
@@ -492,8 +479,7 @@ def lift(phi: fm.Formula, Q: ExtendedFormulation, collapse: bool = True):
 
 
 def iterate_lift(phi: fm.Formula, Q: ExtendedFormulation, k: int,
-                 collapse: bool = True, hull_cap: int = 8,
-                 with_reports: bool = False):
+                 hull_cap: int = 8, with_reports: bool = False):
     """k-fold lift phi(phi(...(Q))); k = 0 returns Q unchanged.
 
     When the base is an x-space formulation in at most hull_cap variables,
@@ -530,14 +516,14 @@ def iterate_lift(phi: fm.Formula, Q: ExtendedFormulation, k: int,
             reports.append(_hull_report(phi, len(cur), len(new), n))
             cur = new
         base = from_hrep(n, cur)
-        ef, rep = lift(phi, base, collapse)
+        ef, rep = lift(phi, base)
         reports.append(rep)
         return _done(ef)
     ef = Q
     for _ in range(k):
         if ef.empty_marker:
             break
-        ef, rep = lift(phi, ef, collapse)
+        ef, rep = lift(phi, ef)
         reports.append(rep)
     return _done(ef)
 

@@ -50,6 +50,10 @@ def _holds(rows, p):
                for coeffs, rhs in rows)
 
 
+def _holds_sparse(rows, y):
+    return all(sum((c * y[j] for j, c in pairs), Fraction(0)) >= rhs for pairs, rhs in rows)
+
+
 def _target(phi, Q, p):
     return phi.evaluate(p) and _holds(Q.xspace_rows(), p)
 
@@ -80,7 +84,7 @@ def _check_map(phi, Q, ef):
         if _target(phi, Q, p):
             assert y is not None, p
             assert len(y) == ef.ydim
-            assert lp._holds(ef.rows, y), p
+            assert _holds_sparse(ef.rows, y), p
             assert lp._project(ef, y) == p
         else:
             assert y is None, p

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -11,6 +12,7 @@ from formlift import hull
 from formlift import instances as inst
 from formlift import lpsolve as lp
 from formlift import polytope as pt
+from formlift import verify as vf
 
 F = Fraction
 
@@ -244,6 +246,68 @@ def test_unlike_denominators_infeasible_farkas():
     assert _vertex_minimum(rows, 2, (F(1, 3), F(0)))[0] == ()
 
 
+# The certificate checks bring rows over 42, 12 and 28 (and the solution's own
+# denominators) to common denominators; each tampered certificate must be
+# refused, and each genuine one accepted.
+TAMPER_ROWS = [((F(1, 3), F(2, 7)), F(1, 2)), ((F(-5, 4), F(1, 3)), F(-2)),
+               ((F(2, 7), F(-5, 4)), F(-3)), ((F(1), F(0)), F(0)),
+               ((F(0), F(-1, 3)), F(-1))]
+# x0 >= 1/3 + (2/7)x1 and (5/4)x0 <= 1/3 - (2/9)x1 over x1 >= 0 contradict; the
+# last two rows state (1/3)x0 + (2/7)x1 = 1/2 twice, the second time doubled
+FARKAS_ROWS = [((F(1), F(-2, 7)), F(1, 3)), ((F(-5, 4), F(-2, 9)), F(-1, 3)),
+               ((F(0), F(1)), F(0)), ((F(1, 3), F(2, 7)), F(1, 2)),
+               ((F(-2, 3), F(-4, 7)), F(-1))]
+
+
+def _int_rows(rows):
+    return lp._int_rows([(tuple((j, v) for j, v in enumerate(a) if v), rhs)
+                         for a, rhs in rows])
+
+
+def _bumped(u, k, by):
+    return tuple(v + by if i == k else v for i, v in enumerate(u))
+
+
+@pytest.mark.parametrize("c", [(F(1), F(1)), (F(1, 3), F(1, 4)), (F(-1, 4), F(1, 7)),
+                               (F(2, 7), F(-1, 3))])
+def test_check_optimal_refuses_tampered_certificates(c):
+    out = lp.optimize_rows(TAMPER_ROWS, 2, c)
+    irows = _int_rows(TAMPER_ROWS)
+    obj = lp._objective(tuple(enumerate(c)))
+    lp._check_optimal(irows, obj, out.value, out.x, out.dual)
+    k = next(i for i, v in enumerate(out.dual) if v)
+    # row 0 violated by exactly 1/7, moving x1 alone
+    (a0, a1), b = TAMPER_ROWS[0]
+    x = (out.x[0], out.x[1] - (a0 * out.x[0] + a1 * out.x[1] - b + F(1, 7)) / a1)
+    assert a0 * x[0] + a1 * x[1] == b - F(1, 7)
+    tampered = [
+        ("violates a constraint", (out.value, x, out.dual)),
+        ("negative dual", (out.value, out.x, _bumped(out.dual, k, -2 * out.dual[k]))),
+        ("dual certificate", (out.value, out.x, _bumped(out.dual, k, F(1, 7)))),
+        ("dual certificate", (out.value, out.x, _bumped(out.dual, len(TAMPER_ROWS) - 1, F(1, 7)))),
+        ("objective value", (out.value + F(1, 7), out.x, out.dual)),
+    ]
+    for why, (value, x, dual) in tampered:
+        with pytest.raises(lp.InternalError, match=why):
+            lp._check_optimal(irows, obj, value, x, dual)
+
+
+def test_check_farkas_refuses_tampered_certificates():
+    out = lp.optimize_rows(FARKAS_ROWS, 2, (F(0), F(0)))
+    irows = _int_rows(FARKAS_ROWS)
+    lp._check_farkas(irows, out.farkas)
+    assert all(out.farkas[:2])
+    for u in (_bumped(out.farkas, 0, F(1, 7)), _bumped(out.farkas, 1, F(1, 7)),
+              _bumped(out.farkas, 4, F(1, 7))):
+        with pytest.raises(lp.InternalError, match="does not refute"):
+            lp._check_farkas(irows, u)  # farkas·A is no longer 0
+    for u in ((F(0),) * 5, (F(0), F(0), F(0), F(1), F(1, 2))):
+        with pytest.raises(lp.InternalError, match="does not refute"):
+            lp._check_farkas(irows, u)  # farkas·A = 0 but farkas·rhs = 0
+    with pytest.raises(lp.InternalError, match="negative Farkas"):
+        lp._check_farkas(irows, _bumped(out.farkas, 4, F(-1, 7)))
+
+
 # Sign rows c·y_j >= 0 with c > 0 become column bounds inside the solver; the
 # first such row of a variable is presolved, later ones stay tableau rows.
 # Negative coefficients and nonzero right-hand sides are ordinary rows.
@@ -270,16 +334,38 @@ def _sign_row_systems(draw):
         for j in range(n):
             rows.append((tuple(F(-1) if i == j else F(0) for i in range(n)), F(-3)))
     rows = draw(st.permutations(rows))
+    # the same rows as sparse pairs, where a column may come as two pairs
+    # that add up to its coefficient, e.g. ((0, 1/2), (0, 1/3)) for 5/6
+    sparse = []
+    for a, rhs in rows:
+        pairs = []
+        for j, v in enumerate(a):
+            if draw(st.booleans()):
+                part = draw(st.sampled_from(UNLIKE))
+                pairs += [(j, part), (j, v - part)]
+            elif v:
+                pairs.append((j, v))
+        sparse.append((tuple(draw(st.permutations(pairs))), rhs))
     c = tuple(draw(st.sampled_from(UNLIKE)) for _ in range(n))
-    return n, rows, c
+    return n, rows, tuple(sparse), c
 
 
 @settings(max_examples=200, deadline=None)
 @given(_sign_row_systems(), st.sampled_from(("min", "max")))
 def test_presolved_sign_rows_match_vertex_enumeration(system, sense):
-    n, rows, c = system
+    n, rows, sparse, c = system
     flip = -1 if sense == "max" else 1
     out = lp.optimize_rows(rows, n, c, sense)
+    # the sparse rows, repeated columns included, must give the same solve
+    proj = tuple((((j, F(1)),), F(0)) for j in range(n))
+    Q = pt.ExtendedFormulation(n, n, sparse, proj)
+    if out.status == "unbounded":
+        with pytest.raises(lp.UnboundedError):
+            lp.optimize(Q, c, sense)
+    else:
+        again = lp.optimize(Q, c, sense)
+        assert (again.status, again.value, again.x, again.dual, again.farkas) == \
+            (out.status, out.value, out.x, out.dual, out.farkas)
     verts, rays = hull.vertices_of_hrep(hull.FacetList(n, tuple(rows)))
     if not verts:
         assert out.status == "infeasible"
@@ -347,3 +433,40 @@ def test_bz5_round_one_pins():
         assert lp.optimize(ef, c, sense).value == want
     for x, inside in BZ5_MEMBERS:
         assert lp.contains_point(ef, x) == inside
+
+
+def _mixed_solves():
+    """A seeded mixed set of answers: dense solves that end optimal,
+    infeasible and unbounded, then optimize, emptiness and contains_point on
+    4-variable lifted formulations."""
+    rng = random.Random(4242)
+    out = []
+    for _ in range(60):
+        n = rng.randint(1, 3)
+        rows = [(tuple(rng.choice(UNLIKE) for _ in range(n)), rng.choice(UNLIKE))
+                for _ in range(rng.randint(1, 5))]
+        c = tuple(rng.choice(UNLIKE) for _ in range(n))
+        out.append(lp.optimize_rows(rows, n, c, rng.choice(("min", "max"))))
+    assert {o.status for o in out} == {"optimal", "infeasible", "unbounded"}
+    quarters = (F(0), F(1, 4), F(1, 2), F(3, 4), F(1))
+    for seed in range(8):
+        phi = vf.random_reduced_formula(4, 6, neg_density=0.4, seed=seed)
+        cut = (tuple(rng.randint(-2, 2) for _ in range(4)), rng.randint(-2, 1))
+        ef, _ = pt.lift(phi, pt.from_hrep(4, [cut]))
+        if ef.empty_marker:
+            continue
+        for sense in ("min", "max", "min"):
+            out.append(lp.optimize(ef, tuple(rng.choice(UNLIKE) for _ in range(4)), sense))
+        out.append(lp.emptiness(ef))
+        out.append(lp.emptiness(pt.with_xspace_rows(ef, [((1, 1, 1, 1), F(9, 2))])))
+        for _ in range(4):
+            x = tuple(rng.choice(quarters) for _ in range(4))
+            out.append((x, lp.contains_point(ef, x)))
+    return out
+
+
+def test_mixed_solves_are_pinned():
+    # sha256 of the reprs, recorded on the Fraction-row solver: every value,
+    # point, dual and Farkas vector must come out identical, types included
+    got = hashlib.sha256("\n".join(map(repr, _mixed_solves())).encode()).hexdigest()
+    assert got == "a075d4997d817c40f6fc6bf19507a403c4a59aac54b10a76d9a550040b00ae75"

@@ -11,6 +11,7 @@ from formlift import formula as fm
 from formlift import hull
 from formlift import lpsolve as lp
 from formlift import polytope as pt
+from formlift import verify as vf
 
 F = Fraction
 
@@ -154,8 +155,8 @@ def test_lift_collapse_batches_blocks():
     # two pure blocks of 12 + 6 rows unioned, far below the naive bound
     assert rep.blocks == 2
     assert rep.ef_rows == 2 * (12 + 6)
-    _, naive = pt.lift(phi, pt.cube(6), collapse=False)
-    assert naive.ef_rows > rep.ef_rows
+    # the block-free construction, one restriction per literal
+    assert vf._naive_rows(phi, len(pt.cube(6).rows), 6) > rep.ef_rows
 
 
 def test_lift_emptiness_decisions_recorded():
