@@ -26,7 +26,6 @@ from .formula import (
     parse,
     point_set,
     reduce,
-    size,
     substitute,
     threshold_formula,
 )

@@ -12,35 +12,12 @@ import argparse
 import functools
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
 from . import formula as fm
-from . import hull, instances, lpsolve, measures, verify
+from . import instances, lpsolve, measures, verify
 from . import polytope as pt
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Normalized run parameters shared by all subcommands."""
-
-    subcommand: str
-    inputs: tuple
-    rounds: int = 1
-    level: int = 1
-    hull_cap: int = hull.HULL_LIMIT
-    seed: int = 0
-    out: str | None = None
-    verbose: int = 0
-
-    def __post_init__(self):
-        if self.rounds < 0:
-            raise ValueError("rounds must be nonnegative")
-        if self.level < 1:
-            raise ValueError("level must be at least 1")
-        if self.hull_cap < 1:
-            raise ValueError("dimension cap must be at least 1")
 
 
 class InputError(Exception):
@@ -61,23 +38,28 @@ def _load_formula(path: str, n=None) -> fm.Formula:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _load_polytope(source: str, n: int):
-    if source == "cube":
-        return pt.cube(n)
-    try:
-        Q = pt.from_text(_read(source))
-    except ValueError as exc:
-        raise InputError(f"{source}: {exc}") from exc
-    if Q.n != n:
-        raise InputError(f"{source} is over {Q.n} variables, the formula over {n}")
-    return Q
-
-
 def _load_ef(path: str):
     try:
         return pt.from_text(_read(path))
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
+
+
+def _load_polytope(source: str, n: int):
+    """The base relaxation: the cube, or a formulation file clamped to the unit box.
+
+    A `yvars 0` file already carries the box rows; a lifted file, which
+    carries no point map, gets them through its projection, so that every
+    union over it keeps its weight in [0, 1].
+    """
+    if source == "cube":
+        return pt.cube(n)
+    Q = _load_ef(source)
+    if Q.n != n:
+        raise InputError(f"{source} is over {Q.n} variables, the formula over {n}")
+    if Q.point_map is None:
+        Q = pt.with_xspace_rows(Q, pt.cube(n).xspace_rows())
+    return Q
 
 
 def _parse_vector(text: str, what: str):
@@ -139,52 +121,47 @@ def _emit(text: str, out: str | None):
 # subcommand bodies
 
 
-def _cmd_parse(args, cfg):
+def _cmd_parse(args):
     phi = _load_formula(args.formula, args.n)
     print(phi.to_text())
-    if cfg.verbose:
+    if args.verbose:
         print(f"n={phi.n} size={phi.size} reduced={phi.is_reduced()}", file=sys.stderr)
     return 0
 
 
-def _cmd_reduce(args, cfg):
+def _cmd_reduce(args):
     phi = fm.reduce(_load_formula(args.formula, args.n))
-    _emit(phi.to_text() + "\n", cfg.out)
+    _emit(phi.to_text() + "\n", args.out)
     return 0
 
 
-def _cmd_lift(args, cfg):
+def _cmd_lift(args):
     phi = fm.reduce(_load_formula(args.formula))
     Q = _load_polytope(args.polytope, phi.n)
-    ef, reports = pt.iterate_lift(phi, Q, cfg.rounds, hull_cap=cfg.hull_cap,
-                                  with_reports=True)
-    _emit(pt.to_text(ef), cfg.out)
+    ef, reports = pt.iterate_lift(phi, Q, args.rounds, with_reports=True)
+    _emit(pt.to_text(ef), args.out)
     for i, rep in enumerate(reports, start=1):
         print(f"round {i}: {rep.summary_line()}", file=sys.stderr)
     return 0
 
 
-def _cmd_optimize(args, cfg):
+def _cmd_optimize(args):
     Q = _load_ef(args.ef)
     c = _parse_vector(args.obj, "--obj")
     if len(c) != Q.n:
         raise InputError(f"objective has {len(c)} entries, the formulation {Q.n}")
     if Q.empty_marker:
         raise InputError("the formulation is empty; nothing to optimize")
-    try:
-        out = lpsolve.optimize(Q, c, "max" if args.max else "min")
-    except lpsolve.UnboundedError as exc:
-        raise InputError(f"{args.ef}: the objective is unbounded over this formulation; "
-                         "a lifted relaxation of a 0/1 set is bounded") from exc
+    out = lpsolve.optimize(Q, c, "max" if args.max else "min")
     if out.status == "infeasible":
         raise InputError(f"{args.ef}: the formulation is empty; nothing to optimize")
     print(out.value)
-    if cfg.verbose:
+    if args.verbose:
         print("at " + " ".join(str(v) for v in out.x), file=sys.stderr)
     return 0
 
 
-def _cmd_member(args, cfg):
+def _cmd_member(args):
     Q = _load_ef(args.ef)
     x = _parse_vector(args.point, "--point")
     if len(x) != Q.n:
@@ -194,7 +171,7 @@ def _cmd_member(args, cfg):
     return 0 if inside else 1
 
 
-def _cmd_measure(args, cfg):
+def _cmd_measure(args):
     coeffs, rhs = _parse_ineq(args.ineq, args.n)
     q = measures.to_standard_form(coeffs, rhs)
     if q is None:
@@ -204,18 +181,24 @@ def _cmd_measure(args, cfg):
     return 0
 
 
-def _points_from_file(path: str, n=None):
-    pts = []
+def _int_lines(path: str, item: str, items: str):
+    """The integer rows of a file, one per line; `#` starts a comment."""
+    rows = []
     for lineno, raw in enumerate(_read(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
-            pts.append(tuple(int(t) for t in line.split()))
+            rows.append(tuple(int(t) for t in line.split()))
         except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: not a 0/1 point") from exc
-    if not pts:
-        raise InputError(f"{path}: no points")
+            raise InputError(f"{path}:{lineno}: not {item}") from exc
+    if not rows:
+        raise InputError(f"{path}: no {items}")
+    return rows
+
+
+def _points_from_file(path: str, n=None):
+    pts = _int_lines(path, "a 0/1 point", "points")
     dim = n if n is not None else len(pts[0])
     try:
         return fm.point_set(dim, pts)
@@ -223,7 +206,7 @@ def _points_from_file(path: str, n=None):
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _cmd_notchset(args, cfg):
+def _cmd_notchset(args):
     if args.points:
         S = _points_from_file(args.points, args.n)
     else:
@@ -236,7 +219,7 @@ def _cmd_notchset(args, cfg):
     return 0
 
 
-def _cmd_closure(args, cfg):
+def _cmd_closure(args):
     phi = fm.reduce(_load_formula(args.formula))
     S = fm.enumerate_set(phi)
     if args.ef:
@@ -244,33 +227,17 @@ def _cmd_closure(args, cfg):
         if R.n != phi.n:
             raise InputError(f"{args.ef} is over {R.n} variables, the formula over {phi.n}")
     else:
-        rounds = cfg.rounds if args.rounds is not None else cfg.level
-        R = pt.iterate_lift(phi, _load_polytope(args.polytope, phi.n), rounds,
-                            hull_cap=cfg.hull_cap)
+        rounds = args.rounds if args.rounds is not None else args.level
+        R = pt.iterate_lift(phi, _load_polytope(args.polytope, phi.n), rounds)
     try:
-        rep = measures.verify_closure(measures.ClosureQuery(args.mode, cfg.level, S, R))
+        rep = measures.verify_closure(measures.ClosureQuery(args.mode, args.level, S, R))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     print(rep.line())
     return 0 if rep.closed else 1
 
 
-def _read_matrix(path: str):
-    rows = []
-    for lineno, raw in enumerate(_read(path).splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            rows.append(tuple(int(t) for t in line.split()))
-        except ValueError as exc:
-            raise InputError(f"{path}:{lineno}: not an integer row") from exc
-    if not rows:
-        raise InputError(f"{path}: no rows")
-    return rows
-
-
-def _cmd_gen(args, cfg):
+def _cmd_gen(args):
     if args.family == "bz" and args.n is None:
         raise InputError("gen bz needs --n")
     if args.family in ("covering", "bounded") and not args.matrix:
@@ -281,20 +248,21 @@ def _cmd_gen(args, cfg):
         if args.family == "bz":
             inst = instances.gen_bz(args.n)
         elif args.family == "covering":
-            inst = instances.gen_covering(_read_matrix(args.matrix))
+            inst = instances.gen_covering(_int_lines(args.matrix, "an integer row", "rows"))
         elif args.family == "bounded":
             b = _parse_vector(args.b, "--b")
             if any(v.denominator != 1 for v in b):
                 raise InputError(f"--b thresholds must be integers, got {args.b!r}")
             b = tuple(int(v) for v in b)
-            inst = instances.gen_bounded_covering(_read_matrix(args.matrix), b)
+            inst = instances.gen_bounded_covering(
+                _int_lines(args.matrix, "an integer row", "rows"), b)
         else:
             inst = instances.gen_matching_k4()
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    paths = instances.save_bundle(inst, cfg.out or ".")
+    paths = instances.save_bundle(inst, args.out or ".")
     print(f"instance {inst.name} n={inst.n}")
-    if cfg.verbose:
+    if args.verbose:
         for p in paths:
             print(f"wrote {p}", file=sys.stderr)
     return 0
@@ -303,37 +271,30 @@ def _cmd_gen(args, cfg):
 _VERIFY_NEEDS_Q = {"sandwich", "integral", "size"}
 
 
-def _one_check(kind, path, cfg, covering_m):
+def _one_check(args, path):
+    kind = args.kind
     phi = _load_formula(path)
     name = Path(path).stem
     if kind in _VERIFY_NEEDS_Q:
-        Q = _load_polytope(cfg_polytope(cfg), phi.n)
+        Q = _load_polytope(args.polytope, phi.n)
     if kind == "sandwich":
-        return verify.check_sandwich(phi, Q, instance=name, seed=cfg.seed)
+        return verify.check_sandwich(phi, Q, instance=name)
     if kind == "complete":
-        return verify.check_completeness(phi, cfg.rounds, instance=name)
+        return verify.check_completeness(phi, args.rounds, instance=name)
     if kind == "integral":
         return verify.check_integrality(phi, Q, instance=name)
     if kind == "pitch":
-        return verify.check_pitch_progression(phi, cfg.rounds, instance=name)
+        return verify.check_pitch_progression(phi, args.rounds, instance=name)
     if kind == "notch":
-        return verify.check_notch_progression(phi, cfg.rounds, instance=name)
-    return verify.check_size_accounting(phi, Q, instance=name, covering_m=covering_m)
+        return verify.check_notch_progression(phi, args.rounds, instance=name)
+    return verify.check_size_accounting(phi, Q, instance=name, covering_m=args.covering_m)
 
 
-def cfg_polytope(cfg):
-    for tag, value in cfg.inputs:
-        if tag == "polytope":
-            return value
-    return "cube"
-
-
-def _cmd_verify(args, cfg):
-    if args.kind in ("complete", "pitch", "notch") and cfg.rounds < 1:
+def _cmd_verify(args):
+    if args.kind in ("complete", "pitch", "notch") and args.rounds < 1:
         raise InputError("this check needs --rounds at least 1")
     try:
-        reports = [_one_check(args.kind, path, cfg, args.covering_m)
-                   for path in args.formula]
+        reports = [_one_check(args, path) for path in args.formula]
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     for rep in reports:
@@ -370,7 +331,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--polytope", default="cube",
                    help="'cube' or a formulation file (default cube)")
     p.add_argument("--rounds", type=int, default=1)
-    p.add_argument("--hull-cap", type=int, default=hull.HULL_LIMIT)
     p.add_argument("--out")
     p.set_defaults(run=_cmd_lift)
 
@@ -406,7 +366,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--polytope", default="cube")
     p.add_argument("--ef", help="check this formulation instead of lifting")
     p.add_argument("--rounds", type=int, help="lift rounds (default: the level)")
-    p.add_argument("--hull-cap", type=int, default=hull.HULL_LIMIT)
     p.set_defaults(run=_cmd_closure)
 
     p = sub.add_parser("gen", help="write a named instance bundle")
@@ -426,40 +385,25 @@ def _parser() -> argparse.ArgumentParser:
                    help="k_max / v_max for complete, pitch, notch")
     p.add_argument("--covering-m", type=int, dest="covering_m",
                    help="report the covering yardstick ratio (size)")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(run=_cmd_verify)
 
     return top
 
 
-def _config(args) -> RunConfig:
-    inputs = []
-    for tag in ("formula", "polytope", "ef", "matrix", "points"):
-        value = getattr(args, tag, None)
-        if value:
-            inputs.append((tag, value if isinstance(value, str) else tuple(value)))
-    return RunConfig(
-        subcommand=args.subcommand,
-        inputs=tuple(inputs),
-        rounds=getattr(args, "rounds", None) if getattr(args, "rounds", None) is not None else 1,
-        level=getattr(args, "level", 1),
-        hull_cap=getattr(args, "hull_cap", hull.HULL_LIMIT),
-        seed=getattr(args, "seed", 0),
-        out=getattr(args, "out", None),
-        verbose=args.verbose,
-    )
-
-
 def dispatch(argv) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg = _config(args)
-        return args.run(args, cfg)
-    except (InputError, ValueError) as exc:
+        if (getattr(args, "rounds", None) or 0) < 0:
+            raise InputError("rounds must be nonnegative")
+        if getattr(args, "level", 1) < 1:
+            raise InputError("level must be at least 1")
+        return args.run(args)
+    except (InputError, ValueError, OSError) as exc:
         print(f"formlift: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"formlift: {exc}", file=sys.stderr)
+    except lpsolve.UnboundedError:
+        print("formlift: an objective is unbounded over this formulation; "
+              "a lifted relaxation of a 0/1 set is bounded", file=sys.stderr)
         return 2
 
 

@@ -173,10 +173,6 @@ def or_all(parts, n: int) -> Formula:
     return out
 
 
-def size(f: Formula) -> int:
-    return f.size
-
-
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -362,10 +358,10 @@ def point_set(n: int, points) -> PointSet01:
 ENUM_LIMIT = 20
 
 
-def enumerate_set(f: Formula, limit: int = ENUM_LIMIT) -> PointSet01:
+def enumerate_set(f: Formula) -> PointSet01:
     """All 0/1 points satisfying f, by exhaustive evaluation."""
-    if f.n > limit:
-        raise ValueError(f"dimension {f.n} exceeds enumeration limit {limit}")
+    if f.n > ENUM_LIMIT:
+        raise ValueError(f"dimension {f.n} exceeds enumeration limit {ENUM_LIMIT}")
     pts = [p for p in itertools.product((0, 1), repeat=f.n) if f._eval(p)]
     return PointSet01(f.n, tuple(pts))
 

@@ -8,8 +8,8 @@ are primitive integer tuples (a point X/d is kept as (X, d)), Gaussian
 elimination is fraction-free, and each ray carries its zero set as a
 bitmask.  `fractions.Fraction` appears only at the edges: reading rational
 rows and points, dividing a ray by its homogenizing coordinate, and the
-values handed back to callers.  Inputs are capped at a configurable
-dimension (default 8) because the method is exponential in general.
+values handed back to callers.  Inputs are capped at dimension HULL_LIMIT
+because the method is exponential in general.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from math import gcd, lcm
 from operator import mul
 
 from . import formula as fm
+from . import lpsolve
 from .lpsolve import _rational
 
 HULL_LIMIT = 8
@@ -305,6 +306,11 @@ def _hull(points, n):
 # facet lists
 
 
+def _check_dim(n):
+    if n > HULL_LIMIT:
+        raise ValueError(f"dimension {n} exceeds hull limit {HULL_LIMIT}")
+
+
 @dataclass(frozen=True)
 class FacetList:
     """H-description in x-space: rows a·x >= rhs plus affine equations.
@@ -341,7 +347,7 @@ def _facet_list(n, facets, equations) -> FacetList:
                      tuple(sorted(eqs)))
 
 
-def facets_of_points(points, limit: int = HULL_LIMIT) -> FacetList:
+def facets_of_points(points) -> FacetList:
     """Facets and affine-hull equations of the convex hull of finitely many points.
 
     Works in the affine hull: equations come from exact elimination, facets
@@ -357,20 +363,18 @@ def facets_of_points(points, limit: int = HULL_LIMIT) -> FacetList:
     n = len(pts[0])
     if any(len(p) != n for p in pts):
         raise ValueError("points have inconsistent dimensions")
-    if n > limit:
-        raise ValueError(f"dimension {n} exceeds hull limit {limit}")
+    _check_dim(n)
     return _facet_list(n, *_hull({_primitive((*p, 1)) for p in pts}, n))
 
 
-def vertices_of_hrep(F: FacetList, limit: int = HULL_LIMIT):
+def vertices_of_hrep(F: FacetList):
     """Vertices and rays of an H-description; unbounded inputs are allowed.
 
     Lineality directions, if any, are reported as opposite ray pairs.  An
     empty polyhedron gives two empty tuples.
     """
     n = F.n
-    if n > limit:
-        raise ValueError(f"dimension {n} exceeds hull limit {limit}")
+    _check_dim(n)
     if F.equations:
         sol = _solve_affine(F.equations, n)
         if sol is None:
@@ -429,7 +433,7 @@ class HullCheck:
         return self.equal
 
 
-def equals_hull(Q, V, limit: int = HULL_LIMIT) -> HullCheck:
+def equals_hull(Q, V) -> HullCheck:
     """Exact test whether the projected set of Q equals conv(V).
 
     Containment of Q in conv(V) is checked by minimizing every facet (and
@@ -438,15 +442,13 @@ def equals_hull(Q, V, limit: int = HULL_LIMIT) -> HullCheck:
     the certificate is a separating facet with a violating point of Q, or a
     missing point of V.
     """
-    from . import lpsolve
-
     if isinstance(V, fm.PointSet01):
         pts = [tuple(Fraction(v) for v in p) for p in V.points]
     else:
         pts = [tuple(_rational(v) for v in p) for p in V]
     if not pts:
         raise ValueError("empty point set; hull comparison needs at least one point")
-    F = facets_of_points(pts, limit)
+    F = facets_of_points(pts)
 
     if Q.empty_marker:
         return HullCheck(False, "missing-point", None, pts[0])
@@ -475,27 +477,19 @@ def equals_hull(Q, V, limit: int = HULL_LIMIT) -> HullCheck:
 # computed directly as an H-description at small dimension
 
 
-def lift_hrep(phi, base, limit: int = HULL_LIMIT):
+def lift_hrep(phi, base):
     """Apply a reduced formula to a polytope given by rows in x-space.
 
     Literals restrict to faces, AND intersects row systems, OR takes the
     convex hull of the two arms by vertex enumeration.  Returns a canonical
-    FacetList, or None when the result is empty.  `base` is a FacetList or a
-    list of (coeffs, rhs) rows describing a polytope inside the unit box.
+    FacetList, or None when the result is empty.  `base` is a list of
+    (coeffs, rhs) rows describing a polytope inside the unit box.
     """
     if not phi.is_reduced():
         raise ValueError("formula must be reduced before lifting")
-    if isinstance(base, FacetList):
-        if base.n != phi.n:
-            raise ValueError(f"dimension mismatch: formula {phi.n}, polytope {base.n}")
-        rows = base.rows()
-        n = base.n
-    else:
-        rows = [(tuple(_rational(v) for v in a), _rational(rhs)) for a, rhs in base]
-        n = phi.n
-    if n > limit:
-        raise ValueError(f"dimension {n} exceeds hull limit {limit}")
-
+    n = phi.n
+    _check_dim(n)
+    rows = [(tuple(_rational(v) for v in a), _rational(rhs)) for a, rhs in base]
     out = _lift_rows(phi, [_homogeneous(a, rhs) for a, rhs in rows], n)
     if out is None:
         return None

@@ -79,13 +79,12 @@ def gen_covering(A, name: str = "covering") -> Instance:
                     note=f"covering system with {len(rows)} rows")
 
 
-def gen_bounded_covering(A, b, name: str = "bounded-covering",
-                         delta_limit: int = DELTA_LIMIT) -> Instance:
+def gen_bounded_covering(A, b, name: str = "bounded-covering") -> Instance:
     """Bounded covering Ax >= b for small nonnegative integer entries.
 
     Row i becomes a threshold formula over sum_j A_ij inputs, pushed down to
     the x variables by the multiplicity map that repeats variable j exactly
-    A_ij times, j ascending.  Entries above delta_limit are rejected, as are
+    A_ij times, j ascending.  Entries above DELTA_LIMIT are rejected, as are
     rows that no 0/1 point can satisfy.
     """
     rows = [tuple(int(v) for v in r) for r in A]
@@ -99,8 +98,8 @@ def gen_bounded_covering(A, b, name: str = "bounded-covering",
     for i, (r, bi) in enumerate(zip(rows, b)):
         if len(r) != n:
             raise ValueError(f"row {i + 1} has length {len(r)}, expected {n}")
-        if any(v < 0 or v > delta_limit for v in r):
-            raise ValueError(f"row {i + 1} has an entry outside 0..{delta_limit}")
+        if any(v < 0 or v > DELTA_LIMIT for v in r):
+            raise ValueError(f"row {i + 1} has an entry outside 0..{DELTA_LIMIT}")
         if bi < 1:
             raise ValueError(f"threshold {i + 1} must be positive")
         if sum(r) < bi:
@@ -112,7 +111,7 @@ def gen_bounded_covering(A, b, name: str = "bounded-covering",
     pts = _arith_points(n, lambda p: all(
         sum(p[j] * r[j] for j in range(n)) >= bi for r, bi in zip(rows, b)))
     return Instance(name, phi, n, pts, None,
-                    note=f"bounded covering with {len(rows)} rows, entries up to {delta_limit}")
+                    note=f"bounded covering with {len(rows)} rows, entries up to {DELTA_LIMIT}")
 
 
 K4_EDGES = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))

@@ -131,15 +131,15 @@ def is_valid(q: StandardFormInequality, S: fm.PointSet01) -> bool:
     return q.is_valid_on(S.points)
 
 
-def notch_of_set(S: fm.PointSet01, limit: int = FACE_LIMIT) -> int:
+def notch_of_set(S: fm.PointSet01) -> int:
     """Smallest k such that every k-dimensional cube face contains a point of S.
 
     0 exactly when S is all of {0,1}^n; at most n for nonempty S since the
     cube itself is an n-face.  Enumerates all 3^n faces; S must be nonempty.
     """
     n = S.n
-    if n > limit:
-        raise ValueError(f"dimension {n} exceeds face enumeration limit {limit}")
+    if n > FACE_LIMIT:
+        raise ValueError(f"dimension {n} exceeds face enumeration limit {FACE_LIMIT}")
     if not S.points:
         raise ValueError("the notch of the empty set is undefined")
     pts = set(S.points)
@@ -170,18 +170,14 @@ class ClosureQuery:
     support, smallest supports first) or "notch" (every complementation
     pattern); `level` bounds the measure.  `S` is the 0/1 set the
     inequalities must be valid for and `R` the relaxation to price against.
-    `supports` / `sign_patterns` restrict the search to the given 1-based
-    index tuples; `limit` caps the ambient dimension (default 8 for pitch,
-    6 for notch; above the cap the oracle refuses rather than subsample).
+    Above PITCH_SEARCH_LIMIT (pitch) or NOTCH_SEARCH_LIMIT (notch) variables
+    the oracle refuses rather than subsample.
     """
 
     mode: str
     level: int
     S: fm.PointSet01
     R: object
-    supports: tuple | None = None
-    sign_patterns: tuple | None = None
-    limit: int | None = None
 
 
 @dataclass(frozen=True)
@@ -252,7 +248,7 @@ def _cone_vertices(dim, level, valid_rows):
         rows.append((tuple(one if j in js else Fraction(0) for j in range(dim)), one))
     for d in valid_rows:
         rows.append((tuple(Fraction(v) for v in d), one))
-    verts, _rays = hull.vertices_of_hrep(hull.FacetList(dim, tuple(rows)), limit=dim)
+    verts, _rays = hull.vertices_of_hrep(hull.FacetList(dim, tuple(rows)))
     return verts
 
 
@@ -273,9 +269,8 @@ def _check_violation(query, viol):
 def closure_violation(query: ClosureQuery):
     """First violated valid inequality within the query's scope, or None.
 
-    The search is complete for its scope: if None comes back, no inequality
-    of the given mode and level (within the requested supports or sign
-    patterns) that is valid for S cuts off any point of R.  Normalizing
+    The search is complete: if None comes back, no inequality of the given
+    mode and level that is valid for S cuts off any point of R.  Normalizing
     delta to 1 loses nothing (delta = 0 inequalities cannot be violated
     inside the cube, positive delta scales away), and for a fixed support
     or pattern the worst violation is attained at a vertex of the
@@ -306,14 +301,10 @@ def _search(query):
         return None, examined, skipped, priced
 
     if query.mode == "pitch":
-        limit = query.limit if query.limit is not None else PITCH_SEARCH_LIMIT
-        if n > limit:
-            raise ValueError(f"dimension {n} exceeds pitch search limit {limit}")
-        if query.supports is not None:
-            supports = [tuple(sorted(I)) for I in query.supports]
-        else:
-            supports = [I for k in range(1, n + 1)
-                        for I in itertools.combinations(range(1, n + 1), k)]
+        if n > PITCH_SEARCH_LIMIT:
+            raise ValueError(f"dimension {n} exceeds pitch search limit {PITCH_SEARCH_LIMIT}")
+        supports = [I for k in range(1, n + 1)
+                    for I in itertools.combinations(range(1, n + 1), k)]
         for I in supports:
             viol, cost = _pitch_support(query, I)
             examined += 1
@@ -323,14 +314,10 @@ def _search(query):
                 return viol, examined, skipped, priced
         return None, examined, skipped, priced
 
-    limit = query.limit if query.limit is not None else NOTCH_SEARCH_LIMIT
-    if n > limit:
-        raise ValueError(f"dimension {n} exceeds notch search limit {limit}")
-    if query.sign_patterns is not None:
-        patterns = [tuple(sorted(p)) for p in query.sign_patterns]
-    else:
-        patterns = [tuple(i + 1 for i in range(n) if mask >> i & 1)
-                    for mask in range(1 << n)]
+    if n > NOTCH_SEARCH_LIMIT:
+        raise ValueError(f"dimension {n} exceeds notch search limit {NOTCH_SEARCH_LIMIT}")
+    patterns = [tuple(i + 1 for i in range(n) if mask >> i & 1)
+                for mask in range(1 << n)]
     for neg in patterns:
         viol, cost = _notch_pattern(query, neg)
         examined += 1

@@ -98,9 +98,6 @@ class ExtendedFormulation:
             raise ValueError("formulation has genuine lifted variables; rows are not in x-space")
         return [(_dense(pairs, self.n), rhs) for pairs, rhs in self.rows]
 
-    def to_text(self) -> str:
-        return to_text(self)
-
 
 def _identity_proj(n) -> tuple:
     return tuple((((i, Fraction(1)),), Fraction(0)) for i in range(n))
@@ -479,10 +476,10 @@ def lift(phi: fm.Formula, Q: ExtendedFormulation):
 
 
 def iterate_lift(phi: fm.Formula, Q: ExtendedFormulation, k: int,
-                 hull_cap: int = 8, with_reports: bool = False):
+                 with_reports: bool = False):
     """k-fold lift phi(phi(...(Q))); k = 0 returns Q unchanged.
 
-    When the base is an x-space formulation in at most hull_cap variables,
+    When the base is an x-space formulation in at most hull.HULL_LIMIT variables,
     rounds 1..k-1 are computed as exact facet lists by vertex enumeration
     and only the final round is built as an extended formulation; this keeps
     the row count of round k proportional to the facet count of round k-1
@@ -504,10 +501,10 @@ def iterate_lift(phi: fm.Formula, Q: ExtendedFormulation, k: int,
 
     if k == 0:
         return _done(Q)
-    if k > 1 and Q.is_hrep and not Q.empty_marker and n <= hull_cap:
+    if k > 1 and Q.is_hrep and not Q.empty_marker and n <= hull.HULL_LIMIT:
         cur = Q.xspace_rows()
         for _ in range(k - 1):
-            F = hull.lift_hrep(phi, cur, limit=hull_cap)
+            F = hull.lift_hrep(phi, cur)
             if F is None:
                 ef = empty_formulation(n)
                 reports.append(_hull_report(phi, len(cur), len(ef.rows), n))

@@ -21,6 +21,9 @@ from . import formula as fm
 from . import hull, lpsolve, measures
 from . import polytope as pt
 
+SANDWICH_SEED = 0
+SANDWICH_DIRECTIONS = 12
+
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -82,12 +85,12 @@ def _prepare(phi, limit, what):
 # individual checks
 
 
-def check_sandwich(phi, Q, instance: str = "adhoc", lifted=None,
-                   seed: int = 0, directions: int = 12) -> CheckReport:
+def check_sandwich(phi, Q, instance: str = "adhoc", lifted=None) -> CheckReport:
     """The lift contains every satisfying 0/1 point of Q and stays inside Q.
 
     Containment in Q is proved row by row when Q lives in x-space, otherwise
-    probed by seeded random-direction support comparisons.
+    probed by SANDWICH_DIRECTIONS support comparisons in random directions
+    drawn from SANDWICH_SEED.
     """
     t0 = time.perf_counter()
     phi = _prepare(phi, fm.ENUM_LIMIT, "check_sandwich")
@@ -123,8 +126,8 @@ def check_sandwich(phi, Q, instance: str = "adhoc", lifted=None,
                     return _report("sandwich", instance, params, "fail", cert, t0,
                                    [("points", members), ("rows", rows_checked)] + stats_tail)
         else:
-            rng = random.Random(seed)
-            for _ in range(directions):
+            rng = random.Random(SANDWICH_SEED)
+            for _ in range(SANDWICH_DIRECTIONS):
                 c = [rng.randint(-3, 3) for _ in range(phi.n)]
                 rows_checked += 1
                 hi_lift = lpsolve.optimize(lifted, c, "max")

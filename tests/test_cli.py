@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from formlift import cli
 from formlift import polytope as pt
 
@@ -155,7 +157,6 @@ def test_gen_bounded_rejects_fractional_thresholds(tmp_path, capsys):
 
 
 def test_verify_subcommand_several_formulas(tmp_path, capsys):
-    import pytest
     run(capsys, "gen", "bz", "--n", "4", "--out", str(tmp_path))
     run(capsys, "gen", "matching-k4", "--out", str(tmp_path))
     bz = str(tmp_path / "bz4.bool")
@@ -206,10 +207,8 @@ def test_verify_failure_exit(tmp_path, capsys):
 def test_byte_identical_reports(tmp_path, capsys):
     run(capsys, "gen", "bz", "--n", "4", "--out", str(tmp_path))
     bz = str(tmp_path / "bz4.bool")
-    code1, out1, _ = run(capsys, "verify", "pitch", "--formula", bz,
-                         "--rounds", "2", "--seed", "9")
-    code2, out2, _ = run(capsys, "verify", "pitch", "--formula", bz,
-                         "--rounds", "2", "--seed", "9")
+    code1, out1, _ = run(capsys, "verify", "pitch", "--formula", bz, "--rounds", "2")
+    code2, out2, _ = run(capsys, "verify", "pitch", "--formula", bz, "--rounds", "2")
     assert (code1, out1) == (code2, out2)
 
 
@@ -242,12 +241,51 @@ def test_optimize_unbounded_or_empty_file_exits_two(tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
-def test_run_config_validation():
-    import pytest
-    with pytest.raises(ValueError):
-        cli.RunConfig("lift", (), rounds=-1)
-    with pytest.raises(ValueError):
-        cli.RunConfig("lift", (), hull_cap=0)
+# A lifted file over x1 = y1 with only y1 >= y2: unbounded until it meets the box.
+UNBOUNDED_EF = ("ef\nxvars 2\nyvars 3\nineq 1 0 -1 >= 0\nineq 0 1 0 >= 0\n"
+                "proj 1 0 1 0 0\nproj 2 0 0 1 0\n")
+# The identity projection over y >= 0 alone: unbounded upward in both coordinates.
+IDENTITY_EF = "ef\nxvars 2\nyvars 2\nineq 1 0 >= 0\nineq 0 1 >= 0\nproj 1 0 1 0\nproj 2 0 0 1\n"
+
+
+@pytest.fixture
+def lifted_inputs(tmp_path):
+    (tmp_path / "nand.bool").write_text("!(x1 & x2)\n")
+    (tmp_path / "unb.ef").write_text(UNBOUNDED_EF)
+    (tmp_path / "id.ef").write_text(IDENTITY_EF)
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv", [
+    "lift --formula nand.bool --rounds -1",
+    "closure --mode pitch --level 0 --formula nand.bool",
+    "closure --mode pitch --level 1 --rounds -1 --formula nand.bool",
+    "optimize --ef unb.ef --max --obj=1,0",
+    "closure --mode notch --level 1 --formula nand.bool --ef unb.ef",
+], ids=["lift-rounds", "closure-level", "closure-rounds", "optimize-unbounded",
+        "closure-ef-unbounded"])
+def test_bad_input_is_one_line_exit_two(lifted_inputs, capsys, monkeypatch, argv):
+    monkeypatch.chdir(lifted_inputs)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and out == ""
+    assert err.startswith("formlift: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    "lift --formula nand.bool --polytope id.ef --rounds 2",
+    "verify integral --formula nand.bool --polytope id.ef",
+    "verify sandwich --formula nand.bool --polytope unb.ef",
+], ids=["lift-identity", "integral-identity", "sandwich-unbounded"])
+def test_lifted_polytope_files_are_clamped_to_the_box(lifted_inputs, capsys, monkeypatch,
+                                                      argv):
+    # each case needs the box rows: without them the union weight can leave
+    # [0, 1], an arm on the hull route is unbounded, (1,1) enters the lift of
+    # !(x1 & x2), and the sandwich LP is unbounded
+    monkeypatch.chdir(lifted_inputs)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0, err
+    if argv.startswith("verify"):
+        assert "verdict=pass" in out
 
 
 # The closure-chain checks of `verify pitch|notch --rounds 2`, with their

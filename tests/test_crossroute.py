@@ -101,10 +101,10 @@ def test_point_map_verifies_exactly_on_target(inst):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_instances(max_size=4))
 def test_point_map_of_a_second_ef_round(inst):
-    # hull_cap=0 keeps both rounds on the extended-formulation route, so the
-    # second round restricts, intersects and unites lifted formulations
+    # both rounds on the extended-formulation route, so the second round
+    # restricts, intersects and unites lifted formulations
     phi, Q = inst
-    ef = pt.iterate_lift(phi, Q, 2, hull_cap=0)
+    ef = pt.lift(phi, pt.lift(phi, Q)[0])[0]
     _check_map(phi, Q, ef)
 
 

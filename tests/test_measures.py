@@ -188,13 +188,6 @@ def test_closure_notch_closed_on_hull():
     assert rep.closed
 
 
-def test_closure_restricted_supports():
-    tri = instances.gen_covering([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
-    # searching only the support {3} cannot see the violated pitch-1 rows
-    q = ms.ClosureQuery("pitch", 1, tri.points, pt.cube(3), supports=((3,),))
-    assert ms.closure_violation(q) is None
-
-
 def test_violation_describe_is_exact():
     tri = instances.gen_covering([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     viol = ms.closure_violation(ms.ClosureQuery("pitch", 1, tri.points, pt.cube(3)))

@@ -191,7 +191,7 @@ def test_iterate_lift_compaction_agrees_with_plain():
     for _ in range(10):
         phi = fm.reduce(_random_reduced(rng, 3))
         a = pt.iterate_lift(phi, pt.cube(3), 2)
-        b = pt.iterate_lift(phi, pt.cube(3), 2, hull_cap=0)
+        b = pt.lift(phi, pt.lift(phi, pt.cube(3))[0])[0]
         assert a.empty_marker == b.empty_marker
         if a.empty_marker:
             continue
