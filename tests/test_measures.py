@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -5,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from formlift import formula as fm
+from formlift import hull
 from formlift import instances
 from formlift import lpsolve as lp
 from formlift import measures as ms
 from formlift import polytope as pt
+from formlift import verify as vf
 
 F = Fraction
 
@@ -193,3 +196,33 @@ def test_violation_describe_is_exact():
     viol = ms.closure_violation(ms.ClosureQuery("pitch", 1, tri.points, pt.cube(3)))
     text = viol.describe()
     assert ">=" in text and "violated at" in text
+
+
+def _closure_lines():
+    """Report lines of both modes at levels 1 and 2 against three relaxations
+    of each formula: the cube, round 1 as hull facets and round 1 as an
+    extended formulation."""
+    phis = [instances.gen_bz(4).formula, instances.gen_bz(5).formula,
+            instances.gen_covering([[1, 1, 0], [0, 1, 1], [1, 0, 1]]).formula]
+    phis += [vf.random_reduced_formula(4, 6, neg_density=0.3, seed=s) for s in range(20)]
+    for phi in phis:
+        phi = fm.reduce(phi)
+        S = fm.enumerate_set(phi)
+        if not S.points:
+            continue
+        n = phi.n
+        F = hull.lift_hrep(phi, pt.cube(n).xspace_rows())
+        for R in (pt.cube(n), pt.from_hrep(n, F.rows()), pt.lift(phi, pt.cube(n))[0]):
+            for mode in ("pitch", "notch"):
+                for level in (1, 2):
+                    yield ms.verify_closure(ms.ClosureQuery(mode, level, S, R)).line()
+
+
+def test_closure_lines_are_pinned():
+    # sha256 over 240 report lines, 74 of them violations whose LP point is
+    # printed; recorded before the x-space LP and integer cone shortcuts
+    lines = list(_closure_lines())
+    assert len(lines) == 240
+    assert sum("violation=none" not in line for line in lines) == 74
+    got = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert got == "da41708d76b3004481002564763b1cbe68eb5d95e2b706047be89348a1a65698"
