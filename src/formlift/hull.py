@@ -82,14 +82,14 @@ def _eliminate(row, prow, c):
 def _rref(mat):
     """Reduced row echelon form up to row scaling: (nonzero rows, pivot columns).
 
-    Fraction-free Gauss-Jordan in the style of Edmonds and Bareiss: rational
-    rows become primitive integer rows, each step replaces a row by an
-    integer multiply-subtract divided by its gcd, and no division by a
+    Fraction-free Gauss-Jordan in the style of Edmonds and Bareiss on
+    integer rows: each row is divided by its gcd, each step replaces a row
+    by an integer multiply-subtract divided by its gcd, and no division by a
     pivot happens here.  Row k is zero in every pivot column but pivots[k];
     dividing it by that entry gives row k of the (unique) reduced row
     echelon form.
     """
-    rows = [_primitive(r) for r in mat]
+    rows = [_reduced(r) for r in mat]
     m = len(rows)
     ncols = len(rows[0]) if m else 0
     pivots = []
@@ -131,7 +131,7 @@ def _nullspace(rref, pivots, ncols):
 
 def _solve_affine(equations, n):
     """Particular solution and direction basis of a·x = rhs rows; None if inconsistent."""
-    rref, pivots = _rref([list(a) + [rhs] for a, rhs in equations])
+    rref, pivots = _rref([_primitive((*a, rhs)) for a, rhs in equations])
     if n in pivots:
         return None
     x0 = [Fraction(0)] * n
@@ -239,7 +239,7 @@ def _dd_cone(raw_rows, dim):
     return sorted(lifted), [_sign_normalized(v) for v in _nullspace(rref, pivots, dim)]
 
 
-def _vertices_of_rows(hrows, n):
+def vertices_of_rows(hrows, n):
     """Minimal V-description of {x : h·(x, 1) >= 0 for h in hrows}.
 
     Rows are integer tuples of length n + 1.  Returns (points, rays,
@@ -283,7 +283,7 @@ def _hull(points, n):
     W = [[x[p] - x0[p] for p in pivots] for x in X]
     S = [sum(col) for col in zip(*W)]
     polar = [tuple(s - m * w for s, w in zip(S, wj)) + (m,) for wj in W]
-    pverts, prays, plin = _vertices_of_rows(polar, q)
+    pverts, prays, plin = vertices_of_rows(polar, q)
     if prays or plin:
         raise RuntimeError("internal: polar of a full-dimensional hull must be bounded")
     # a·(w - c) <= 1 for all w, tight on a facet, with a = g[:q]/g[q],
@@ -393,7 +393,7 @@ def vertices_of_hrep(F: FacetList):
                     return (), ()
                 continue
             wrows.append(_homogeneous(wa, wrhs))
-        points_w, rays_w, lin_w = _vertices_of_rows(wrows, q)
+        points_w, rays_w, lin_w = vertices_of_rows(wrows, q)
 
         def back(w):
             x = list(x0)
@@ -409,7 +409,7 @@ def vertices_of_hrep(F: FacetList):
         rays = {backdir(w) for w in rays_w}
         lin = [backdir(l) for l in lin_w]
     else:
-        points, rays, lin = _vertices_of_rows([_homogeneous(a, rhs) for a, rhs in F.facets], n)
+        points, rays, lin = vertices_of_rows([_homogeneous(a, rhs) for a, rhs in F.facets], n)
         verts = [_point(g) for g in points]
         rays = set(rays)
     for l in lin:
@@ -484,25 +484,42 @@ def lift_hrep(phi, base):
     convex hull of the two arms by vertex enumeration.  Returns a canonical
     FacetList, or None when the result is empty.  `base` is a list of
     (coeffs, rhs) rows describing a polytope inside the unit box.
+
+    An OR root is hulled once, straight from its arms' vertices: `_hull`
+    returns primitive, canonical facets and equations whatever redundant
+    points it is given, so enumerating the vertices of that hull and
+    hulling them again would give the same FacetList.  Any other root is
+    lifted to rows, whose vertices are then hulled.
     """
     if not phi.is_reduced():
         raise ValueError("formula must be reduced before lifting")
     n = phi.n
     _check_dim(n)
-    rows = [(tuple(_rational(v) for v in a), _rational(rhs)) for a, rhs in base]
-    out = _lift_rows(phi, [_homogeneous(a, rhs) for a, rhs in rows], n)
-    if out is None:
-        return None
-    points = _bounded_vertices(out, n)
+    rows = [_homogeneous(tuple(_rational(v) for v in a), _rational(rhs)) for a, rhs in base]
+    if phi.kind is fm.Kind.OR:
+        points = _arm_points(phi, rows, n)
+    else:
+        out = _lift_rows(phi, rows, n)
+        points = _bounded_vertices(out, n) if out is not None else None
     if not points:
         return None
     return _facet_list(n, *_hull(points, n))
 
 
 def _bounded_vertices(rows, n):
-    points, rays, lin = _vertices_of_rows(rows, n)
+    points, rays, lin = vertices_of_rows(rows, n)
     if rays or lin:
         raise RuntimeError("internal: lift arms must stay bounded inside the box")
+    return points
+
+
+def _arm_points(node, rows, n):
+    """The vertices of both arms of an OR node over homogeneous int rows, as a set."""
+    points = set()
+    for arm in node.children:
+        out = _lift_rows(arm, rows, n)
+        if out is not None:
+            points.update(_bounded_vertices(out, n))
     return points
 
 
@@ -515,15 +532,14 @@ def _lift_rows(node, rows, n):
         v = 0 if node.negated else 1
         a = tuple(int(i == node.var - 1) for i in range(n))
         return rows + [a + (-v,), tuple(-x for x in a) + (v,)]
-    left = _lift_rows(node.children[0], rows, n)
-    right = _lift_rows(node.children[1], rows, n)
     if k is fm.Kind.AND:
+        left = _lift_rows(node.children[0], rows, n)
+        right = _lift_rows(node.children[1], rows, n)
         if left is None or right is None:
             return None
         return list(dict.fromkeys(itertools.chain(left, right)))
     # OR: convex hull of the two arms
-    points = set(_bounded_vertices(left, n) if left is not None else [])
-    points.update(_bounded_vertices(right, n) if right is not None else [])
+    points = _arm_points(node, rows, n)
     if not points:
         return None
     facets, equations = _hull(points, n)

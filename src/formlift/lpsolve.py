@@ -153,14 +153,18 @@ def _holds(irows, y) -> bool:
 # core solver on int rows over free and sign-bounded variables
 #
 # A tableau row is a dict from column to int numerator, its right-hand side
-# stored under one more column (RHS, past the last artificial), with one
-# positive int denominator per row kept alongside: the row stands for
-# numerators/denominator.  The cost row has the same form and holds the
-# negated objective value under RHS.  Zero entries are never stored.
+# stored under one more column (RHS), with one positive int denominator per
+# row kept alongside: the row stands for numerators/denominator.  The cost
+# row has the same form and holds the negated objective value under RHS.
+# Zero entries are never stored.  Artificial columns are not stored at all:
+# pricing never enters them and no certificate reads them, so an artificial
+# appears only as the basis marker ART + i of its row.
 
 
 def _reduce(row, d):
     """Divide the numerators and the denominator d by their gcd; returns the new d."""
+    if d == 1:
+        return d
     g = gcd(d, *row.values())
     if g > 1:
         for c in row:
@@ -308,7 +312,6 @@ def _solve(irows, dim, obj):
         if b:
             row[RHS] = f * b
         if f > 0:
-            row[ART + i] = l
             basis.append(ART + i)
             art_rows.append(len(tab))
         else:
@@ -317,19 +320,18 @@ def _solve(irows, dim, obj):
         den.append(l)
 
     # Phase 1: drive the artificials to zero.  The cost row is minus the sum
-    # of the artificial rows outside the artificial columns.
+    # of the artificial rows.
     if art_rows:
         cden = lcm(*(den[r] for r in art_rows))
         cost = {}
         for r in art_rows:
             s = cden // den[r]
             for c, v in tab[r].items():
-                if c < ART or c == RHS:
-                    nv = cost.get(c, 0) - s * v
-                    if nv:
-                        cost[c] = nv
-                    else:
-                        cost.pop(c, None)
+                nv = cost.get(c, 0) - s * v
+                if nv:
+                    cost[c] = nv
+                else:
+                    cost.pop(c, None)
         cden = _reduce(cost, cden)
         cden, status = _run(tab, den, basis, cost, cden, ART, RHS)
         if status != "optimal":
@@ -414,6 +416,11 @@ def _check_optimal(irows, obj, value, z, dual):
 # public entry points
 
 
+def _pairs(c):
+    """The nonzero entries of a dense vector as (index, value) pairs."""
+    return tuple((j, v) for j, v in enumerate(c) if v)
+
+
 def optimize_rows(rows, dim, c, sense: str = "min") -> LpOutcome:
     """Optimize a linear objective over {x : a·x >= rhs} given dense rows."""
     if sense not in ("min", "max"):
@@ -423,13 +430,13 @@ def optimize_rows(rows, dim, c, sense: str = "min") -> LpOutcome:
         a = tuple(a)
         if len(a) != dim:
             raise ValueError("row length does not match dimension")
-        srows.append((tuple((j, v) for j, v in enumerate(a) if v != 0), rhs))
+        srows.append((_pairs(a), rhs))
     c = tuple(c)
     if len(c) != dim:
         raise ValueError("objective length does not match dimension")
     flip = -1 if sense == "max" else 1
-    obj = tuple((j, flip * v) for j, v in enumerate(c) if v != 0)
-    status, value, z, dual, farkas = _solve(_int_rows(srows), dim, _objective(obj))
+    status, value, z, dual, farkas = _solve(_int_rows(srows), dim,
+                                            _objective(_pairs(flip * v for v in c)))
     if status == "optimal":
         return LpOutcome("optimal", flip * value, z, None, dual, None)
     if status == "infeasible":
@@ -438,6 +445,7 @@ def optimize_rows(rows, dim, c, sense: str = "min") -> LpOutcome:
 
 
 def _y_objective(Q, c):
+    """The objective c·x as pairs over y, and its constant, through the projection."""
     obj = {}
     const = Fraction(0)
     for ci, (pairs, off) in zip(c, Q.proj):
@@ -446,7 +454,7 @@ def _y_objective(Q, c):
         const += ci * off
         for j, coef in pairs:
             obj[j] = obj.get(j, Fraction(0)) + ci * coef
-    return {j: v for j, v in obj.items() if v != 0}, const
+    return tuple((j, v) for j, v in obj.items() if v != 0), const
 
 
 def _project(Q, y):
@@ -456,13 +464,19 @@ def _project(Q, y):
     return tuple(out)
 
 
+def _x(Q, y):
+    """The x of a lifted point y; y itself on an x-space formulation."""
+    return y if Q.is_hrep else _project(Q, y)
+
+
 def optimize(Q, c, sense: str = "min") -> LpOutcome:
     """Optimize c·x over the projection of a lifted formulation.
 
     The solve happens in the lifted variables; `x` is the projected
-    optimizer and `y` the lifted one.  The empty marker is rejected: callers
-    decide emptiness first (the lift constructors already guarantee that a
-    non-marker result is nonempty).  A lifted formulation describes a
+    optimizer and `y` the lifted one; on an x-space formulation (`is_hrep`)
+    the objective is taken as it is and y is x.  The empty marker is
+    rejected: callers decide emptiness first (the lift constructors already
+    guarantee that a non-marker result is nonempty).  A lifted formulation describes a
     polytope, so an unbounded answer means the formulation is corrupted and
     raises UnboundedError, a kind of InternalError.
     """
@@ -474,13 +488,17 @@ def optimize(Q, c, sense: str = "min") -> LpOutcome:
     if Q.empty_marker:
         raise ValueError("cannot optimize over the empty marker")
     flip = -1 if sense == "max" else 1
-    obj, const = _y_objective(Q, tuple(flip * v for v in c))
-    status, value, y, dual, farkas = _solve(Q.int_rows, Q.ydim, _objective(obj.items()))
+    c = tuple(flip * v for v in c)
+    if Q.is_hrep:
+        obj, const = _pairs(c), 0
+    else:
+        obj, const = _y_objective(Q, c)
+    status, value, y, dual, farkas = _solve(Q.int_rows, Q.ydim, _objective(obj))
     if status == "unbounded":
         raise UnboundedError("lifted formulations are bounded; unbounded solve")
     if status == "infeasible":
         return LpOutcome("infeasible", farkas=farkas)
-    return LpOutcome("optimal", flip * (value + const), _project(Q, y), y, dual, None)
+    return LpOutcome("optimal", flip * (value + const), _x(Q, y), y, dual, None)
 
 
 def emptiness(Q) -> LpOutcome:
@@ -497,7 +515,7 @@ def emptiness(Q) -> LpOutcome:
     status, value, y, dual, farkas = _solve(Q.int_rows, Q.ydim, _objective(()))
     if status == "infeasible":
         return LpOutcome("infeasible", farkas=farkas)
-    return LpOutcome("optimal", Fraction(0), _project(Q, y), y, dual, None)
+    return LpOutcome("optimal", Fraction(0), _x(Q, y), y, dual, None)
 
 
 def is_empty(Q) -> bool:

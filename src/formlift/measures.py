@@ -237,19 +237,17 @@ class ClosureReport:
 
 
 def _cone_vertices(dim, level, valid_rows):
-    """Vertices of {c >= 0 : every level-subset sums >= 1, d·c >= 1 for d in rows}."""
-    rows = []
-    one = Fraction(1)
-    for i in range(dim):
-        rows.append((tuple(one if j == i else Fraction(0) for j in range(dim)), Fraction(0)))
-    m = min(level, dim)
-    for J in itertools.combinations(range(dim), m):
-        js = set(J)
-        rows.append((tuple(one if j in js else Fraction(0) for j in range(dim)), one))
-    for d in valid_rows:
-        rows.append((tuple(Fraction(v) for v in d), one))
-    verts, _rays = hull.vertices_of_hrep(hull.FacetList(dim, tuple(rows)))
-    return verts
+    """Vertices of {c >= 0 : every level-subset sums >= 1, d·c >= 1 for d in rows}.
+
+    Every row has 0/1 coefficients and right-hand side 0 or 1, so each goes
+    to the double description as the homogeneous int row (a, -rhs).
+    """
+    rows = [tuple(int(j == i) for j in range(dim)) + (0,) for i in range(dim)]
+    for J in itertools.combinations(range(dim), min(level, dim)):
+        rows.append(tuple(int(j in J) for j in range(dim)) + (-1,))
+    rows.extend(tuple(d) + (-1,) for d in valid_rows)
+    points, _rays, _lineality = hull.vertices_of_rows(rows, dim)
+    return sorted(tuple(Fraction(v, g[dim]) for v in g[:dim]) for g in points)
 
 
 def _check_violation(query, viol):
@@ -297,7 +295,9 @@ def _search(query):
     if R.n != n:
         raise ValueError(f"dimension mismatch: points {n}, relaxation {R.n}")
     examined = skipped = priced = 0
-    if lpsolve.is_empty(R):
+    # a point of S inside an x-space R proves R nonempty by row evaluation
+    witnessed = R.is_hrep and any(lpsolve.contains_point(R, s) for s in S.points)
+    if not witnessed and lpsolve.is_empty(R):
         return None, examined, skipped, priced
 
     if query.mode == "pitch":

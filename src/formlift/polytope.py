@@ -70,6 +70,9 @@ class ExtendedFormulation:
     (see the module docstring), or is None for formulations read from text
     or built by hand; it takes no part in equality, hashing or the repr.
     `is_hrep` and `int_rows` are computed once per formulation and kept.
+    `int_source`, when given, computes `int_rows` from the int rows of the
+    formulations these rows were built from, so that only the new rows are
+    converted; like `point_map` it takes no part in equality.
     """
 
     n: int
@@ -78,6 +81,7 @@ class ExtendedFormulation:
     proj: tuple
     empty_marker: bool = False
     point_map: object = field(default=None, compare=False, repr=False)
+    int_source: object = field(default=None, compare=False, repr=False)
 
     @cached_property
     def is_hrep(self) -> bool:
@@ -90,6 +94,8 @@ class ExtendedFormulation:
     @cached_property
     def int_rows(self) -> tuple:
         """`rows` as the exact int rows every LP and row evaluation reads."""
+        if self.int_source is not None:
+            return self.int_source()
         return lpsolve._int_rows(self.rows)
 
     def xspace_rows(self) -> list:
@@ -138,15 +144,19 @@ def _boxed(n, rows) -> ExtendedFormulation:
         out.append((((i, one),), Fraction(0)))
         out.append((((i, -one),), Fraction(-1)))
     rows = tuple(dict.fromkeys(out))
-    irows = None  # converted on the first call; most boxes never map a point
+    irows = None  # converted on first use, by the point map or an LP
 
-    def point_map(p):
+    def int_rows():
         nonlocal irows
         if irows is None:
             irows = lpsolve._int_rows(rows)
-        return tuple(p) if lpsolve._holds(irows, p) else None
+        return irows
 
-    return ExtendedFormulation(n, n, rows, _identity_proj(n), point_map=point_map)
+    def point_map(p):
+        return tuple(p) if lpsolve._holds(int_rows(), p) else None
+
+    return ExtendedFormulation(n, n, rows, _identity_proj(n), point_map=point_map,
+                               int_source=int_rows)
 
 
 def _face_map(base, i, value):
@@ -196,9 +206,10 @@ def face_restrict(Q: ExtendedFormulation, var: int, value) -> ExtendedFormulatio
         return Q
     pairs, off = Q.proj[var - 1]
     rhs = value - off
-    rows = Q.rows + ((pairs, rhs), (_neg(pairs), -rhs))
-    return ExtendedFormulation(Q.n, Q.ydim, rows, Q.proj,
-                               point_map=_face_map(Q.point_map, var - 1, value))
+    new = ((pairs, rhs), (_neg(pairs), -rhs))
+    return ExtendedFormulation(Q.n, Q.ydim, Q.rows + new, Q.proj,
+                               point_map=_face_map(Q.point_map, var - 1, value),
+                               int_source=lambda: Q.int_rows + lpsolve._int_rows(new))
 
 
 def intersect(A: ExtendedFormulation, B: ExtendedFormulation) -> ExtendedFormulation:
@@ -208,17 +219,23 @@ def intersect(A: ExtendedFormulation, B: ExtendedFormulation) -> ExtendedFormula
     if A.empty_marker or B.empty_marker:
         return empty_formulation(A.n)
     dA = A.ydim
-    rows = list(A.rows)
-    rows.extend((_shift(pairs, dA), rhs) for pairs, rhs in B.rows)
+    ties = []
     for i in range(A.n):
         pa, ta = A.proj[i]
         pb, tb = B.proj[i]
         tie = pa + _shift(_neg(pb), dA)
         rhs = tb - ta
-        rows.append((tie, rhs))
-        rows.append((_neg(tie), -rhs))
-    return ExtendedFormulation(A.n, dA + B.ydim, tuple(rows), A.proj,
-                               point_map=_meet_map(A.point_map, B.point_map))
+        ties.append((tie, rhs))
+        ties.append((_neg(tie), -rhs))
+    rows = A.rows + tuple((_shift(pairs, dA), rhs) for pairs, rhs in B.rows) + tuple(ties)
+
+    def int_rows():
+        shifted = tuple(({j + dA: c for j, c in a.items()}, b, l) for a, b, l in B.int_rows)
+        return A.int_rows + shifted + lpsolve._int_rows(ties)
+
+    return ExtendedFormulation(A.n, dA + B.ydim, rows, A.proj,
+                               point_map=_meet_map(A.point_map, B.point_map),
+                               int_source=int_rows)
 
 
 def balas_union(A: ExtendedFormulation, B: ExtendedFormulation) -> ExtendedFormulation:

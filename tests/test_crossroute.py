@@ -135,3 +135,38 @@ def test_witness_and_lp_decisions_are_counted():
     assert rep.emptiness == ("block:empty", "block:nonempty", "block:empty",
                              "block:nonempty", "intersect:nonempty")
     assert rep.witnessed == 0 and rep.lp_decided == 5
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_instances(max_size=5), st.data())
+def test_or_root_is_hulled_once_to_the_canonical_facets(inst, data):
+    # an OR root is hulled straight from its arms' vertices, redundant ones
+    # included; hulling the vertices of that result again must change
+    # nothing, equations included.  The second round lifts over the first,
+    # whose fractional vertices leave points inside the hull of the arms.
+    phi, Q = inst
+    other = data.draw(_formulas(Q.n, data.draw(st.integers(1, 3))))
+    phi = fm.lor(phi, other)
+    rows = Q.xspace_rows()
+    for _ in range(2):
+        F = hull.lift_hrep(phi, rows)
+        if F is None:
+            return
+        verts, rays = hull.vertices_of_hrep(F)
+        assert not rays
+        assert hull.facets_of_points(verts) == F
+        rows = F.rows()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_instances(max_size=5), st.data())
+def test_built_int_rows_match_a_fresh_conversion(inst, data):
+    # face restrictions and intersections extend their inputs' int rows
+    # instead of converting every row again
+    phi, Q = inst
+    A = pt.lift(phi, Q)[0]
+    B = pt.lift(data.draw(_formulas(Q.n, data.draw(st.integers(1, 4)))), Q)[0]
+    var = data.draw(st.integers(1, Q.n))
+    for ef in (pt.intersect(A, B), pt.intersect(B, A), pt.face_restrict(A, var, 0),
+               pt.face_restrict(pt.intersect(A, Q), var, 1), A, B):
+        assert ef.int_rows == lp._int_rows(ef.rows)

@@ -266,6 +266,21 @@ def test_facets_of_points_round_trip_to_extreme_points(pts):
         assert all(sum(ai * xi for ai, xi in zip(a, p)) == rhs for p in pts)
 
 
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_point_sets(), st.data())
+def test_facets_of_points_ignore_points_inside_the_hull(pts, data):
+    # lift_hrep hulls an OR root straight from its arms' vertices, some of
+    # which may lie inside the hull of the others; the FacetList must not
+    # depend on such points
+    pts = [tuple(F(v) for v in p) for p in pts]
+    inside = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        p, q = data.draw(st.sampled_from(pts)), data.draw(st.sampled_from(pts))
+        t = data.draw(st.sampled_from((F(1, 2), F(1, 3))))
+        inside.append(tuple(t * a + (1 - t) * b for a, b in zip(p, q)))
+    assert hull.facets_of_points(pts + inside) == hull.facets_of_points(pts)
+
+
 # sha256 of the `to_text` of rounds 1 and 2 of each closure chain, as the
 # Fraction-based double description wrote them; pins every facet and the
 # order of the rows.

@@ -435,6 +435,35 @@ def test_bz5_round_one_pins():
         assert lp.contains_point(ef, x) == inside
 
 
+@st.composite
+def _boxed_dense_systems(draw):
+    n = draw(st.integers(1, 5))
+    rows = [(tuple(draw(st.sampled_from(UNLIKE)) for _ in range(n)), draw(st.sampled_from(UNLIKE)))
+            for _ in range(draw(st.integers(0, 4)))]
+    c = tuple(draw(st.sampled_from(UNLIKE)) for _ in range(n))
+    return n, rows, c
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_boxed_dense_systems(), st.sampled_from(("min", "max")))
+def test_xspace_formulations_solve_like_dense_rows(system, sense):
+    # optimize and emptiness on an x-space formulation take the objective as
+    # it is and report y as x; their answers must be optimize_rows' answers
+    # on the same rows, in the same order
+    n, rows, c = system
+    Q = pt.from_hrep(n, rows)
+    assert Q.is_hrep
+    dense = Q.xspace_rows()
+
+    def fields(out):
+        return out.status, out.value, out.x, out.dual, out.farkas
+
+    assert fields(lp.emptiness(Q)) == fields(lp.optimize_rows(dense, n, (0,) * n))
+    out = lp.optimize(Q, c, sense)
+    assert fields(out) == fields(lp.optimize_rows(dense, n, c, sense))
+    assert out.y == out.x
+
+
 def _mixed_solves():
     """A seeded mixed set of answers: dense solves that end optimal,
     infeasible and unbounded, then optimize, emptiness and contains_point on

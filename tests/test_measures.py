@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formlift import formula as fm
 from formlift import hull
@@ -196,6 +198,29 @@ def test_violation_describe_is_exact():
     viol = ms.closure_violation(ms.ClosureQuery("pitch", 1, tri.points, pt.cube(3)))
     text = viol.describe()
     assert ">=" in text and "violated at" in text
+
+
+@st.composite
+def _cone_inputs(draw):
+    dim = draw(st.integers(1, 5))
+    level = draw(st.integers(1, 3))
+    dvecs = draw(st.lists(st.tuples(*[st.integers(0, 1)] * dim), max_size=6, unique=True))
+    return dim, level, sorted(dvecs)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_cone_inputs())
+def test_int_cone_vertices_match_fraction_rows(case):
+    # the cone's rows go to the double description as ints; the same rows as
+    # a FacetList of Fractions must give the same vertices, in the same order
+    dim, level, dvecs = case
+    unit = [tuple(F(int(j == i)) for j in range(dim)) for i in range(dim)]
+    rows = [(e, F(0)) for e in unit]
+    rows += [(tuple(F(int(j in J)) for j in range(dim)), F(1))
+             for J in itertools.combinations(range(dim), min(level, dim))]
+    rows += [(tuple(map(F, d)), F(1)) for d in dvecs]
+    verts, _ = hull.vertices_of_hrep(hull.FacetList(dim, tuple(rows)))
+    assert ms._cone_vertices(dim, level, dvecs) == list(verts)
 
 
 def _closure_lines():
