@@ -36,7 +36,6 @@ from .lpsolve import (
     UnboundedError,
     contains_point,
     emptiness,
-    feasible_point,
     is_empty,
     optimize,
     optimize_rows,

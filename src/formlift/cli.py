@@ -405,6 +405,9 @@ def dispatch(argv) -> int:
         print("formlift: an objective is unbounded over this formulation; "
               "a lifted relaxation of a 0/1 set is bounded", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("formlift: formula nests too deeply", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

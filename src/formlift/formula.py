@@ -339,9 +339,6 @@ class PointSet01:
     def __contains__(self, point) -> bool:
         return tuple(int(v) for v in point) in set(self.points)
 
-    def bitstrings(self) -> list[str]:
-        return ["".join(str(b) for b in p) for p in self.points]
-
 
 def point_set(n: int, points) -> PointSet01:
     cleaned = set()

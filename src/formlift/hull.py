@@ -9,7 +9,9 @@ elimination is fraction-free, and each ray carries its zero set as a
 bitmask.  `fractions.Fraction` appears only at the edges: reading rational
 rows and points, dividing a ray by its homogenizing coordinate, and the
 values handed back to callers.  Inputs are capped at dimension HULL_LIMIT
-because the method is exponential in general.
+because the method is exponential in general.  The x-space lift runs one
+double description per OR chain: an OR node's points are the union of its
+arms' points, nested ORs included, and only the chain's root is hulled.
 """
 
 from __future__ import annotations
@@ -22,13 +24,9 @@ from operator import mul
 
 from . import formula as fm
 from . import lpsolve
-from .lpsolve import _rational
+from .lpsolve import _pairs, _rational
 
 HULL_LIMIT = 8
-
-
-def _dot(a, b) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
 def _reduced(ints) -> tuple[int, ...]:
@@ -127,17 +125,6 @@ def _nullspace(rref, pivots, ncols):
             v[pc] = -row[fc] * (scale // row[pc])
         basis.append(_reduced(v))
     return basis
-
-
-def _solve_affine(equations, n):
-    """Particular solution and direction basis of a·x = rhs rows; None if inconsistent."""
-    rref, pivots = _rref([_primitive((*a, rhs)) for a, rhs in equations])
-    if n in pivots:
-        return None
-    x0 = [Fraction(0)] * n
-    for row, pc in zip(rref, pivots):
-        x0[pc] = Fraction(row[n], row[pc])
-    return tuple(x0), _nullspace(rref, pivots, n)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +320,7 @@ class FacetList:
 
     def to_text(self) -> str:
         """Serialize in the extended-formulation text format with yvars 0."""
-        from .polytope import _pairs, _write
+        from .polytope import _write
         return _write(self.n, 0, [(_pairs(a), rhs) for a, rhs in self.rows()], ())
 
 
@@ -354,10 +341,7 @@ def facets_of_points(points) -> FacetList:
     from vertex enumeration of the polar body around the centroid.  Every
     facet is valid for all points and tight on affinely many of them.
     """
-    if isinstance(points, fm.PointSet01):
-        pts = [tuple(Fraction(v) for v in p) for p in points.points]
-    else:
-        pts = [tuple(_rational(v) for v in p) for p in points]
+    pts = [tuple(_rational(v) for v in p) for p in points]
     if not pts:
         raise ValueError("empty point set has no hull")
     n = len(pts[0])
@@ -370,52 +354,18 @@ def facets_of_points(points) -> FacetList:
 def vertices_of_hrep(F: FacetList):
     """Vertices and rays of an H-description; unbounded inputs are allowed.
 
-    Lineality directions, if any, are reported as opposite ray pairs.  An
-    empty polyhedron gives two empty tuples.
+    Each equation enters the double description as a pair of opposite
+    rows.  Lineality directions, if any, are reported as opposite ray
+    pairs.  An empty polyhedron gives two empty tuples.
     """
     n = F.n
     _check_dim(n)
-    if F.equations:
-        sol = _solve_affine(F.equations, n)
-        if sol is None:
-            return (), ()
-        x0, basis = sol
-        q = len(basis)
-        if q == 0:
-            ok = all(_dot(a, x0) >= rhs for a, rhs in F.facets)
-            return ((tuple(x0),) if ok else ()), ()
-        wrows = []
-        for a, rhs in F.facets:
-            wa = tuple(_dot(a, d) for d in basis)
-            wrhs = rhs - _dot(a, x0)
-            if all(v == 0 for v in wa):
-                if wrhs > 0:
-                    return (), ()
-                continue
-            wrows.append(_homogeneous(wa, wrhs))
-        points_w, rays_w, lin_w = vertices_of_rows(wrows, q)
-
-        def back(w):
-            x = list(x0)
-            for coef, d in zip(_point(w), basis):
-                for i in range(n):
-                    x[i] += coef * d[i]
-            return tuple(x)
-
-        def backdir(w):
-            return _reduced([sum(c * d[i] for c, d in zip(w, basis)) for i in range(n)])
-
-        verts = [back(w) for w in points_w]
-        rays = {backdir(w) for w in rays_w}
-        lin = [backdir(l) for l in lin_w]
-    else:
-        points, rays, lin = vertices_of_rows([_homogeneous(a, rhs) for a, rhs in F.facets], n)
-        verts = [_point(g) for g in points]
-        rays = set(rays)
+    points, rays, lin = vertices_of_rows([_homogeneous(a, rhs) for a, rhs in F.rows()], n)
+    rays = set(rays)
     for l in lin:
         rays.add(l)
         rays.add(tuple(-v for v in l))
-    return tuple(sorted(verts)), tuple(_fractions(r) for r in sorted(rays))
+    return tuple(sorted(map(_point, points))), tuple(_fractions(r) for r in sorted(rays))
 
 
 # ---------------------------------------------------------------------------
@@ -442,10 +392,7 @@ def equals_hull(Q, V) -> HullCheck:
     the certificate is a separating facet with a violating point of Q, or a
     missing point of V.
     """
-    if isinstance(V, fm.PointSet01):
-        pts = [tuple(Fraction(v) for v in p) for p in V.points]
-    else:
-        pts = [tuple(_rational(v) for v in p) for p in V]
+    pts = [tuple(_rational(v) for v in p) for p in V]
     if not pts:
         raise ValueError("empty point set; hull comparison needs at least one point")
     F = facets_of_points(pts)
@@ -481,46 +428,40 @@ def lift_hrep(phi, base):
     """Apply a reduced formula to a polytope given by rows in x-space.
 
     Literals restrict to faces, AND intersects row systems, OR takes the
-    convex hull of the two arms by vertex enumeration.  Returns a canonical
-    FacetList, or None when the result is empty.  `base` is a list of
-    (coeffs, rhs) rows describing a polytope inside the unit box.
+    convex hull of its arms.  Returns a canonical FacetList, or None when
+    the result is empty.  `base` is a list of (coeffs, rhs) rows describing
+    a polytope inside the unit box.
 
-    An OR root is hulled once, straight from its arms' vertices: `_hull`
-    returns primitive, canonical facets and equations whatever redundant
-    points it is given, so enumerating the vertices of that hull and
-    hulling them again would give the same FacetList.  Any other root is
-    lifted to rows, whose vertices are then hulled.
+    An OR chain is hulled once, from the union of the vertices of all its
+    arms: conv(conv(A ∪ B) ∪ C) = conv(A ∪ B ∪ C), and `_hull` returns
+    primitive, canonical facets and equations whatever redundant points it
+    is given.
     """
     if not phi.is_reduced():
         raise ValueError("formula must be reduced before lifting")
     n = phi.n
     _check_dim(n)
     rows = [_homogeneous(tuple(_rational(v) for v in a), _rational(rhs)) for a, rhs in base]
-    if phi.kind is fm.Kind.OR:
-        points = _arm_points(phi, rows, n)
-    else:
-        out = _lift_rows(phi, rows, n)
-        points = _bounded_vertices(out, n) if out is not None else None
-    if not points:
-        return None
-    return _facet_list(n, *_hull(points, n))
+    points = _points(phi, rows, n)
+    return _facet_list(n, *_hull(points, n)) if points else None
 
 
-def _bounded_vertices(rows, n):
-    points, rays, lin = vertices_of_rows(rows, n)
+def _points(node, rows, n):
+    """Homogeneous int points whose convex hull is the lift of `node`, as a set.
+
+    Any node but an OR gives the vertices of its lifted rows.  An OR node
+    gives the union of its arms' points, nested ORs included, with no hull
+    in between.
+    """
+    if node.kind is fm.Kind.OR:
+        return set().union(*(_points(arm, rows, n) for arm in node.children))
+    out = _lift_rows(node, rows, n)
+    if out is None:
+        return set()
+    points, rays, lin = vertices_of_rows(out, n)
     if rays or lin:
         raise RuntimeError("internal: lift arms must stay bounded inside the box")
-    return points
-
-
-def _arm_points(node, rows, n):
-    """The vertices of both arms of an OR node over homogeneous int rows, as a set."""
-    points = set()
-    for arm in node.children:
-        out = _lift_rows(arm, rows, n)
-        if out is not None:
-            points.update(_bounded_vertices(out, n))
-    return points
+    return set(points)
 
 
 def _lift_rows(node, rows, n):
@@ -538,8 +479,8 @@ def _lift_rows(node, rows, n):
         if left is None or right is None:
             return None
         return list(dict.fromkeys(itertools.chain(left, right)))
-    # OR: convex hull of the two arms
-    points = _arm_points(node, rows, n)
+    # OR: convex hull of the whole chain's points
+    points = _points(node, rows, n)
     if not points:
         return None
     facets, equations = _hull(points, n)

@@ -523,12 +523,6 @@ def is_empty(Q) -> bool:
     return emptiness(Q).status == "infeasible"
 
 
-def feasible_point(Q):
-    """Some point of the projected set, or None when empty."""
-    out = emptiness(Q)
-    return out.x if out.status == "optimal" else None
-
-
 def contains_point(Q, x) -> bool:
     """Exact membership of an x-space point in the projected set.
 

@@ -27,7 +27,6 @@ from fractions import Fraction
 from . import formula as fm
 from . import hull, lpsolve
 from .lpsolve import _rational
-from .polytope import _fmt
 
 PITCH_SEARCH_LIMIT = 8
 NOTCH_SEARCH_LIMIT = 6
@@ -44,11 +43,6 @@ class StandardFormInequality:
     delta: Fraction
 
     @property
-    def pos(self) -> tuple:
-        ns = set(self.neg)
-        return tuple(i for i in range(1, self.n + 1) if i not in ns)
-
-    @property
     def support(self) -> tuple:
         return tuple(i for i in range(1, self.n + 1) if self.coeffs[i - 1] != 0)
 
@@ -60,23 +54,8 @@ class StandardFormInequality:
             total += self.coeffs[i - 1] * ((1 - v) if i in ns else v)
         return total
 
-    def as_row(self):
-        """The same inequality as a plain dense row (a, rhs) over x."""
-        ns = set(self.neg)
-        a = tuple(-c if i in ns else c for i, c in enumerate(self.coeffs, start=1))
-        rhs = self.delta - sum(self.coeffs[i - 1] for i in self.neg)
-        return a, rhs
-
     def is_valid_on(self, points) -> bool:
         return all(self.lhs(p) >= self.delta for p in points)
-
-
-def std_line(q: StandardFormInequality) -> str:
-    """One-line serialization: std I+ {..} I- {..} c .. delta .."""
-    pos = ",".join(str(i) for i in q.pos)
-    neg = ",".join(str(i) for i in q.neg)
-    cs = " ".join(_fmt(c) for c in q.coeffs)
-    return f"std I+ {{{pos}}} I- {{{neg}}} c {cs} delta {_fmt(q.delta)}"
 
 
 def to_standard_form(a, rhs):
@@ -95,6 +74,18 @@ def to_standard_form(a, rhs):
     return StandardFormInequality(len(a), neg, tuple(abs(v) for v in a), delta)
 
 
+def _least_count(coeffs, delta, what) -> int:
+    """Least p with the p smallest of `coeffs` summing to delta; 0 when delta <= 0."""
+    if delta <= 0:
+        return 0
+    total = Fraction(0)
+    for p, c in enumerate(sorted(coeffs), start=1):
+        total += c
+        if total >= delta:
+            return p
+    raise ValueError(f"full-support sum below delta; {what} undefined")
+
+
 def pitch_of(ineq: StandardFormInequality) -> int:
     """Least p with the p smallest nonzero coefficients summing to delta.
 
@@ -102,33 +93,12 @@ def pitch_of(ineq: StandardFormInequality) -> int:
     delta: then no 0/1 point satisfies the inequality and the measure is
     undefined.
     """
-    if ineq.delta <= 0:
-        return 0
-    total = Fraction(0)
-    for p, c in enumerate(sorted(c for c in ineq.coeffs if c != 0), start=1):
-        total += c
-        if total >= ineq.delta:
-            return p
-    raise ValueError("full-support sum below delta; pitch undefined")
+    return _least_count([c for c in ineq.coeffs if c != 0], ineq.delta, "pitch")
 
 
 def notch_of(ineq: StandardFormInequality) -> int:
     """Least p with the p smallest coefficients (zeros included) summing to delta."""
-    if ineq.delta <= 0:
-        return 0
-    total = Fraction(0)
-    for p, c in enumerate(sorted(ineq.coeffs), start=1):
-        total += c
-        if total >= ineq.delta:
-            return p
-    raise ValueError("full-support sum below delta; notch undefined")
-
-
-def is_valid(q: StandardFormInequality, S: fm.PointSet01) -> bool:
-    """Exact validity of a standard-form inequality on every point of S."""
-    if q.n != S.n:
-        raise ValueError(f"dimension mismatch: inequality {q.n}, points {S.n}")
-    return q.is_valid_on(S.points)
+    return _least_count(ineq.coeffs, ineq.delta, "notch")
 
 
 def notch_of_set(S: fm.PointSet01) -> int:
@@ -198,9 +168,6 @@ class Violation:
 
     def standard(self) -> StandardFormInequality:
         return StandardFormInequality(self.n, self.neg, self.coeffs, self.delta)
-
-    def as_row(self):
-        return self.standard().as_row()
 
     def describe(self) -> str:
         terms = []
@@ -303,23 +270,16 @@ def _search(query):
     if query.mode == "pitch":
         if n > PITCH_SEARCH_LIMIT:
             raise ValueError(f"dimension {n} exceeds pitch search limit {PITCH_SEARCH_LIMIT}")
-        supports = [I for k in range(1, n + 1)
-                    for I in itertools.combinations(range(1, n + 1), k)]
-        for I in supports:
-            viol, cost = _pitch_support(query, I)
-            examined += 1
-            skipped += cost == 0
-            priced += cost
-            if viol is not None:
-                return viol, examined, skipped, priced
-        return None, examined, skipped, priced
-
-    if n > NOTCH_SEARCH_LIMIT:
-        raise ValueError(f"dimension {n} exceeds notch search limit {NOTCH_SEARCH_LIMIT}")
-    patterns = [tuple(i + 1 for i in range(n) if mask >> i & 1)
-                for mask in range(1 << n)]
-    for neg in patterns:
-        viol, cost = _notch_pattern(query, neg)
+        scopes = [(I, ()) for k in range(1, n + 1)
+                  for I in itertools.combinations(range(1, n + 1), k)]
+    else:
+        if n > NOTCH_SEARCH_LIMIT:
+            raise ValueError(f"dimension {n} exceeds notch search limit {NOTCH_SEARCH_LIMIT}")
+        everything = tuple(range(1, n + 1))
+        scopes = [(everything, tuple(i + 1 for i in range(n) if mask >> i & 1))
+                  for mask in range(1 << n)]
+    for I, neg in scopes:
+        viol, cost = _price(query, I, neg)
         examined += 1
         skipped += cost == 0
         priced += cost
@@ -335,54 +295,37 @@ def _priced_minimum(R, a, const):
     return out.value + const, out.x
 
 
-def _pitch_support(query, I):
-    # validity rows restricted to the support; an all-zero row means no
-    # nonnegative inequality on I can be valid, so the support is skipped
+def _price(query, I, neg):
+    """Price the cone vertices of one scope: support I, complemented indices neg.
+
+    Pitch scopes are (support, ()); notch scopes are (all variables,
+    pattern).  Returns (violation or None, vertices priced).
+    """
+    # validity rows restricted to I; an all-zero row means no nonnegative
+    # inequality on the scope can be valid (in notch mode: the point that
+    # agrees with the pattern everywhere forces lhs = 0 < 1), so it is skipped
     S, R = query.S, query.R
+    ns = set(neg)
     dvecs = set()
     for s in S.points:
-        d = tuple(s[i - 1] for i in I)
+        d = tuple((1 - s[i - 1]) if i in ns else s[i - 1] for i in I)
         if not any(d):
             return None, 0
         dvecs.add(d)
     n = S.n
     priced = 0
     for c in _cone_vertices(len(I), query.level, sorted(dvecs)):
-        a = [Fraction(0)] * n
+        coeffs = [Fraction(0)] * n
         for i, ci in zip(I, c):
-            a[i - 1] = ci
-        priced += 1
-        value, point = _priced_minimum(R, a, Fraction(0))
-        if value < 1:
-            viol = Violation(
-                n=n, neg=(), coeffs=tuple(a), delta=Fraction(1),
-                point=point, value=value,
-                support=tuple(i for i in I if a[i - 1] != 0))
-            return _check_violation(query, viol), priced
-    return None, priced
-
-
-def _notch_pattern(query, neg):
-    S, R = query.S, query.R
-    n = S.n
-    ns = set(neg)
-    chi = tuple(1 if i in ns else 0 for i in range(1, n + 1))
-    if chi in S:
-        # the point agreeing with the pattern everywhere forces lhs = 0 < 1
-        return None, 0
-    dvecs = set()
-    for s in S.points:
-        dvecs.add(tuple((1 - s[i - 1]) if i in ns else s[i - 1] for i in range(1, n + 1)))
-    priced = 0
-    for c in _cone_vertices(n, query.level, sorted(dvecs)):
-        a = tuple(-ci if i in ns else ci for i, ci in enumerate(c, start=1))
-        const = sum(ci for i, ci in enumerate(c, start=1) if i in ns)
+            coeffs[i - 1] = ci
+        a = tuple(-ci if i in ns else ci for i, ci in enumerate(coeffs, start=1))
+        const = sum(ci for i, ci in zip(I, c) if i in ns)
         priced += 1
         value, point = _priced_minimum(R, a, const)
         if value < 1:
             viol = Violation(
-                n=n, neg=neg, coeffs=tuple(c), delta=Fraction(1),
+                n=n, neg=neg, coeffs=tuple(coeffs), delta=Fraction(1),
                 point=point, value=value,
-                support=tuple(i for i in range(1, n + 1) if c[i - 1] != 0))
+                support=tuple(i for i, ci in zip(I, c) if ci != 0))
             return _check_violation(query, viol), priced
     return None, priced

@@ -34,14 +34,10 @@ from fractions import Fraction
 
 from . import formula as fm
 from . import hull, lpsolve
-from .lpsolve import _rational
+from .lpsolve import _pairs, _rational
 
 # A linear expression over lifted variables: ((index, coef), ...) sorted by
 # index with nonzero coefficients.  A row (expr, rhs) means expr·y >= rhs.
-
-
-def _pairs(dense) -> tuple:
-    return tuple((j, v) for j, v in enumerate(dense) if v != 0)
 
 
 def _dense(pairs, dim) -> tuple:

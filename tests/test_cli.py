@@ -271,6 +271,20 @@ def test_bad_input_is_one_line_exit_two(lifted_inputs, capsys, monkeypatch, argv
     assert err.startswith("formlift: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("text", [
+    " | ".join(f"x{i % 5 + 1}" for i in range(450)),
+    "(" * 3000 + "x1" + ")" * 3000,
+    "!" * 3000 + "x1",
+], ids=["flat-disjunction", "nested-parentheses", "stacked-negations"])
+def test_deep_formula_is_one_line_or_a_lift(tmp_path, capsys, text):
+    f = tmp_path / "deep.bool"
+    f.write_text(text + "\n")
+    code, _, err = run(capsys, "lift", "--formula", str(f), "--rounds", "1")
+    assert code in (0, 2)
+    if code == 2:
+        assert sum(line.startswith("formlift:") for line in err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv", [
     "lift --formula nand.bool --polytope id.ef --rounds 2",
     "verify integral --formula nand.bool --polytope id.ef",

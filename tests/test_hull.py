@@ -175,6 +175,18 @@ def test_lift_hrep_empty_result():
     assert hull.lift_hrep(phi, pt.cube(1).xspace_rows()) is None
 
 
+def test_lift_hrep_hulls_an_or_chain_once(monkeypatch):
+    calls = []
+    real = hull._hull
+    monkeypatch.setattr(hull, "_hull", lambda points, n: calls.append(n) or real(points, n))
+    phi = fm.reduce(fm.parse("x1 | x2 | x3 | x4", 4))
+    Fl = hull.lift_hrep(phi, pt.cube(4).xspace_rows())
+    assert calls == [4]
+    monkeypatch.undo()
+    ones = [p for p in itertools.product((0, 1), repeat=4) if any(p)]
+    assert Fl == hull.facets_of_points(ones)
+
+
 def test_hull_limit_enforced():
     with pytest.raises(ValueError):
         hull.facets_of_points([tuple(0 for _ in range(9)), tuple(1 for _ in range(9))])
@@ -220,21 +232,23 @@ def _brute_vertices(rows, n):
 
 @st.composite
 def _boxed_systems(draw):
+    """A FacetList inside the unit box, with up to two equations."""
     n = draw(st.integers(1, 4))
     ints = st.integers(-4, 4)
-    extra = draw(st.lists(st.tuples(st.lists(ints, min_size=n, max_size=n), ints), max_size=4))
+    row = st.tuples(st.lists(ints, min_size=n, max_size=n), ints)
+    extra = draw(st.lists(row, max_size=4))
+    eqs = draw(st.lists(row, max_size=2))
     rows = pt.cube(n).xspace_rows()
     rows += [(tuple(F(v) for v in a), F(rhs)) for a, rhs in extra]
-    return n, rows
+    return hull.FacetList(n, tuple(rows), tuple((tuple(F(v) for v in a), F(rhs)) for a, rhs in eqs))
 
 
 @settings(max_examples=120, deadline=None)
 @given(_boxed_systems())
-def test_vertices_of_hrep_match_brute_force(system):
-    n, rows = system
-    verts, rays = hull.vertices_of_hrep(hull.FacetList(n, tuple(rows)))
+def test_vertices_of_hrep_match_brute_force(Fl):
+    verts, rays = hull.vertices_of_hrep(Fl)
     assert rays == ()
-    assert verts == _brute_vertices(rows, n)
+    assert verts == _brute_vertices(Fl.rows(), Fl.n)
     assert all(isinstance(v, F) for p in verts for v in p)
 
 
@@ -269,7 +283,7 @@ def test_facets_of_points_round_trip_to_extreme_points(pts):
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(_point_sets(), st.data())
 def test_facets_of_points_ignore_points_inside_the_hull(pts, data):
-    # lift_hrep hulls an OR root straight from its arms' vertices, some of
+    # lift_hrep hulls an OR chain straight from its arms' vertices, some of
     # which may lie inside the hull of the others; the FacetList must not
     # depend on such points
     pts = [tuple(F(v) for v in p) for p in pts]

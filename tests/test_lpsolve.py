@@ -121,12 +121,6 @@ def test_emptiness_certificates():
     assert not lp.is_empty(pt.cube(1))
 
 
-def test_feasible_point():
-    assert lp.feasible_point(pt.empty_formulation(2)) is None
-    x = lp.feasible_point(pt.cube(2))
-    assert all(0 <= v <= 1 for v in x)
-
-
 def test_contains_point():
     Q = pt.from_hrep(2, [((1, 1), 1)])
     assert lp.contains_point(Q, (1, 0))

@@ -45,8 +45,6 @@ def test_standard_form_lhs_and_row():
     for p in itertools.product((0, 1), repeat=2):
         direct = 2 * (1 - p[0]) + 3 * p[1]
         assert q.lhs(p) == direct
-        a, rhs = q.as_row()
-        assert sum(ai * pi for ai, pi in zip(a, p)) - rhs == direct - q.delta
 
 
 def test_pitch_and_notch_basic():
@@ -99,19 +97,6 @@ def test_pitch_at_most_notch_random():
                 ms.notch_of(q)
             continue
         assert p <= ms.notch_of(q)
-
-
-def test_std_line_format():
-    q = ms.to_standard_form((-1, 0, 2), 1)
-    line = ms.std_line(q)
-    assert line.startswith("std ")
-    assert "I-" in line and "delta" in line
-
-
-def test_is_valid():
-    S = fm.point_set(2, [(1, 0), (1, 1)])
-    assert ms.is_valid(ms.to_standard_form((1, 0), 1), S)
-    assert not ms.is_valid(ms.to_standard_form((0, 1), 1), S)
 
 
 def test_notch_of_set_values():
