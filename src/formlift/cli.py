@@ -48,17 +48,18 @@ def _load_ef(path: str):
 def _load_polytope(source: str, n: int):
     """The base relaxation: the cube, or a formulation file clamped to the unit box.
 
-    A `yvars 0` file already carries the box rows; a lifted file, which
-    carries no point map, gets them through its projection, so that every
-    union over it keeps its weight in [0, 1].
+    A `yvars 0` file comes back from `from_text` with the box rows; every
+    other file, with `wit` lines or without, gets them through its
+    projection, so that every union over it keeps its weight in [0, 1].
     """
     if source == "cube":
         return pt.cube(n)
     Q = _load_ef(source)
     if Q.n != n:
         raise InputError(f"{source} is over {Q.n} variables, the formula over {n}")
-    if Q.point_map is None:
-        Q = pt.with_xspace_rows(Q, pt.cube(n).xspace_rows())
+    box = pt.cube(n)
+    if not (Q.is_hrep and set(box.rows) <= set(Q.rows)):
+        Q = pt.with_xspace_rows(Q, box.xspace_rows())
     return Q
 
 

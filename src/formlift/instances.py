@@ -225,7 +225,7 @@ def _read_facets(text: str, n: int) -> FacetList:
     raises its ValueError.  Rows whose negation also appears are folded back
     into a single equation; the remaining rows stay inequalities.
     """
-    m, d, sparse, _ = pt._parse_text(text)
+    m, d, sparse, _, _ = pt._parse_text(text)
     if d != 0:
         raise ValueError(f"reference must be an x-space file (yvars 0), got yvars {d}")
     if m != n:

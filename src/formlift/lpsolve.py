@@ -9,19 +9,29 @@ with one positive int denominator per row, so pivots run on ints
 rule, which guarantees termination.  A variable's first sign row c·z_j >= 0
 (c > 0) is presolved into a column bound: it adds no tableau row, and z_j
 gets one column where a free variable gets two; that row's dual or Farkas
-multiplier is read off as the column's reduced cost over c.  Every answer
-carries an exact certificate that is re-verified on all of the rows as given
-before it is returned, by integer cross-multiplication over common
-denominators: an optimal solve checks primal feasibility, dual feasibility
-and strong duality, an infeasible solve checks its Farkas vector.  A failed
-check raises InternalError rather than returning a wrong answer.  Values,
-points and multipliers are handed back as `Fraction`s.
+multiplier is read off as the column's reduced cost over c.
 
-The public entry points work either on a lifted formulation object (duck
-typed: fields n, ydim, rows, proj, empty_marker and point_map, properties
-is_hrep and int_rows, its rows as `_int_rows` converts them, computed once
-and kept) or on plain dense inequality rows in x-space, converted on each
-call.  `contains_point` decides an x-space
+A solve may start at an int point y0 instead of the origin: the tableau is
+set up in z = y - y0, so only the rows that y0 violates get artificials and
+a feasible y0 skips phase one; the multipliers are the same in y and in z.
+`optimize` and `emptiness` on a lifted formulation start at the lifted y of
+its 0/1 witness with the best objective, as the construction or the file's
+`wit` lines propose it.  y0 is never trusted: a wrong one costs pivots, not
+a wrong answer.
+
+Every answer carries an exact certificate that is re-verified on all of the
+rows as given before it is returned, by integer cross-multiplication over
+common denominators: an optimal solve checks primal feasibility, dual
+feasibility and strong duality, an infeasible solve checks its Farkas
+vector.  A failed check raises InternalError rather than returning a wrong
+answer.  Values, points and multipliers are handed back as `Fraction`s.
+
+The public entry points work either on a lifted formulation object or on
+plain dense inequality rows in x-space, converted on each call.  A
+formulation is duck typed: fields n, ydim, rows, proj, empty_marker and
+point_map, and properties is_hrep, int_rows (its rows as `_int_rows`
+converts them) and witnesses (its 0/1 points p with their proposed lifted
+y), each computed once and kept.  `contains_point` decides an x-space
 formulation by evaluating its rows, and proves a 0/1 point inside a lifted
 one by evaluating the rows at the lifted point that `point_map` proposes; no
 certificate is needed beyond that evaluation.
@@ -265,28 +275,50 @@ def _multipliers(cost, cden, m, slack, bound):
     return tuple(u)
 
 
-def _solve(irows, dim, obj):
-    """Minimize obj·z over {z : (a/l)·z >= b/l for each int row (a, b, l)}.
+def _shifted(irows, start):
+    """The rows in z = y - start: (a/l)·y >= b/l becomes (a/l)·z >= (b - a·start)/l."""
+    out = []
+    for a, b, l in irows:
+        for j, c in a.items():
+            v = start[j]
+            if v:
+                b -= c * v
+        out.append((a, b, l))
+    return out
+
+
+def _solve(irows, dim, obj, start=None):
+    """Minimize obj·y over {y : (a/l)·y >= b/l for each int row (a, b, l)}.
 
     irows come from `_int_rows`, obj is one int row (numerators, 0, scale)
-    of the objective.  Returns (status, value, z, dual, farkas), exact and
+    of the objective.  Returns (status, value, y, dual, farkas), exact and
     self-verified.
 
-    The first sign row c·z_j >= 0 (c > 0) of a variable is presolved into
-    the bound z_j >= 0: it gets no tableau row, and z_j keeps only its
-    column 2j.  Every other variable is free, split into columns 2j and
-    2j+1, and every other row is a tableau row with its own slack.  The
-    dual and Farkas multipliers of presolved rows are reduced costs (see
-    `_multipliers`), so both certificates cover the rows as given and are
-    checked against all of them.
+    The tableau is set up in z = y - start, with start an int point (the
+    origin when None).  Rows that start satisfies have b - a·start <= 0 and
+    begin with their slack basic; only the rows it violates get artificials,
+    so a feasible start skips phase one.  start is never trusted: a bad one
+    costs artificials, not a wrong answer.  The shift leaves every dual and
+    Farkas multiplier as it is, so both are checked against the rows as
+    given, at y = start + z.
+
+    The first sign row c·z_j >= 0 (c > 0, right-hand side 0 after the shift,
+    so start_j = 0) of a variable is presolved into the bound z_j >= 0: it
+    gets no tableau row, and z_j keeps only its column 2j.  Every other
+    variable is free, split into columns 2j and 2j+1, and every other row is
+    a tableau row with its own slack.  The dual and Farkas multipliers of
+    presolved rows are reduced costs (see `_multipliers`), so both
+    certificates cover the rows as given and are checked against all of
+    them.
     """
     m = len(irows)
     SLACK = 2 * dim
     ART = SLACK + m
     RHS = ART + m
+    srows = irows if start is None else _shifted(irows, start)
 
     bound = {}  # variable -> (index, numerator, scale) of its presolved sign row
-    for i, (a, b, l) in enumerate(irows):
+    for i, (a, b, l) in enumerate(srows):
         if not b and len(a) == 1:
             (j, c), = a.items()
             if c > 0 and j not in bound:
@@ -299,7 +331,7 @@ def _solve(irows, dim, obj):
     den = []
     basis = []
     art_rows = []
-    for i, (a, b, l) in enumerate(irows):
+    for i, (a, b, l) in enumerate(srows):
         if i in presolved:
             continue
         f = -1 if b <= 0 else 1
@@ -368,18 +400,21 @@ def _solve(irows, dim, obj):
     if status != "optimal":
         return "unbounded", None, None, None, None
 
-    z = [Fraction(0)] * dim
+    y = [Fraction(0)] * dim if start is None else [Fraction(v) for v in start]
     for col, row, d in zip(basis, tab, den):
         v = row.get(RHS)
         if v and col < SLACK:
             j, neg = divmod(col, 2)
             q = Fraction(-v if neg else v, d)
-            z[j] = z[j] + q if z[j] else q
-    z = tuple(z)
+            y[j] = y[j] + q if y[j] else q
+    y = tuple(y)
     value = Fraction(-cost.get(RHS, 0), cden)
+    if start is not None:
+        C, _, k = obj
+        value += Fraction(sum(c * start[j] for j, c in C.items()), k)
     dual = _multipliers(cost, cden, m, SLACK, bound)
-    _check_optimal(irows, obj, value, z, dual)
-    return "optimal", value, z, dual, None
+    _check_optimal(irows, obj, value, y, dual)
+    return "optimal", value, y, dual, None
 
 
 def _check_farkas(irows, farkas):
@@ -469,6 +504,15 @@ def _x(Q, y):
     return y if Q.is_hrep else _project(Q, y)
 
 
+def _start(Q, c):
+    """Where a solve over a lifted Q starts: the y of its witness p with the
+    least c·p (the first such p in `witnesses` order), or None on an x-space
+    formulation and on one without witnesses."""
+    if Q.is_hrep or not Q.witnesses:
+        return None
+    return min(Q.witnesses, key=lambda w: sum(ci for ci, pi in zip(c, w[0]) if pi))[1]
+
+
 def optimize(Q, c, sense: str = "min") -> LpOutcome:
     """Optimize c·x over the projection of a lifted formulation.
 
@@ -493,7 +537,7 @@ def optimize(Q, c, sense: str = "min") -> LpOutcome:
         obj, const = _pairs(c), 0
     else:
         obj, const = _y_objective(Q, c)
-    status, value, y, dual, farkas = _solve(Q.int_rows, Q.ydim, _objective(obj))
+    status, value, y, dual, farkas = _solve(Q.int_rows, Q.ydim, _objective(obj), _start(Q, c))
     if status == "unbounded":
         raise UnboundedError("lifted formulations are bounded; unbounded solve")
     if status == "infeasible":
@@ -512,7 +556,8 @@ def emptiness(Q) -> LpOutcome:
     """
     if Q.empty_marker:
         return LpOutcome("infeasible")
-    status, value, y, dual, farkas = _solve(Q.int_rows, Q.ydim, _objective(()))
+    status, value, y, dual, farkas = _solve(Q.int_rows, Q.ydim, _objective(()),
+                                            _start(Q, (0,) * Q.n))
     if status == "infeasible":
         return LpOutcome("infeasible", farkas=farkas)
     return LpOutcome("optimal", Fraction(0), _x(Q, y), y, dual, None)

@@ -207,8 +207,12 @@ def _cone_vertices(dim, level, valid_rows):
     """Vertices of {c >= 0 : every level-subset sums >= 1, d·c >= 1 for d in rows}.
 
     Every row has 0/1 coefficients and right-hand side 0 or 1, so each goes
-    to the double description as the homogeneous int row (a, -rhs).
+    to the double description as the homogeneous int row (a, -rhs).  At
+    level 1 every c_i >= 1, so each row d·c >= 1 with d != 0 holds and the
+    only vertex is all ones; `_price` passes no zero d.
     """
+    if level == 1 and all(any(d) for d in valid_rows):
+        return [(Fraction(1),) * dim]
     rows = [tuple(int(j == i) for j in range(dim)) + (0,) for i in range(dim)]
     for J in itertools.combinations(range(dim), min(level, dim)):
         rows.append(tuple(int(j in J) for j in range(dim)) + (-1,))

@@ -63,9 +63,10 @@ class ExtendedFormulation:
     offset) per x coordinate.  `empty_marker` flags the canonical empty
     formulation, which carries the single unsatisfiable row 0 >= 1.
     `point_map` maps a 0/1 point to the lifted y its construction assigns
-    (see the module docstring), or is None for formulations read from text
-    or built by hand; it takes no part in equality, hashing or the repr.
-    `is_hrep` and `int_rows` are computed once per formulation and kept.
+    (see the module docstring) or that a file's `wit` lines list, or is None
+    for formulations built by hand or read from text without `wit` lines; it
+    takes no part in equality, hashing or the repr.  `is_hrep`, `int_rows`
+    and `witnesses` are computed once per formulation and kept.
     `int_source`, when given, computes `int_rows` from the int rows of the
     formulations these rows were built from, so that only the new rows are
     converted; like `point_map` it takes no part in equality.
@@ -93,6 +94,13 @@ class ExtendedFormulation:
         if self.int_source is not None:
             return self.int_source()
         return lpsolve._int_rows(self.rows)
+
+    @cached_property
+    def witnesses(self) -> tuple:
+        """(p, y) for each 0/1 point p, in lexicographic order, that the point
+        map lifts to some y; empty without a map or above hull.HULL_LIMIT
+        variables.  A y is a proposal: callers check it before trusting it."""
+        return tuple(_lifted_points(self))
 
     def xspace_rows(self) -> list:
         """Rows as dense x-space constraints; only valid when is_hrep."""
@@ -386,20 +394,25 @@ def _restrict_block(Q, fixings, stats):
     return ef
 
 
+def _lifted_points(ef):
+    """(p, y) for each 0/1 point p that ef's point map lifts, in lexicographic
+    order; nothing without a map or when n exceeds hull.HULL_LIMIT."""
+    point_map = ef.point_map
+    if point_map is None or ef.n > hull.HULL_LIMIT:
+        return
+    for p in itertools.product((0, 1), repeat=ef.n):
+        y = point_map(p)
+        if y is not None:
+            yield p, y
+
+
 def _witnessed(ef) -> bool:
     """True when some 0/1 point's lifted y satisfies every row of ef.
 
-    Such a y proves ef nonempty.  The scan runs only when ef carries a point
-    map and n is at most hull.HULL_LIMIT; finding no witness decides nothing.
+    Such a y proves ef nonempty; finding no witness decides nothing.  The
+    scan stops at the first witness.
     """
-    point_map = ef.point_map
-    if point_map is None or ef.n > hull.HULL_LIMIT:
-        return False
-    for p in itertools.product((0, 1), repeat=ef.n):
-        y = point_map(p)
-        if y is not None and lpsolve._holds(ef.int_rows, y):
-            return True
-    return False
+    return any(lpsolve._holds(ef.int_rows, y) for _, y in _lifted_points(ef))
 
 
 def _decide_empty(ef, site, stats):
@@ -593,11 +606,16 @@ def to_text(Q: ExtendedFormulation) -> str:
     x-space formulations (identity projection) are written with `yvars 0`
     and n coefficients per row; general ones write `yvars d`, d coefficients
     per row, and one `proj i offset c1..cd` line per x variable (i is
-    1-based).  All numbers are exact rationals p or p/q.
+    1-based), then one `wit bits j1 j2 ...` line per entry of `witnesses`:
+    the 0/1 point as n bits and the 0-based indices where its y is 1.  All
+    numbers are exact rationals p or p/q.
     """
     if Q.is_hrep:
         return _write(Q.n, 0, Q.rows, ())
-    return _write(Q.n, Q.ydim, Q.rows, Q.proj)
+    text = _write(Q.n, Q.ydim, Q.rows, Q.proj)
+    wits = ["wit " + "".join(map(str, p)) + "".join(f" {j}" for j, v in enumerate(y) if v)
+            + "\n" for p, y in Q.witnesses]
+    return text + "".join(wits)
 
 
 def _sparse(toks, where, memo) -> tuple:
@@ -625,22 +643,40 @@ def from_text(text: str) -> ExtendedFormulation:
     `yvars 0` input is routed through the `from_hrep` construction, so the
     unit-box rows are present afterwards no matter what the file listed; a
     single all-zero row with positive right side is read back as the empty
-    marker.  Lines may carry `#` comments.
+    marker.  The `wit` lines of a `yvars d` file become its point map; they
+    are kept as read, neither evaluated nor projected.  Lines may carry `#`
+    comments.
     """
-    n, d, rows, proj = _parse_text(text)
+    n, d, rows, proj, wits = _parse_text(text)
     if d == 0:
         if len(rows) == 1 and not rows[0][0] and rows[0][1] > 0:
             return empty_formulation(n)
         return _boxed(n, rows)
-    return ExtendedFormulation(n, d, rows, proj)
+    return ExtendedFormulation(n, d, rows, proj, point_map=_table_map(wits, d) if wits else None)
+
+
+def _table_map(table, d):
+    """Point map of a file's `wit` lines: table maps a 0/1 point to the indices
+    where its y is 1; an unlisted point maps to None."""
+    def point_map(p):
+        ones = table.get(tuple(p))
+        if ones is None:
+            return None
+        y = [0] * d
+        for j in ones:
+            y[j] = 1
+        return tuple(y)
+
+    return point_map
 
 
 def _parse_text(text: str) -> tuple:
-    """The fields of a `to_text` file exactly as listed: (n, d, rows, proj).
+    """The fields of a `to_text` file exactly as listed: (n, d, rows, proj, wits).
 
     Rows are (sparse pairs, rhs) in file order and proj is ordered by x
-    index (empty when d is 0); nothing is added or dropped.  Malformed
-    input raises ValueError.
+    index (empty when d is 0); wits maps each `wit` line's 0/1 point to its
+    tuple of indices.  Nothing is added or dropped.  Malformed input raises
+    ValueError.
     """
     lines = []
     for raw in text.splitlines():
@@ -663,6 +699,7 @@ def _parse_text(text: str) -> tuple:
     memo = {}
     rows = []
     proj = {}
+    wits = {}
     for line in lines[3:]:
         toks = line.split()
         if toks[0] == "ineq":
@@ -680,9 +717,30 @@ def _parse_text(text: str) -> tuple:
                 raise ValueError(f"bad or repeated proj index {i}")
             off = _parse_frac(toks[2], "proj")
             proj[i] = (_sparse(toks[3:], "proj", memo), off)
+        elif toks[0] == "wit":
+            p, ones = _wit(toks, n, d, line)
+            if p in wits:
+                raise ValueError(f"repeated wit point {toks[1]}")
+            wits[p] = ones
         else:
             raise ValueError(f"unknown line: {line!r}")
 
     if d > 0 and sorted(proj) != list(range(1, n + 1)):
         raise ValueError("need exactly one proj line per x variable")
-    return n, d, tuple(rows), tuple(proj[i] for i in sorted(proj))
+    return n, d, tuple(rows), tuple(proj[i] for i in sorted(proj)), wits
+
+
+def _wit(toks, n, d, line) -> tuple:
+    """The 0/1 point and the y indices of one `wit` line."""
+    if d == 0:
+        raise ValueError("wit line in an x-space formulation")
+    bits = toks[1] if len(toks) > 1 else ""
+    if len(bits) != n or not set(bits) <= {"0", "1"}:
+        raise ValueError(f"wit point must be {n} bits 0/1: {line!r}")
+    try:
+        ones = tuple(int(t) for t in toks[2:])
+    except ValueError as exc:
+        raise ValueError(f"bad wit index: {line!r}") from exc
+    if any(not 0 <= j < d for j in ones):
+        raise ValueError(f"wit index outside 0..{d - 1}: {line!r}")
+    return tuple(map(int, bits)), ones

@@ -248,11 +248,23 @@ UNBOUNDED_EF = ("ef\nxvars 2\nyvars 3\nineq 1 0 -1 >= 0\nineq 0 1 0 >= 0\n"
 IDENTITY_EF = "ef\nxvars 2\nyvars 2\nineq 1 0 >= 0\nineq 0 1 >= 0\nproj 1 0 1 0\nproj 2 0 0 1\n"
 
 
+# Files whose only fault is one `wit` line; without it, member finds (0, 0) inside.
+BAD_WIT_EF = {
+    "wit-bits": UNBOUNDED_EF + "wit 001 0\n",
+    "wit-bit": UNBOUNDED_EF + "wit 02 1\n",
+    "wit-index": UNBOUNDED_EF + "wit 00 3\n",
+    "wit-token": UNBOUNDED_EF + "wit 00 1/2\n",
+    "wit-xspace": "ef\nxvars 2\nyvars 0\nineq 1 1 >= 0\nwit 00\n",
+}
+
+
 @pytest.fixture
 def lifted_inputs(tmp_path):
     (tmp_path / "nand.bool").write_text("!(x1 & x2)\n")
     (tmp_path / "unb.ef").write_text(UNBOUNDED_EF)
     (tmp_path / "id.ef").write_text(IDENTITY_EF)
+    for name, text in BAD_WIT_EF.items():
+        (tmp_path / f"{name}.ef").write_text(text)
     return tmp_path
 
 
@@ -262,8 +274,9 @@ def lifted_inputs(tmp_path):
     "closure --mode pitch --level 1 --rounds -1 --formula nand.bool",
     "optimize --ef unb.ef --max --obj=1,0",
     "closure --mode notch --level 1 --formula nand.bool --ef unb.ef",
+    *(f"member --ef {name}.ef --point 0,0" for name in BAD_WIT_EF),
 ], ids=["lift-rounds", "closure-level", "closure-rounds", "optimize-unbounded",
-        "closure-ef-unbounded"])
+        "closure-ef-unbounded", *BAD_WIT_EF])
 def test_bad_input_is_one_line_exit_two(lifted_inputs, capsys, monkeypatch, argv):
     monkeypatch.chdir(lifted_inputs)
     code, out, err = run(capsys, *argv.split())
@@ -300,6 +313,17 @@ def test_lifted_polytope_files_are_clamped_to_the_box(lifted_inputs, capsys, mon
     assert code == 0, err
     if argv.startswith("verify"):
         assert "verdict=pass" in out
+
+
+def test_lifted_file_with_witnesses_is_clamped_once(tmp_path, capsys):
+    # a lift written from the cube carries wit lines; read back as a base it
+    # still gets the box rows through its projection, as before it had any
+    run(capsys, "gen", "bz", "--n", "4", "--out", str(tmp_path))
+    bz, l1 = str(tmp_path / "bz4.bool"), str(tmp_path / "l1.ef")
+    assert run(capsys, "lift", "--formula", bz, "--out", l1)[0] == 0
+    assert "\nwit " in (tmp_path / "l1.ef").read_text()
+    code, _, err = run(capsys, "lift", "--formula", bz, "--polytope", l1, "--rounds", "1")
+    assert code == 0 and "rows=1872 " in err and " base=152 " in err
 
 
 # The closure-chain checks of `verify pitch|notch --rounds 2`, with their

@@ -489,7 +489,95 @@ def _mixed_solves():
 
 
 def test_mixed_solves_are_pinned():
-    # sha256 of the reprs, recorded on the Fraction-row solver: every value,
-    # point, dual and Farkas vector must come out identical, types included
-    got = hashlib.sha256("\n".join(map(repr, _mixed_solves())).encode()).hexdigest()
-    assert got == "a075d4997d817c40f6fc6bf19507a403c4a59aac54b10a76d9a550040b00ae75"
+    # sha256 of the reprs: every value, point, dual and Farkas vector must
+    # come out identical, types included.  The full reprs were recorded when
+    # lifted solves began at a 0/1 witness, which moves optimal points and
+    # duals among equal optima; the statuses, values, Farkas vectors and
+    # membership answers are pinned apart and were recorded on the
+    # Fraction-row solver.
+    out = _mixed_solves()
+    got = hashlib.sha256("\n".join(map(repr, out)).encode()).hexdigest()
+    assert got == "7701034361c39e24f86b6a43611addb69b0e83a2b5b0c7bdcc895d49980c9d12"
+    answers = [repr((o.status, o.value, o.farkas)) if isinstance(o, lp.LpOutcome) else repr(o)
+               for o in out]
+    got = hashlib.sha256("\n".join(answers).encode()).hexdigest()
+    assert got == "ebfac0f4e82565acf0092a05fd3ed1401b78ccc05b3eeb2182a66e12c3389e32"
+
+
+def _lifted_cases():
+    """Lifts of seeded random formulas over the cube, n from 2 to 5, with a
+    seeded objective each."""
+    rng = random.Random(77)
+    for seed in range(24):
+        n = 2 + seed % 4
+        phi = vf.random_reduced_formula(n, rng.randint(3, 7), neg_density=0.4, seed=seed)
+        ef, _ = pt.lift(phi, pt.cube(n))
+        if not ef.empty_marker and not ef.is_hrep:
+            yield ef, tuple(rng.choice(UNLIKE) for _ in range(n))
+
+
+def test_started_solves_agree_with_cold_solves():
+    # the witness start, and a start that violates rows, reach the cold
+    # solve's value, and every answer passes the optimality check on the
+    # unshifted rows
+    for ef, c in _lifted_cases():
+        obj = lp._objective(lp._y_objective(ef, c)[0])
+        start = lp._start(ef, c)
+        assert start is not None and lp._holds(ef.int_rows, start)
+        results = [lp._solve(ef.int_rows, ef.ydim, obj, y0)
+                   for y0 in (None, start, (1,) * ef.ydim)]
+        assert not lp._holds(ef.int_rows, (1,) * ef.ydim)
+        for status, value, y, dual, _ in results:
+            assert status == "optimal" and value == results[0][1]
+            lp._check_optimal(ef.int_rows, obj, value, y, dual)
+
+
+def test_feasible_start_skips_phase_one(monkeypatch):
+    runs = []
+    real = lp._run
+
+    def counting(*args):
+        runs.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lp, "_run", counting)
+    cold = []
+    for ef, c in _lifted_cases():
+        obj = lp._objective(lp._y_objective(ef, c)[0])
+        runs.clear()
+        lp._solve(ef.int_rows, ef.ydim, obj)
+        cold.append(len(runs))
+        runs.clear()
+        lp._solve(ef.int_rows, ef.ydim, obj, lp._start(ef, c))
+        assert len(runs) == 1
+    assert cold.count(2) > len(cold) // 2
+
+
+def test_wrong_witness_lines_cost_time_not_answers():
+    # the wit lines of a bz4 lift get, in turn, a y that violates rows (all
+    # ones) and the y of another point, and a point outside the set gets one
+    # too: optimize still finds each optimum from that start, and member
+    # still answers from the rows
+    ef, _ = pt.lift(inst.gen_bz(4).formula, pt.cube(4))
+    text = pt.to_text(ef)
+    lines = text.splitlines()
+    wit = [i for i, line in enumerate(lines) if line.startswith("wit ")]
+    assert len(wit) == len(ef.witnesses) > 1
+    ones = "".join(f" {j}" for j in range(ef.ydim))
+    for k, (i, j) in enumerate(zip(wit, wit[1:] + wit[:1])):
+        lines[i] = lines[i][:8] + (lines[j][8:] if k % 2 else ones)
+    inside = {p for p, _ in ef.witnesses}
+    outside = next(p for p in itertools.product((0, 1), repeat=4) if p not in inside)
+    lines.append("wit " + "".join(map(str, outside)) + lines[wit[0]][8:])
+    bad = pt.from_text("\n".join(lines) + "\n")
+    clean = pt.from_text(text)
+    violated = 0
+    for p, _ in ef.witnesses:
+        c = tuple(-1 if v else 1 for v in p)  # p is the only minimizer of c·p
+        start = lp._start(bad, c)
+        assert start != lp._start(clean, c)
+        violated += not lp._holds(bad.int_rows, start)
+        assert lp.optimize(bad, c).value == lp.optimize(clean, c).value
+    assert violated == (len(wit) + 1) // 2
+    for p in itertools.product((0, 1), repeat=4):
+        assert lp.contains_point(bad, p) == (p in inside)

@@ -208,6 +208,22 @@ def test_int_cone_vertices_match_fraction_rows(case):
     assert ms._cone_vertices(dim, level, dvecs) == list(verts)
 
 
+def test_level_one_cone_is_its_all_ones_vertex():
+    # at level 1 the cone's only vertex is all ones; the double description
+    # of the same rows must agree for any nonzero 0/1 validity rows
+    rng = random.Random(11)
+    for dim in range(1, 6):
+        for _ in range(10):
+            dvecs = sorted({tuple(rng.randint(0, 1) for _ in range(dim)) for _ in range(4)}
+                           - {(0,) * dim})
+            rows = [tuple(int(j == i) for j in range(dim)) + (0,) for i in range(dim)]
+            rows += [tuple(int(j == i) for j in range(dim)) + (-1,) for i in range(dim)]
+            rows += [d + (-1,) for d in dvecs]
+            points, _rays, _lineality = hull.vertices_of_rows(rows, dim)
+            want = [tuple(F(v, g[dim]) for v in g[:dim]) for g in points]
+            assert ms._cone_vertices(dim, 1, dvecs) == want == [(F(1),) * dim]
+
+
 def _closure_lines():
     """Report lines of both modes at levels 1 and 2 against three relaxations
     of each formula: the cube, round 1 as hull facets and round 1 as an

@@ -217,6 +217,7 @@ def test_text_round_trip_lifted():
     back = pt.from_text(pt.to_text(ef))
     assert back.n == ef.n and back.ydim == ef.ydim
     assert back.rows == ef.rows and back.proj == ef.proj
+    assert back.witnesses == ef.witnesses and len(ef.witnesses) == 3
 
 
 def test_text_round_trip_marker():
