@@ -321,7 +321,8 @@ class FacetList:
     def to_text(self) -> str:
         """Serialize in the extended-formulation text format with yvars 0."""
         from .polytope import _write
-        return _write(self.n, 0, [(_pairs(a), rhs) for a, rhs in self.rows()], ())
+        rows = lpsolve._int_rows([(_pairs(a), rhs) for a, rhs in self.rows()])
+        return _write(self.n, 0, rows, ())
 
 
 def _facet_list(n, facets, equations) -> FacetList:

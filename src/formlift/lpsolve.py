@@ -28,10 +28,10 @@ answer.  Values, points and multipliers are handed back as `Fraction`s.
 
 The public entry points work either on a lifted formulation object or on
 plain dense inequality rows in x-space, converted on each call.  A
-formulation is duck typed: fields n, ydim, rows, proj, empty_marker and
-point_map, and properties is_hrep, int_rows (its rows as `_int_rows`
-converts them) and witnesses (its 0/1 points p with their proposed lifted
-y), each computed once and kept.  `contains_point` decides an x-space
+formulation is duck typed: fields n, ydim, rows (int rows in the form
+`_int_rows` gives), proj, empty_marker and point_map, and properties
+is_hrep and witnesses (its 0/1 points p with their proposed lifted y),
+each computed once and kept.  `contains_point` decides an x-space
 formulation by evaluating its rows, and proves a 0/1 point inside a lifted
 one by evaluating the rows at the lifted point that `point_map` proposes; no
 certificate is needed beyond that evaluation.
@@ -88,9 +88,11 @@ class LpOutcome:
 # ---------------------------------------------------------------------------
 # integer rows
 #
-# An int row (a, b, l) stands for the rational row (a/l)·z >= b/l: a is a dict
-# from column to nonzero int numerator, b an int and l the least common
-# denominator of the row's coefficients and right-hand side.
+# An int row (a, b, l) stands for the rational row (a/l)·z >= b/l: a is a
+# tuple of (column, nonzero int numerator) pairs sorted by column, b an int
+# and l the least common denominator of the row's coefficients and
+# right-hand side.  The form is canonical: equal rational rows give equal
+# int rows.
 
 
 def _int_rows(rows) -> tuple:
@@ -108,7 +110,8 @@ def _int_rows(rows) -> tuple:
         if type(rhs) is not int and type(rhs) is not Fraction:
             rhs = _rational(rhs)
         l = lcm(rhs.denominator, *[v.denominator for v in acc.values()])
-        a = {j: v.numerator * (l // v.denominator) for j, v in acc.items() if v.numerator}
+        a = tuple((j, v.numerator * (l // v.denominator)) for j, v in sorted(acc.items())
+                  if v.numerator)
         out.append((a, rhs.numerator * (l // rhs.denominator), l))
     return tuple(out)
 
@@ -136,7 +139,7 @@ def _combination(irows, u):
     for (a, b, l), v in zip(irows, u):
         if v:
             w = v.numerator * (M // (v.denominator * l))
-            for j, c in a.items():
+            for j, c in a:
                 comb[j] = comb.get(j, 0) + w * c
             total += w * b
     return comb, total, M
@@ -150,7 +153,7 @@ def _holds(irows, y) -> bool:
     Y, D = _common(y)
     for a, b, _ in irows:
         lhs = 0
-        for j, c in a.items():
+        for j, c in a:
             v = Y[j]
             if v:
                 lhs += c * v
@@ -279,7 +282,7 @@ def _shifted(irows, start):
     """The rows in z = y - start: (a/l)·y >= b/l becomes (a/l)·z >= (b - a·start)/l."""
     out = []
     for a, b, l in irows:
-        for j, c in a.items():
+        for j, c in a:
             v = start[j]
             if v:
                 b -= c * v
@@ -320,7 +323,7 @@ def _solve(irows, dim, obj, start=None):
     bound = {}  # variable -> (index, numerator, scale) of its presolved sign row
     for i, (a, b, l) in enumerate(srows):
         if not b and len(a) == 1:
-            (j, c), = a.items()
+            (j, c), = a
             if c > 0 and j not in bound:
                 bound[j] = (i, c, l)
     presolved = {i for i, _, _ in bound.values()}
@@ -336,7 +339,7 @@ def _solve(irows, dim, obj, start=None):
             continue
         f = -1 if b <= 0 else 1
         row = {}
-        for j, c in a.items():
+        for j, c in a:
             row[2 * j] = f * c
             if j not in bound:
                 row[2 * j + 1] = -f * c
@@ -372,23 +375,16 @@ def _solve(irows, dim, obj, start=None):
             farkas = _multipliers(cost, cden, m, SLACK, bound)
             _check_farkas(irows, farkas)
             return "infeasible", None, None, None, farkas
-        # Pivot leftover artificials out; rows that go all-zero are redundant.
-        keep = []
+        # Pivot leftover artificials out.  Such a row was never a pivot row,
+        # so its own slack column, which no other row holds, is still in it.
         for r in range(len(tab)):
             if basis[r] >= ART:
-                pc = min((c for c in tab[r] if c < ART), default=None)
-                if pc is None:
-                    continue
+                pc = min(c for c in tab[r] if c < ART)
                 cden = _pivot(tab, den, basis, cost, cden, r, pc)
-            keep.append(r)
-        if len(keep) < len(tab):
-            tab = [tab[r] for r in keep]
-            den = [den[r] for r in keep]
-            basis = [basis[r] for r in keep]
 
     # Phase 2: price out the basic columns of the objective row.
     cost = {}
-    for j, c in obj[0].items():
+    for j, c in obj[0]:
         cost[2 * j] = c
         if j not in bound:
             cost[2 * j + 1] = -c
@@ -411,7 +407,7 @@ def _solve(irows, dim, obj, start=None):
     value = Fraction(-cost.get(RHS, 0), cden)
     if start is not None:
         C, _, k = obj
-        value += Fraction(sum(c * start[j] for j, c in C.items()), k)
+        value += Fraction(sum(c * start[j] for j, c in C), k)
     dual = _multipliers(cost, cden, m, SLACK, bound)
     _check_optimal(irows, obj, value, y, dual)
     return "optimal", value, y, dual, None
@@ -438,6 +434,7 @@ def _check_optimal(irows, obj, value, z, dual):
         raise InternalError("negative dual multiplier")
     Z, D = _common(z)
     C, _, k = obj
+    C = dict(C)
     p, q = value.numerator, value.denominator
     if sum(c * Z[j] for j, c in C.items()) * q != p * k * D:
         raise InternalError("objective value disagrees with the reported point")
@@ -480,7 +477,7 @@ def optimize_rows(rows, dim, c, sense: str = "min") -> LpOutcome:
 
 
 def _y_objective(Q, c):
-    """The objective c·x as pairs over y, and its constant, through the projection."""
+    """The linear form c·x as pairs over y, and its constant, through the projection."""
     obj = {}
     const = Fraction(0)
     for ci, (pairs, off) in zip(c, Q.proj):
@@ -537,7 +534,7 @@ def optimize(Q, c, sense: str = "min") -> LpOutcome:
         obj, const = _pairs(c), 0
     else:
         obj, const = _y_objective(Q, c)
-    status, value, y, dual, farkas = _solve(Q.int_rows, Q.ydim, _objective(obj), _start(Q, c))
+    status, value, y, dual, farkas = _solve(Q.rows, Q.ydim, _objective(obj), _start(Q, c))
     if status == "unbounded":
         raise UnboundedError("lifted formulations are bounded; unbounded solve")
     if status == "infeasible":
@@ -556,7 +553,7 @@ def emptiness(Q) -> LpOutcome:
     """
     if Q.empty_marker:
         return LpOutcome("infeasible")
-    status, value, y, dual, farkas = _solve(Q.int_rows, Q.ydim, _objective(()),
+    status, value, y, dual, farkas = _solve(Q.rows, Q.ydim, _objective(()),
                                             _start(Q, (0,) * Q.n))
     if status == "infeasible":
         return LpOutcome("infeasible", farkas=farkas)
@@ -583,15 +580,15 @@ def contains_point(Q, x) -> bool:
     if Q.empty_marker:
         return False
     if Q.is_hrep:
-        return _holds(Q.int_rows, x)
+        return _holds(Q.rows, x)
     if Q.point_map is not None and all(v == 0 or v == 1 for v in x):
         y = Q.point_map(x)
-        if y is not None and _holds(Q.int_rows, y) and _project(Q, y) == x:
+        if y is not None and _holds(Q.rows, y) and _project(Q, y) == x:
             return True
     fix = []
     for xi, (pairs, off) in zip(x, Q.proj):
         rhs = xi - off
         fix.append((pairs, rhs))
         fix.append((tuple((j, -coef) for j, coef in pairs), -rhs))
-    status, *_ = _solve(Q.int_rows + _int_rows(fix), Q.ydim, _objective(()))
+    status, *_ = _solve(Q.rows + _int_rows(fix), Q.ydim, _objective(()))
     return status == "optimal"

@@ -34,10 +34,11 @@ from fractions import Fraction
 
 from . import formula as fm
 from . import hull, lpsolve
-from .lpsolve import _pairs, _rational
+from .lpsolve import _int_rows, _pairs, _rational
 
 # A linear expression over lifted variables: ((index, coef), ...) sorted by
-# index with nonzero coefficients.  A row (expr, rhs) means expr·y >= rhs.
+# index with nonzero coefficients.  A rational row (expr, rhs) means
+# expr·y >= rhs; an int row (a, b, l) means (a/l)·y >= b/l.
 
 
 def _dense(pairs, dim) -> tuple:
@@ -59,17 +60,18 @@ def _neg(pairs) -> tuple:
 class ExtendedFormulation:
     """Polyhedron {x : exists y, rows(y), x = proj(y)} in exact rationals.
 
-    `rows` are (expr, rhs) inequalities over y; `proj` gives one (expr,
-    offset) per x coordinate.  `empty_marker` flags the canonical empty
-    formulation, which carries the single unsatisfiable row 0 >= 1.
+    `rows` are int rows (a, b, l) over y, each standing for (a/l)·y >= b/l:
+    a holds (column, nonzero int) pairs sorted by column, b is an int and l
+    the least common denominator of the row, so equal rational rows are
+    equal int rows (see `lpsolve._int_rows`); each constructor builds them
+    from its inputs' int rows.  `proj` gives one rational (expr, offset) per
+    x coordinate.  `empty_marker` flags the canonical empty formulation,
+    which carries the single unsatisfiable row 0 >= 1.
     `point_map` maps a 0/1 point to the lifted y its construction assigns
     (see the module docstring) or that a file's `wit` lines list, or is None
     for formulations built by hand or read from text without `wit` lines; it
-    takes no part in equality, hashing or the repr.  `is_hrep`, `int_rows`
-    and `witnesses` are computed once per formulation and kept.
-    `int_source`, when given, computes `int_rows` from the int rows of the
-    formulations these rows were built from, so that only the new rows are
-    converted; like `point_map` it takes no part in equality.
+    takes no part in equality, hashing or the repr.  `is_hrep` and
+    `witnesses` are computed once per formulation and kept.
     """
 
     n: int
@@ -78,7 +80,6 @@ class ExtendedFormulation:
     proj: tuple
     empty_marker: bool = False
     point_map: object = field(default=None, compare=False, repr=False)
-    int_source: object = field(default=None, compare=False, repr=False)
 
     @cached_property
     def is_hrep(self) -> bool:
@@ -89,13 +90,6 @@ class ExtendedFormulation:
                    for i, (pairs, off) in enumerate(self.proj))
 
     @cached_property
-    def int_rows(self) -> tuple:
-        """`rows` as the exact int rows every LP and row evaluation reads."""
-        if self.int_source is not None:
-            return self.int_source()
-        return lpsolve._int_rows(self.rows)
-
-    @cached_property
     def witnesses(self) -> tuple:
         """(p, y) for each 0/1 point p, in lexicographic order, that the point
         map lifts to some y; empty without a map or above hull.HULL_LIMIT
@@ -103,10 +97,11 @@ class ExtendedFormulation:
         return tuple(_lifted_points(self))
 
     def xspace_rows(self) -> list:
-        """Rows as dense x-space constraints; only valid when is_hrep."""
+        """Rows as dense `Fraction` x-space constraints; only valid when is_hrep."""
         if not self.is_hrep:
             raise ValueError("formulation has genuine lifted variables; rows are not in x-space")
-        return [(_dense(pairs, self.n), rhs) for pairs, rhs in self.rows]
+        return [(_dense(((j, Fraction(c, l)) for j, c in a), self.n), Fraction(b, l))
+                for a, b, l in self.rows]
 
 
 def _identity_proj(n) -> tuple:
@@ -115,7 +110,7 @@ def _identity_proj(n) -> tuple:
 
 def empty_formulation(n: int) -> ExtendedFormulation:
     """The canonical empty relaxation: one row 0 >= 1, identity projection."""
-    return ExtendedFormulation(n, n, (((), Fraction(1)),), _identity_proj(n), True)
+    return ExtendedFormulation(n, n, (((), 1, 1),), _identity_proj(n), True)
 
 
 def cube(n: int) -> ExtendedFormulation:
@@ -141,26 +136,14 @@ def from_hrep(n: int, rows) -> ExtendedFormulation:
 
 
 def _boxed(n, rows) -> ExtendedFormulation:
-    """x-space formulation from sparse rows, with the unit-box rows appended."""
-    out = list(rows)
-    one = Fraction(1)
+    """x-space formulation from sparse rational rows, with the unit-box rows appended."""
+    out = list(_int_rows(rows))
     for i in range(n):
-        out.append((((i, one),), Fraction(0)))
-        out.append((((i, -one),), Fraction(-1)))
+        out.append((((i, 1),), 0, 1))
+        out.append((((i, -1),), -1, 1))
     rows = tuple(dict.fromkeys(out))
-    irows = None  # converted on first use, by the point map or an LP
-
-    def int_rows():
-        nonlocal irows
-        if irows is None:
-            irows = lpsolve._int_rows(rows)
-        return irows
-
-    def point_map(p):
-        return tuple(p) if lpsolve._holds(int_rows(), p) else None
-
-    return ExtendedFormulation(n, n, rows, _identity_proj(n), point_map=point_map,
-                               int_source=int_rows)
+    return ExtendedFormulation(n, n, rows, _identity_proj(n),
+                               point_map=lambda p: tuple(p) if lpsolve._holds(rows, p) else None)
 
 
 def _face_map(base, i, value):
@@ -201,6 +184,18 @@ def _union_map(ma, mb, dA, dB):
     return point_map
 
 
+def _cut_map(base, rows):
+    """Point map of appended int rows: the base's y where it satisfies them."""
+    if base is None:
+        return None
+
+    def point_map(p):
+        y = base(p)
+        return y if y is not None and lpsolve._holds(rows, y) else None
+
+    return point_map
+
+
 def face_restrict(Q: ExtendedFormulation, var: int, value) -> ExtendedFormulation:
     """Restrict to the face x_var = value (var is 1-based, value 0 or 1)."""
     if not 1 <= var <= Q.n:
@@ -210,10 +205,9 @@ def face_restrict(Q: ExtendedFormulation, var: int, value) -> ExtendedFormulatio
         return Q
     pairs, off = Q.proj[var - 1]
     rhs = value - off
-    new = ((pairs, rhs), (_neg(pairs), -rhs))
+    new = _int_rows(((pairs, rhs), (_neg(pairs), -rhs)))
     return ExtendedFormulation(Q.n, Q.ydim, Q.rows + new, Q.proj,
-                               point_map=_face_map(Q.point_map, var - 1, value),
-                               int_source=lambda: Q.int_rows + lpsolve._int_rows(new))
+                               point_map=_face_map(Q.point_map, var - 1, value))
 
 
 def intersect(A: ExtendedFormulation, B: ExtendedFormulation) -> ExtendedFormulation:
@@ -231,15 +225,9 @@ def intersect(A: ExtendedFormulation, B: ExtendedFormulation) -> ExtendedFormula
         rhs = tb - ta
         ties.append((tie, rhs))
         ties.append((_neg(tie), -rhs))
-    rows = A.rows + tuple((_shift(pairs, dA), rhs) for pairs, rhs in B.rows) + tuple(ties)
-
-    def int_rows():
-        shifted = tuple(({j + dA: c for j, c in a.items()}, b, l) for a, b, l in B.int_rows)
-        return A.int_rows + shifted + lpsolve._int_rows(ties)
-
+    rows = A.rows + tuple((_shift(a, dA), b, l) for a, b, l in B.rows) + _int_rows(ties)
     return ExtendedFormulation(A.n, dA + B.ydim, rows, A.proj,
-                               point_map=_meet_map(A.point_map, B.point_map),
-                               int_source=int_rows)
+                               point_map=_meet_map(A.point_map, B.point_map))
 
 
 def balas_union(A: ExtendedFormulation, B: ExtendedFormulation) -> ExtendedFormulation:
@@ -258,13 +246,10 @@ def balas_union(A: ExtendedFormulation, B: ExtendedFormulation) -> ExtendedFormu
         return A
     dA, dB = A.ydim, B.ydim
     lam = dA + dB
-    rows = []
-    for pairs, rhs in A.rows:
-        p = pairs + (((lam, -rhs),) if rhs else ())
-        rows.append((p, Fraction(0)))
-    for pairs, rhs in B.rows:
-        p = _shift(pairs, dA) + (((lam, rhs),) if rhs else ())
-        rows.append((p, rhs))
+    # (a/l)·yA >= b/l becomes (a/l)·yA - (b/l)·lam >= 0, and (a/l)·yB >= b/l
+    # becomes (a/l)·yB + (b/l)·lam >= b/l: the same rationals, so the same l
+    rows = [(a + (((lam, -b),) if b else ()), 0, l) for a, b, l in A.rows]
+    rows += [(_shift(a, dA) + (((lam, b),) if b else ()), b, l) for a, b, l in B.rows]
     proj = []
     for i in range(A.n):
         pa, ta = A.proj[i]
@@ -278,7 +263,10 @@ def balas_union(A: ExtendedFormulation, B: ExtendedFormulation) -> ExtendedFormu
 
 
 def with_xspace_rows(Q: ExtendedFormulation, rows) -> ExtendedFormulation:
-    """Append x-space constraints a·x >= rhs, translated through the projection."""
+    """Append x-space constraints a·x >= rhs, translated through the projection.
+
+    The point map is kept for the points whose lifted y satisfies the new rows.
+    """
     if Q.empty_marker:
         return Q
     extra = []
@@ -286,17 +274,11 @@ def with_xspace_rows(Q: ExtendedFormulation, rows) -> ExtendedFormulation:
         a = tuple(_rational(v) for v in a)
         if len(a) != Q.n:
             raise ValueError(f"row has {len(a)} coefficients, expected {Q.n}")
-        acc = {}
-        off = Fraction(0)
-        for ai, (pairs, t) in zip(a, Q.proj):
-            if ai == 0:
-                continue
-            off += ai * t
-            for j, c in pairs:
-                acc[j] = acc.get(j, Fraction(0)) + ai * c
-        expr = tuple((j, c) for j, c in sorted(acc.items()) if c != 0)
+        expr, off = lpsolve._y_objective(Q, a)
         extra.append((expr, _rational(rhs) - off))
-    return ExtendedFormulation(Q.n, Q.ydim, Q.rows + tuple(extra), Q.proj)
+    extra = _int_rows(extra)
+    return ExtendedFormulation(Q.n, Q.ydim, Q.rows + extra, Q.proj,
+                               point_map=_cut_map(Q.point_map, extra))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +394,7 @@ def _witnessed(ef) -> bool:
     Such a y proves ef nonempty; finding no witness decides nothing.  The
     scan stops at the first witness.
     """
-    return any(lpsolve._holds(ef.int_rows, y) for _, y in _lifted_points(ef))
+    return any(lpsolve._holds(ef.rows, y) for _, y in _lifted_points(ef))
 
 
 def _decide_empty(ef, site, stats):
@@ -570,9 +552,9 @@ def _hull_report(phi, base_rows, out_rows, n):
 # text format
 
 
-def _fmt(v) -> str:
-    """An exact rational as text: `p`, or `p/q` in lowest terms."""
-    return str(v if isinstance(v, Fraction) else Fraction(v))
+def _fmt(v, l=1) -> str:
+    """The exact rational v/l as text: `p`, or `p/q` in lowest terms."""
+    return str(v) if l == 1 and type(v) is int else str(Fraction(v, l))
 
 
 def _parse_frac(tok: str, where: str) -> Fraction:
@@ -582,19 +564,19 @@ def _parse_frac(tok: str, where: str) -> Fraction:
         raise ValueError(f"{where}: bad rational {tok!r}") from exc
 
 
-def _coeffs(pairs, width) -> str:
-    """A sparse expression as `width` dense entries; only nonzeros are formatted."""
+def _coeffs(pairs, width, l=1) -> str:
+    """A sparse expression over l as `width` dense entries; only nonzeros are formatted."""
     out = ["0"] * width
     for j, c in pairs:
-        out[j] = _fmt(c)
+        out[j] = _fmt(c, l)
     return " ".join(out)
 
 
 def _write(n, ydim, rows, proj) -> str:
-    """The text of sparse rows and projection; ydim 0 writes x-space rows."""
+    """The text of int rows and rational projection; ydim 0 writes x-space rows."""
     width = ydim or n
     lines = ["ef", f"xvars {n}", f"yvars {ydim}"]
-    lines.extend("ineq " + _coeffs(pairs, width) + " >= " + _fmt(rhs) for pairs, rhs in rows)
+    lines.extend("ineq " + _coeffs(a, width, l) + " >= " + _fmt(b, l) for a, b, l in rows)
     lines.extend(f"proj {i} {_fmt(off)} " + _coeffs(pairs, width)
                  for i, (pairs, off) in enumerate(proj, start=1))
     return "\n".join(lines) + "\n"
@@ -652,7 +634,8 @@ def from_text(text: str) -> ExtendedFormulation:
         if len(rows) == 1 and not rows[0][0] and rows[0][1] > 0:
             return empty_formulation(n)
         return _boxed(n, rows)
-    return ExtendedFormulation(n, d, rows, proj, point_map=_table_map(wits, d) if wits else None)
+    return ExtendedFormulation(n, d, _int_rows(rows), proj,
+                               point_map=_table_map(wits, d) if wits else None)
 
 
 def _table_map(table, d):

@@ -282,13 +282,13 @@ def _naive_rows(f, base: int, n: int) -> int:
 
 
 def check_size_accounting(phi, Q, instance: str = "adhoc", covering_m=None,
-                          rounds: int = 1, report=None) -> CheckReport:
+                          report=None) -> CheckReport:
     """The built lift respects the constructive row bound.
 
     The bound size(phi)*(rows(Q)+2) + 2n*#AND is asserted; the ratio against
     the plain product size(phi)*rows(Q), the saving against the block-free
     construction, and (when covering_m is given) the ratio against the
-    covering yardstick 2n*(covering_m*n)^rounds are reported without being
+    covering yardstick 2n*(covering_m*n) of one lift are reported without being
     judged; covering_m must be at least 1.
     """
     if covering_m is not None and covering_m < 1:
@@ -304,7 +304,7 @@ def check_size_accounting(phi, Q, instance: str = "adhoc", covering_m=None,
              ("naive_rows", naive), ("saved", naive - report.ef_rows),
              ("blocks", report.blocks)]
     if covering_m is not None:
-        yard = 2 * phi.n * (covering_m * phi.n) ** rounds
+        yard = 2 * phi.n * covering_m * phi.n
         stats.append(("covering_yardstick", yard))
         stats.append(("covering_ratio", str(Fraction(report.ef_rows, yard))))
     if not report.within_bound:

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from formlift import cli
+from formlift import formula as fm
+from formlift import lpsolve as lp
 from formlift import polytope as pt
 
 
@@ -317,13 +319,20 @@ def test_lifted_polytope_files_are_clamped_to_the_box(lifted_inputs, capsys, mon
 
 def test_lifted_file_with_witnesses_is_clamped_once(tmp_path, capsys):
     # a lift written from the cube carries wit lines; read back as a base it
-    # still gets the box rows through its projection, as before it had any
+    # still gets the box rows through its projection, as before it had any.
+    # The clamp keeps the witnesses, so every emptiness site of the next
+    # lift is decided by one, and that lift writes wit lines of its own.
     run(capsys, "gen", "bz", "--n", "4", "--out", str(tmp_path))
-    bz, l1 = str(tmp_path / "bz4.bool"), str(tmp_path / "l1.ef")
+    bz, l1, l2 = (str(tmp_path / name) for name in ("bz4.bool", "l1.ef", "l2.ef"))
     assert run(capsys, "lift", "--formula", bz, "--out", l1)[0] == 0
     assert "\nwit " in (tmp_path / "l1.ef").read_text()
-    code, _, err = run(capsys, "lift", "--formula", bz, "--polytope", l1, "--rounds", "1")
+    code, _, err = run(capsys, "lift", "--formula", bz, "--polytope", l1, "--out", l2)
     assert code == 0 and "rows=1872 " in err and " base=152 " in err
+    assert "\nwit " in (tmp_path / "l2.ef").read_text()
+    Q = cli._load_polytope(l1, 4)
+    assert Q.witnesses and all(lp._holds(Q.rows, y) for _, y in Q.witnesses)
+    _, rep = pt.lift(fm.reduce(fm.parse((tmp_path / "bz4.bool").read_text())), Q)
+    assert rep.witnessed == len(rep.emptiness) == 15
 
 
 # The closure-chain checks of `verify pitch|notch --rounds 2`, with their

@@ -51,7 +51,7 @@ def _holds(rows, p):
 
 
 def _holds_sparse(rows, y):
-    return all(sum((c * y[j] for j, c in pairs), Fraction(0)) >= rhs for pairs, rhs in rows)
+    return all(sum(c * y[j] for j, c in a) >= b for a, b, _ in rows)
 
 
 def _target(phi, Q, p):
@@ -158,15 +158,39 @@ def test_or_root_is_hulled_once_to_the_canonical_facets(inst, data):
         rows = F.rows()
 
 
+def _written_rows(ef):
+    """The rational rows of ef as its text lists them."""
+    return pt._parse_text(pt.to_text(ef))[2]
+
+
+def _disjunctive_rows(A, B):
+    """The rational rows of conv(A ∪ B) over (yA, yB, lam), from the arms' written rows."""
+    lam = A.ydim + B.ydim
+    rows = [(pairs + (((lam, -rhs),) if rhs else ()), 0) for pairs, rhs in _written_rows(A)]
+    rows += [(tuple((j + A.ydim, c) for j, c in pairs) + (((lam, rhs),) if rhs else ()), rhs)
+             for pairs, rhs in _written_rows(B)]
+    return rows
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_instances(max_size=5), st.data())
 def test_built_int_rows_match_a_fresh_conversion(inst, data):
-    # face restrictions and intersections extend their inputs' int rows
-    # instead of converting every row again
+    # every constructor builds its int rows from its inputs' int rows, which
+    # must be the canonical int rows of the rationals the text writes; a
+    # union's rows must be its arms' rows scaled by the weight.  The cut has
+    # denominators 2 and 3, so that some rows have a scale other than 1.
     phi, Q = inst
     A = pt.lift(phi, Q)[0]
     B = pt.lift(data.draw(_formulas(Q.n, data.draw(st.integers(1, 4)))), Q)[0]
     var = data.draw(st.integers(1, Q.n))
+    a = tuple(Fraction(data.draw(st.integers(-2, 2)), 3) for _ in range(Q.n))
+    cut = pt.with_xspace_rows(A, [(a, Fraction(2 * data.draw(st.integers(-3, 2)) + 1, 2))])
+    unions = [(A, B), (cut, B), (B, cut)]
+    built = [pt.balas_union(X, Y) for X, Y in unions]
     for ef in (pt.intersect(A, B), pt.intersect(B, A), pt.face_restrict(A, var, 0),
-               pt.face_restrict(pt.intersect(A, Q), var, 1), A, B):
-        assert ef.int_rows == lp._int_rows(ef.rows)
+               pt.face_restrict(pt.intersect(A, Q), var, 1),
+               pt.with_xspace_rows(built[0], [(a, 1)]), cut, A, B, *built):
+        assert ef.rows == lp._int_rows(_written_rows(ef))
+    for (X, Y), U in zip(unions, built):
+        if not (X.empty_marker or Y.empty_marker):
+            assert U.rows == lp._int_rows(_disjunctive_rows(X, Y))

@@ -352,7 +352,7 @@ def test_presolved_sign_rows_match_vertex_enumeration(system, sense):
     out = lp.optimize_rows(rows, n, c, sense)
     # the sparse rows, repeated columns included, must give the same solve
     proj = tuple((((j, F(1)),), F(0)) for j in range(n))
-    Q = pt.ExtendedFormulation(n, n, sparse, proj)
+    Q = pt.ExtendedFormulation(n, n, lp._int_rows(sparse), proj)
     if out.status == "unbounded":
         with pytest.raises(lp.UnboundedError):
             lp.optimize(Q, c, sense)
@@ -523,13 +523,13 @@ def test_started_solves_agree_with_cold_solves():
     for ef, c in _lifted_cases():
         obj = lp._objective(lp._y_objective(ef, c)[0])
         start = lp._start(ef, c)
-        assert start is not None and lp._holds(ef.int_rows, start)
-        results = [lp._solve(ef.int_rows, ef.ydim, obj, y0)
+        assert start is not None and lp._holds(ef.rows, start)
+        results = [lp._solve(ef.rows, ef.ydim, obj, y0)
                    for y0 in (None, start, (1,) * ef.ydim)]
-        assert not lp._holds(ef.int_rows, (1,) * ef.ydim)
+        assert not lp._holds(ef.rows, (1,) * ef.ydim)
         for status, value, y, dual, _ in results:
             assert status == "optimal" and value == results[0][1]
-            lp._check_optimal(ef.int_rows, obj, value, y, dual)
+            lp._check_optimal(ef.rows, obj, value, y, dual)
 
 
 def test_feasible_start_skips_phase_one(monkeypatch):
@@ -545,10 +545,10 @@ def test_feasible_start_skips_phase_one(monkeypatch):
     for ef, c in _lifted_cases():
         obj = lp._objective(lp._y_objective(ef, c)[0])
         runs.clear()
-        lp._solve(ef.int_rows, ef.ydim, obj)
+        lp._solve(ef.rows, ef.ydim, obj)
         cold.append(len(runs))
         runs.clear()
-        lp._solve(ef.int_rows, ef.ydim, obj, lp._start(ef, c))
+        lp._solve(ef.rows, ef.ydim, obj, lp._start(ef, c))
         assert len(runs) == 1
     assert cold.count(2) > len(cold) // 2
 
@@ -576,7 +576,7 @@ def test_wrong_witness_lines_cost_time_not_answers():
         c = tuple(-1 if v else 1 for v in p)  # p is the only minimizer of c·p
         start = lp._start(bad, c)
         assert start != lp._start(clean, c)
-        violated += not lp._holds(bad.int_rows, start)
+        violated += not lp._holds(bad.rows, start)
         assert lp.optimize(bad, c).value == lp.optimize(clean, c).value
     assert violated == (len(wit) + 1) // 2
     for p in itertools.product((0, 1), repeat=4):

@@ -20,7 +20,9 @@ def test_cube_rows_and_projection():
     Q = pt.cube(3)
     assert Q.is_hrep
     assert len(Q.rows) == 6
-    assert Q.xspace_rows() == list(Q.rows and [(pt._dense(p, 3), r) for p, r in Q.rows])
+    unit = [tuple(F(int(i == j)) for j in range(3)) for i in range(3)]
+    assert Q.xspace_rows() == [row for e in unit
+                               for row in ((e, 0), (tuple(-v for v in e), -1))]
 
 
 def test_from_hrep_appends_box_and_dedupes():
@@ -82,7 +84,7 @@ def test_balas_union_no_multiplier_rows_needed():
 def test_empty_marker_shape():
     E = pt.empty_formulation(2)
     assert E.empty_marker
-    assert E.rows == (((), F(1)),)
+    assert E.rows == (((), 1, 1),)
     assert lp.is_empty(E)
 
 
@@ -91,6 +93,21 @@ def test_with_xspace_rows_cuts_the_set():
     cut = pt.with_xspace_rows(ef, [((1, 0), 1)])  # force x1 = 1 via x1 >= 1
     assert lp.contains_point(cut, (1, 0))
     assert not lp.contains_point(cut, (0, 1))
+    # the point map keeps exactly the witnesses the cut leaves inside
+    assert [p for p, _ in cut.witnesses] == [(1, 0), (1, 1)]
+    assert [w for w in ef.witnesses if w[0][0] == 1] == list(cut.witnesses)
+
+
+def test_balas_union_moves_between_projection_offsets():
+    # arm A is x1 = 1 - y with y in [0, 1/2], so x1 in [1/2, 1]; arm B is the
+    # face x1 = 0.  Their offsets differ, which the weight column must carry.
+    A = pt.from_text("ef\nxvars 1\nyvars 1\nineq 1 >= 0\nineq -1 >= -1/2\nproj 1 1 -1\n")
+    U = pt.balas_union(A, pt.face_restrict(pt.cube(1), 1, 0))
+    assert lp.optimize(U, (1,), "min").value == 0
+    assert lp.optimize(U, (1,), "max").value == 1
+    for x, inside in ((F(-1, 4), False), (0, True), (F(1, 4), True), (F(3, 4), True),
+                      (1, True), (F(5, 4), False)):
+        assert lp.contains_point(U, (x,)) == inside
 
 
 def _brute_set(phi, n):
@@ -200,6 +217,12 @@ def test_iterate_lift_compaction_agrees_with_plain():
             assert lp.optimize(a, c, "min").value == lp.optimize(b, c, "min").value
 
 
+def test_iterate_lift_stops_at_an_empty_hull_round():
+    ef, reps = pt.iterate_lift(fm.parse("x1 & !x1", 2), pt.cube(2), 2, with_reports=True)
+    assert ef.empty_marker
+    assert [r.route for r in reps] == ["hull"] and reps[0].ef_rows == 1
+
+
 def test_iterate_lift_rejects_negative():
     with pytest.raises(ValueError):
         pt.iterate_lift(fm.parse("x1", 1), pt.cube(1), -1)
@@ -268,7 +291,7 @@ def test_from_text_repeated_bad_token_same_error(text, message):
 
 def test_from_text_reads_unlike_spellings_of_one_value():
     Q = pt.from_text("ef\nxvars 1\nyvars 3\nineq 00 -0/4 2/4 >= -0\nproj 1 3/3 1/2 0 +1/2\n")
-    assert Q.rows == ((((2, F(1, 2)),), F(0)),)
+    assert Q.rows == ((((2, 1),), 0, 2),)
     assert Q.proj == ((((0, F(1, 2)), (2, F(1, 2))), F(1)),)
 
 
@@ -292,7 +315,7 @@ def _formulations(draw):
         return pt.from_hrep(n, rows)
     rows = draw(st.lists(st.tuples(_sparse_expr(d), _coef), max_size=8))
     proj = draw(st.lists(st.tuples(_sparse_expr(d), _coef), min_size=n, max_size=n))
-    Q = pt.ExtendedFormulation(n, d, tuple(rows), tuple(proj))
+    Q = pt.ExtendedFormulation(n, d, lp._int_rows(rows), tuple(proj))
     # an identity projection would be written as x-space rows, without box rows
     assume(not Q.is_hrep)
     return Q
