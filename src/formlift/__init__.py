@@ -39,6 +39,7 @@ from .lpsolve import (
     is_empty,
     optimize,
     optimize_rows,
+    proves_valid,
 )
 from .measures import (
     ClosureQuery,

@@ -89,14 +89,13 @@ def _parse_ineq(text: str, n: int):
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad right-hand side {rhs.strip()!r}") from exc
     coeffs = [Fraction(0)] * n
-    for signed in lhs.replace("-", "+-").split("+"):
-        term = signed.strip()
+    # term, sign, term, ...; only the first term, before a leading sign, may be empty
+    parts = re.split(r"([+-])", lhs)
+    parts = parts[1:] if len(parts) > 1 and not parts[0].strip() else ["+"] + parts
+    for sign, term in zip(parts[::2], parts[1::2]):
+        term = term.strip()
         if not term:
-            continue
-        sign = Fraction(1)
-        if term.startswith("-"):
-            sign = Fraction(-1)
-            term = term[1:].strip()
+            raise InputError(f"missing term in {lhs.strip()!r}")
         m = _TERM.match(term)
         if not m:
             raise InputError(f"cannot read term {term!r}")
@@ -107,7 +106,7 @@ def _parse_ineq(text: str, n: int):
         var = int(m.group(2))
         if not 1 <= var <= n:
             raise InputError(f"variable x{var} outside 1..{n}")
-        coeffs[var - 1] += sign * c
+        coeffs[var - 1] += -c if sign == "-" else c
     return tuple(coeffs), bound
 
 
@@ -173,6 +172,8 @@ def _cmd_member(args):
 
 
 def _cmd_measure(args):
+    if args.n < 1:
+        raise InputError(f"--n must be at least 1, not {args.n}")
     coeffs, rhs = _parse_ineq(args.ineq, args.n)
     q = measures.to_standard_form(coeffs, rhs)
     if q is None:

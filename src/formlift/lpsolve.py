@@ -29,12 +29,16 @@ answer.  Values, points and multipliers are handed back as `Fraction`s.
 The public entry points work either on a lifted formulation object or on
 plain dense inequality rows in x-space, converted on each call.  A
 formulation is duck typed: fields n, ydim, rows (int rows in the form
-`_int_rows` gives), proj, empty_marker and point_map, and properties
-is_hrep and witnesses (its 0/1 points p with their proposed lifted y),
-each computed once and kept.  `contains_point` decides an x-space
+`_int_rows` gives), proj, empty_marker, point_map and dual_map, and
+properties is_hrep and witnesses (its 0/1 points p with their proposed
+lifted y), each computed once and kept.  `contains_point` decides an x-space
 formulation by evaluating its rows, and proves a 0/1 point inside a lifted
 one by evaluating the rows at the lifted point that `point_map` proposes; no
-certificate is needed beyond that evaluation.
+certificate is needed beyond that evaluation.  `proves_valid` proves an
+x-space inequality valid from the row multipliers `dual_map` proposes,
+checked by the same combination code (`_implied`) as the solver's own dual
+and Farkas certificates; multipliers that fail decide nothing.
+`contains_point` proves a 0/1 point outside that way, by its no-good cut.
 """
 
 from __future__ import annotations
@@ -119,6 +123,9 @@ def _int_rows(rows) -> tuple:
 def _objective(pairs):
     """The objective pairs·z as one int row (numerators, 0, scale)."""
     return _int_rows(((pairs, 0),))[0]
+
+
+_ZERO = _objective(())  # the objective 0·z
 
 
 def _common(u):
@@ -413,20 +420,37 @@ def _solve(irows, dim, obj, start=None):
     return "optimal", value, y, dual, None
 
 
+def _implied(irows, obj, u):
+    """The bound u·rhs that multipliers u >= 0 prove on obj·y over the rows.
+
+    obj is one int row (numerators, 0, scale).  Returns u·rhs as a Fraction
+    when u >= 0 and u·A = obj exactly, by integer cross-multiplication over
+    u's common denominator M; None otherwise.
+    """
+    if any(v < 0 for v in u):
+        return None
+    comb, total, M = _combination(irows, u)
+    C, _, k = obj
+    C = dict(C)
+    if any(comb.get(j, 0) * k != C.get(j, 0) * M for j in comb.keys() | C.keys()):
+        return None
+    return Fraction(total, M)
+
+
 def _check_farkas(irows, farkas):
     """farkas >= 0, farkas·A = 0 and farkas·rhs > 0 over the rows as given."""
     if any(u < 0 for u in farkas):
         raise InternalError("negative Farkas multiplier")
-    comb, gain, _ = _combination(irows, farkas)
-    if any(comb.values()) or gain <= 0:
+    gain = _implied(irows, _ZERO, farkas)
+    if gain is None or gain <= 0:
         raise InternalError("Farkas certificate does not refute the system")
 
 
 def _check_optimal(irows, obj, value, z, dual):
     """z is feasible, dual >= 0, dual·A = obj and dual·rhs = obj·z = value.
 
-    Each identity is checked on ints over common denominators: z = Z/D,
-    obj = C/k, value = p/q and the dual's combination comb/M.
+    Each identity is checked on ints over common denominators: z = Z/D and
+    obj = C/k, and the dual's combination by `_implied`.
     """
     if not _holds(irows, z):
         raise InternalError("reported optimum violates a constraint")
@@ -434,13 +458,9 @@ def _check_optimal(irows, obj, value, z, dual):
         raise InternalError("negative dual multiplier")
     Z, D = _common(z)
     C, _, k = obj
-    C = dict(C)
-    p, q = value.numerator, value.denominator
-    if sum(c * Z[j] for j, c in C.items()) * q != p * k * D:
+    if sum(c * Z[j] for j, c in C) * value.denominator != value.numerator * k * D:
         raise InternalError("objective value disagrees with the reported point")
-    comb, paid, M = _combination(irows, dual)
-    if (any(comb.get(j, 0) * k != C.get(j, 0) * M for j in comb.keys() | C.keys())
-            or paid * q != p * M):
+    if _implied(irows, obj, dual) != value:
         raise InternalError("dual certificate does not prove optimality")
 
 
@@ -481,18 +501,19 @@ def _y_objective(Q, c):
     obj = {}
     const = Fraction(0)
     for ci, (pairs, off) in zip(c, Q.proj):
-        if ci == 0:
-            continue
-        const += ci * off
-        for j, coef in pairs:
-            obj[j] = obj.get(j, Fraction(0)) + ci * coef
-    return tuple((j, v) for j, v in obj.items() if v != 0), const
+        if ci:
+            if off:
+                const += ci * off
+            for j, coef in pairs:
+                v = ci * coef
+                obj[j] = obj[j] + v if j in obj else v
+    return tuple((j, v) for j, v in obj.items() if v), const
 
 
 def _project(Q, y):
     out = []
     for pairs, off in Q.proj:
-        out.append(sum((coef * y[j] for j, coef in pairs), Fraction(0)) + off)
+        out.append(sum((coef * y[j] for j, coef in pairs if y[j]), Fraction(0)) + off)
     return tuple(out)
 
 
@@ -553,7 +574,7 @@ def emptiness(Q) -> LpOutcome:
     """
     if Q.empty_marker:
         return LpOutcome("infeasible")
-    status, value, y, dual, farkas = _solve(Q.rows, Q.ydim, _objective(()),
+    status, value, y, dual, farkas = _solve(Q.rows, Q.ydim, _ZERO,
                                             _start(Q, (0,) * Q.n))
     if status == "infeasible":
         return LpOutcome("infeasible", farkas=farkas)
@@ -570,9 +591,10 @@ def contains_point(Q, x) -> bool:
 
     An x-space formulation (identity projection) is decided by evaluating
     its rows at x.  A 0/1 point of a lifted formulation with a point map is
-    inside when the proposed y satisfies every row and projects to x.  Every
-    other question, and every "outside" answer on a lifted formulation, is
-    an exact feasibility solve.
+    inside when the proposed y satisfies every row and projects to x; with
+    a dual map, it is outside when `proves_valid` proves its no-good cut
+    sum_{x_i=0} x_i - sum_{x_i=1} x_i >= 1 - |x|, which x violates.  Every
+    other question is an exact feasibility solve.
     """
     x = tuple(_rational(v) for v in x)
     if len(x) != Q.n:
@@ -581,14 +603,36 @@ def contains_point(Q, x) -> bool:
         return False
     if Q.is_hrep:
         return _holds(Q.rows, x)
-    if Q.point_map is not None and all(v == 0 or v == 1 for v in x):
-        y = Q.point_map(x)
-        if y is not None and _holds(Q.rows, y) and _project(Q, y) == x:
-            return True
+    if all(v == 0 or v == 1 for v in x):
+        if Q.point_map is not None:
+            y = Q.point_map(x)
+            if y is not None and _holds(Q.rows, y) and _project(Q, y) == x:
+                return True
+        if proves_valid(Q, tuple(1 - 2 * v for v in x), 1 - sum(x)):
+            return False
     fix = []
     for xi, (pairs, off) in zip(x, Q.proj):
         rhs = xi - off
         fix.append((pairs, rhs))
         fix.append((tuple((j, -coef) for j, coef in pairs), -rhs))
-    status, *_ = _solve(Q.rows + _int_rows(fix), Q.ydim, _objective(()))
+    status, *_ = _solve(Q.rows + _int_rows(fix), Q.ydim, _ZERO)
     return status == "optimal"
+
+
+def proves_valid(Q, a, rhs) -> bool:
+    """True when Q's dual map proves a·x >= rhs on the projection of Q.
+
+    The proposed multipliers are checked exactly against Q's rows; False
+    decides nothing (no map, no multipliers, or multipliers that fail).
+    """
+    if Q.dual_map is None or Q.empty_marker:
+        return False
+    # integral entries as ints, on which the composition runs fastest
+    a = tuple(v.numerator if v.denominator == 1 else v for v in map(_rational, a))
+    rhs = _rational(rhs)
+    u = Q.dual_map(a, rhs)
+    if u is None:
+        return False
+    obj, const = _y_objective(Q, a)
+    bound = _implied(Q.rows, _objective(obj), [u.get(r, 0) for r in range(len(Q.rows))])
+    return bound is not None and bound >= rhs - const

@@ -23,6 +23,20 @@ when p has the fixed value, an intersection concatenates the two arms' ys,
 and a union puts p in arm A with lam = 1 or in arm B with lam = 0 and zeros
 the other arm.  Evaluating the rows at that y certifies membership and
 nonemptiness without an LP; a y that fails the rows decides nothing.
+
+They also carry the dual map of their construction: for an x-space
+inequality a·x >= beta it returns multipliers u >= 0 on the rows, as a dict
+from row index to multiplier (rows not listed weigh 0), with u·A = a·T and
+u·b = beta - a·t exactly, where x = T y + t is the projection; or None.
+Each call returns a new dict, which the composing map may extend.
+Such a u proves the inequality valid (Balas's disjunctive duality).  A box
+combines its sign rows, padded by a box row pair so that u·b is exact, or
+uses a row equal to the inequality; a face x_i = v asks its base for the
+inequality without the term a_i x_i when the face row pays for it, and for
+the inequality itself otherwise; an intersection uses arm A's multipliers,
+or arm B's plus the tie rows; a union adds both arms' multipliers, whose
+exact right sides cancel the lam column.  A u is a proposal, checked on the
+rows by `lpsolve` before it decides anything.
 """
 
 from __future__ import annotations
@@ -69,8 +83,11 @@ class ExtendedFormulation:
     which carries the single unsatisfiable row 0 >= 1.
     `point_map` maps a 0/1 point to the lifted y its construction assigns
     (see the module docstring) or that a file's `wit` lines list, or is None
-    for formulations built by hand or read from text without `wit` lines; it
-    takes no part in equality, hashing or the repr.  `is_hrep` and
+    for formulations built by hand or read from text without `wit` lines.
+    `dual_map` maps an x-space inequality (a, beta) to the row multipliers
+    its construction composes (see the module docstring), or is None for
+    formulations built by hand and lifted ones read from text.  Neither map
+    takes part in equality, hashing or the repr.  `is_hrep` and
     `witnesses` are computed once per formulation and kept.
     """
 
@@ -80,6 +97,7 @@ class ExtendedFormulation:
     proj: tuple
     empty_marker: bool = False
     point_map: object = field(default=None, compare=False, repr=False)
+    dual_map: object = field(default=None, compare=False, repr=False)
 
     @cached_property
     def is_hrep(self) -> bool:
@@ -143,7 +161,32 @@ def _boxed(n, rows) -> ExtendedFormulation:
         out.append((((i, -1),), -1, 1))
     rows = tuple(dict.fromkeys(out))
     return ExtendedFormulation(n, n, rows, _identity_proj(n),
-                               point_map=lambda p: tuple(p) if lpsolve._holds(rows, p) else None)
+                               point_map=lambda p: tuple(p) if lpsolve._holds(rows, p) else None,
+                               dual_map=lambda a, beta: _box_dual(rows, a, beta))
+
+
+def _box_dual(rows, a, beta):
+    """Multipliers proving a·x >= beta on boxed x-space rows, or None.
+
+    When the box alone implies it (the sum of the negative a_i is at least
+    beta), a_i goes on x_i >= 0 for a_i > 0 and -a_i on -x_i >= -1 for
+    a_i < 0; the slack e goes on both box rows of x_1, which add 0 >= -e,
+    so that u·b is exactly beta.  Otherwise a row equal to the inequality
+    gets multiplier 1.
+    """
+    low = sum(v for v in a if v < 0)
+    if low >= beta:
+        u = {}
+        for i, v in enumerate(a):
+            if v:
+                u[rows.index((((i, 1),), 0, 1) if v > 0 else (((i, -1),), -1, 1))] = abs(v)
+        if low > beta:
+            for row in ((((0, 1),), 0, 1), (((0, -1),), -1, 1)):
+                k = rows.index(row)
+                u[k] = u.get(k, 0) + low - beta
+        return u
+    row = _int_rows(((_pairs(a), beta),))[0]
+    return {rows.index(row): 1} if row in rows else None
 
 
 def _face_map(base, i, value):
@@ -184,6 +227,73 @@ def _union_map(ma, mb, dA, dB):
     return point_map
 
 
+def _face_dual(base, i, value, m):
+    """Dual map of a face restriction x_(i+1) = value whose rows sit at m, m+1.
+
+    When the face pays for the term a_i x_i (a_i·value > min(a_i, 0)), the
+    base is asked for the inequality without it and |a_i| goes on row m
+    (a_i > 0) or m+1; the base is asked for the inequality itself only when
+    that fails, so each face makes one base call on the common path.
+    """
+    if base is None:
+        return None
+    if value.denominator == 1:  # int arithmetic on the common path
+        value = value.numerator
+
+    def dual_map(a, beta):
+        ai = a[i]
+        if ai * value > min(ai, 0):
+            u = base(a[:i] + (0,) + a[i + 1:], beta - ai * value)
+            if u is not None:
+                u[m if ai > 0 else m + 1] = abs(ai)
+                return u
+        return base(a, beta)
+
+    return dual_map
+
+
+def _meet_dual(da, db, mA, ties):
+    """Dual map of an intersection: arm A's multipliers, else arm B's, shifted
+    past A's mA rows, plus |a_i| on tie row 2i (a_i > 0) or 2i+1 from `ties`."""
+    if da is None or db is None:
+        return None
+
+    def dual_map(a, beta):
+        u = da(a, beta)
+        if u is not None:
+            return u
+        u = db(a, beta)
+        if u is None:
+            return None
+        out = {k + mA: v for k, v in u.items()}
+        for i, ai in enumerate(a):
+            if ai:
+                out[ties + 2 * i + (ai < 0)] = abs(ai)
+        return out
+
+    return dual_map
+
+
+def _union_dual(da, db, mA):
+    """Dual map of a disjunctive union: both arms' multipliers, B's shifted
+    past A's mA rows.  Both are exact, so the lam column cancels."""
+    if da is None or db is None:
+        return None
+
+    def dual_map(a, beta):
+        u = da(a, beta)
+        if u is None:
+            return None
+        w = db(a, beta)
+        if w is None:
+            return None
+        for k, v in w.items():
+            u[k + mA] = v
+        return u
+
+    return dual_map
+
+
 def _cut_map(base, rows):
     """Point map of appended int rows: the base's y where it satisfies them."""
     if base is None:
@@ -207,7 +317,8 @@ def face_restrict(Q: ExtendedFormulation, var: int, value) -> ExtendedFormulatio
     rhs = value - off
     new = _int_rows(((pairs, rhs), (_neg(pairs), -rhs)))
     return ExtendedFormulation(Q.n, Q.ydim, Q.rows + new, Q.proj,
-                               point_map=_face_map(Q.point_map, var - 1, value))
+                               point_map=_face_map(Q.point_map, var - 1, value),
+                               dual_map=_face_dual(Q.dual_map, var - 1, value, len(Q.rows)))
 
 
 def intersect(A: ExtendedFormulation, B: ExtendedFormulation) -> ExtendedFormulation:
@@ -227,7 +338,9 @@ def intersect(A: ExtendedFormulation, B: ExtendedFormulation) -> ExtendedFormula
         ties.append((_neg(tie), -rhs))
     rows = A.rows + tuple((_shift(a, dA), b, l) for a, b, l in B.rows) + _int_rows(ties)
     return ExtendedFormulation(A.n, dA + B.ydim, rows, A.proj,
-                               point_map=_meet_map(A.point_map, B.point_map))
+                               point_map=_meet_map(A.point_map, B.point_map),
+                               dual_map=_meet_dual(A.dual_map, B.dual_map, len(A.rows),
+                                                   len(A.rows) + len(B.rows)))
 
 
 def balas_union(A: ExtendedFormulation, B: ExtendedFormulation) -> ExtendedFormulation:
@@ -259,13 +372,15 @@ def balas_union(A: ExtendedFormulation, B: ExtendedFormulation) -> ExtendedFormu
             p = p + ((lam, ta - tb),)
         proj.append((p, tb))
     return ExtendedFormulation(A.n, dA + dB + 1, tuple(rows), tuple(proj),
-                               point_map=_union_map(A.point_map, B.point_map, dA, dB))
+                               point_map=_union_map(A.point_map, B.point_map, dA, dB),
+                               dual_map=_union_dual(A.dual_map, B.dual_map, len(A.rows)))
 
 
 def with_xspace_rows(Q: ExtendedFormulation, rows) -> ExtendedFormulation:
     """Append x-space constraints a·x >= rhs, translated through the projection.
 
-    The point map is kept for the points whose lifted y satisfies the new rows.
+    The point map is kept for the points whose lifted y satisfies the new
+    rows; the dual map is kept as it is, since Q's rows come first.
     """
     if Q.empty_marker:
         return Q
@@ -278,7 +393,7 @@ def with_xspace_rows(Q: ExtendedFormulation, rows) -> ExtendedFormulation:
         extra.append((expr, _rational(rhs) - off))
     extra = _int_rows(extra)
     return ExtendedFormulation(Q.n, Q.ydim, Q.rows + extra, Q.proj,
-                               point_map=_cut_map(Q.point_map, extra))
+                               point_map=_cut_map(Q.point_map, extra), dual_map=Q.dual_map)
 
 
 # ---------------------------------------------------------------------------

@@ -88,9 +88,11 @@ def _prepare(phi, limit, what):
 def check_sandwich(phi, Q, instance: str = "adhoc", lifted=None) -> CheckReport:
     """The lift contains every satisfying 0/1 point of Q and stays inside Q.
 
-    Containment in Q is proved row by row when Q lives in x-space, otherwise
-    probed by SANDWICH_DIRECTIONS support comparisons in random directions
-    drawn from SANDWICH_SEED.
+    Containment in Q is proved row by row when Q lives in x-space, by the
+    lift's composed multipliers where they verify and otherwise by an LP
+    whose minimizer also gives the violating point of a fail; when Q is
+    lifted it is probed by SANDWICH_DIRECTIONS support comparisons in random
+    directions drawn from SANDWICH_SEED.
     """
     t0 = time.perf_counter()
     phi = _prepare(phi, fm.ENUM_LIMIT, "check_sandwich")
@@ -117,6 +119,8 @@ def check_sandwich(phi, Q, instance: str = "adhoc", lifted=None) -> CheckReport:
         if Q.is_hrep:
             for a, rhs in Q.xspace_rows():
                 rows_checked += 1
+                if lpsolve.proves_valid(lifted, a, rhs):
+                    continue
                 out = lpsolve.optimize(lifted, a, "min")
                 if out.value < rhs:
                     got = sum(ai * xi for ai, xi in zip(a, out.x))

@@ -1,3 +1,4 @@
+import shlex
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,14 @@ def test_measure_with_coefficients(capsys):
     code, out, _ = run(capsys, "measure", "--ineq", "2*x1 - x2 >= 1", "--n", "2")
     assert code == 0
     assert out.strip() == "pitch=2 notch=2"
+
+
+def test_measure_reads_leading_signs(capsys):
+    code, out, _ = run(capsys, "measure", "--ineq", "-x1 + x2 >= 0", "--n", "2")
+    assert (code, out) == run(capsys, "measure", "--ineq", "x2 - x1 >= 0", "--n", "2")[:2]
+    assert code == 0
+    code, out, _ = run(capsys, "measure", "--ineq", "+x1 >= 1", "--n", "1")
+    assert code == 0 and out.strip() == "pitch=1 notch=1"
 
 
 def test_measure_rejects_bad_input(capsys):
@@ -277,11 +286,16 @@ def lifted_inputs(tmp_path):
     "optimize --ef unb.ef --max --obj=1,0",
     "closure --mode notch --level 1 --formula nand.bool --ef unb.ef",
     *(f"member --ef {name}.ef --point 0,0" for name in BAD_WIT_EF),
+    "measure --ineq 'x1 + >= 1' --n 2",
+    "measure --ineq 'x1 ++ x2 >= 1' --n 2",
+    "measure --ineq 'x1 >= 1' --n 0",
+    "measure --ineq 'x1 >= 1' --n -1",
 ], ids=["lift-rounds", "closure-level", "closure-rounds", "optimize-unbounded",
-        "closure-ef-unbounded", *BAD_WIT_EF])
+        "closure-ef-unbounded", *BAD_WIT_EF, "ineq-trailing-sign", "ineq-double-sign",
+        "measure-n-zero", "measure-n-negative"])
 def test_bad_input_is_one_line_exit_two(lifted_inputs, capsys, monkeypatch, argv):
     monkeypatch.chdir(lifted_inputs)
-    code, out, err = run(capsys, *argv.split())
+    code, out, err = run(capsys, *shlex.split(argv))
     assert code == 2 and out == ""
     assert err.startswith("formlift: ") and len(err.splitlines()) == 1
 

@@ -5,10 +5,14 @@ The extended-formulation route (`polytope.lift`) and the hull route
 satisfying points inside the base.  The lift's point map must propose a
 verifying lifted point for exactly those points: a broken map would
 otherwise hide behind the LP fallback of `contains_point`.  Every emptiness
-verdict a witness gives must be the LP's verdict at that site.
+verdict a witness gives must be the LP's verdict at that site.  Likewise
+every multiplier vector the lift's dual map composes must verify exactly,
+and on the cube it must decide every outside point and every cube row.
 """
 
+import dataclasses
 import itertools
+import time
 from fractions import Fraction
 from unittest import mock
 
@@ -194,3 +198,84 @@ def test_built_int_rows_match_a_fresh_conversion(inst, data):
     for (X, Y), U in zip(unions, built):
         if not (X.empty_marker or Y.empty_marker):
             assert U.rows == lp._int_rows(_disjunctive_rows(X, Y))
+
+
+def _nogood(p):
+    """The no-good cut of the 0/1 point p, valid wherever p is not."""
+    return tuple(1 - 2 * v for v in p), 1 - sum(p)
+
+
+def _exact(ef, a, beta, u):
+    """u proves a·x >= beta on ef with u·A = a·T and u·b = beta - a·t exactly."""
+    obj, const = lp._y_objective(ef, a)
+    dense = [u.get(r, 0) for r in range(len(ef.rows))]
+    return lp._implied(ef.rows, lp._objective(obj), dense) == beta - const
+
+
+def _plain(ef):
+    """ef with neither map: every question it gets goes to the LP."""
+    return pt.ExtendedFormulation(ef.n, ef.ydim, ef.rows, ef.proj)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_instances())
+def test_composed_certificates_verify_and_keep_the_lp_verdicts(inst):
+    phi, Q = inst
+    ef, _ = pt.lift(phi, Q)
+    if ef.empty_marker:
+        return
+    # no-good cuts of inside points are not valid, so their maps must say None
+    for a, beta in [_nogood(p) for p in _points(Q.n)] + Q.xspace_rows():
+        u = ef.dual_map(tuple(a), beta)
+        assert u is None or _exact(ef, a, beta, u), (a, beta)
+    plain = _plain(ef)
+    for p in _points(Q.n):
+        assert lp.contains_point(ef, p) == lp.contains_point(plain, p), p
+    if len(Q.rows) == 2 * Q.n:  # the cube: no outside point and no row needs an LP
+        with mock.patch.object(lp, "_solve", side_effect=AssertionError("LP reached")):
+            for p in _points(Q.n):
+                lp.contains_point(ef, p)
+            assert all(lp.proves_valid(ef, a, rhs) for a, rhs in Q.xspace_rows())
+
+
+def test_a_dual_map_is_never_trusted():
+    bz4 = fm.reduce(fm.parse("(x1 | x2) & (x2 | x3) & (x3 | x4) & (x1 | x4)", 4))
+    ef, _ = pt.lift(bz4, pt.cube(4))
+    want = [lp.contains_point(_plain(ef), p) for p in _points(4)]
+    outside = want.count(False)
+    # rows reordered under the old maps: the point map's ys still satisfy the
+    # rows, the dual map's multipliers sit on the wrong rows
+    stale = dataclasses.replace(ef, rows=ef.rows[::-1])
+    liar = dataclasses.replace(ef, point_map=None,
+                               dual_map=lambda a, beta: {0: Fraction(1), 1: Fraction(-1)})
+    box = pt.cube(4).xspace_rows()
+    for bad in (stale, liar):
+        with mock.patch.object(lp, "_solve", wraps=lp._solve) as solve:
+            assert [lp.contains_point(bad, p) for p in _points(4)] == want
+        assert solve.call_count == (outside if bad is stale else 16)
+        assert not any(lp.proves_valid(bad, a, rhs) for a, rhs in box)
+
+
+def test_composition_stays_linear_in_the_formula():
+    # a face that tried both forms of every inequality would make 2^16 box
+    # calls for the block x1 & ... & x16; its faces pass the cut down once
+    n = 19
+    text = "((" + " & ".join(f"x{i}" for i in range(1, 17)) + ") | x17) & (x18 | x19)"
+    phi = fm.reduce(fm.parse(text, n))
+    ef, _ = pt.lift(phi, pt.cube(n))
+    p = (1,) * 17 + (0, 0)
+    assert not phi.evaluate(p)
+    with mock.patch.object(pt, "_box_dual", wraps=pt._box_dual) as box, \
+            mock.patch.object(lp, "_solve", side_effect=AssertionError("LP reached")):
+        assert not lp.contains_point(ef, p)
+    assert box.call_count <= phi.size
+
+    def best(Q):
+        times = []
+        for _ in range(5):
+            t0 = time.perf_counter()
+            assert not lp.contains_point(Q, p)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    assert best(ef) <= 3 * best(_plain(ef))

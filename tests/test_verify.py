@@ -214,3 +214,47 @@ def test_random_reduced_formula_deterministic_and_controlled():
     assert mono.is_monotone()
     with pytest.raises(ValueError):
         vf.random_reduced_formula(0, 1)
+
+
+# The full lines of the negative controls above and of a lifted lift that
+# leaks out of a smaller base.  A fail's certificate comes from the LP's
+# point, whatever the lift's dual map proposes.
+NEGATIVE_CONTROL_LINES = [
+    "check=sandwich instance=broken verdict=fail n=2 points=1 ef_rows=6 size=2 "
+    "certificate: satisfying point (0,1) of the base is cut off by the lift",
+    "check=sandwich instance=leak verdict=fail n=2 points=1 rows=5 ef_rows=4 size=2 "
+    "certificate: base row (1,0)>=1 violated by lift point (0,0) value 0",
+    "check=sandwich instance=diag-leak verdict=fail n=2 points=2 rows=6 ef_rows=4 size=4 "
+    "certificate: direction (3,-1) separates: lift reaches 3 at (1,0), base only 2",
+    "check=integral instance=inflated verdict=fail n=2 points=1 ef_rows=4 "
+    "certificate: point (0,0) is in the lift but does not belong to the target",
+    "check=sandwich instance=lifted-leak verdict=fail n=2 points=2 rows=2 ef_rows=12 size=2 "
+    "certificate: base row (1,0)>=1 violated by lift point (0,1) value 0",
+]
+
+
+def _negative_controls(lie=False):
+    def keep(ef):
+        # a dual map that claims every inequality with a multiplier of -1
+        return dataclasses.replace(ef, dual_map=lambda a, beta: {0: F(-1)}) if lie else ef
+
+    x1_or_x2 = fm.parse("x1 | x2", 2)
+    x1_and_x2 = fm.parse("x1 & x2", 2)
+    diag = fm.reduce(fm.parse("x1 & x2 | !x1 & !x2", 2))
+    cube = pt.cube(2)
+    lifted = pt.lift(fm.reduce(x1_or_x2), cube)[0]
+    return [
+        vf.check_sandwich(x1_or_x2, cube, instance="broken",
+                          lifted=keep(pt.face_restrict(cube, 1, 1))),
+        vf.check_sandwich(x1_and_x2, pt.face_restrict(cube, 1, 1), instance="leak",
+                          lifted=keep(cube)),
+        vf.check_sandwich(diag, pt.lift(diag, cube)[0], instance="diag-leak", lifted=keep(cube)),
+        vf.check_integrality(x1_and_x2, cube, instance="inflated", lifted=keep(cube)),
+        vf.check_sandwich(x1_or_x2, pt.from_hrep(2, [((1, 1), 1), ((1, 0), 1)]),
+                          instance="lifted-leak", lifted=keep(lifted)),
+    ]
+
+
+@pytest.mark.parametrize("lie", [False, True], ids=["own-maps", "lying-map"])
+def test_negative_controls_keep_their_certificates(lie):
+    assert [rep.line() for rep in _negative_controls(lie)] == NEGATIVE_CONTROL_LINES
