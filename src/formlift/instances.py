@@ -223,25 +223,27 @@ def _read_facets(text: str, n: int) -> FacetList:
 
     The text goes through the `.ef` parser of `polytope`, so malformed input
     raises its ValueError.  Rows whose negation also appears are folded back
-    into a single equation; the remaining rows stay inequalities.
+    into a single equation; the remaining rows stay inequalities.  The int
+    rows are canonical, so a negation is found by comparing int rows, and
+    each row becomes rational only for the FacetList.
     """
-    m, d, sparse, _, _ = pt._parse_text(text)
+    m, d, rows, _, _ = pt._parse_text(text)
     if d != 0:
         raise ValueError(f"reference must be an x-space file (yvars 0), got yvars {d}")
     if m != n:
         raise ValueError(f"reference is over {m} variables, expected {n}")
-    rows = [(pt._dense(pairs, n), rhs) for pairs, rhs in sparse]
     used = [False] * len(rows)
     facets, equations = [], []
-    for i, (a, rhs) in enumerate(rows):
+    for i, (a, b, l) in enumerate(rows):
         if used[i]:
             continue
         used[i] = True
-        neg = (tuple(-v for v in a), -rhs)
+        neg = (pt._neg(a), -b, l)
         j = next((k for k in range(i + 1, len(rows)) if not used[k] and rows[k] == neg), None)
+        row = pt._dense_row(rows[i], n)
         if j is None:
-            facets.append((a, rhs))
+            facets.append(row)
         else:
             used[j] = True
-            equations.append((a, rhs))
+            equations.append(row)
     return FacetList(n, tuple(facets), tuple(equations))

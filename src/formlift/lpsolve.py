@@ -34,10 +34,13 @@ properties is_hrep and witnesses (its 0/1 points p with their proposed
 lifted y), each computed once and kept.  `contains_point` decides an x-space
 formulation by evaluating its rows, and proves a 0/1 point inside a lifted
 one by evaluating the rows at the lifted point that `point_map` proposes; no
-certificate is needed beyond that evaluation.  `proves_valid` proves an
-x-space inequality valid from the row multipliers `dual_map` proposes,
-checked by the same combination code (`_implied`) as the solver's own dual
-and Farkas certificates; multipliers that fail decide nothing.
+certificate is needed beyond that evaluation.  A fractional point that is a
+convex combination of witness points is proved inside the same way, at the
+same combination of their lifted ys, after one small LP finds the weights.
+`proves_valid` proves an x-space inequality valid from the row multipliers
+`dual_map` proposes, checked by the same combination code (`_implied`) as
+the solver's own dual and Farkas certificates; multipliers that fail decide
+nothing.
 `contains_point` proves a 0/1 point outside that way, by its no-good cut.
 """
 
@@ -153,11 +156,15 @@ def _combination(irows, u):
 
 
 def _holds(irows, y) -> bool:
-    """Every int row holds at the point y, exactly.
+    """Every int row holds at the point y, exactly."""
+    return _holds_over(irows, *_common(y))
 
-    With y = Y/D over a common denominator, (a/l)·y >= b/l is a·Y >= b·D.
+
+def _holds_over(irows, Y, D) -> bool:
+    """Every int row holds at the point Y/D, for int numerators Y over D > 0.
+
+    (a/l)·(Y/D) >= b/l is a·Y >= b·D.
     """
-    Y, D = _common(y)
     for a, b, _ in irows:
         lhs = 0
         for j, c in a:
@@ -468,6 +475,11 @@ def _check_optimal(irows, obj, value, z, dual):
 # public entry points
 
 
+def _neg(pairs):
+    """The pairs with every value negated."""
+    return tuple((j, -v) for j, v in pairs)
+
+
 def _pairs(c):
     """The nonzero entries of a dense vector as (index, value) pairs."""
     return tuple((j, v) for j, v in enumerate(c) if v)
@@ -510,16 +522,33 @@ def _y_objective(Q, c):
     return tuple((j, v) for j, v in obj.items() if v), const
 
 
-def _project(Q, y):
+def _project(Q, Y, D=1):
+    """The x of the lifted point Y/D, for int numerators Y over D > 0.
+
+    Each coordinate sums int products over the common denominator of its
+    projection coefficients, and becomes one Fraction with its offset.
+    """
     out = []
     for pairs, off in Q.proj:
-        out.append(sum((coef * y[j] for j, coef in pairs if y[j]), Fraction(0)) + off)
+        num, den = 0, 1
+        for j, coef in pairs:
+            v = Y[j]
+            if v:
+                cd = coef.denominator
+                if cd != den:
+                    k = lcm(den, cd)
+                    num *= k // den
+                    den = k
+                num += coef.numerator * (den // cd) * v
+        den *= D
+        out.append(Fraction(num * off.denominator + off.numerator * den,
+                            den * off.denominator))
     return tuple(out)
 
 
 def _x(Q, y):
     """The x of a lifted point y; y itself on an x-space formulation."""
-    return y if Q.is_hrep else _project(Q, y)
+    return y if Q.is_hrep else _project(Q, *_common(y))
 
 
 def _start(Q, c):
@@ -586,6 +615,35 @@ def is_empty(Q) -> bool:
     return emptiness(Q).status == "infeasible"
 
 
+def _combined(Q, x) -> bool:
+    """True when x = Σ λ_p·p over Q's witnesses p proves x inside Q.
+
+    One small exact LP finds λ >= 0 with Σ λ_p·p = x and Σ λ_p = 1; the
+    lifted point y = Σ λ_p·y_p must then satisfy every row of Q and project
+    to x.  Since Q is convex and contains each proved y_p, a convex
+    combination of 0/1 points of the set is proved this way; False decides
+    nothing (x outside the witnesses' hull, or a witness y that fails).
+    """
+    wits = Q.witnesses
+    rows = [(((k, 1),), 0) for k in range(len(wits))]
+    for i, xi in enumerate(x):
+        pairs = tuple((k, 1) for k, (p, _) in enumerate(wits) if p[i])
+        rows += ((pairs, xi), (_neg(pairs), -xi))
+    ones = tuple((k, 1) for k in range(len(wits)))
+    rows += ((ones, 1), (_neg(ones), -1))
+    status, _, lam, _, _ = _solve(_int_rows(rows), len(wits), _ZERO)
+    if status != "optimal":
+        return False
+    L, D = _common(lam)
+    Y = [0] * Q.ydim
+    for w, (_, y) in zip(L, wits):
+        if w:
+            for j, v in enumerate(y):
+                if v:
+                    Y[j] += w * v
+    return _holds_over(Q.rows, Y, D) and _project(Q, Y, D) == x
+
+
 def contains_point(Q, x) -> bool:
     """Exact membership of an x-space point in the projected set.
 
@@ -593,8 +651,12 @@ def contains_point(Q, x) -> bool:
     its rows at x.  A 0/1 point of a lifted formulation with a point map is
     inside when the proposed y satisfies every row and projects to x; with
     a dual map, it is outside when `proves_valid` proves its no-good cut
-    sum_{x_i=0} x_i - sum_{x_i=1} x_i >= 1 - |x|, which x violates.  Every
-    other question is an exact feasibility solve.
+    sum_{x_i=0} x_i - sum_{x_i=1} x_i >= 1 - |x|, which x violates.  Any
+    other point of a formulation with witnesses is inside when it is a
+    convex combination of witness points whose combined lifted y checks
+    (`_combined`): the same exact evaluation, after one LP over as many
+    columns as witnesses.  Every question still open is an exact
+    feasibility solve over Q's rows with x fixed.
     """
     x = tuple(_rational(v) for v in x)
     if len(x) != Q.n:
@@ -606,15 +668,19 @@ def contains_point(Q, x) -> bool:
     if all(v == 0 or v == 1 for v in x):
         if Q.point_map is not None:
             y = Q.point_map(x)
-            if y is not None and _holds(Q.rows, y) and _project(Q, y) == x:
-                return True
+            if y is not None:
+                Y, D = _common(y)
+                if _holds_over(Q.rows, Y, D) and _project(Q, Y, D) == x:
+                    return True
         if proves_valid(Q, tuple(1 - 2 * v for v in x), 1 - sum(x)):
             return False
+    elif Q.witnesses and _combined(Q, x):
+        return True
     fix = []
     for xi, (pairs, off) in zip(x, Q.proj):
         rhs = xi - off
         fix.append((pairs, rhs))
-        fix.append((tuple((j, -coef) for j, coef in pairs), -rhs))
+        fix.append((_neg(pairs), -rhs))
     status, *_ = _solve(Q.rows + _int_rows(fix), Q.ydim, _ZERO)
     return status == "optimal"
 

@@ -45,10 +45,11 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 
 from . import formula as fm
 from . import hull, lpsolve
-from .lpsolve import _int_rows, _pairs, _rational
+from .lpsolve import _int_rows, _neg, _pairs, _rational
 
 # A linear expression over lifted variables: ((index, coef), ...) sorted by
 # index with nonzero coefficients.  A rational row (expr, rhs) means
@@ -62,12 +63,14 @@ def _dense(pairs, dim) -> tuple:
     return tuple(out)
 
 
+def _dense_row(row, dim) -> tuple:
+    """The int row (a, b, l) as a dense `Fraction` row (coefficients, rhs)."""
+    a, b, l = row
+    return _dense(((j, Fraction(c, l)) for j, c in a), dim), Fraction(b, l)
+
+
 def _shift(pairs, by) -> tuple:
     return tuple((j + by, c) for j, c in pairs)
-
-
-def _neg(pairs) -> tuple:
-    return tuple((j, -c) for j, c in pairs)
 
 
 @dataclass(frozen=True)
@@ -118,8 +121,7 @@ class ExtendedFormulation:
         """Rows as dense `Fraction` x-space constraints; only valid when is_hrep."""
         if not self.is_hrep:
             raise ValueError("formulation has genuine lifted variables; rows are not in x-space")
-        return [(_dense(((j, Fraction(c, l)) for j, c in a), self.n), Fraction(b, l))
-                for a, b, l in self.rows]
+        return [_dense_row(row, self.n) for row in self.rows]
 
 
 def _identity_proj(n) -> tuple:
@@ -150,12 +152,12 @@ def from_hrep(n: int, rows) -> ExtendedFormulation:
         if len(a) != n:
             raise ValueError(f"row has {len(a)} coefficients, expected {n}")
         out.append((_pairs(a), _rational(rhs)))
-    return _boxed(n, out)
+    return _boxed(n, _int_rows(out))
 
 
 def _boxed(n, rows) -> ExtendedFormulation:
-    """x-space formulation from sparse rational rows, with the unit-box rows appended."""
-    out = list(_int_rows(rows))
+    """x-space formulation from int rows, with the unit-box rows appended."""
+    out = list(rows)
     for i in range(n):
         out.append((((i, 1),), 0, 1))
         out.append((((i, -1),), -1, 1))
@@ -715,41 +717,51 @@ def to_text(Q: ExtendedFormulation) -> str:
     return text + "".join(wits)
 
 
-def _sparse(toks, where, memo) -> tuple:
-    """Nonzero (index, value) pairs of coefficient tokens.
+def _value(tok, where, memo) -> tuple:
+    """The (numerator, denominator) of a token in lowest terms, parsed once per
+    file: `memo` maps each token already read to its pair."""
+    v = memo.get(tok)
+    if v is None:
+        f = _parse_frac(tok, where)
+        v = memo[tok] = (f.numerator, f.denominator)
+    return v
 
-    `memo` maps each token already read in this file to its value, so each
-    distinct coefficient token is parsed once per file.  The literal `0`, which fills
-    most of a lifted row, is skipped before the lookup.
+
+def _sparse(toks, memo) -> tuple:
+    """Nonzero (index, Fraction) pairs of `proj` coefficient tokens."""
+    pairs = ((j, _value(tok, "proj", memo)) for j, tok in enumerate(toks) if tok != "0")
+    return tuple((j, Fraction(c, d)) for j, (c, d) in pairs if c)
+
+
+def _int_row(toks, rhs, memo) -> tuple:
+    """The int row (a, b, l) of an `ineq` line's coefficient tokens and
+    right-hand side token, the row `lpsolve._int_rows` makes of its rationals.
+
+    The literal `0`, which fills most of a lifted row, is skipped before the
+    lookup; other zero spellings are dropped after it.
     """
-    pairs = []
-    for j, tok in enumerate(toks):
-        if tok == "0":
-            continue
-        v = memo.get(tok)
-        if v is None:
-            v = memo[tok] = _parse_frac(tok, where)
-        if v:
-            pairs.append((j, v))
-    return tuple(pairs)
+    vals = [(j, _value(tok, "ineq", memo)) for j, tok in enumerate(toks) if tok != "0"]
+    b, bd = _value(rhs, "ineq", memo)
+    l = lcm(bd, *[d for _, (_, d) in vals])
+    return tuple((j, c * (l // d)) for j, (c, d) in vals if c), b * (l // bd), l
 
 
 def from_text(text: str) -> ExtendedFormulation:
     """Parse the `to_text` format.
 
-    `yvars 0` input is routed through the `from_hrep` construction, so the
-    unit-box rows are present afterwards no matter what the file listed; a
-    single all-zero row with positive right side is read back as the empty
-    marker.  The `wit` lines of a `yvars d` file become its point map; they
-    are kept as read, neither evaluated nor projected.  Lines may carry `#`
-    comments.
+    Each `ineq` line is read straight into its int row.  `yvars 0` input is
+    routed through the `from_hrep` construction, so the unit-box rows are
+    present afterwards no matter what the file listed; a single all-zero
+    row with positive right side is read back as the empty marker.  The
+    `wit` lines of a `yvars d` file become its point map; they are kept as
+    read, neither evaluated nor projected.  Lines may carry `#` comments.
     """
     n, d, rows, proj, wits = _parse_text(text)
     if d == 0:
         if len(rows) == 1 and not rows[0][0] and rows[0][1] > 0:
             return empty_formulation(n)
         return _boxed(n, rows)
-    return ExtendedFormulation(n, d, _int_rows(rows), proj,
+    return ExtendedFormulation(n, d, rows, proj,
                                point_map=_table_map(wits, d) if wits else None)
 
 
@@ -771,7 +783,7 @@ def _table_map(table, d):
 def _parse_text(text: str) -> tuple:
     """The fields of a `to_text` file exactly as listed: (n, d, rows, proj, wits).
 
-    Rows are (sparse pairs, rhs) in file order and proj is ordered by x
+    Rows are int rows (a, b, l) in file order and proj is ordered by x
     index (empty when d is 0); wits maps each `wit` line's 0/1 point to its
     tuple of indices.  Nothing is added or dropped.  Malformed input raises
     ValueError.
@@ -803,8 +815,7 @@ def _parse_text(text: str) -> tuple:
         if toks[0] == "ineq":
             if len(toks) != width + 3 or toks[-2] != ">=":
                 raise ValueError(f"bad ineq line: {line!r}")
-            pairs = _sparse(toks[1:width + 1], "ineq", memo)
-            rows.append((pairs, _parse_frac(toks[-1], "ineq")))
+            rows.append(_int_row(toks[1:width + 1], toks[-1], memo))
         elif toks[0] == "proj":
             if d == 0:
                 raise ValueError("proj line in an x-space formulation")
@@ -814,7 +825,7 @@ def _parse_text(text: str) -> tuple:
             if not 1 <= i <= n or i in proj:
                 raise ValueError(f"bad or repeated proj index {i}")
             off = _parse_frac(toks[2], "proj")
-            proj[i] = (_sparse(toks[3:], "proj", memo), off)
+            proj[i] = (_sparse(toks[3:], memo), off)
         elif toks[0] == "wit":
             p, ones = _wit(toks, n, d, line)
             if p in wits:

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formlift import hull
+from formlift import instances
 from formlift import formula as fm
 from formlift import lpsolve as lp
 from formlift import polytope as pt
@@ -163,8 +164,16 @@ def test_or_root_is_hulled_once_to_the_canonical_facets(inst, data):
 
 
 def _written_rows(ef):
-    """The rational rows of ef as its text lists them."""
-    return pt._parse_text(pt.to_text(ef))[2]
+    """The rational rows of ef as its text lists them, read with Fraction
+    alone, apart from the parser the formulation files go through."""
+    rows = []
+    for line in pt.to_text(ef).splitlines():
+        if line.startswith("ineq "):
+            *coeffs, ge, rhs = line.split()[1:]
+            assert ge == ">="
+            rows.append((tuple((j, Fraction(c)) for j, c in enumerate(coeffs) if Fraction(c)),
+                         Fraction(rhs)))
+    return rows
 
 
 def _disjunctive_rows(A, B):
@@ -279,3 +288,73 @@ def test_composition_stays_linear_in_the_formula():
         return min(times)
 
     assert best(ef) <= 3 * best(_plain(ef))
+
+
+_QUARTERS = tuple(Fraction(k, 4) for k in range(5))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_instances(), st.data())
+def test_fractional_points_get_the_lp_answer(inst, data):
+    # the witness combination may only prove what the fixing LP proves
+    phi, Q = inst
+    ef, _ = pt.lift(phi, Q)
+    cold = dataclasses.replace(ef, point_map=None)
+    for _ in range(4):
+        x = tuple(data.draw(st.sampled_from(_QUARTERS)) for _ in range(Q.n))
+        assert lp.contains_point(ef, x) == lp.contains_point(cold, x), x
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_instances(), st.data())
+def test_convex_combinations_of_the_set_need_no_lifted_lp(inst, data):
+    phi, Q = inst
+    ef, _ = pt.lift(phi, Q)
+    S = [p for p in _points(Q.n) if _target(phi, Q, p)]
+    if not S:
+        return
+    chosen = data.draw(st.lists(st.sampled_from(S), min_size=1, max_size=4))
+    weights = data.draw(st.lists(st.integers(1, 5), min_size=len(chosen),
+                                 max_size=len(chosen)))
+    x = tuple(Fraction(sum(w * p[i] for w, p in zip(weights, chosen)), sum(weights))
+              for i in range(Q.n))
+    with mock.patch.object(lp, "_solve", wraps=lp._solve) as solve:
+        assert lp.contains_point(ef, x)
+    # at most the LP over the witnesses' weights, one column per witness; an
+    # x-space lift and a 0/1 point are decided by their rows alone
+    assert all(call.args[1] == len(ef.witnesses) for call in solve.call_args_list)
+    assert solve.call_count == (0 if ef.is_hrep or x in S else 1)
+
+
+def test_a_fractional_vertex_is_proved_inside_by_the_lp():
+    # one round over bz4 is not integral: min x1+..+x4 is 4/3 at (1/3, ..),
+    # against 2 over its 0/1 points, so no witness combination reaches it
+    ef, _ = pt.lift(instances.gen_bz(4).formula, pt.cube(4))
+    out = lp.optimize(ef, (1, 1, 1, 1))
+    assert out.value == Fraction(4, 3) < min(sum(p) for p, _ in ef.witnesses)
+    with mock.patch.object(lp, "_solve", wraps=lp._solve) as solve:
+        assert lp.contains_point(ef, out.x)
+    assert [call.args[1] for call in solve.call_args_list] == [len(ef.witnesses), ef.ydim]
+
+
+def test_lying_wit_lines_cost_time_not_membership_answers():
+    # two lying files from a bz4 lift: in one every wit line has the next
+    # line's y, which holds but projects elsewhere; the other adds lines for
+    # two outside points, 0000 with the zero y, which projects to it but
+    # fails rows, and 1000 with the y of 1100
+    text = pt.to_text(pt.lift(instances.gen_bz(4).formula, pt.cube(4))[0])
+    lines = text.splitlines()
+    wit = [i for i, line in enumerate(lines) if line.startswith("wit ")]
+    rotated = list(lines)
+    for i, j in zip(wit, wit[1:] + wit[:1]):
+        rotated[i] = lines[i][:8] + lines[j][8:]
+    added = lines + ["wit 0000", "wit 1000" + next(line[8:] for line in lines
+                                                   if line.startswith("wit 1100"))]
+    points = list(itertools.product((0, Fraction(1, 2), 1), repeat=4))
+    answers, calls = [], []
+    for Q in [pt.from_text(text)] + [pt.from_text("\n".join(b) + "\n") for b in (rotated, added)]:
+        with mock.patch.object(lp, "_solve", wraps=lp._solve) as solve:
+            answers.append([lp.contains_point(Q, x) for x in points])
+        calls.append(solve.call_count)
+    assert answers[0] == answers[1] == answers[2]
+    assert calls[0] < calls[1] and calls[0] < calls[2]

@@ -333,3 +333,68 @@ def test_text_round_trip_property(Q):
         assert back == Q
     else:
         assert (back.n, back.ydim, back.rows, back.proj) == (Q.n, Q.ydim, Q.rows, Q.proj)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.integers(1, 7), st.integers(0, 10**6), st.booleans())
+def test_lift_files_read_back_their_int_rows(n, size, seed, cut):
+    phi = vf.random_reduced_formula(n, size, neg_density=0.4, seed=seed)
+    # a cut over halves and thirds gives rows whose scale is not 1
+    base = pt.from_hrep(n, [([F(1, 2)] + [F(-1, 3)] * (n - 1), F(-1, 6))] if cut else [])
+    Q, _ = pt.lift(phi, base)
+    if Q.is_hrep:  # x-space rows are read back with the box rows appended
+        return
+    back = pt.from_text(pt.to_text(Q))
+    assert back.rows == Q.rows and back.proj == Q.proj
+    assert back.witnesses == Q.witnesses
+
+
+# Tokens the parser must read as Fraction(tok) reads them, zeros included.
+_TOKENS = ("0", "00", "-0", "0/3", "+0", "1", "-1", "2", "1.5", "-0.25", "2/4", "-3/6",
+           "7/6", "+1/2", "12", "-5/3")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.data())
+def test_ineq_lines_read_like_fraction_rows(width, data):
+    lines = data.draw(st.lists(st.lists(st.sampled_from(_TOKENS), min_size=width + 1,
+                                        max_size=width + 1), max_size=6))
+    text = "ef\nxvars 1\nyvars %d\n" % width + "".join(
+        "ineq " + " ".join(toks[:-1]) + " >= " + toks[-1] + "\n" for toks in lines)
+    text += "proj 1 0 " + " ".join(["1"] + ["0"] * (width - 1)) + "\n"
+    rational = [(tuple((j, F(t)) for j, t in enumerate(toks[:-1]) if F(t)), F(toks[-1]))
+                for toks in lines]
+    assert pt._parse_text(text)[2] == lp._int_rows(rational)
+
+
+def test_zero_spellings_are_dropped_and_decimals_read_exactly():
+    Q = pt.from_text("ef\nxvars 1\nyvars 4\nineq 0/3 -0 00 1.5 >= 0/3\n"
+                     "proj 1 -0 00 0/3 -0 1.5\n")
+    assert Q.rows == ((((3, 3),), 0, 2),)
+    assert Q.proj == ((((3, F(3, 2)),), F(0)),)
+    Q = pt.from_text("ef\nxvars 2\nyvars 0\nineq 1.5 0/3 >= 00\n")
+    assert Q.rows[0] == (((0, 3),), 0, 2)
+
+
+BAD_INEQ = {
+    "coefficient": ("ineq 1 x >= 0", "ineq: bad rational 'x'"),
+    "zero-denominator": ("ineq 1 1/0 >= 0", "ineq: bad rational '1/0'"),
+    "right-side": ("ineq 1 1 >= 1/x", "ineq: bad rational '1/x'"),
+    "width": ("ineq 1 1 1 >= 0", "bad ineq line: 'ineq 1 1 1 >= 0'"),
+}
+
+
+@pytest.mark.parametrize("yvars", [0, 2])
+@pytest.mark.parametrize("name", BAD_INEQ)
+def test_bad_ineq_lines_keep_their_messages(tmp_path, capsys, yvars, name):
+    line, message = BAD_INEQ[name]
+    proj = "proj 1 0 1 0\nproj 2 0 0 1\n" if yvars else ""
+    text = f"ef\nxvars 2\nyvars {yvars}\nineq 1 0 >= 0\n{line}\n{proj}"
+    with pytest.raises(ValueError) as info:
+        pt.from_text(text)
+    assert str(info.value) == message
+    path = tmp_path / "bad.ef"
+    path.write_text(text)
+    assert cli.dispatch(["member", "--ef", str(path), "--point", "0,0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"formlift: {path}: {message}\n"
