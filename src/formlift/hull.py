@@ -12,6 +12,8 @@ values handed back to callers.  Inputs are capped at dimension HULL_LIMIT
 because the method is exponential in general.  The x-space lift runs one
 double description per OR chain: an OR node's points are the union of its
 arms' points, nested ORs included, and only the chain's root is hulled.
+The FacetLists that `_hull` yields are canonical, so two are equal exactly
+when their polytopes are; `verify.check_completeness` relies on that.
 """
 
 from __future__ import annotations
@@ -326,7 +328,11 @@ class FacetList:
 
 
 def _facet_list(n, facets, equations) -> FacetList:
-    """The canonical FacetList of the homogeneous rows `_hull` returns."""
+    """The canonical FacetList of the homogeneous rows `_hull` returns.
+
+    Facets are primitive and zero outside the pivot columns of the affine
+    hull, equations have primitive coefficients, and both are sorted.
+    """
     eqs = []
     for h in equations:
         k = gcd(*h[:n])
@@ -445,6 +451,19 @@ def lift_hrep(phi, base):
     rows = [_homogeneous(tuple(_rational(v) for v in a), _rational(rhs)) for a, rhs in base]
     points = _points(phi, rows, n)
     return _facet_list(n, *_hull(points, n)) if points else None
+
+
+def _rounds(phi, rows):
+    """The rounds phi(P), phi(phi(P)), ... of the x-space base P given by `rows`.
+
+    Yields each round's canonical FacetList, each lifted once by `lift_hrep`
+    from the round before, and None from the first empty round on.
+    """
+    while rows is not None:
+        F = lift_hrep(phi, rows)
+        yield F
+        rows = None if F is None else F.rows()
+    yield from itertools.repeat(None)
 
 
 def _points(node, rows, n):

@@ -620,34 +620,26 @@ def iterate_lift(phi: fm.Formula, Q: ExtendedFormulation, k: int,
         raise ValueError(f"dimension mismatch: formula {phi.n}, relaxation {Q.n}")
     reports = []
     n = Q.n
-
-    def _done(ef):
-        return (ef, reports) if with_reports else ef
-
-    if k == 0:
-        return _done(Q)
+    ef = Q
     if k > 1 and Q.is_hrep and not Q.empty_marker and n <= hull.HULL_LIMIT:
         cur = Q.xspace_rows()
-        for _ in range(k - 1):
-            F = hull.lift_hrep(phi, cur)
+        for F in itertools.islice(hull._rounds(phi, cur), k - 1):
             if F is None:
                 ef = empty_formulation(n)
                 reports.append(_hull_report(phi, len(cur), len(ef.rows), n))
-                return _done(ef)
+                break
             new = F.rows()
             reports.append(_hull_report(phi, len(cur), len(new), n))
             cur = new
-        base = from_hrep(n, cur)
-        ef, rep = lift(phi, base)
-        reports.append(rep)
-        return _done(ef)
-    ef = Q
+        else:
+            ef = from_hrep(n, cur)
+        k = 1  # only the final round is an explicit construction
     for _ in range(k):
         if ef.empty_marker:
             break
         ef, rep = lift(phi, ef)
         reports.append(rep)
-    return _done(ef)
+    return (ef, reports) if with_reports else ef
 
 
 def _hull_report(phi, base_rows, out_rows, n):
@@ -821,7 +813,10 @@ def _parse_text(text: str) -> tuple:
                 raise ValueError("proj line in an x-space formulation")
             if len(toks) != d + 3:
                 raise ValueError(f"bad proj line: {line!r}")
-            i = int(toks[1])
+            try:
+                i = int(toks[1])
+            except ValueError as exc:
+                raise ValueError(f"bad proj index {toks[1]!r}") from exc
             if not 1 <= i <= n or i in proj:
                 raise ValueError(f"bad or repeated proj index {i}")
             off = _parse_frac(toks[2], "proj")

@@ -145,20 +145,6 @@ def check_sandwich(phi, Q, instance: str = "adhoc", lifted=None) -> CheckReport:
                    [("points", members), ("rows", rows_checked)] + stats_tail)
 
 
-def _hull_rounds(phi):
-    """Rows of phi^k(cube) for k = 1, 2, ..., computed entirely in x-space.
-
-    Each round is lifted once, from the round before; a round is None when
-    it is empty, and so is every round after it.
-    """
-    cur = pt.cube(phi.n).xspace_rows()
-    while True:
-        if cur is not None:
-            F = hull.lift_hrep(phi, cur)
-            cur = None if F is None else F.rows()
-        yield cur
-
-
 def check_completeness(phi, k_max: int, instance: str = "adhoc",
                        points=None) -> CheckReport:
     """n rounds of lifting reach the integer hull exactly.
@@ -166,45 +152,45 @@ def check_completeness(phi, k_max: int, instance: str = "adhoc",
     Also records the first round at which equality holds, up to k_max; that
     number is informational, only the n-round equality decides the verdict.
     Once a round equals the hull the chain is stationary, so the scan stops
-    there.
+    there.  Round k equals conv(S) exactly when its canonical FacetList
+    equals that of S, so a pass takes no LP: the rows of conv(S) are
+    computed once and checked by exact evaluation at every point of S.  Only
+    a fail builds the last round's formulation, and `hull.equals_hull`
+    writes its certificate.
     """
     t0 = time.perf_counter()
     phi = _prepare(phi, hull.HULL_LIMIT, "check_completeness")
     n = phi.n
     S = points if points is not None else fm.enumerate_set(phi)
+    if S.n != n:
+        raise ValueError(f"point set has dimension {S.n}, formula has {n}")
     params = [("n", n), ("k_max", k_max)]
-    rounds_of = _hull_rounds(phi)
+    rounds_of = hull._rounds(phi, pt.cube(n).xspace_rows())
     if not S.points:
-        out = next(rounds_of)
-        verdict = "pass" if out is None else "fail"
-        cert = None if out is None else "empty target but the lift is nonempty"
-        return _report("complete", instance, params, verdict, cert, t0,
+        cert = None if next(rounds_of) is None else "empty target but the lift is nonempty"
+        return _report("complete", instance, params, "fail" if cert else "pass", cert, t0,
                        [("first_equal", "none"), ("rounds", 1)])
-    first_equal = None
-    chk = None
-    rounds = 0
-    for k in range(1, n + 1):
-        rows = next(rounds_of)
-        rounds = k
-        ef = pt.empty_formulation(n) if rows is None else pt.from_hrep(n, rows)
-        chk = hull.equals_hull(ef, S)
-        if chk:
-            if k <= k_max:
-                first_equal = k
+    target = hull.facets_of_points(S.points)
+    if not all(sum(ai * xi for ai, xi in zip(a, p)) >= rhs
+               for a, rhs in target.rows() for p in S.points):
+        raise lpsolve.InternalError("hull of the target cuts off one of its points")
+    for k, F in zip(range(1, n + 1), rounds_of):
+        if F == target:
+            return _report("complete", instance, params, "pass", None, t0,
+                           [("first_equal", k if k <= k_max else "none"), ("rounds", k)])
+        if F is None:
             break
-        if rows is None:
-            break
+    ef = pt.empty_formulation(n) if F is None else pt.from_hrep(n, F.rows())
+    chk = hull.equals_hull(ef, S.points)
     if chk:
-        return _report("complete", instance, params, "pass", None, t0,
-                       [("first_equal", first_equal if first_equal is not None else "none"),
-                        ("rounds", rounds)])
+        raise lpsolve.InternalError("hull comparison and equals_hull disagree")
     cert = f"reason={chk.reason}"
     if chk.facet is not None:
         cert += f" facet={_row(*chk.facet)}"
     if chk.point is not None:
         cert += f" point={_vec(chk.point)}"
     return _report("complete", instance, params, "fail", cert, t0,
-                   [("first_equal", "none"), ("rounds", rounds)])
+                   [("first_equal", "none"), ("rounds", k)])
 
 
 def check_integrality(phi, Q, instance: str = "adhoc", lifted=None) -> CheckReport:
@@ -231,9 +217,10 @@ def check_integrality(phi, Q, instance: str = "adhoc", lifted=None) -> CheckRepo
                    [("points", tested)] + tail)
 
 
-def _progression(mode, check_name, limit, phi, level_max, instance, relaxations):
+def _progression(mode, phi, level_max, instance, relaxations):
     t0 = time.perf_counter()
-    phi = _prepare(phi, limit, check_name)
+    limit = measures.PITCH_SEARCH_LIMIT if mode == "pitch" else measures.NOTCH_SEARCH_LIMIT
+    phi = _prepare(phi, limit, mode)
     if mode == "pitch" and not phi.is_monotone():
         raise ValueError("pitch progression needs a monotone formula")
     if level_max < 1:
@@ -241,36 +228,34 @@ def _progression(mode, check_name, limit, phi, level_max, instance, relaxations)
     S = fm.enumerate_set(phi)
     params = [("n", phi.n), ("levels", level_max)]
     examined = priced = 0
-    rounds_of = _hull_rounds(phi)
+    rounds_of = hull._rounds(phi, pt.cube(phi.n).xspace_rows())
     for k in range(1, level_max + 1):
         if relaxations is not None:
             R = relaxations[k - 1]
         else:
-            rows = next(rounds_of)
-            R = pt.empty_formulation(phi.n) if rows is None else pt.from_hrep(phi.n, rows)
+            F = next(rounds_of)
+            R = pt.empty_formulation(phi.n) if F is None else pt.from_hrep(phi.n, F.rows())
         rep = measures.verify_closure(measures.ClosureQuery(mode, k, S, R))
         examined += rep.examined
         priced += rep.priced
         if rep.violation is not None:
             cert = f"round {k}: {rep.violation.describe()}"
-            return _report(check_name, instance, params, "fail", cert, t0,
+            return _report(mode, instance, params, "fail", cert, t0,
                            [("examined", examined), ("priced", priced), ("failed_at", k)])
-    return _report(check_name, instance, params, "pass", None, t0,
+    return _report(mode, instance, params, "pass", None, t0,
                    [("examined", examined), ("priced", priced)])
 
 
 def check_pitch_progression(phi, k_max: int, instance: str = "adhoc",
                             relaxations=None) -> CheckReport:
     """Round k of the lift satisfies every valid monotone inequality of pitch <= k."""
-    return _progression("pitch", "pitch", measures.PITCH_SEARCH_LIMIT,
-                        phi, k_max, instance, relaxations)
+    return _progression("pitch", phi, k_max, instance, relaxations)
 
 
 def check_notch_progression(phi, v_max: int, instance: str = "adhoc",
                             relaxations=None) -> CheckReport:
     """Round v of the lift satisfies every valid inequality of notch <= v."""
-    return _progression("notch", "notch", measures.NOTCH_SEARCH_LIMIT,
-                        phi, v_max, instance, relaxations)
+    return _progression("notch", phi, v_max, instance, relaxations)
 
 
 def _naive_rows(f, base: int, n: int) -> int:

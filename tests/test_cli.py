@@ -1,3 +1,4 @@
+import pathlib
 import shlex
 from fractions import Fraction
 
@@ -397,3 +398,33 @@ def test_progression_lifts_each_round_once(tmp_path, capsys, monkeypatch):
                   "--rounds", "2")
         assert got[:2] == (0, PINNED_LINES[mode, name])
         assert len(calls) == 2
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_transcripts():
+    """(argv, shown lines) of every `$ formlift` line in README's console blocks."""
+    steps, inside = [], False
+    for line in README.read_text().splitlines():
+        if line.startswith("```"):
+            inside = line == "```console"
+        elif inside and line.startswith("$ "):
+            assert line.startswith("$ formlift "), line
+            steps.append((shlex.split(line)[2:], []))
+        elif inside:
+            steps[-1][1].append(line)
+    return steps
+
+
+def test_readme_transcripts_reproduce(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "tri.bool").write_text("(x1 | x2) & (x2 | x3) & (x1 | x3)\n")
+    steps = _readme_transcripts()
+    shown = [line for _, lines in steps for line in lines]
+    assert any("route=hull" in line for line in shown)
+    assert any(argv[:2] == ["verify", "complete"] for argv, _ in steps)
+    for argv, lines in steps:
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1), argv
+        assert err.splitlines() + out.splitlines() == lines, argv

@@ -282,6 +282,7 @@ def test_text_round_trip_of_written_lift_files(tmp_path, capsys, family, rounds)
     ("ef\nxvars 1\nyvars 2\nineq 1 1 >= 0\nproj 1 0 1/0 1/0\n", "proj: bad rational '1/0'"),
     ("ef\nxvars 1\nyvars 2\nineq x 1 >= 0\nineq x x >= 0\nproj 1 0 1 0\n",
      "ineq: bad rational 'x'"),
+    ("ef\nxvars 1\nyvars 2\nineq 1 1 >= 0\nproj x 0 1 0\n", "bad proj index 'x'"),
 ])
 def test_from_text_repeated_bad_token_same_error(text, message):
     with pytest.raises(ValueError) as info:

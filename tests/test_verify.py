@@ -1,10 +1,12 @@
 import dataclasses
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from formlift import formula as fm
+from formlift import hull
 from formlift import instances as inst
 from formlift import lpsolve as lp
 from formlift import measures as ms
@@ -84,6 +86,113 @@ def test_completeness_fails_on_wrong_target():
     # target hull (the single point (1,1)) cannot contain
     ef = pt.iterate_lift(fm.reduce(phi), pt.cube(2), 2)
     assert lp.contains_point(ef, (1, 0))
+
+
+def test_completeness_rejects_points_of_another_dimension():
+    with pytest.raises(ValueError, match="dimension 3, formula has 2"):
+        vf.check_completeness(fm.parse("x1 | x2", 2), 2,
+                              points=fm.point_set(3, [(1, 1, 0)]))
+
+
+def _completeness_by_equals_hull(phi, k_max, points=None):
+    """(verdict, first_equal, rounds, certificate) of check_completeness,
+    decided the direct way: hull.equals_hull on every round in turn."""
+    phi = fm.reduce(phi)
+    n = phi.n
+    S = points if points is not None else fm.enumerate_set(phi)
+    F = hull.lift_hrep(phi, pt.cube(n).xspace_rows())
+    if not S.points:
+        if F is None:
+            return "pass", "none", 1, None
+        return "fail", "none", 1, "empty target but the lift is nonempty"
+    for k in range(1, n + 1):
+        if k > 1 and F is not None:
+            F = hull.lift_hrep(phi, F.rows())
+        ef = pt.empty_formulation(n) if F is None else pt.from_hrep(n, F.rows())
+        chk = hull.equals_hull(ef, S)
+        if chk:
+            return "pass", k if k <= k_max else "none", k, None
+        if F is None:
+            break
+    cert = f"reason={chk.reason}"
+    if chk.facet is not None:
+        cert += f" facet={vf._row(*chk.facet)}"
+    if chk.point is not None:
+        cert += f" point={vf._vec(chk.point)}"
+    return "fail", "none", k, cert
+
+
+def _completeness_cases():
+    cube3 = list(itertools.product((0, 1), repeat=3))
+    for mask in range(1, 256):
+        S = fm.point_set(3, [p for i, p in enumerate(cube3) if mask >> i & 1])
+        yield fm.minterm_dnf(S), 1 + mask % 3, None
+        if mask % 2:
+            # a wrong target: S mirrored in x1, whose hull on a parallel face
+            # has the same facet rows and other equations
+            yield fm.minterm_dnf(S), 3, fm.point_set(3, [(1 - p[0],) + p[1:] for p in S])
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(2, 5)
+        phi = vf.random_reduced_formula(n, rng.randint(1, 2 * n + 2),
+                                        neg_density=rng.random() * 0.6, rng=rng)
+        points = None
+        if rng.random() < 0.3:
+            points = fm.point_set(n, [tuple(rng.randint(0, 1) for _ in range(n))
+                                      for _ in range(rng.randint(0, 3))])
+        yield phi, rng.randint(1, n), points
+
+
+def test_completeness_agrees_with_equals_hull_on_every_round():
+    verdicts = set()
+    for phi, k_max, points in _completeness_cases():
+        rep = vf.check_completeness(phi, k_max, points=points)
+        stats = dict(rep.stats)
+        got = rep.verdict, stats["first_equal"], stats["rounds"], rep.certificate
+        assert got == _completeness_by_equals_hull(phi, k_max, points), phi
+        verdicts.add(rep.verdict)
+    assert verdicts == {"pass", "fail"}
+
+
+def _planted_target(monkeypatch, row):
+    """Make hull.facets_of_points return one more facet row."""
+    real = hull.facets_of_points
+
+    def planted(points):
+        out = real(points)
+        return dataclasses.replace(out, facets=out.facets + (row,))
+
+    monkeypatch.setattr(hull, "facets_of_points", planted)
+
+
+def test_completeness_raises_when_comparison_and_equals_hull_disagree(monkeypatch):
+    # x1 >= -1 is valid and redundant: no round lists it, equals_hull accepts it
+    _planted_target(monkeypatch, ((F(1), F(0)), F(-1)))
+    with pytest.raises(lp.InternalError, match="disagree"):
+        vf.check_completeness(fm.parse("x1 | x2", 2), 2)
+
+
+def test_completeness_raises_on_a_target_row_cutting_off_a_point(monkeypatch):
+    # x1 >= 1 cuts off the satisfying point (0,1)
+    _planted_target(monkeypatch, ((F(1), F(0)), F(1)))
+    with pytest.raises(lp.InternalError, match="cuts off"):
+        vf.check_completeness(fm.parse("x1 | x2", 2), 2)
+
+
+def test_passing_completeness_solves_no_lp_and_builds_no_round(monkeypatch):
+    phi = inst.gen_bz(4).formula
+    real = pt.from_hrep
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a passing completeness check must not get here")
+
+    monkeypatch.setattr(lp, "_solve", refuse)
+    monkeypatch.setattr(hull, "equals_hull", refuse)
+    # cube() is from_hrep with no rows; any round would bring its facets
+    monkeypatch.setattr(pt, "from_hrep", lambda n, rows: refuse() if rows else real(n, rows))
+    rep = vf.check_completeness(phi, 4, instance="bz4")
+    assert rep.passed
+    assert ("first_equal", 2) in rep.stats
 
 
 def test_integrality_passes_on_bz4():
