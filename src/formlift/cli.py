@@ -63,20 +63,25 @@ def _load_polytope(source: str, n: int):
     return Q
 
 
+def _fraction(tok: str, what: str) -> Fraction:
+    try:
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad rational {tok!r} in {what}") from exc
+
+
 def _parse_vector(text: str, what: str):
     out = []
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
             raise InputError(f"empty entry in {what}")
-        try:
-            out.append(Fraction(tok))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad rational {tok!r} in {what}") from exc
+        out.append(_fraction(tok, what))
     return tuple(out)
 
 
-_TERM = re.compile(r"^(?:(\d+(?:/\d+)?)\s*\*?\s*)?x(\d+)$")
+# an optional Fraction coefficient (no blank, '*' or 'x'), then a variable
+_TERM = re.compile(r"^(?:([^\s*x]+)\s*\*?\s*)?x(\d+)$")
 
 
 def _parse_ineq(text: str, n: int):
@@ -84,10 +89,7 @@ def _parse_ineq(text: str, n: int):
     if ">=" not in text:
         raise InputError("inequality must use >=")
     lhs, _, rhs = text.partition(">=")
-    try:
-        bound = Fraction(rhs.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad right-hand side {rhs.strip()!r}") from exc
+    bound = _fraction(rhs.strip(), "right-hand side")
     coeffs = [Fraction(0)] * n
     # term, sign, term, ...; only the first term, before a leading sign, may be empty
     parts = re.split(r"([+-])", lhs)
@@ -99,10 +101,7 @@ def _parse_ineq(text: str, n: int):
         m = _TERM.match(term)
         if not m:
             raise InputError(f"cannot read term {term!r}")
-        try:
-            c = Fraction(m.group(1)) if m.group(1) else Fraction(1)
-        except ZeroDivisionError as exc:
-            raise InputError(f"bad coefficient in term {term!r}") from exc
+        c = _fraction(m.group(1), f"term {term!r}") if m.group(1) else Fraction(1)
         var = int(m.group(2))
         if not 1 <= var <= n:
             raise InputError(f"variable x{var} outside 1..{n}")
@@ -408,7 +407,7 @@ def dispatch(argv) -> int:
               "a lifted relaxation of a 0/1 set is bounded", file=sys.stderr)
         return 2
     except RecursionError:
-        print("formlift: formula nests too deeply", file=sys.stderr)
+        print("formlift: formula nests too deeply or has too long a chain", file=sys.stderr)
         return 2
 
 

@@ -1,11 +1,14 @@
 """Boolean formulas over 0/1 variables.
 
-Formulas are immutable trees built from binary AND/OR nodes, literal leaves
-(a 1-based variable index, possibly negated) and constants.  Freshly parsed
-input may contain unary NOT nodes; ``reduce`` pushes every negation onto the
-leaves, after which the tree is "reduced" (negations only inside literals).
-The size of a formula is its number of literal leaves; constants count zero,
-and reduction never changes the size.
+Formulas are immutable trees built from AND/OR nodes, literal leaves (a
+1-based variable index, possibly negated) and constants.  An AND/OR node
+holds a whole '&'/'|' chain, its operands in reading order, and its first
+child is never a node of its own kind; so the tree is as deep as the text
+nests, however long its chains.  Freshly parsed input may contain unary NOT
+nodes; ``reduce`` pushes every negation onto the leaves, after which the
+tree is "reduced" (negations only inside literals).  The size of a formula
+is its number of literal leaves; constants count zero, and reduction never
+changes the size.
 
 Concrete syntax (whitespace-insensitive)::
 
@@ -13,12 +16,15 @@ Concrete syntax (whitespace-insensitive)::
     term   := factor ('&' factor)*
     factor := '!' factor | 'x' INT | '0' | '1' | '(' expr ')'
 
-``parse`` associates '&'/'|' chains to the left.  A '!' applied directly to a
+``parse`` reads each '&'/'|' chain left to right into one node; a
+parenthesised operand of the same kind after the first, as in
+``x1 | (x2 | x3)``, keeps its own node.  A '!' applied directly to a
 variable is folded into a negated literal; any other '!' becomes a NOT node.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import Enum
@@ -79,9 +85,12 @@ class Formula:
             return self.value
         if k is Kind.NOT:
             return not self.children[0]._eval(point)
-        if k is Kind.AND:
-            return self.children[0]._eval(point) and self.children[1]._eval(point)
-        return self.children[0]._eval(point) or self.children[1]._eval(point)
+        # an AND stops at its first false child, an OR at its first true one
+        stop = k is Kind.OR
+        for c in self.children:
+            if c._eval(point) == stop:
+                return stop
+        return not stop
 
     def to_text(self) -> str:
         """Round-trippable concrete syntax; parse(to_text(f), n) == f."""
@@ -104,11 +113,9 @@ def _render(f: Formula, parent_prec: int) -> str:
         return "!" + _render(f.children[0], _PREC[Kind.NOT])
     op = " & " if f.kind is Kind.AND else " | "
     me = _PREC[f.kind]
-    # Parse is left-associative, so a right child at equal precedence keeps
-    # explicit parentheses to preserve the tree shape.
-    left = _render(f.children[0], me - 1)
-    right = _render(f.children[1], me)
-    s = left + op + right
+    # A child at equal precedence is a node of its own (never the first
+    # child), so it keeps explicit parentheses to preserve the tree shape.
+    s = op.join([_render(c, me) for c in f.children])
     if me <= parent_prec:
         s = "(" + s + ")"
     return s
@@ -137,10 +144,17 @@ def lnot(f: Formula) -> Formula:
     return Formula(Kind.NOT, f.n, (f,))
 
 
+def _node(kind: Kind, n: int, children: tuple) -> Formula:
+    """A gate node; an AND/OR takes the chain of a first child of its own kind."""
+    if kind is not Kind.NOT and children[0].kind is kind:
+        children = children[0].children + children[1:]
+    return Formula(kind, n, children)
+
+
 def _binary(kind: Kind, a: Formula, b: Formula) -> Formula:
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
-    return Formula(kind, a.n, (a, b))
+    return _node(kind, a.n, (a, b))
 
 
 def land(a: Formula, b: Formula) -> Formula:
@@ -152,25 +166,15 @@ def lor(a: Formula, b: Formula) -> Formula:
 
 
 def and_all(parts, n: int) -> Formula:
-    """Left-associated AND chain; empty input gives the constant true."""
+    """The AND chain of the parts in order; empty input gives the constant true."""
     parts = list(parts)
-    if not parts:
-        return const(True, n)
-    out = parts[0]
-    for p in parts[1:]:
-        out = land(out, p)
-    return out
+    return functools.reduce(land, parts) if parts else const(True, n)
 
 
 def or_all(parts, n: int) -> Formula:
-    """Left-associated OR chain; empty input gives the constant false."""
+    """The OR chain of the parts in order; empty input gives the constant false."""
     parts = list(parts)
-    if not parts:
-        return const(False, n)
-    out = parts[0]
-    for p in parts[1:]:
-        out = lor(out, p)
-    return out
+    return functools.reduce(lor, parts) if parts else const(False, n)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +279,8 @@ def parse(text: str, n: int | None = None) -> Formula:
     """Parse concrete syntax into a formula over x_1 .. x_n.
 
     With n omitted, the dimension is the largest variable index that occurs
-    (at least 1).  Raises ParseError with a character position on bad input.
+    (at least 1).  Each '&'/'|' chain becomes one node with its operands in
+    reading order.  Raises ParseError with a character position on bad input.
     """
     tokens = _tokenize(text)
     if n is None:
@@ -316,7 +321,7 @@ def _push(f: Formula, neg: bool) -> Formula:
     kind = k
     if neg:
         kind = Kind.OR if k is Kind.AND else Kind.AND
-    return Formula(kind, f.n, tuple(_push(c, neg) for c in f.children))
+    return _node(kind, f.n, tuple(_push(c, neg) for c in f.children))
 
 
 # ---------------------------------------------------------------------------
@@ -460,4 +465,4 @@ def _subst(f: Formula, mapping, n: int) -> Formula:
         return lit(mapping[f.var - 1], n, negated=f.negated)
     if k is Kind.CONST:
         return const(f.value, n)
-    return Formula(k, n, tuple(_subst(c, mapping, n) for c in f.children))
+    return _node(k, n, tuple(_subst(c, mapping, n) for c in f.children))

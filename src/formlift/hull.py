@@ -137,17 +137,15 @@ def _dd_pointed(rows, dim):
     """Extreme rays of {z : r·z >= 0 for r in rows} for a pointed cone.
 
     Rows must be primitive integer tuples, deduplicated, nonzero and already
-    sorted.  Returns None when they do not have full rank, that is when the
-    cone has a lineality space and is not pointed.  Classic insertion with
-    the combinatorial adjacency test, on Python ints throughout.  Each ray
-    carries its zero set, the processed rows it is tight on, as an int
-    bitmask over row indices.  A new ray vp·rn - vn·rp (vp > 0 > vn) is a
-    positive combination of two rays that are nonnegative on every processed
-    row, so it is tight exactly on (zp & zn) plus the new row: zero sets are
-    carried forward, never recomputed.
+    sorted, and dim at least 1.  Returns None when they do not have full
+    rank, that is when the cone has a lineality space and is not pointed.
+    Classic insertion with the combinatorial adjacency test, on Python ints
+    throughout.  Each ray carries its zero set, the processed rows it is
+    tight on, as an int bitmask over row indices.  A new ray vp·rn - vn·rp
+    (vp > 0 > vn) is a positive combination of two rays that are nonnegative
+    on every processed row, so it is tight exactly on (zp & zn) plus the new
+    row: zero sets are carried forward, never recomputed.
     """
-    if dim == 0:
-        return []
     # Greedy independent square subsystem for the initial simplicial cone.
     elim = []  # (pivot column, reduced row) pairs
     chosen = []
@@ -207,11 +205,10 @@ def _dd_pointed(rows, dim):
 def _dd_cone(raw_rows, dim):
     """Generators of {z : r·z >= 0}: (extreme rays, lineality basis).
 
-    Rows are integer tuples; the generators are primitive integer tuples.
+    Rows are integer tuples, at least one of them nonzero; the generators
+    are primitive integer tuples.
     """
     rows = sorted({_reduced(r) for r in raw_rows if any(r)})
-    if not rows:
-        return [], [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
     rays = _dd_pointed(rows, dim)
     if rays is not None:
         return rays, []
@@ -277,12 +274,10 @@ def _hull(points, n):
         raise RuntimeError("internal: polar of a full-dimensional hull must be bounded")
     # a·(w - c) <= 1 for all w, tight on a facet, with a = g[:q]/g[q],
     # w_i = X[pivots[i]] - x0[pivots[i]], c = S/m and X = D·x; times m·g[q]
-    # and flipped to >= form.
+    # and flipped to >= form.  a = 0 is no vertex: every polar row is m there.
     shift = [S[i] + m * x0[p] for i, p in enumerate(pivots)]
     facets = []
     for g in pverts:
-        if not any(g[:q]):
-            continue
         h = [0] * (n + 1)
         for i, p in enumerate(pivots):
             h[p] = -m * D * g[i]
@@ -494,11 +489,10 @@ def _lift_rows(node, rows, n):
         a = tuple(int(i == node.var - 1) for i in range(n))
         return rows + [a + (-v,), tuple(-x for x in a) + (v,)]
     if k is fm.Kind.AND:
-        left = _lift_rows(node.children[0], rows, n)
-        right = _lift_rows(node.children[1], rows, n)
-        if left is None or right is None:
+        parts = [_lift_rows(c, rows, n) for c in node.children]
+        if any(p is None for p in parts):
             return None
-        return list(dict.fromkeys(itertools.chain(left, right)))
+        return list(dict.fromkeys(itertools.chain.from_iterable(parts)))
     # OR: convex hull of the whole chain's points
     points = _points(node, rows, n)
     if not points:

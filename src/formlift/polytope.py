@@ -451,7 +451,9 @@ class LiftReport:
 
 
 def _count_kind(f: fm.Formula, kind: fm.Kind) -> int:
-    return (1 if f.kind is kind else 0) + sum(_count_kind(c, kind) for c in f.children)
+    """Binary `kind` operators in f: a chain of k operands counts k - 1."""
+    own = len(f.children) - 1 if f.kind is kind else 0
+    return own + sum(_count_kind(c, kind) for c in f.children)
 
 
 def _is_pure(f: fm.Formula) -> bool:
@@ -465,7 +467,7 @@ def _is_pure(f: fm.Formula) -> bool:
 
 def _conjuncts(f: fm.Formula) -> list:
     if f.kind is fm.Kind.AND:
-        return _conjuncts(f.children[0]) + _conjuncts(f.children[1])
+        return [p for c in f.children for p in _conjuncts(c)]
     return [f]
 
 
@@ -531,15 +533,14 @@ def _lift_collapse(f, Q, stats):
             return empty_formulation(Q.n)
         return _restrict_block(Q, fixings, stats)
     if f.kind is fm.Kind.OR:
-        a = _lift_collapse(f.children[0], Q, stats)
-        b = _lift_collapse(f.children[1], Q, stats)
-        if a.empty_marker:
-            stats["elided_arms"] += 1
-            return b
-        if b.empty_marker:
-            stats["elided_arms"] += 1
-            return a
-        return balas_union(a, b)
+        # a left fold over the chain; balas_union returns an empty arm away
+        ef = _lift_collapse(f.children[0], Q, stats)
+        for arm in f.children[1:]:
+            other = _lift_collapse(arm, Q, stats)
+            if ef.empty_marker or other.empty_marker:
+                stats["elided_arms"] += 1
+            ef = balas_union(ef, other)
+        return ef
     # conjunction with at least one disjunction below: lift the complex
     # conjuncts, intersect them, then batch the literal fixings on top
     parts = _conjuncts(f)

@@ -265,9 +265,8 @@ def _naive_rows(f, base: int, n: int) -> int:
         return base if f.value else 1
     if k is fm.Kind.LIT:
         return base + 2
-    a = _naive_rows(f.children[0], base, n)
-    b = _naive_rows(f.children[1], base, n)
-    return a + b + (2 * n if k is fm.Kind.AND else 0)
+    rows = sum(_naive_rows(c, base, n) for c in f.children)
+    return rows + (2 * n * (len(f.children) - 1) if k is fm.Kind.AND else 0)
 
 
 def check_size_accounting(phi, Q, instance: str = "adhoc", covering_m=None,

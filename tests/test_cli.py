@@ -88,6 +88,19 @@ def test_measure_with_coefficients(capsys):
     assert out.strip() == "pitch=2 notch=2"
 
 
+@pytest.mark.parametrize("ineq", [
+    "3/2 x1 + x2 >= 1",
+    "1.5 x1 + x2 >= 1",
+    "1.5*x1 + x2 >= 1",
+    "1.50x1 + x2 >= 1.0",
+    "0.15e1 x1 + x2 >= 1",
+    "x2 + 1.5 x1 >= 1",
+], ids=["fraction", "decimal", "decimal-star", "decimal-glued", "exponent", "decimal-second"])
+def test_measure_reads_decimal_coefficients(capsys, ineq):
+    code, out, err = run(capsys, "measure", "--ineq", ineq, "--n", "2")
+    assert (code, out, err) == (0, "pitch=1 notch=1\n", "")
+
+
 def test_measure_reads_leading_signs(capsys):
     code, out, _ = run(capsys, "measure", "--ineq", "-x1 + x2 >= 0", "--n", "2")
     assert (code, out) == run(capsys, "measure", "--ineq", "x2 - x1 >= 0", "--n", "2")[:2]
@@ -289,10 +302,13 @@ def lifted_inputs(tmp_path):
     *(f"member --ef {name}.ef --point 0,0" for name in BAD_WIT_EF),
     "measure --ineq 'x1 + >= 1' --n 2",
     "measure --ineq 'x1 ++ x2 >= 1' --n 2",
+    "measure --ineq '1.2.3 x1 >= 1' --n 2",
+    "measure --ineq '1e-1 x1 >= 1' --n 2",
     "measure --ineq 'x1 >= 1' --n 0",
     "measure --ineq 'x1 >= 1' --n -1",
 ], ids=["lift-rounds", "closure-level", "closure-rounds", "optimize-unbounded",
         "closure-ef-unbounded", *BAD_WIT_EF, "ineq-trailing-sign", "ineq-double-sign",
+        "ineq-bad-coefficient", "ineq-signed-exponent",
         "measure-n-zero", "measure-n-negative"])
 def test_bad_input_is_one_line_exit_two(lifted_inputs, capsys, monkeypatch, argv):
     monkeypatch.chdir(lifted_inputs)
@@ -301,18 +317,31 @@ def test_bad_input_is_one_line_exit_two(lifted_inputs, capsys, monkeypatch, argv
     assert err.startswith("formlift: ") and len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("text", [
-    " | ".join(f"x{i % 5 + 1}" for i in range(450)),
-    "(" * 3000 + "x1" + ")" * 3000,
-    "!" * 3000 + "x1",
-], ids=["flat-disjunction", "nested-parentheses", "stacked-negations"])
-def test_deep_formula_is_one_line_or_a_lift(tmp_path, capsys, text):
+def _disjunction(k):
+    return " | ".join(f"x{i % 5 + 1}" for i in range(k))
+
+
+@pytest.mark.parametrize("text, lifts", [
+    (_disjunction(450), True),
+    (_disjunction(1200), False),
+    ("(" * 3000 + "x1" + ")" * 3000, False),
+    ("!" * 3000 + "x1", False),
+], ids=["flat-disjunction", "long-disjunction", "nested-parentheses", "stacked-negations"])
+def test_deep_formula_is_one_line_or_a_lift(tmp_path, capsys, text, lifts):
+    # a chain is one node, so a long disjunction lifts until the nested
+    # point and dual maps of its unions reach the recursion limit
     f = tmp_path / "deep.bool"
     f.write_text(text + "\n")
-    code, _, err = run(capsys, "lift", "--formula", str(f), "--rounds", "1")
-    assert code in (0, 2)
-    if code == 2:
-        assert sum(line.startswith("formlift:") for line in err.splitlines()) == 1
+    code, out, err = run(capsys, "lift", "--formula", str(f), "--rounds", "1",
+                         "--out", str(tmp_path / "deep.ef"))
+    assert out == ""
+    if lifts:
+        assert code == 0
+        assert err == ("round 1: rows=5400 ydim=2699 base=10 size=450 and=0 or=449 "
+                       "blocks=450 elided=0 checked=450 bound=5400 route=ef\n")
+    else:
+        assert code == 2
+        assert err == "formlift: formula nests too deeply or has too long a chain\n"
 
 
 @pytest.mark.parametrize("argv", [

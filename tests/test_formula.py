@@ -19,11 +19,16 @@ def test_parse_precedence_and_round_trip():
 
 
 def test_parse_chains_left_associated():
+    # a chain is one node with its operands in reading order; a parenthesised
+    # operand of the same kind after the first keeps its own node
     f = fm.parse("x1 | x2 | x3")
-    assert f.children[0].kind is fm.Kind.OR
-    assert f.children[1].kind is fm.Kind.LIT
-    g = fm.parse("x1 & x2 & x3")
-    assert g.children[0].kind is fm.Kind.AND
+    assert f.kind is fm.Kind.OR and [c.var for c in f.children] == [1, 2, 3]
+    assert fm.parse("(x1 | x2) | x3") == f == fm.or_all([fm.lit(i, 3) for i in (1, 2, 3)], 3)
+    g = fm.parse("x1 & x2 & x3 & x1")
+    assert g.kind is fm.Kind.AND and [c.var for c in g.children] == [1, 2, 3, 1]
+    h = fm.parse("x1 | (x2 | x3)")
+    assert [c.kind for c in h.children] == [fm.Kind.LIT, fm.Kind.OR]
+    assert h.to_text() == "x1 | (x2 | x3)"
 
 
 def test_parse_errors_carry_position():
@@ -79,6 +84,42 @@ def test_round_trip_of_random_trees():
         n = rng.randint(1, 5)
         f = _random_tree(rng, n, 4)
         assert fm.parse(f.to_text(), n) == f
+
+
+def _random_gate_tree(rng, n, depth):
+    """A tree built by the package's constructors: literals, constants, NOT,
+    binary and longer AND/OR chains, and same-kind right operands."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.1:
+            return fm.const(rng.random() < 0.5, n)
+        return fm.lit(rng.randint(1, n), n, negated=rng.random() < 0.5)
+    roll = rng.random()
+    if roll < 0.2:
+        return fm.lnot(_random_gate_tree(rng, n, depth - 1))
+    parts = [_random_gate_tree(rng, n, depth - 1) for _ in range(rng.randint(2, 4))]
+    if roll < 0.6:
+        return rng.choice((fm.and_all, fm.or_all))(parts, n)
+    op = rng.choice((fm.land, fm.lor))
+    return op(parts[0], parts[1]) if rng.random() < 0.5 else op(parts[1], op(parts[0], parts[-1]))
+
+
+def _chains_flat(f):
+    """No AND/OR node anywhere in f has a first child of its own kind."""
+    if f.kind in (fm.Kind.AND, fm.Kind.OR) and f.children[0].kind is f.kind:
+        return False
+    return all(_chains_flat(c) for c in f.children)
+
+
+def test_every_built_chain_is_one_node():
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        f = _random_gate_tree(rng, n, 4)
+        g = fm.parse(f.to_text(), n)
+        assert g == f
+        mapping = [rng.randint(1, n + 1) for _ in range(n)]
+        for built in (f, fm.reduce(f), fm.substitute(f, mapping, n + 1)):
+            assert _chains_flat(built), built.to_text()
 
 
 def test_enumerate_set_example():

@@ -25,6 +25,28 @@ def test_cube_rows_and_projection():
                                for row in ((e, 0), (tuple(-v for v in e), -1))]
 
 
+@pytest.mark.parametrize("text, empty_at", [
+    ("x1 & x2 | x1 & !x3 | x2 & x3", 0),
+    ("!x1 & x3 | x1 | x1 & x2 & x3 | x2 & !x3", 2),
+], ids=["empty-first", "empty-middle"])
+def test_or_chain_lifts_as_a_left_fold_of_unions(text, empty_at):
+    # x1 + x2 <= 1 leaves no room for an arm that fixes x1 = x2 = 1
+    Q = pt.with_xspace_rows(pt.cube(3), [((-1, -1, 0), -1)])
+    phi = fm.parse(text, 3)
+    ef, rep = pt.lift(phi, Q)
+    lifted = [pt.lift(arm, Q) for arm in phi.children]
+    assert len(lifted) == text.count("|") + 1
+    assert [a.empty_marker for a, _ in lifted] == [i == empty_at for i in range(len(lifted))]
+    want, elided = lifted[0][0], 0
+    for arm, _ in lifted[1:]:
+        elided += want.empty_marker or arm.empty_marker
+        want = pt.balas_union(want, arm)
+    assert (ef.rows, ef.proj) == (want.rows, want.proj)
+    assert rep.elided_arms == elided == 1
+    assert rep.emptiness == tuple(e for _, r in lifted for e in r.emptiness)
+    assert f" or={len(lifted) - 1} " in rep.summary_line()
+
+
 def test_from_hrep_appends_box_and_dedupes():
     Q = pt.from_hrep(2, [((1, 0), 0), ((1, 1), 1)])
     # the redundant x1 >= 0 collapses with the box row

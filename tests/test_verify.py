@@ -88,6 +88,16 @@ def test_completeness_fails_on_wrong_target():
     assert lp.contains_point(ef, (1, 0))
 
 
+def test_completeness_stops_at_an_empty_round_before_n():
+    # round 1 of a contradiction is already empty, so the check ends there
+    # with the one point of the claimed target missing from the lift
+    rep = vf.check_completeness(fm.parse("x1 & !x1 | x2 & !x2", 2), 2,
+                                points=fm.point_set(2, [(1, 0)]))
+    assert rep.line() == ("check=complete instance=adhoc verdict=fail n=2 k_max=2 "
+                          "first_equal=none rounds=1 certificate: reason=missing-point "
+                          "point=(1,0)")
+
+
 def test_completeness_rejects_points_of_another_dimension():
     with pytest.raises(ValueError, match="dimension 3, formula has 2"):
         vf.check_completeness(fm.parse("x1 | x2", 2), 2,
