@@ -63,20 +63,13 @@ def _load_polytope(source: str, n: int):
     return Q
 
 
-def _fraction(tok: str, what: str) -> Fraction:
-    try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational {tok!r} in {what}") from exc
-
-
 def _parse_vector(text: str, what: str):
     out = []
     for tok in text.split(","):
         tok = tok.strip()
         if not tok:
             raise InputError(f"empty entry in {what}")
-        out.append(_fraction(tok, what))
+        out.append(pt._parse_frac(tok, what))
     return tuple(out)
 
 
@@ -89,7 +82,7 @@ def _parse_ineq(text: str, n: int):
     if ">=" not in text:
         raise InputError("inequality must use >=")
     lhs, _, rhs = text.partition(">=")
-    bound = _fraction(rhs.strip(), "right-hand side")
+    bound = pt._parse_frac(rhs.strip(), "right-hand side")
     coeffs = [Fraction(0)] * n
     # term, sign, term, ...; only the first term, before a leading sign, may be empty
     parts = re.split(r"([+-])", lhs)
@@ -101,7 +94,7 @@ def _parse_ineq(text: str, n: int):
         m = _TERM.match(term)
         if not m:
             raise InputError(f"cannot read term {term!r}")
-        c = _fraction(m.group(1), f"term {term!r}") if m.group(1) else Fraction(1)
+        c = pt._parse_frac(m.group(1), f"term {term!r}") if m.group(1) else Fraction(1)
         var = int(m.group(2))
         if not 1 <= var <= n:
             raise InputError(f"variable x{var} outside 1..{n}")

@@ -42,6 +42,7 @@ rows by `lpsolve` before it decides anything.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -668,7 +669,14 @@ def _fmt(v, l=1) -> str:
 
 
 def _parse_frac(tok: str, where: str) -> Fraction:
+    """tok read as `Fraction` reads a string, but with a decimal exponent of
+    at most the int string limit in absolute value, so that a short literal
+    cannot build a huge int."""
     try:
+        if "e" in tok or "E" in tok:
+            exp = int(tok.lower().partition("e")[2])
+            if abs(exp) > (sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits):
+                raise ValueError(tok)
         return Fraction(tok)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{where}: bad rational {tok!r}") from exc
@@ -683,11 +691,15 @@ def _coeffs(pairs, width, l=1) -> str:
 
 
 def _write(n, ydim, rows, proj) -> str:
-    """The text of int rows and rational projection; ydim 0 writes x-space rows."""
-    width = ydim or n
+    """The text of int rows and rational projection; ydim 0 writes dense
+    x-space `ineq` rows, ydim d sparse `row` lines of column:value pairs."""
     lines = ["ef", f"xvars {n}", f"yvars {ydim}"]
-    lines.extend("ineq " + _coeffs(a, width, l) + " >= " + _fmt(b, l) for a, b, l in rows)
-    lines.extend(f"proj {i} {_fmt(off)} " + _coeffs(pairs, width)
+    if ydim:
+        lines.extend("row" + "".join([f" {j}:{_fmt(c, l)}" for j, c in a]) + " >= " + _fmt(b, l)
+                     for a, b, l in rows)
+    else:
+        lines.extend("ineq " + _coeffs(a, n, l) + " >= " + _fmt(b, l) for a, b, l in rows)
+    lines.extend(f"proj {i} {_fmt(off)} " + _coeffs(pairs, ydim)
                  for i, (pairs, off) in enumerate(proj, start=1))
     return "\n".join(lines) + "\n"
 
@@ -696,17 +708,19 @@ def to_text(Q: ExtendedFormulation) -> str:
     """Serialize a formulation.
 
     x-space formulations (identity projection) are written with `yvars 0`
-    and n coefficients per row; general ones write `yvars d`, d coefficients
-    per row, and one `proj i offset c1..cd` line per x variable (i is
-    1-based), then one `wit bits j1 j2 ...` line per entry of `witnesses`:
-    the 0/1 point as n bits and the 0-based indices where its y is 1.  All
-    numbers are exact rationals p or p/q.
+    and one dense `ineq c1..cn >= b` line per row; general ones write
+    `yvars d`, one `row j:c ... >= b` line per row that lists its nonzeros
+    by increasing 0-based column j, one `proj i offset c1..cd` line per x
+    variable (i is 1-based), then one `wit bits j1 j2 ...` line per entry of
+    `witnesses`: the 0/1 point as n bits and the 0-based indices where its y
+    is 1.  All numbers are exact rationals p or p/q.
     """
     if Q.is_hrep:
         return _write(Q.n, 0, Q.rows, ())
     text = _write(Q.n, Q.ydim, Q.rows, Q.proj)
-    wits = ["wit " + "".join(map(str, p)) + "".join(f" {j}" for j, v in enumerate(y) if v)
-            + "\n" for p, y in Q.witnesses]
+    wits = [" ".join(["wit " + "".join(map(str, p)),
+                      *map(str, itertools.compress(itertools.count(), y))]) + "\n"
+            for p, y in Q.witnesses]
     return text + "".join(wits)
 
 
@@ -726,28 +740,45 @@ def _sparse(toks, memo) -> tuple:
     return tuple((j, Fraction(c, d)) for j, (c, d) in pairs if c)
 
 
-def _int_row(toks, rhs, memo) -> tuple:
-    """The int row (a, b, l) of an `ineq` line's coefficient tokens and
-    right-hand side token, the row `lpsolve._int_rows` makes of its rationals.
-
-    The literal `0`, which fills most of a lifted row, is skipped before the
-    lookup; other zero spellings are dropped after it.
-    """
-    vals = [(j, _value(tok, "ineq", memo)) for j, tok in enumerate(toks) if tok != "0"]
-    b, bd = _value(rhs, "ineq", memo)
+def _int_row(pairs, rhs, where, memo) -> tuple:
+    """The int row (a, b, l) of (column, token) pairs and a right-hand side
+    token, the row `lpsolve._int_rows` makes of its rationals; pairs whose
+    token spells zero are dropped."""
+    # a memo hit skips the call; a hit is a (numerator, denominator) pair, never falsy
+    vals = [(j, memo.get(tok) or _value(tok, where, memo)) for j, tok in pairs]
+    b, bd = memo.get(rhs) or _value(rhs, where, memo)
     l = lcm(bd, *[d for _, (_, d) in vals])
-    return tuple((j, c * (l // d)) for j, (c, d) in vals if c), b * (l // bd), l
+    return tuple([(j, c * (l // d)) for j, (c, d) in vals if c]), b * (l // bd), l
+
+
+def _row_pairs(toks, d):
+    """The (column, token) pairs of a `row` line's `j:c` tokens, columns
+    strictly increasing in 0..d-1."""
+    pairs = []
+    last = -1
+    for t in toks:
+        col, sep, tok = t.partition(":")
+        try:
+            j = int(col)
+        except ValueError:
+            j = -1
+        if not (sep and last < j < d):
+            raise ValueError(f"bad row pair {t!r}: need column:value, "
+                             f"columns increasing in 0..{d - 1}")
+        pairs.append((j, tok))
+        last = j
+    return pairs
 
 
 def from_text(text: str) -> ExtendedFormulation:
     """Parse the `to_text` format.
 
-    Each `ineq` line is read straight into its int row.  `yvars 0` input is
-    routed through the `from_hrep` construction, so the unit-box rows are
-    present afterwards no matter what the file listed; a single all-zero
-    row with positive right side is read back as the empty marker.  The
-    `wit` lines of a `yvars d` file become its point map; they are kept as
-    read, neither evaluated nor projected.  Lines may carry `#` comments.
+    Each `row` or `ineq` line is read straight into its int row.  `yvars 0`
+    input is routed through the `from_hrep` construction, so the unit-box
+    rows are present afterwards no matter what the file listed; a single
+    all-zero row with positive right side is read back as the empty marker.
+    The `wit` lines of a `yvars d` file become its point map; they are kept
+    as read, neither evaluated nor projected.  Lines may carry `#` comments.
     """
     n, d, rows, proj, wits = _parse_text(text)
     if d == 0:
@@ -805,10 +836,17 @@ def _parse_text(text: str) -> tuple:
     wits = {}
     for line in lines[3:]:
         toks = line.split()
-        if toks[0] == "ineq":
+        if toks[0] == "row":
+            if d == 0:
+                raise ValueError("row line in an x-space formulation")
+            if len(toks) < 3 or toks[-2] != ">=":
+                raise ValueError(f"bad row line: {line!r}")
+            rows.append(_int_row(_row_pairs(toks[1:-2], d), toks[-1], "row", memo))
+        elif toks[0] == "ineq":
             if len(toks) != width + 3 or toks[-2] != ">=":
                 raise ValueError(f"bad ineq line: {line!r}")
-            rows.append(_int_row(toks[1:width + 1], toks[-1], memo))
+            rows.append(_int_row([(j, t) for j, t in enumerate(toks[1:-2]) if t != "0"],
+                                 toks[-1], "ineq", memo))
         elif toks[0] == "proj":
             if d == 0:
                 raise ValueError("proj line in an x-space formulation")
@@ -843,9 +881,9 @@ def _wit(toks, n, d, line) -> tuple:
     if len(bits) != n or not set(bits) <= {"0", "1"}:
         raise ValueError(f"wit point must be {n} bits 0/1: {line!r}")
     try:
-        ones = tuple(int(t) for t in toks[2:])
+        ones = tuple(map(int, toks[2:]))
     except ValueError as exc:
         raise ValueError(f"bad wit index: {line!r}") from exc
-    if any(not 0 <= j < d for j in ones):
+    if ones and not 0 <= min(ones) <= max(ones) < d:
         raise ValueError(f"wit index outside 0..{d - 1}: {line!r}")
     return tuple(map(int, bits)), ones

@@ -317,6 +317,40 @@ def test_bad_input_is_one_line_exit_two(lifted_inputs, capsys, monkeypatch, argv
     assert err.startswith("formlift: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("measure --ineq 'x1 + x2 >= 1e9999999' --n 2", "right-hand side: bad rational '1e9999999'"),
+    ("measure --ineq '1e9999999 x1 >= 1' --n 2",
+     "term '1e9999999 x1': bad rational '1e9999999'"),
+    ("optimize --ef unb.ef --max --obj=1e9999999,0", "--obj: bad rational '1e9999999'"),
+    ("member --ef unb.ef --point=1e-9999999,0", "--point: bad rational '1e-9999999'"),
+], ids=["measure-rhs", "measure-term", "optimize-obj", "member-point"])
+def test_huge_exponents_are_bad_rationals(lifted_inputs, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(lifted_inputs)
+    assert run(capsys, *shlex.split(argv)) == (2, "", f"formlift: {message}\n")
+
+
+def test_exponents_within_the_int_string_limit_read(lifted_inputs, capsys, monkeypatch):
+    monkeypatch.chdir(lifted_inputs)
+    code, out, _ = run(capsys, "optimize", "--ef", "id.ef", "--min", "--obj=1e4000,1")
+    assert (code, out) == (0, "0\n")
+    code, out, _ = run(capsys, "measure", "--ineq", "1e4000 x1 + x2 >= 1", "--n", "2")
+    assert (code, out) == (0, "pitch=1 notch=1\n")
+
+
+def test_lift_writes_pair_rows_only_for_lifted_files(tmp_path, capsys):
+    (tmp_path / "or.bool").write_text("x1 & x2 | x3 & x4\n")
+    (tmp_path / "face.bool").write_text("x1 & !x2\n")
+    for formula, rounds, yvars, kind in [("or", 1, "yvars 9", "row"),
+                                         ("or", 0, "yvars 0", "ineq"),
+                                         ("face", 1, "yvars 0", "ineq")]:
+        code, out, _ = run(capsys, "lift", "--formula", str(tmp_path / f"{formula}.bool"),
+                           "--rounds", str(rounds))
+        lines = out.splitlines()
+        assert code == 0 and lines[2] == yvars
+        rows = [line for line in lines if line.startswith(("ineq ", "row "))]
+        assert rows and all(line.startswith(kind + " ") for line in rows)
+
+
 def _disjunction(k):
     return " | ".join(f"x{i % 5 + 1}" for i in range(k))
 

@@ -168,11 +168,15 @@ def _written_rows(ef):
     alone, apart from the parser the formulation files go through."""
     rows = []
     for line in pt.to_text(ef).splitlines():
-        if line.startswith("ineq "):
-            *coeffs, ge, rhs = line.split()[1:]
+        kind, *toks = line.split()
+        if kind in ("ineq", "row"):
+            *coeffs, ge, rhs = toks
             assert ge == ">="
-            rows.append((tuple((j, Fraction(c)) for j, c in enumerate(coeffs) if Fraction(c)),
+            pairs = (enumerate(coeffs) if kind == "ineq"
+                     else ((int(j), c) for j, c in (t.split(":") for t in coeffs)))
+            rows.append((tuple((j, Fraction(c)) for j, c in pairs if Fraction(c)),
                          Fraction(rhs)))
+    assert rows
     return rows
 
 

@@ -294,7 +294,29 @@ def test_text_round_trip_of_written_lift_files(tmp_path, capsys, family, rounds)
     back = pt.from_text(text)
     assert pt.to_text(back) == text
     phi = fm.reduce(fm.parse(formula.read_text()))
-    assert back == pt.iterate_lift(phi, pt.cube(phi.n), rounds)
+    Q = pt.iterate_lift(phi, pt.cube(phi.n), rounds)
+    assert back == Q
+    assert (back.rows, back.proj, back.witnesses) == (Q.rows, Q.proj, Q.witnesses)
+    # a lifted file lists its rows as pairs only; spelled out densely it reads the same
+    assert not any(line.startswith("ineq ") for line in text.splitlines())
+    dense = pt.from_text(_dense_text(text))
+    assert (dense, dense.witnesses) == (back, back.witnesses)
+
+
+def _dense_text(text):
+    """text with each `row` line spelled out as a dense `ineq` line."""
+    d = int(text.splitlines()[2].split()[1])
+    out = []
+    for line in text.splitlines():
+        if line.startswith("row "):
+            *pairs, ge, rhs = line.split()[1:]
+            coeffs = ["0"] * d
+            for pair in pairs:
+                j, c = pair.split(":")
+                coeffs[int(j)] = c
+            line = " ".join(["ineq", *coeffs, ge, rhs])
+        out.append(line + "\n")
+    return "".join(out)
 
 
 @pytest.mark.parametrize("text,message", [
@@ -390,6 +412,24 @@ def test_ineq_lines_read_like_fraction_rows(width, data):
     assert pt._parse_text(text)[2] == lp._int_rows(rational)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 6), st.data())
+def test_row_lines_read_like_fraction_rows(width, data):
+    lines = []
+    for _ in range(data.draw(st.integers(0, 6))):
+        cols = data.draw(st.lists(st.integers(0, width - 1), unique=True, max_size=width))
+        toks = data.draw(st.lists(st.sampled_from(_TOKENS), min_size=len(cols) + 1,
+                                  max_size=len(cols) + 1))
+        lines.append((sorted(cols), toks))
+    text = "ef\nxvars 1\nyvars %d\n" % width + "".join(
+        "row" + "".join(f" {j}:{t}" for j, t in zip(cols, toks)) + " >= " + toks[-1] + "\n"
+        for cols, toks in lines)
+    text += "proj 1 0 " + " ".join(["1"] + ["0"] * (width - 1)) + "\n"
+    rational = [(tuple((j, F(t)) for j, t in zip(cols, toks) if F(t)), F(toks[-1]))
+                for cols, toks in lines]
+    assert pt._parse_text(text)[2] == lp._int_rows(rational)
+
+
 def test_zero_spellings_are_dropped_and_decimals_read_exactly():
     Q = pt.from_text("ef\nxvars 1\nyvars 4\nineq 0/3 -0 00 1.5 >= 0/3\n"
                      "proj 1 -0 00 0/3 -0 1.5\n")
@@ -421,3 +461,51 @@ def test_bad_ineq_lines_keep_their_messages(tmp_path, capsys, yvars, name):
     assert cli.dispatch(["member", "--ef", str(path), "--point", "0,0"]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"formlift: {path}: {message}\n"
+
+
+BAD_ROW = {
+    "xspace": ("ef\nxvars 2\nyvars 0\nrow 0:1 >= 0\n", "row line in an x-space formulation"),
+    "column-high": ("row 2:1 >= 0", "bad row pair '2:1'"),
+    "column-negative": ("row -1:1 >= 0", "bad row pair '-1:1'"),
+    "column-decimal": ("row 1.0:1 >= 0", "bad row pair '1.0:1'"),
+    "column-missing": ("row :1 >= 0", "bad row pair ':1'"),
+    "colon-missing": ("row 0:1 1 >= 0", "bad row pair '1'"),
+    "column-repeated": ("row 0:1 0:2 >= 0", "bad row pair '0:2'"),
+    "column-decreasing": ("row 1:1 0:2 >= 0", "bad row pair '0:2'"),
+    "value": ("row 0:1 1:x >= 0", "row: bad rational 'x'"),
+    "value-empty": ("row 0: >= 0", "row: bad rational ''"),
+    "zero-denominator": ("row 1:1/0 >= 0", "row: bad rational '1/0'"),
+    "exponent": ("row 0:1e9999999 >= 0", "row: bad rational '1e9999999'"),
+    "right-side": ("row 0:1 >= 1/x", "row: bad rational '1/x'"),
+    "ge-missing": ("row 0:1 1:1 0", "bad row line: 'row 0:1 1:1 0'"),
+    "ge-last": ("row 0:1 >=", "bad row line: 'row 0:1 >='"),
+    "bare": ("row", "bad row line: 'row'"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_ROW)
+def test_bad_row_lines_are_one_line_errors(tmp_path, capsys, name):
+    line, message = BAD_ROW[name]
+    text = line if line.startswith("ef") else (
+        f"ef\nxvars 2\nyvars 2\nrow 0:1 >= 0\n{line}\nproj 1 0 1 0\nproj 2 0 0 1\n")
+    if message.startswith("bad row pair"):
+        message += ": need column:value, columns increasing in 0..1"
+    with pytest.raises(ValueError) as info:
+        pt.from_text(text)
+    assert str(info.value) == message
+    path = tmp_path / "bad.ef"
+    path.write_text(text)
+    assert cli.dispatch(["optimize", "--ef", str(path), "--min", "--obj=1,1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"formlift: {path}: {message}\n"
+
+
+def test_rationals_read_with_a_capped_exponent():
+    assert pt._parse_frac("1e4000", "x") == 10 ** 4000
+    assert pt._parse_frac("-2.5E-4000", "x") == F(-25, 10 ** 4001)
+    assert pt._parse_frac("1_0e1_0", "x") == 10 ** 11
+    for tok in ("1e4301", "1e-4301", "1e9999999", "1e" + "9" * 5000, "1e", "1e1.5"):
+        with pytest.raises(ValueError, match=r"^x: bad rational"):
+            pt._parse_frac(tok, "x")
+    Q = pt.from_text("ef\nxvars 1\nyvars 1\nrow 0:1e4000 >= 1e-4000\nproj 1 0 1\n")
+    assert Q.rows == ((((0, 10 ** 8000),), 1, 10 ** 4000),)

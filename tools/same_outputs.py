@@ -5,13 +5,15 @@
 
 Each workload of bench/workloads.py is set up in a fresh temporary directory
 and run for the given number of passes, every operation in-process through
-`formlift.cli.dispatch` from this checkout's `src/`.  One sha256 line is
-printed per workload and seed.  It covers the output of set-up, then each
-operation's argv, exit code, stdout and stderr, and after set-up and after
-every pass the bytes of every file under the directory.  The directory's
-own path is replaced by a fixed token everywhere first, so two checkouts
-print the same lines exactly when their outputs agree.  The benchmark
-files are imported, never changed.
+`formlift.cli.dispatch` from this checkout's `src/`.  One line is printed
+per workload and seed, with two sha256 digests: `prints=` covers the output
+of set-up, then each operation's argv, exit code, stdout and stderr, and
+`files=` the bytes of every file under the directory after set-up and after
+every pass.  So a change of file format shows in `files=` alone, while
+`prints=` still tells whether the answers moved.  The directory's own path
+is replaced by a fixed token everywhere first, so two checkouts print the
+same digests exactly when their outputs agree.  The benchmark files are
+imported, never changed.
 """
 
 from __future__ import annotations
@@ -44,15 +46,15 @@ def _captured(fn, *args):
     return result, out.getvalue(), err.getvalue()
 
 
-def _outputs(name: str, seed: int, passes: int) -> tuple[str, int]:
-    """(sha256 hex digest, operation count) of one workload at one seed."""
+def _outputs(name: str, seed: int, passes: int) -> tuple[str, str, int]:
+    """(prints digest, files digest, operation count) of one workload at one seed."""
     mods = {m: importlib.import_module(f"formlift.{m}") for m in MODULES}
-    digest = hashlib.sha256()
+    prints, files = hashlib.sha256(), hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp).resolve()
         prefix = str(workdir).encode()
 
-        def add(*parts):
+        def add(digest, *parts):
             for part in parts:
                 data = part if isinstance(part, bytes) else str(part).encode()
                 data = data.replace(prefix, MASK)
@@ -60,19 +62,19 @@ def _outputs(name: str, seed: int, passes: int) -> tuple[str, int]:
 
         def add_files():
             for path in sorted(p for p in workdir.rglob("*") if p.is_file()):
-                add(path.relative_to(workdir).as_posix(), path.read_bytes())
+                add(files, path.relative_to(workdir).as_posix(), path.read_bytes())
 
         plan, out, err = _captured(workloads.WORKLOADS[name], mods, seed, workdir)
-        add("setup", out, err)
+        add(prints, "setup", out, err)
         add_files()
         count = 0
         for ops in itertools.islice(plan.passes(), passes):
             for op in ops:
                 code, out, err = _captured(mods["cli"].dispatch, list(op.argv))
-                add(" ".join(op.argv), code, out, err)
+                add(prints, " ".join(op.argv), code, out, err)
                 count += 1
             add_files()
-    return digest.hexdigest(), count
+    return prints.hexdigest(), files.hexdigest(), count
 
 
 def main(argv=None) -> int:
@@ -86,9 +88,9 @@ def main(argv=None) -> int:
         ap.error("--passes must be at least 1")
     for name in args.workloads:
         for seed in args.seeds:
-            digest, count = _outputs(name, seed, args.passes)
-            print(f"{name} seed={seed} passes={args.passes} ops={count} sha256={digest}",
-                  flush=True)
+            prints, files, count = _outputs(name, seed, args.passes)
+            print(f"{name} seed={seed} passes={args.passes} ops={count} "
+                  f"prints={prints} files={files}", flush=True)
     return 0
 
 
