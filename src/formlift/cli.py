@@ -102,6 +102,16 @@ def _parse_ineq(text: str, n: int):
     return tuple(coeffs), bound
 
 
+def _printable(what: str, render, *args) -> str:
+    """render(*args), text of exact numbers, or an InputError naming `what`
+    when a number has more digits than the interpreter turns into text."""
+    try:
+        return render(*args)
+    except ValueError as exc:
+        raise InputError(f"{what} has more than {sys.get_int_max_str_digits()} digits, "
+                         "too long to print") from exc
+
+
 def _emit(text: str, out: str | None):
     if out is None:
         sys.stdout.write(text)
@@ -131,7 +141,7 @@ def _cmd_lift(args):
     phi = fm.reduce(_load_formula(args.formula))
     Q = _load_polytope(args.polytope, phi.n)
     ef, reports = pt.iterate_lift(phi, Q, args.rounds, with_reports=True)
-    _emit(pt.to_text(ef), args.out)
+    _emit(_printable("a number of the lifted formulation", pt.to_text, ef), args.out)
     for i, rep in enumerate(reports, start=1):
         print(f"round {i}: {rep.summary_line()}", file=sys.stderr)
     return 0
@@ -147,9 +157,12 @@ def _cmd_optimize(args):
     out = lpsolve.optimize(Q, c, "max" if args.max else "min")
     if out.status == "infeasible":
         raise InputError(f"{args.ef}: the formulation is empty; nothing to optimize")
-    print(out.value)
-    if args.verbose:
-        print("at " + " ".join(str(v) for v in out.x), file=sys.stderr)
+    # both texts are made before either is printed, so a failure prints nothing
+    value = _printable("the optimal value", str, out.value)
+    at = _printable("the optimal point", " ".join, map(str, out.x)) if args.verbose else None
+    print(value)
+    if at is not None:
+        print("at " + at, file=sys.stderr)
     return 0
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -217,62 +218,68 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens, n):
-        self.tokens = tokens
-        self.pos = 0
-        self.n = n
+def _read(tokens, n) -> Formula:
+    """The formula of `tokens`, read with an explicit stack, so nesting costs
+    no Python frames.
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
-
-    def expr(self) -> Formula:
-        out = self.term()
-        while self.peek()[0] == "|":
-            self.take()
-            out = lor(out, self.term())
-        return out
-
-    def term(self) -> Formula:
-        out = self.factor()
-        while self.peek()[0] == "&":
-            self.take()
-            out = land(out, self.factor())
-        return out
-
-    def factor(self) -> Formula:
-        kind, value, pos = self.peek()
-        if kind == "!":
-            self.take()
-            nk, nv, npos = self.peek()
-            if nk == "var":
-                self.take()
-                return self._mklit(nv, npos, negated=True)
-            return lnot(self.factor())
+    A level holds the OR chain and the AND chain read so far; an open '('
+    pushes the enclosing level with the count of '!' read before it, and its
+    ')' closes the level's chains and negates the result that many times.
+    The trees are those of the grammar in the module docstring, each chain
+    a left fold of `lor`/`land`.  Text nested deeper than the interpreter's
+    recursion limit, open parentheses and pending '!' counted together,
+    raises RecursionError: a tree built from it could be that deep, and
+    every recursive walk of such a tree would raise it later.
+    """
+    limit = sys.getrecursionlimit()
+    stack = []          # (ors, ands, nots) of each enclosing level
+    ors = ands = None   # this level's OR chain and current AND chain
+    nots = depth = 0    # '!' before the next operand; open '(' plus pending '!'
+    i = 0
+    while True:
+        kind, value, pos = tokens[i]
+        i += 1
+        if kind == "!" or kind == "(":
+            depth += 1
+            if depth > limit:
+                raise RecursionError("formula nests too deeply")
+            if kind == "!":
+                nots += 1
+            else:
+                stack.append((ors, ands, nots))
+                ors = ands = None
+                nots = 0
+            continue
         if kind == "var":
-            self.take()
-            return self._mklit(value, pos, negated=False)
-        if kind == "const":
-            self.take()
-            return const(value, self.n)
-        if kind == "(":
-            self.take()
-            out = self.expr()
-            k, _, p = self.take()
-            if k != ")":
-                raise ParseError("expected ')'", p)
-            return out
-        raise ParseError("expected '!', variable, constant or '('", pos)
-
-    def _mklit(self, i, pos, negated):
-        if not 1 <= i <= self.n:
-            raise ParseError(f"variable index x{i} out of range 1..{self.n}", pos)
-        return lit(i, self.n, negated=negated)
+            if not 1 <= value <= n:
+                raise ParseError(f"variable index x{value} out of range 1..{n}", pos)
+            f = lit(value, n, negated=nots % 2 == 1)
+        elif kind == "const":
+            f = const(value != (nots % 2 == 1), n)
+        else:
+            raise ParseError("expected '!', variable, constant or '('", pos)
+        depth -= nots
+        nots = 0
+        while True:
+            ands = f if ands is None else land(ands, f)
+            kind, _, pos = tokens[i]
+            i += 1
+            if kind == "&":
+                break
+            if kind == "|":
+                ors, ands = ands if ors is None else lor(ors, ands), None
+                break
+            f = ands if ors is None else lor(ors, ands)
+            if not stack:
+                if kind != "end":
+                    raise ParseError("trailing input after formula", pos)
+                return f
+            if kind != ")":
+                raise ParseError("expected ')'", pos)
+            ors, ands, k = stack.pop()
+            depth -= 1 + k
+            for _ in range(k):
+                f = lnot(f)
 
 
 def parse(text: str, n: int | None = None) -> Formula:
@@ -280,18 +287,14 @@ def parse(text: str, n: int | None = None) -> Formula:
 
     With n omitted, the dimension is the largest variable index that occurs
     (at least 1).  Each '&'/'|' chain becomes one node with its operands in
-    reading order.  Raises ParseError with a character position on bad input.
+    reading order.  Raises ParseError with a character position on bad
+    input, and RecursionError on text nested too deeply (see `_read`).
     """
     tokens = _tokenize(text)
     if n is None:
         indices = [v for k, v, _ in tokens if k == "var"]
         n = max(indices) if indices else 1
-    p = _Parser(tokens, n)
-    out = p.expr()
-    k, _, pos = p.peek()
-    if k != "end":
-        raise ParseError("trailing input after formula", pos)
-    return out
+    return _read(tokens, n)
 
 
 # ---------------------------------------------------------------------------

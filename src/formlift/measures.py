@@ -15,7 +15,17 @@ inequality of bounded pitch or notch that a relaxation violates: for each
 support (pitch mode, uncomplemented) or complementation pattern (notch
 mode), the feasible coefficient vectors with delta normalized to 1 form a
 polyhedron whose vertices are enumerated exactly, and each vertex is priced
-against the relaxation with an exact LP.
+against the relaxation.
+
+An x-space relaxation (`is_hrep`) is priced over its own vertex list, taken
+once by double description and checked from both sides before it is used
+(`_checked_vertices`): every vertex satisfies every row, and every facet
+and equation of their hull is a row.  The minimum over the list is then the
+minimum over the relaxation, found in Python ints.  Only a violation runs
+an exact LP, whose optimum must equal that minimum and supplies the
+reported point.  A lifted relaxation, or an x-space one whose rows do not
+state the hull of its vertices (a hand-written file, say), is priced with
+one exact LP per vertex.
 """
 
 from __future__ import annotations
@@ -23,6 +33,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from . import formula as fm
 from . import hull, lpsolve
@@ -203,22 +215,85 @@ class ClosureReport:
                 f"skipped={self.skipped} priced={self.priced} violation={out}")
 
 
-def _cone_vertices(dim, level, valid_rows):
+def _cone_generators(dim, level, valid_rows):
     """Vertices of {c >= 0 : every level-subset sums >= 1, d·c >= 1 for d in rows}.
 
-    Every row has 0/1 coefficients and right-hand side 0 or 1, so each goes
-    to the double description as the homogeneous int row (a, -rhs).  At
-    level 1 every c_i >= 1, so each row d·c >= 1 with d != 0 holds and the
-    only vertex is all ones; `_price` passes no zero d.
+    Each vertex C/e comes as the primitive int tuple (C..., e), e > 0, and
+    the list is in lexicographic order of the vertices.  Every row has 0/1
+    coefficients and right-hand side 0 or 1, so each goes to the double
+    description as the homogeneous int row (a, -rhs).  At level 1 every
+    c_i >= 1, so each row d·c >= 1 with d != 0 holds and the only vertex is
+    all ones; `_price` passes no zero d.
     """
     if level == 1 and all(any(d) for d in valid_rows):
-        return [(Fraction(1),) * dim]
+        return [(1,) * (dim + 1)]
     rows = [tuple(int(j == i) for j in range(dim)) + (0,) for i in range(dim)]
     for J in itertools.combinations(range(dim), min(level, dim)):
         rows.append(tuple(int(j in J) for j in range(dim)) + (-1,))
     rows.extend(tuple(d) + (-1,) for d in valid_rows)
     points, _rays, _lineality = hull.vertices_of_rows(rows, dim)
-    return sorted(tuple(Fraction(v, g[dim]) for v in g[:dim]) for g in points)
+    # over one common denominator L the order of the ints is that of the vertices
+    L = lcm(*(g[dim] for g in points))
+    return sorted(points, key=lambda g: tuple(v * (L // g[dim]) for v in g[:dim]))
+
+
+def _cone_vertices(dim, level, valid_rows):
+    """The vertices of `_cone_generators` as `Fraction` tuples, in its order."""
+    return [hull._point(g) for g in _cone_generators(dim, level, valid_rows)]
+
+
+def _checked_vertices(R):
+    """The vertex list of an x-space R, checked from both sides, or None.
+
+    One double description over R's rows, each int row (a, b, l) as the
+    primitive homogeneous row (a, -b), gives the vertices as homogeneous
+    int points (X, D) for X/D.  Every vertex must satisfy every row, so
+    conv(V) lies in R; a vertex that does not is an InternalError.  Every
+    facet of conv(V) must be one of the rows and every equation of its
+    affine hull a row with both signs, so R lies in conv(V) and no vertex
+    was lost.  A list that passes both checks is all of R.  None, for LP
+    pricing, when R is unbounded or the second check fails, which rows that
+    do not state conv(V) canonically can make happen (a hand-written file
+    whose equations are implied by inequalities, say).  An empty list
+    stands for an empty R only once an LP's Farkas certificate confirms it.
+    """
+    n = R.n
+    rows = []
+    for a, b, _ in R.rows:
+        h = [0] * n + [-b]
+        for j, c in a:
+            h[j] = c
+        rows.append(hull._reduced(h))
+    V, rays, lineality = hull.vertices_of_rows(rows, n)
+    if any(sum(map(mul, h, g)) < 0 for g in V for h in rows):
+        raise lpsolve.InternalError("a vertex of the relaxation violates one of its rows")
+    if not V:
+        if not lpsolve.is_empty(R):
+            raise lpsolve.InternalError("a nonempty relaxation has no vertex")
+        return V
+    if rays or lineality:
+        return None
+    facets, equations = hull._hull(V, n)
+    have = set(rows)
+    if all(h in have for h in facets) and all(
+            h in have and tuple(-v for v in h) in have for h in equations):
+        return V
+    return None
+
+
+def _vertex_minimum(W, C):
+    """(s, D) with s/D the least of C·w/D over the vertices (w, D) in W.
+
+    Each w holds a vertex's standard-form numerators over its denominator
+    D: X_i, or D - X_i for a complemented i.  Values compare by
+    cross-multiplying, so no `Fraction` is built.
+    """
+    best, best_D = None, 1
+    for w, D in W:
+        s = sum(map(mul, C, w))
+        if best is None or s * best_D < best * D:
+            best, best_D = s, D
+    return best, best_D
 
 
 def _check_violation(query, viol):
@@ -244,8 +319,12 @@ def closure_violation(query: ClosureQuery):
     inside the cube, positive delta scales away), and for a fixed support
     or pattern the worst violation is attained at a vertex of the
     coefficient polyhedron because the pricing objective is nonnegative on
-    its recession directions.  Every reported violation is re-verified
-    exactly before being returned.
+    its recession directions.  Each such vertex is priced by its least
+    value over R: over an x-space R the least value at R's vertices, whose
+    list is checked to be all of R (see the module docstring), and
+    otherwise an exact LP.  Every reported violation comes from an exact
+    LP, which must agree with the vertex minimum where there is one, and is
+    re-verified exactly before being returned.
     """
     return _search(query)[0]
 
@@ -265,25 +344,28 @@ def _search(query):
     n = S.n
     if R.n != n:
         raise ValueError(f"dimension mismatch: points {n}, relaxation {R.n}")
-    examined = skipped = priced = 0
-    # a point of S inside an x-space R proves R nonempty by row evaluation
-    witnessed = R.is_hrep and any(lpsolve.contains_point(R, s) for s in S.points)
-    if not witnessed and lpsolve.is_empty(R):
-        return None, examined, skipped, priced
+    limit = PITCH_SEARCH_LIMIT if query.mode == "pitch" else NOTCH_SEARCH_LIMIT
+    V = _checked_vertices(R) if R.is_hrep and n <= limit else None
+    if V is None:
+        # a point of S inside an x-space R proves R nonempty by row evaluation
+        witnessed = R.is_hrep and any(lpsolve.contains_point(R, s) for s in S.points)
+        if not witnessed and lpsolve.is_empty(R):
+            return None, 0, 0, 0
+    elif not V:
+        return None, 0, 0, 0
+    if n > limit:
+        raise ValueError(f"dimension {n} exceeds {query.mode} search limit {limit}")
 
     if query.mode == "pitch":
-        if n > PITCH_SEARCH_LIMIT:
-            raise ValueError(f"dimension {n} exceeds pitch search limit {PITCH_SEARCH_LIMIT}")
         scopes = [(I, ()) for k in range(1, n + 1)
                   for I in itertools.combinations(range(1, n + 1), k)]
     else:
-        if n > NOTCH_SEARCH_LIMIT:
-            raise ValueError(f"dimension {n} exceeds notch search limit {NOTCH_SEARCH_LIMIT}")
         everything = tuple(range(1, n + 1))
         scopes = [(everything, tuple(i + 1 for i in range(n) if mask >> i & 1))
                   for mask in range(1 << n)]
+    examined = skipped = priced = 0
     for I, neg in scopes:
-        viol, cost = _price(query, I, neg)
+        viol, cost = _price(query, I, neg, V)
         examined += 1
         skipped += cost == 0
         priced += cost
@@ -299,11 +381,12 @@ def _priced_minimum(R, a, const):
     return out.value + const, out.x
 
 
-def _price(query, I, neg):
+def _price(query, I, neg, V):
     """Price the cone vertices of one scope: support I, complemented indices neg.
 
     Pitch scopes are (support, ()); notch scopes are (all variables,
-    pattern).  Returns (violation or None, vertices priced).
+    pattern).  `V` is R's checked vertex list, or None to price each cone
+    vertex with an LP.  Returns (violation or None, vertices priced).
     """
     # validity rows restricted to I; an all-zero row means no nonnegative
     # inequality on the scope can be valid (in notch mode: the point that
@@ -316,20 +399,29 @@ def _price(query, I, neg):
         if not any(d):
             return None, 0
         dvecs.add(d)
+    W = None if V is None else [
+        (tuple(g[-1] - g[i - 1] if i in ns else g[i - 1] for i in I), g[-1]) for g in V]
     n = S.n
     priced = 0
-    for c in _cone_vertices(len(I), query.level, sorted(dvecs)):
-        coeffs = [Fraction(0)] * n
-        for i, ci in zip(I, c):
-            coeffs[i - 1] = ci
-        a = tuple(-ci if i in ns else ci for i, ci in enumerate(coeffs, start=1))
-        const = sum(ci for i, ci in zip(I, c) if i in ns)
+    for *C, e in _cone_generators(len(I), query.level, sorted(dvecs)):
         priced += 1
+        if W is not None:
+            # the least standard-form value over R is (s/D)/e; priced by LP below 1
+            s, D = _vertex_minimum(W, C)
+            if s >= e * D:
+                continue
+        coeffs = [Fraction(0)] * n
+        for i, ci in zip(I, C):
+            coeffs[i - 1] = Fraction(ci, e)
+        a = tuple(-ci if i in ns else ci for i, ci in enumerate(coeffs, start=1))
+        const = sum(coeffs[i - 1] for i in neg)
         value, point = _priced_minimum(R, a, const)
+        if W is not None and value != Fraction(s, e * D):
+            raise lpsolve.InternalError("pricing LP disagrees with the relaxation's vertices")
         if value < 1:
             viol = Violation(
                 n=n, neg=neg, coeffs=tuple(coeffs), delta=Fraction(1),
                 point=point, value=value,
-                support=tuple(i for i, ci in zip(I, c) if ci != 0))
+                support=tuple(i for i, ci in zip(I, C) if ci != 0))
             return _check_violation(query, viol), priced
     return None, priced

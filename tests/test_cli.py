@@ -1,5 +1,6 @@
 import pathlib
 import shlex
+import sys
 from fractions import Fraction
 
 import pytest
@@ -337,6 +338,32 @@ def test_exponents_within_the_int_string_limit_read(lifted_inputs, capsys, monke
     assert (code, out) == (0, "pitch=1 notch=1\n")
 
 
+LONG_PROJECTION_EF = "ef\nxvars 1\nyvars 1\nrow 0:1 >= 0\nrow 0:-1 >= -1\nproj 1 0 1e4300\n"
+
+
+def test_numbers_too_long_to_print_are_one_line(tmp_path, capsys):
+    # input at the exponent cap reads, but a result one digit longer cannot
+    # become text; the command says so in one line and prints nothing else
+    too_long = f"has more than {sys.get_int_max_str_digits()} digits, too long to print"
+    run(capsys, "gen", "bz", "--n", "3", "--out", str(tmp_path))
+    ef = str(tmp_path / "bz3.ef")
+    assert run(capsys, "lift", "--formula", str(tmp_path / "bz3.bool"), "--out", ef)[0] == 0
+    assert run(capsys, "optimize", "--ef", ef, "--max", "--obj=1e4300,1,1") == (
+        2, "", f"formlift: the optimal value {too_long}\n")
+    code, out, _ = run(capsys, "optimize", "--ef", ef, "--max", "--obj=1e4299,1,1")
+    assert code == 0 and out == "1" + "0" * 4298 + "2\n"
+    (tmp_path / "long.ef").write_text(LONG_PROJECTION_EF)
+    long_ef = str(tmp_path / "long.ef")
+    assert run(capsys, "optimize", "--ef", long_ef, "--max", "--obj=1e-4300") == (0, "1\n", "")
+    assert run(capsys, "-v", "optimize", "--ef", long_ef, "--max", "--obj=1e-4300") == (
+        2, "", f"formlift: the optimal point {too_long}\n")
+    (tmp_path / "big.ef").write_text("ef\nxvars 2\nyvars 0\nineq 1e4300 1 >= 0\n")
+    (tmp_path / "or.bool").write_text("x1 | x2\n")
+    assert run(capsys, "lift", "--formula", str(tmp_path / "or.bool"), "--polytope",
+               str(tmp_path / "big.ef")) == (
+        2, "", f"formlift: a number of the lifted formulation {too_long}\n")
+
+
 def test_lift_writes_pair_rows_only_for_lifted_files(tmp_path, capsys):
     (tmp_path / "or.bool").write_text("x1 & x2 | x3 & x4\n")
     (tmp_path / "face.bool").write_text("x1 & !x2\n")
@@ -355,12 +382,21 @@ def _disjunction(k):
     return " | ".join(f"x{i % 5 + 1}" for i in range(k))
 
 
+def _alternating(depth):
+    text = "x1"
+    for k in range(depth):
+        text = f"(x2 {'&' if k % 2 else '|'} {text})"
+    return text
+
+
 @pytest.mark.parametrize("text, lifts", [
     (_disjunction(450), True),
     (_disjunction(1200), False),
     ("(" * 3000 + "x1" + ")" * 3000, False),
     ("!" * 3000 + "x1", False),
-], ids=["flat-disjunction", "long-disjunction", "nested-parentheses", "stacked-negations"])
+    (_alternating(900), False),
+], ids=["flat-disjunction", "long-disjunction", "nested-parentheses", "stacked-negations",
+        "alternating-and-or"])
 def test_deep_formula_is_one_line_or_a_lift(tmp_path, capsys, text, lifts):
     # a chain is one node, so a long disjunction lifts until the nested
     # point and dual maps of its unions reach the recursion limit
@@ -376,6 +412,24 @@ def test_deep_formula_is_one_line_or_a_lift(tmp_path, capsys, text, lifts):
     else:
         assert code == 2
         assert err == "formlift: formula nests too deeply or has too long a chain\n"
+
+
+@pytest.mark.parametrize("text, plain", [
+    ("(" * 400 + "x1 | x2" + ")" * 400, "x1 | x2"),
+    ("!(" * 200 + "x1 & !x2" + ")" * 200, "x1 & !x2"),
+], ids=["parentheses", "negated-parentheses"])
+def test_parentheses_cost_the_parser_no_recursion(tmp_path, capsys, text, plain):
+    # the parser keeps open parentheses on a stack of its own, so text that
+    # nests deeply around a shallow tree lifts to the same bytes as the tree's
+    # own text
+    (tmp_path / "deep.bool").write_text(text + "\n")
+    (tmp_path / "plain.bool").write_text(plain + "\n")
+    got = run(capsys, "lift", "--formula", str(tmp_path / "deep.bool"), "--rounds", "1",
+              "--out", str(tmp_path / "deep.ef"))
+    assert got[0] == 0
+    assert got == run(capsys, "lift", "--formula", str(tmp_path / "plain.bool"),
+                      "--rounds", "1", "--out", str(tmp_path / "plain.ef"))
+    assert (tmp_path / "deep.ef").read_bytes() == (tmp_path / "plain.ef").read_bytes()
 
 
 @pytest.mark.parametrize("argv", [

@@ -220,3 +220,87 @@ def test_point_set_rejects_bad_points():
 def test_size_counts_literals():
     assert fm.parse("x1 & (x1 | !x2)", 2).size == 3
     assert fm.parse("1", 2).size == 0
+
+
+def _recursive_parse(text, n):
+    """The grammar of the module docstring by plain recursive descent, for
+    comparison with `parse`; builds each chain as a left fold of land/lor."""
+    tokens, pos = fm._tokenize(text), [0]
+
+    def take():
+        pos[0] += 1
+        return tokens[pos[0] - 1]
+
+    def chain(operand, op, build):
+        out = operand()
+        while tokens[pos[0]][0] == op:
+            take()
+            out = build(out, operand())
+        return out
+
+    def factor():
+        kind, value, at = take()
+        if kind == "!":
+            return fm.lnot(factor())
+        if kind == "var":
+            if not 1 <= value <= n:
+                raise fm.ParseError(f"variable index x{value} out of range 1..{n}", at)
+            return fm.lit(value, n)
+        if kind == "const":
+            return fm.const(value, n)
+        if kind == "(":
+            out = expr()
+            kind, _, at = take()
+            if kind != ")":
+                raise fm.ParseError("expected ')'", at)
+            return out
+        raise fm.ParseError("expected '!', variable, constant or '('", at)
+
+    def expr():
+        return chain(lambda: chain(factor, "&", fm.land), "|", fm.lor)
+
+    out = expr()
+    if tokens[pos[0]][0] != "end":
+        raise fm.ParseError("trailing input after formula", tokens[pos[0]][2])
+    return out
+
+
+def _outcome(parse, text, n):
+    try:
+        return parse(text, n)
+    except fm.ParseError as exc:
+        return str(exc)
+
+
+def test_parse_matches_recursive_descent():
+    # trees and error messages (with positions) of random texts, well formed
+    # or mutated, agree with the grammar read by recursion
+    rng = random.Random(23)
+    pieces = ["x1", "x2", "x3", "x4", "0", "1", "!", "&", "|", "(", ")", " "]
+    agreed = 0
+    for _ in range(3000):
+        text = _random_tree(rng, 3, 5).to_text()
+        for _ in range(rng.randint(0, 2)):
+            k = rng.randrange(len(text) + 1)
+            text = text[:k] + rng.choice(pieces) + text[k + rng.randint(0, 2):]
+        want = _outcome(_recursive_parse, text, 3)
+        assert _outcome(fm.parse, text, 3) == want, text
+        agreed += isinstance(want, fm.Formula)
+    assert agreed > 1000
+
+
+def test_parentheses_and_negations_cost_no_recursion():
+    # nesting takes no Python frames; only text nested deeper than the
+    # recursion limit is refused, since a tree that deep could not be walked
+    plain = fm.parse("x1 | x2")
+    assert fm.parse("(" * 900 + "x1 | x2" + ")" * 900) == plain
+    assert fm.parse("!" * 900 + "x1") == fm.parse("x1")
+    f = fm.parse("!" * 901 + "(x1 | x2)")
+    for _ in range(901):
+        assert f.kind is fm.Kind.NOT
+        f = f.children[0]
+    assert f == plain
+    with pytest.raises(RecursionError):
+        fm.parse("(" * 1001 + "x1" + ")" * 1001)
+    with pytest.raises(RecursionError):
+        fm.parse("!(" * 501 + "x1" + ")" * 501)

@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from formlift import cli
 from formlift import formula as fm
 from formlift import hull
 from formlift import instances
@@ -252,3 +253,252 @@ def test_closure_lines_are_pinned():
     assert sum("violation=none" not in line for line in lines) == 74
     got = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert got == "da41708d76b3004481002564763b1cbe68eb5d95e2b706047be89348a1a65698"
+
+
+# ---------------------------------------------------------------------------
+# pricing over an x-space relaxation's checked vertex list
+
+
+def _random_set(rng, n):
+    pts = {tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(rng.randint(1, 6))}
+    return fm.point_set(n, sorted(pts))
+
+
+@st.composite
+def _xspace_relaxations(draw):
+    """(S, R): a nonempty 0/1 set and an x-space relaxation to price against.
+
+    R is the cube, hull round 1 or 2 of a random reduced formula over 4 or
+    5 variables, or a random base clamped to the box with one or two
+    equations among its rows, often lower-dimensional."""
+    kind = draw(st.sampled_from(("cube", "round", "equations")))
+    seed = draw(st.integers(0, 10**6))
+    rng = random.Random(seed)
+    if kind == "cube":
+        n = draw(st.integers(1, 5))
+        return _random_set(rng, n), pt.cube(n)
+    if kind == "round":
+        n = draw(st.integers(4, 5))
+        phi = fm.reduce(vf.random_reduced_formula(n, rng.randint(3, 8), neg_density=0.3,
+                                                  seed=seed))
+        S = fm.enumerate_set(phi)
+        rounds = hull._rounds(phi, pt.cube(n).xspace_rows())
+        F = next(rounds)
+        if draw(st.booleans()):
+            F = next(rounds)
+        assume(S.points and F is not None)
+        return S, pt.from_hrep(n, F.rows())
+    n = draw(st.integers(2, 5))
+    rows = []
+    for _ in range(rng.randint(1, 2)):
+        i, j = rng.sample(range(n), 2)
+        a = [0] * n
+        a[i] = 1
+        a[j] = rng.choice((-1, 1))
+        rhs = 0 if a[j] < 0 else rng.choice((0, 1))
+        rows += [(a, rhs), ([-v for v in a], -rhs)]
+    for _ in range(rng.randint(0, 3)):
+        rows.append(([rng.randint(-2, 2) for _ in range(n)], rng.randint(-2, 1)))
+    R = pt.from_hrep(n, rows)
+    assume(not lp.is_empty(R))
+    return _random_set(rng, n), R
+
+
+def _spied_search(monkeypatch, S, R, mode, level):
+    """The report, plus (I, neg, C, e, (s, D)) for every direction priced
+    over R's vertex list, in pricing order."""
+    events = []
+    price, gens, vmin = ms._price, ms._cone_generators, ms._vertex_minimum
+
+    def spy_price(query, I, neg, V):
+        events.append(("scope", I, neg))
+        return price(query, I, neg, V)
+
+    def spy_gens(*args):
+        out = gens(*args)
+        events.append(("gens", out))
+        return out
+
+    def spy_vmin(W, C):
+        out = vmin(W, C)
+        events.append(("min", out))
+        return out
+
+    monkeypatch.setattr(ms, "_price", spy_price)
+    monkeypatch.setattr(ms, "_cone_generators", spy_gens)
+    monkeypatch.setattr(ms, "_vertex_minimum", spy_vmin)
+    rep = ms.verify_closure(ms.ClosureQuery(mode, level, S, R))
+    monkeypatch.undo()
+    priced, scope, pending = [], None, []
+    for ev in events:
+        if ev[0] == "scope":
+            scope = ev[1:]
+        elif ev[0] == "gens":
+            pending = list(ev[1])
+        else:
+            *C, e = pending.pop(0)
+            priced.append((*scope, tuple(C), e, ev[1]))
+    return rep, priced
+
+
+def _lp_priced_line(monkeypatch, S, R, mode, level):
+    """The report line with every cone vertex priced by an exact LP."""
+    monkeypatch.setattr(ms, "_checked_vertices", lambda R: None)
+    line = ms.verify_closure(ms.ClosureQuery(mode, level, S, R)).line()
+    monkeypatch.undo()
+    return line
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_xspace_relaxations())
+def test_vertex_minimum_equals_the_pricing_lp(case):
+    # every direction priced over the checked vertex list has the LP's
+    # minimum over R, and the report equals that of LP pricing throughout
+    S, R = case
+    with pytest.MonkeyPatch.context() as mp:
+        checked = ms._checked_vertices(R) is not None
+        for mode, level in (("pitch", 1), ("pitch", 2), ("notch", 1), ("notch", 2)):
+            rep, priced = _spied_search(mp, S, R, mode, level)
+            assert checked or not priced
+            for I, neg, C, e, (s, D) in priced:
+                a = [F(0)] * S.n
+                for i, c in zip(I, C):
+                    a[i - 1] = -F(c, e) if i in neg else F(c, e)
+                const = sum(F(c, e) for i, c in zip(I, C) if i in neg)
+                assert lp.optimize(R, a, "min").value + const == F(s, e * D)
+            assert rep.line() == _lp_priced_line(mp, S, R, mode, level)
+
+
+def test_canonical_relaxations_pass_the_vertex_check():
+    # the cube and every hull round are stated by their own facets, so each
+    # is priced over its vertex list
+    for n in range(1, 6):
+        assert len(ms._checked_vertices(pt.cube(n))) == 2 ** n
+    for seed in range(20):
+        phi = fm.reduce(vf.random_reduced_formula(5, 7, neg_density=0.3, seed=seed))
+        rounds = hull._rounds(phi, pt.cube(5).xspace_rows())
+        for F in (next(rounds), next(rounds)):
+            if F is not None:
+                assert ms._checked_vertices(pt.from_hrep(5, F.rows()))
+
+
+def _faulty_first_vertex_list(monkeypatch, fault):
+    """Make the first `vertices_of_rows` call, the relaxation's own, go
+    through `fault`; later calls (cone vertices, hull polars) are left alone."""
+    real = hull.vertices_of_rows
+    calls = []
+
+    def planted(rows, n):
+        out = real(rows, n)
+        calls.append(n)
+        return (fault(out[0]), *out[1:]) if len(calls) == 1 else out
+
+    monkeypatch.setattr(hull, "vertices_of_rows", planted)
+
+
+def _round_one_of_bz4():
+    phi = fm.reduce(instances.gen_bz(4).formula)
+    F = hull.lift_hrep(phi, pt.cube(4).xspace_rows())
+    return fm.enumerate_set(phi), pt.from_hrep(4, F.rows())
+
+
+def test_a_vertex_outside_the_relaxation_is_caught(monkeypatch):
+    S, R = _round_one_of_bz4()
+
+    def shifted(V):
+        (*X, D), rest = V[0], V[1:]
+        return [(*(v + 2 * D for v in X), D)] + rest  # every coordinate at least 2
+    _faulty_first_vertex_list(monkeypatch, shifted)
+    with pytest.raises(lp.InternalError, match="violates one of its rows"):
+        ms.verify_closure(ms.ClosureQuery("pitch", 2, S, R))
+
+
+@pytest.mark.parametrize("mode, level", [("pitch", 1), ("notch", 2)])
+def test_a_dropped_vertex_falls_back_to_lp_pricing(monkeypatch, mode, level):
+    # conv(V) without one vertex has a facet that is no row of R, so R is
+    # priced by LP instead, with the same report line
+    S, R = _round_one_of_bz4()
+    want = ms.verify_closure(ms.ClosureQuery(mode, level, S, R)).line()
+    assert ms._checked_vertices(R) is not None
+    _faulty_first_vertex_list(monkeypatch, lambda V: V[:-1])
+    assert ms._checked_vertices(R) is None
+    monkeypatch.undo()
+    _faulty_first_vertex_list(monkeypatch, lambda V: V[:-1])
+    solves = []
+    real = lp.optimize
+    monkeypatch.setattr(lp, "optimize", lambda *a: solves.append(a) or real(*a))
+    assert ms.verify_closure(ms.ClosureQuery(mode, level, S, R)).line() == want
+    assert solves
+
+
+def test_an_empty_vertex_list_needs_an_empty_relaxation(monkeypatch):
+    S = fm.point_set(2, [(1, 1)])
+    assert ms._checked_vertices(pt.empty_formulation(2)) == []
+    _faulty_first_vertex_list(monkeypatch, lambda V: [])
+    with pytest.raises(lp.InternalError, match="has no vertex"):
+        ms.verify_closure(ms.ClosureQuery("pitch", 1, S, pt.cube(2)))
+
+
+def test_a_pricing_lp_off_the_vertex_minimum_is_caught(monkeypatch):
+    # the violation's LP must reach the least value over R's vertices
+    tri = instances.gen_covering([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    real = ms._priced_minimum
+
+    def off(R, a, const):
+        value, point = real(R, a, const)
+        return value + F(1, 100), point
+    monkeypatch.setattr(ms, "_priced_minimum", off)
+    with pytest.raises(lp.InternalError, match="disagrees"):
+        ms.verify_closure(ms.ClosureQuery("pitch", 1, tri.points, pt.cube(3)))
+
+
+def _dense_file(n, rows):
+    lines = ["ef", f"xvars {n}", "yvars 0"]
+    lines += ["ineq " + " ".join(map(str, a)) + f" >= {b}" for a, b in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("mode, level", [("pitch", 1), ("pitch", 2), ("notch", 2)])
+def test_hand_written_xspace_files_keep_their_closure_line(tmp_path, capsys, monkeypatch,
+                                                            mode, level):
+    # the same polytopes written with scaled, redundant or implied rows: the
+    # closure line matches the canonical file's and LP pricing's.  A segment
+    # whose equations only inequalities imply fails the vertex check and is
+    # priced by LP.
+    tri = "(x1 | x2) & (x2 | x3) & (x1 | x3)\n"
+    (tmp_path / "tri.bool").write_text(tri)
+    phi = fm.reduce(fm.parse(tri))
+    S = fm.enumerate_set(phi)
+    facets = hull.lift_hrep(phi, pt.cube(3).xspace_rows()).rows()
+    box = [(tuple(int(j == i) for j in range(3)), 0) for i in range(3)]
+    files = {
+        "cube": _dense_file(3, box),
+        "cube-scaled": _dense_file(3, [(tuple(3 * v for v in a), 3 * b) for a, b in box]
+                                   + [((1, 1, 1), 0), ((2, -1, 0), -1)]),
+        "round": _dense_file(3, facets),
+        "round-scaled": _dense_file(3, [(tuple(2 * v for v in a), 2 * b) for a, b in facets]
+                                    + [((1, 1, 1), 1), ((1, 1, 0), 0)]),
+        "segment": _dense_file(3, [((1, 1, 0), 1), ((-1, -1, -1), -1)]),
+    }
+    paths = {}
+    checked = {}
+    real = ms._checked_vertices
+    monkeypatch.setattr(ms, "_checked_vertices",
+                        lambda R: checked.setdefault(name, real(R)))
+    lines = {}
+    for name, text in files.items():
+        paths[name] = tmp_path / f"{name}.ef"
+        paths[name].write_text(text)
+        code = cli.dispatch(["closure", "--mode", mode, "--level", str(level), "--formula",
+                             str(tmp_path / "tri.bool"), "--ef", str(paths[name])])
+        out, err = capsys.readouterr()
+        assert err == "" and code == (0 if "violation=none" in out else 1)
+        lines[name] = out
+    monkeypatch.undo()
+    assert lines["cube"] == lines["cube-scaled"]
+    assert lines["round"] == lines["round-scaled"]
+    assert all(checked[name] for name in files if name != "segment")
+    assert checked["segment"] is None
+    for name, path in paths.items():
+        R = pt.from_text(path.read_text())
+        assert lines[name] == _lp_priced_line(monkeypatch, S, R, mode, level) + "\n"
