@@ -12,14 +12,17 @@ values handed back to callers.  Inputs are capped at dimension HULL_LIMIT
 because the method is exponential in general.  The x-space lift runs one
 double description per OR chain: an OR node's points are the union of its
 arms' points, nested ORs included, and only the chain's root is hulled.
+A literal face needs none: its points are the base's vertices that lie on
+it, filtered from the vertex list that each round carries to the next.
 The FacetLists that `_hull` yields are canonical, so two are equal exactly
 when their polytopes are; `verify.check_completeness` relies on that.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -300,12 +303,26 @@ class FacetList:
     """H-description in x-space: rows a·x >= rhs plus affine equations.
 
     `facets_of_points` produces irredundant lists; the type itself also
-    serves as a plain container of known valid rows.
+    serves as a plain container of known valid rows.  The same rows come
+    as homogeneous int rows too, outside equality: `hfacets` holds each
+    facet as the primitive row h with h·(x, 1) >= 0 and `hequations` each
+    equation as one with h·(x, 1) = 0.  A FacetList that `lift_hrep`
+    returns also carries its vertices in `hvertices`, as homogeneous int
+    points (X, d) for X/d, which the next round's literal faces filter.
     """
 
     n: int
     facets: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
     equations: tuple[tuple[tuple[Fraction, ...], Fraction], ...] = ()
+    hvertices: tuple | None = field(default=None, init=False, compare=False, repr=False)
+
+    @functools.cached_property
+    def hfacets(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_homogeneous(a, rhs) for a, rhs in self.facets)
+
+    @functools.cached_property
+    def hequations(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(_homogeneous(a, rhs) for a, rhs in self.equations)
 
     def rows(self) -> list[tuple[tuple[Fraction, ...], Fraction]]:
         """All constraints as inequality rows (each equation becomes a pair)."""
@@ -315,6 +332,10 @@ class FacetList:
             out.append((tuple(-v for v in a), -rhs))
         return out
 
+    def hrows(self) -> list[tuple[int, ...]]:
+        """All constraints as homogeneous int rows, each equation as a pair."""
+        return [*self.hfacets, *self.hequations, *(_negated(h) for h in self.hequations)]
+
     def to_text(self) -> str:
         """Serialize in the extended-formulation text format with yvars 0."""
         from .polytope import _write
@@ -322,18 +343,27 @@ class FacetList:
         return _write(self.n, 0, rows, ())
 
 
-def _facet_list(n, facets, equations) -> FacetList:
+def _negated(h) -> tuple[int, ...]:
+    return tuple(-v for v in h)
+
+
+def _facet_list(n, facets, equations, vertices=None) -> FacetList:
     """The canonical FacetList of the homogeneous rows `_hull` returns.
 
     Facets are primitive and zero outside the pivot columns of the affine
-    hull, equations have primitive coefficients, and both are sorted.
+    hull, equations have primitive coefficients, and both are sorted.  The
+    int rows themselves, and `vertices` when given, ride along.
     """
     eqs = []
     for h in equations:
         k = gcd(*h[:n])
         eqs.append((tuple(Fraction(v // k) for v in h[:n]), Fraction(-h[n], k)))
-    return FacetList(n, tuple(sorted((_fractions(h[:n]), Fraction(-h[n])) for h in facets)),
-                     tuple(sorted(eqs)))
+    F = FacetList(n, tuple(sorted((_fractions(h[:n]), Fraction(-h[n])) for h in facets)),
+                  tuple(sorted(eqs)))
+    # the rows the cached properties would compute, in `_hull`'s order
+    F.__dict__.update(hfacets=tuple(facets), hequations=tuple(equations))
+    object.__setattr__(F, "hvertices", vertices)
+    return F
 
 
 def facets_of_points(points) -> FacetList:
@@ -362,7 +392,7 @@ def vertices_of_hrep(F: FacetList):
     """
     n = F.n
     _check_dim(n)
-    points, rays, lin = vertices_of_rows([_homogeneous(a, rhs) for a, rhs in F.rows()], n)
+    points, rays, lin = vertices_of_rows(F.hrows(), n)
     rays = set(rays)
     for l in lin:
         rays.add(l)
@@ -427,50 +457,173 @@ def equals_hull(Q, V) -> HullCheck:
 
 
 def lift_hrep(phi, base):
-    """Apply a reduced formula to a polytope given by rows in x-space.
+    """Apply a reduced formula to a polytope inside the unit box, in x-space.
 
     Literals restrict to faces, AND intersects row systems, OR takes the
-    convex hull of its arms.  Returns a canonical FacetList, or None when
-    the result is empty.  `base` is a list of (coeffs, rhs) rows describing
-    a polytope inside the unit box.
+    convex hull of its arms.  Returns a canonical FacetList that carries
+    its vertex list, or None when the result is empty.  `base` is a list
+    of (coeffs, rhs) rows describing a polytope inside the unit box, or a
+    FacetList such as the round before; a base that has a vertex outside
+    the box, or is unbounded, raises ValueError.
 
-    An OR chain is hulled once, from the union of the vertices of all its
-    arms: conv(conv(A ∪ B) ∪ C) = conv(A ∪ B ∪ C), and `_hull` returns
-    primitive, canonical facets and equations whatever redundant points it
-    is given.
+    A literal's lift is the face of the base on x_i = 1 or x_i = 0, which
+    supports a base inside the box, so the face is the hull of the base's
+    vertices on it: a literal, a constant or an AND of them takes its
+    points from the base's vertex list with no double description.  The
+    base's vertices come from the FacetList when it carries them, and
+    otherwise from one double description of its rows.  Any other node but
+    an OR, such as an AND with an OR child, lifts as rows and takes the
+    vertices of those rows.  An OR chain is hulled once, from the union of
+    the points of all its arms: conv(conv(A ∪ B) ∪ C) = conv(A ∪ B ∪ C),
+    and `_hull` returns primitive, canonical facets and equations whatever
+    redundant points it is given.  The top node's points are pruned to the
+    vertices of the result by `_vertices`, which also checks `_hull`'s rows
+    at every point.
     """
     if not phi.is_reduced():
         raise ValueError("formula must be reduced before lifting")
     n = phi.n
     _check_dim(n)
-    rows = [_homogeneous(tuple(_rational(v) for v in a), _rational(rhs)) for a, rhs in base]
-    points = _points(phi, rows, n)
-    return _facet_list(n, *_hull(points, n)) if points else None
+    if isinstance(base, FacetList):
+        if base.n != n:
+            raise ValueError(f"dimension mismatch: formula {n}, base {base.n}")
+        rows, verts = base.hrows(), base.hvertices
+    else:
+        rows = [_homogeneous(tuple(_rational(v) for v in a), _rational(rhs)) for a, rhs in base]
+        verts = None
+    if verts is None:
+        verts = _box_vertices(rows, n)
+    points = _points(phi, rows, _faces(verts, n), n)
+    if not points:
+        return None
+    facets, equations = _hull(points, n)
+    return _facet_list(n, facets, equations, _vertices(points, facets, equations))
 
 
-def _rounds(phi, rows):
-    """The rounds phi(P), phi(phi(P)), ... of the x-space base P given by `rows`.
+def _rounds(phi, base):
+    """The rounds phi(P), phi(phi(P)), ... of the x-space base P.
 
-    Yields each round's canonical FacetList, each lifted once by `lift_hrep`
-    from the round before, and None from the first empty round on.
+    `base` is as for `lift_hrep`.  Yields each round's canonical FacetList,
+    each lifted once by `lift_hrep` from the round before, whose rows and
+    vertices it carries as ints, and None from the first empty round on.
     """
-    while rows is not None:
-        F = lift_hrep(phi, rows)
-        yield F
-        rows = None if F is None else F.rows()
+    while base is not None:
+        base = lift_hrep(phi, base)
+        yield base
     yield from itertools.repeat(None)
 
 
-def _points(node, rows, n):
+def _box_vertices(rows, n):
+    """The vertices of {x : h·(x, 1) >= 0 for h in rows}, which must lie in [0, 1]^n.
+
+    Rows that state the unit box itself give its 2^n corners directly.
+    """
+    box_rows, corners = _unit_box(n)
+    if set(rows) == box_rows:
+        return corners
+    points, rays, lin = vertices_of_rows(rows, n)
+    if rays or lin or any(not 0 <= v <= g[n] for g in points for v in g[:n]):
+        raise ValueError("the base of a lift must be a polytope inside the unit box")
+    return points
+
+
+@functools.cache
+def _unit_box(n):
+    """The homogeneous int rows of [0, 1]^n, as a set, and its corners (X, 1)."""
+    rows = set()
+    for i in range(n):
+        e = tuple(int(j == i) for j in range(n))
+        rows.update((e + (0,), _negated(e) + (1,)))
+    return frozenset(rows), tuple((*p, 1) for p in itertools.product((0, 1), repeat=n))
+
+
+def _vertices(points, facets, equations):
+    """The points that are vertices of conv(points), given `_hull`'s rows of it.
+
+    Every facet is evaluated at every point, so a facet below 0 or an
+    equation off 0 at a point is an InternalError.  A vertex is the only
+    point of the face cut out by the facets it is tight on, and any other
+    point lies in a face with at least two vertices, each tight on all of
+    that point's facets.  So with the points tight on each facet held as an
+    int bitmask, a point is a vertex exactly when the AND of the masks of
+    its tight facets is its own bit.
+    """
+    points = list(points)
+    on = [0] * len(facets)
+    tight = []
+    for k, g in enumerate(points):
+        if any(sum(map(mul, h, g)) for h in equations):
+            raise lpsolve.InternalError("a point of a hull is off one of its equations")
+        mine = []
+        for j, h in enumerate(facets):
+            v = sum(map(mul, h, g))
+            if v < 0:
+                raise lpsolve.InternalError("a facet of a hull cuts off one of its points")
+            if v == 0:
+                on[j] |= 1 << k
+                mine.append(j)
+        tight.append(mine)
+    out = []
+    for k, g in enumerate(points):
+        common = (1 << len(points)) - 1
+        for j in tight[k]:
+            common &= on[j]
+        if common == 1 << k:
+            out.append(g)
+    return tuple(out)
+
+
+def _faces(verts, n):
+    """The base vertices `verts` (X, d) on each face X_i = v·d of the box,
+    keyed (i, v), and all of them keyed None."""
+    faces = {None: frozenset(verts)}
+    for i in range(n):
+        faces[i, 0] = frozenset(g for g in verts if g[i] == 0)
+        faces[i, 1] = frozenset(g for g in verts if g[i] == g[n])
+    return faces
+
+
+def _face(node, faces):
+    """The points of a literal, a constant or an AND of them, or None.
+
+    They are the base vertices on every face a literal fixes, from the
+    `_faces` table; a false constant or two literals that disagree give the
+    empty set.  Any other node gives None.
+    """
+    fixed = {}
+    todo = [node]
+    while todo:
+        c = todo.pop()
+        if c.kind is fm.Kind.AND:
+            todo.extend(c.children)
+        elif c.kind is fm.Kind.CONST:
+            if not c.value:
+                return set()
+        elif c.kind is fm.Kind.LIT:
+            v = 0 if c.negated else 1
+            if fixed.setdefault(c.var - 1, v) != v:
+                return set()
+        else:
+            return None
+    on = [faces[key] for key in fixed.items()] or [faces[None]]
+    return min(on, key=len).intersection(*on)
+
+
+def _points(node, rows, faces, n):
     """Homogeneous int points whose convex hull is the lift of `node`, as a set.
 
-    Any node but an OR gives the vertices of its lifted rows.  An OR node
-    gives the union of its arms' points, nested ORs included, with no hull
-    in between.
+    `rows` are the base's homogeneous int rows and `faces` its `_faces` table.
+    An OR node gives the union of its arms' points, nested ORs included,
+    with no hull in between; a literal, a constant or an AND of them the
+    base's vertices on its face; any other node the vertices of its lifted
+    rows.
     """
     if node.kind is fm.Kind.OR:
-        return set().union(*(_points(arm, rows, n) for arm in node.children))
-    out = _lift_rows(node, rows, n)
+        return set().union(*(_points(arm, rows, faces, n) for arm in node.children))
+    face = _face(node, faces)
+    if face is not None:
+        return face
+    out = _lift_rows(node, rows, faces, n)
     if out is None:
         return set()
     points, rays, lin = vertices_of_rows(out, n)
@@ -479,23 +632,26 @@ def _points(node, rows, n):
     return set(points)
 
 
-def _lift_rows(node, rows, n):
-    """The lift of `node` over homogeneous int rows, as such rows; None if empty."""
+def _lift_rows(node, rows, faces, n):
+    """The lift of `node` over homogeneous int rows, as such rows; None if empty.
+
+    `faces` is the base's `_faces` table, for an OR child's arms.
+    """
     k = node.kind
     if k is fm.Kind.CONST:
         return rows if node.value else None
     if k is fm.Kind.LIT:
         v = 0 if node.negated else 1
         a = tuple(int(i == node.var - 1) for i in range(n))
-        return rows + [a + (-v,), tuple(-x for x in a) + (v,)]
+        return rows + [a + (-v,), _negated(a) + (v,)]
     if k is fm.Kind.AND:
-        parts = [_lift_rows(c, rows, n) for c in node.children]
+        parts = [_lift_rows(c, rows, faces, n) for c in node.children]
         if any(p is None for p in parts):
             return None
         return list(dict.fromkeys(itertools.chain.from_iterable(parts)))
     # OR: convex hull of the whole chain's points
-    points = _points(node, rows, n)
+    points = _points(node, rows, faces, n)
     if not points:
         return None
     facets, equations = _hull(points, n)
-    return facets + equations + [tuple(-v for v in h) for h in equations]
+    return facets + equations + [_negated(h) for h in equations]

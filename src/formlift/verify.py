@@ -16,6 +16,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import formula as fm
 from . import hull, lpsolve, measures
@@ -154,9 +155,9 @@ def check_completeness(phi, k_max: int, instance: str = "adhoc",
     Once a round equals the hull the chain is stationary, so the scan stops
     there.  Round k equals conv(S) exactly when its canonical FacetList
     equals that of S, so a pass takes no LP: the rows of conv(S) are
-    computed once and checked by exact evaluation at every point of S.  Only
-    a fail builds the last round's formulation, and `hull.equals_hull`
-    writes its certificate.
+    computed once and checked at every point of S by exact evaluation of
+    their homogeneous int rows.  Only a fail builds the last round's
+    formulation, and `hull.equals_hull` writes its certificate.
     """
     t0 = time.perf_counter()
     phi = _prepare(phi, hull.HULL_LIMIT, "check_completeness")
@@ -171,8 +172,9 @@ def check_completeness(phi, k_max: int, instance: str = "adhoc",
         return _report("complete", instance, params, "fail" if cert else "pass", cert, t0,
                        [("first_equal", "none"), ("rounds", 1)])
     target = hull.facets_of_points(S.points)
-    if not all(sum(ai * xi for ai, xi in zip(a, p)) >= rhs
-               for a, rhs in target.rows() for p in S.points):
+    homogeneous = [(*p, 1) for p in S.points]
+    if not (all(sum(map(mul, h, g)) >= 0 for h in target.hfacets for g in homogeneous)
+            and not any(sum(map(mul, h, g)) for h in target.hequations for g in homogeneous)):
         raise lpsolve.InternalError("hull of the target cuts off one of its points")
     for k, F in zip(range(1, n + 1), rounds_of):
         if F == target:

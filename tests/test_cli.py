@@ -1,9 +1,14 @@
+import contextlib
+import io
 import pathlib
+import re
 import shlex
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formlift import cli
 from formlift import formula as fm
@@ -545,3 +550,93 @@ def test_readme_transcripts_reproduce(tmp_path, capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert code in (0, 1), argv
         assert err.splitlines() + out.splitlines() == lines, argv
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: mutated formula files, formulation files and vectors
+
+
+FUZZ_BOOLS = ("(x1 | x2) & (x2 | x3) & (x1 | x3)\n", "x1 & !x2 | x3\n",
+              "!(x1 & (x2 | !x3)) | x4 & 1\n")
+FUZZ_XSPACE_EF = "ef\nxvars 3\nyvars 0\nineq 1 1 0 >= 1\nineq 0 1/2 1 >= 1/2\n"
+FUZZ_VECTORS = ("1/2,1/3,0", "0,1,-2")
+# what a corrupted token becomes, or what is inserted
+FUZZ_TOKENS = ("", " ", "\n", "x0", "x5", "x9", "(", ")", "!", "&", "|", "0", "1", "-", "/",
+               "1/0", "-1", "2/3", "1.5", "1e3", "1e9999999", "nan", "inf", ":", "0:1", "9:9",
+               ">=", "#", "é", "ef", "xvars", "yvars", "ineq", "row", "proj", "wit")
+
+
+def _lifted_text():
+    phi = fm.reduce(fm.parse(FUZZ_BOOLS[1]))
+    return pt.to_text(pt.lift(phi, pt.cube(phi.n))[0])
+
+
+@st.composite
+def _mutated(draw, text, nest):
+    """`text` with one to three tokens dropped, duplicated, corrupted or inserted,
+    a character replaced, or, when `nest`, the whole wrapped in up to 1100
+    parentheses or negations."""
+    tokens = re.findall(r"\s+|[A-Za-z]+\d*|\d+|.", text, re.S)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("drop", "dup", "corrupt", "insert", "char", "nest")))
+        i = draw(st.integers(0, len(tokens) - 1)) if tokens else 0
+        if op == "char" and tokens and tokens[i]:
+            j = draw(st.integers(0, len(tokens[i]) - 1))
+            c = draw(st.sampled_from("x:/-.e!|&()# "))
+            tokens[i] = tokens[i][:j] + c + tokens[i][j + 1:]
+        elif op == "nest" and nest:
+            k = draw(st.sampled_from((3, 400, 1100)))
+            tokens = (["("] * k + tokens + [")"] * k if draw(st.booleans())
+                      else ["!"] * k + ["("] + tokens + [")"])
+        elif op == "drop" and tokens:
+            del tokens[i]
+        elif op == "dup" and tokens:
+            tokens.insert(i, tokens[i] + " ")
+        elif op in ("corrupt", "insert"):
+            tokens[i:i + (op == "corrupt")] = [draw(st.sampled_from(FUZZ_TOKENS))]
+    return "".join(tokens)
+
+
+def _fuzz_cases():
+    ef_texts = (FUZZ_XSPACE_EF, _lifted_text())
+    bool_runs = st.sampled_from((
+        ("parse",), ("reduce",), ("lift",), ("lift", "--rounds", "2"), ("notchset",),
+        ("verify", "complete", "--rounds", "1"),
+        ("closure", "--mode", "notch", "--level", "1"),
+    )).map(lambda cmd: (*cmd, "--formula", "{bool}"))
+    ef_runs = st.sampled_from((
+        ("optimize", "--ef", "{ef}", "--min", "--obj={vec}"),
+        ("member", "--ef", "{ef}", "--point={vec}"),
+        ("closure", "--mode", "pitch", "--level", "1", "--formula", "{good}", "--ef", "{ef}"),
+        ("lift", "--formula", "{good}", "--polytope", "{ef}"),
+    ))
+    return st.one_of(
+        st.tuples(bool_runs, st.sampled_from(FUZZ_BOOLS).flatmap(lambda t: _mutated(t, True)),
+                  st.just(FUZZ_XSPACE_EF), st.just(FUZZ_VECTORS[0])),
+        st.tuples(ef_runs, st.just(FUZZ_BOOLS[0]),
+                  st.sampled_from(ef_texts).flatmap(lambda t: _mutated(t, False)),
+                  st.just(FUZZ_VECTORS[1])),
+        st.tuples(ef_runs, st.just(FUZZ_BOOLS[0]), st.sampled_from(ef_texts),
+                  st.sampled_from(FUZZ_VECTORS).flatmap(lambda t: _mutated(t, False))),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_fuzz_cases())
+def test_mutated_inputs_exit_cleanly(tmp_path_factory, case):
+    # every run ends in 0, 1 or 2, and 2 comes with one `formlift:` line
+    template, bool_text, ef_text, vec = case
+    where = tmp_path_factory.mktemp("fuzz")
+    (where / "f.bool").write_text(bool_text)
+    (where / "good.bool").write_text(FUZZ_BOOLS[0])
+    (where / "f.ef").write_text(ef_text)
+    fields = {"bool": str(where / "f.bool"), "good": str(where / "good.bool"),
+              "ef": str(where / "f.ef"), "vec": vec}
+    argv = [arg.format(**fields) for arg in template]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.dispatch(argv)
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("formlift: "), (argv, lines)

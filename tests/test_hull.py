@@ -322,3 +322,146 @@ def test_closure_chain_rounds_are_pinned():
             texts.append(Fl.to_text())
             cur = Fl.rows()
         assert hashlib.sha256("".join(texts).encode()).hexdigest() == PINNED_ROUNDS[name]
+
+
+# ---------------------------------------------------------------------------
+# literal faces from the carried vertex list, against one double description
+# per arm
+
+
+def _reference_points(node, rows, n):
+    """The lift's points by the arm route: one `vertices_of_rows` per non-OR node."""
+    if node.kind is fm.Kind.OR:
+        return set().union(*(_reference_points(arm, rows, n) for arm in node.children))
+    out = _reference_rows(node, rows, n)
+    if out is None:
+        return set()
+    points, rays, lin = hull.vertices_of_rows(out, n)
+    assert not rays and not lin
+    return set(points)
+
+
+def _reference_rows(node, rows, n):
+    if node.kind is fm.Kind.CONST:
+        return rows if node.value else None
+    if node.kind is fm.Kind.LIT:
+        a = tuple(int(i == node.var - 1) for i in range(n))
+        v = 0 if node.negated else 1
+        return rows + [a + (-v,), tuple(-x for x in a) + (v,)]
+    if node.kind is fm.Kind.AND:
+        parts = [_reference_rows(c, rows, n) for c in node.children]
+        return None if any(p is None for p in parts) else [r for p in parts for r in p]
+    points = _reference_points(node, rows, n)
+    return _homogeneous_rows(_facets_of(points)) if points else None
+
+
+def _facets_of(points):
+    return hull.facets_of_points([hull._point(g) for g in points])
+
+
+def _homogeneous_rows(Fl):
+    return [hull._homogeneous(a, rhs) for a, rhs in Fl.rows()]
+
+
+def _reference_rounds(phi, base_rows, k):
+    rows, out = [hull._homogeneous(a, rhs) for a, rhs in base_rows], []
+    for _ in range(k):
+        points = _reference_points(phi, rows, phi.n)
+        Fl = _facets_of(points) if points else None
+        out.append(Fl)
+        if Fl is None:
+            break
+        rows = _homogeneous_rows(Fl)
+    return out
+
+
+def _reduced_formulas(n):
+    """Reduced trees over n variables: literals, literal ANDs, ORs inside ANDs, constants."""
+    lits = st.builds(lambda i, neg: fm.lit(i, n, negated=neg), st.integers(1, n), st.booleans())
+    consts = st.builds(lambda v: fm.const(v, n), st.booleans())
+    leaf = st.integers(0, 7).flatmap(lambda k: consts if k == 0 else lits)
+    return st.recursive(leaf, lambda kids: st.builds(fm.land, kids, kids)
+                        | st.builds(fm.lor, kids, kids), max_leaves=7)
+
+
+@st.composite
+def _lift_bases(draw, n):
+    """The cube's rows, or those of a random boxed x-space base, maybe with equations."""
+    if draw(st.booleans()):
+        return pt.cube(n).xspace_rows()
+    ints = st.integers(-3, 3)
+    row = st.tuples(st.lists(ints, min_size=n, max_size=n), ints)
+    rows = draw(st.lists(row, min_size=1, max_size=3))
+    for a, rhs in draw(st.lists(row, max_size=1)):
+        rows += [(a, rhs), ([-v for v in a], -rhs)]
+    return pt.from_hrep(n, rows).xspace_rows()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.integers(3, 6).flatmap(lambda n: st.tuples(_reduced_formulas(n), _lift_bases(n))))
+def test_rounds_match_one_double_description_per_arm(case):
+    phi, base = case
+    want = _reference_rounds(phi, base, 3)
+    got = list(itertools.islice(hull._rounds(phi, base), len(want)))
+    assert got == want
+    for Fl in got:
+        if Fl is None:
+            continue
+        # the carried ints are the FacetList's rows and vertices
+        plain = hull.FacetList(Fl.n, Fl.facets, Fl.equations)
+        assert set(Fl.hfacets) == set(plain.hfacets)
+        assert set(Fl.hequations) == set(plain.hequations)
+        verts, rays = hull.vertices_of_hrep(Fl)
+        assert rays == () and sorted(map(hull._point, Fl.hvertices)) == list(verts)
+    if got[0] is not None:
+        assert hull.lift_hrep(phi, got[0]) == (want[1] if len(want) > 1 else None)
+
+
+def test_a_base_outside_the_box_is_refused():
+    phi = fm.parse("x1 | x2", 2)
+    stretched = pt.cube(2).xspace_rows()[:-1] + [((F(0), F(-1)), F(-2))]  # x2 <= 2
+    with pytest.raises(ValueError, match="inside the unit box"):
+        hull.lift_hrep(phi, stretched)
+    with pytest.raises(ValueError, match="inside the unit box"):
+        hull.lift_hrep(phi, [((F(1), F(0)), F(0))])  # unbounded
+    # a FacetList base is held to the same contract
+    with pytest.raises(ValueError, match="inside the unit box"):
+        hull.lift_hrep(phi, hull.FacetList(2, tuple(stretched)))
+
+
+def test_a_shifted_facet_is_caught(monkeypatch):
+    real = hull._hull
+
+    def shifted(points, n):
+        facets, equations = real(points, n)
+        h = facets[0]
+        return [h[:-1] + (h[-1] - 1,)] + facets[1:], equations
+    monkeypatch.setattr(hull, "_hull", shifted)
+    with pytest.raises(lp.InternalError, match="cuts off one of its points"):
+        hull.lift_hrep(fm.parse("x1 | x2 & !x3", 3), pt.cube(3).xspace_rows())
+
+
+def test_an_equation_off_a_point_is_caught(monkeypatch):
+    real = hull._hull
+
+    def planted(points, n):
+        facets, equations = real(points, n)
+        return facets, equations + [(1,) * n + (-1,)]  # x1 + ... + xn = 1
+    monkeypatch.setattr(hull, "_hull", planted)
+    with pytest.raises(lp.InternalError, match="off one of its equations"):
+        hull.lift_hrep(fm.parse("x1 | x2", 2), pt.cube(2).xspace_rows())
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_point_sets(), st.data())
+def test_the_prune_keeps_exactly_the_extreme_points(pts, data):
+    pts = [tuple(F(v) for v in p) for p in pts]
+    inside = []
+    for _ in range(data.draw(st.integers(0, 3))):
+        p, q = data.draw(st.sampled_from(pts)), data.draw(st.sampled_from(pts))
+        t = data.draw(st.sampled_from((F(1, 2), F(1, 3))))
+        inside.append(tuple(t * a + (1 - t) * b for a, b in zip(p, q)))
+    points = {hull._primitive((*p, 1)) for p in pts + inside}
+    facets, equations = hull._hull(points, len(pts[0]))
+    kept = hull._vertices(points, facets, equations)
+    assert sorted(map(hull._point, kept)) == sorted(set(_extreme(sorted(set(pts)))))
