@@ -38,9 +38,15 @@ def _load_formula(path: str, n=None) -> fm.Formula:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _load_ef(path: str):
+def _load_ef(path: str, n=None, mismatch=None):
+    """A formulation file; one over m != n variables is refused with the
+    line mismatch(m) as soon as its header is read."""
+    def check(m):
+        if n is not None and m != n:
+            raise InputError(mismatch(m))
+
     try:
-        return pt.from_text(_read(path))
+        return pt.from_text(_read(path), check)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 
@@ -54,9 +60,7 @@ def _load_polytope(source: str, n: int):
     """
     if source == "cube":
         return pt.cube(n)
-    Q = _load_ef(source)
-    if Q.n != n:
-        raise InputError(f"{source} is over {Q.n} variables, the formula over {n}")
+    Q = _load_ef(source, n, lambda m: f"{source} is over {m} variables, the formula over {n}")
     box = pt.cube(n)
     if not (Q.is_hrep and set(box.rows) <= set(Q.rows)):
         Q = pt.with_xspace_rows(Q, box.xspace_rows())
@@ -148,10 +152,8 @@ def _cmd_lift(args):
 
 
 def _cmd_optimize(args):
-    Q = _load_ef(args.ef)
     c = _parse_vector(args.obj, "--obj")
-    if len(c) != Q.n:
-        raise InputError(f"objective has {len(c)} entries, the formulation {Q.n}")
+    Q = _load_ef(args.ef, len(c), lambda m: f"objective has {len(c)} entries, the formulation {m}")
     if Q.empty_marker:
         raise InputError("the formulation is empty; nothing to optimize")
     out = lpsolve.optimize(Q, c, "max" if args.max else "min")
@@ -167,10 +169,8 @@ def _cmd_optimize(args):
 
 
 def _cmd_member(args):
-    Q = _load_ef(args.ef)
     x = _parse_vector(args.point, "--point")
-    if len(x) != Q.n:
-        raise InputError(f"point has {len(x)} entries, the formulation {Q.n}")
+    Q = _load_ef(args.ef, len(x), lambda m: f"point has {len(x)} entries, the formulation {m}")
     inside = lpsolve.contains_point(Q, x)
     print("inside" if inside else "outside")
     return 0 if inside else 1
@@ -230,9 +230,8 @@ def _cmd_closure(args):
     phi = fm.reduce(_load_formula(args.formula))
     S = fm.enumerate_set(phi)
     if args.ef:
-        R = _load_ef(args.ef)
-        if R.n != phi.n:
-            raise InputError(f"{args.ef} is over {R.n} variables, the formula over {phi.n}")
+        R = _load_ef(args.ef, phi.n,
+                     lambda m: f"{args.ef} is over {m} variables, the formula over {phi.n}")
     else:
         rounds = args.rounds if args.rounds is not None else args.level
         R = pt.iterate_lift(phi, _load_polytope(args.polytope, phi.n), rounds)

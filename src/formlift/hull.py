@@ -12,10 +12,11 @@ values handed back to callers.  Inputs are capped at dimension HULL_LIMIT
 because the method is exponential in general.  The x-space lift runs one
 double description per OR chain: an OR node's points are the union of its
 arms' points, nested ORs included, and only the chain's root is hulled.
-A literal face needs none: its points are the base's vertices that lie on
-it, filtered from the vertex list that each round carries to the next.
-The FacetLists that `_hull` yields are canonical, so two are equal exactly
-when their polytopes are; `verify.check_completeness` relies on that.
+A literal face needs none: its points are the base's vertices on it,
+filtered from the vertex list that each round carries to the next.  Each
+round's FacetList is canonical, and its vertex list is certified from both
+sides where the round is made; the next round, `verify.check_completeness`
+and the closure pricing of `measures` all rely on that list.
 """
 
 from __future__ import annotations
@@ -307,8 +308,8 @@ class FacetList:
     as homogeneous int rows too, outside equality: `hfacets` holds each
     facet as the primitive row h with h·(x, 1) >= 0 and `hequations` each
     equation as one with h·(x, 1) = 0.  A FacetList that `lift_hrep`
-    returns also carries its vertices in `hvertices`, as homogeneous int
-    points (X, d) for X/d, which the next round's literal faces filter.
+    returns also carries its certified vertices in `hvertices`, as
+    homogeneous int points (X, d) for X/d.
     """
 
     n: int
@@ -466,19 +467,18 @@ def lift_hrep(phi, base):
     FacetList such as the round before; a base that has a vertex outside
     the box, or is unbounded, raises ValueError.
 
-    A literal's lift is the face of the base on x_i = 1 or x_i = 0, which
-    supports a base inside the box, so the face is the hull of the base's
-    vertices on it: a literal, a constant or an AND of them takes its
-    points from the base's vertex list with no double description.  The
-    base's vertices come from the FacetList when it carries them, and
-    otherwise from one double description of its rows.  Any other node but
-    an OR, such as an AND with an OR child, lifts as rows and takes the
-    vertices of those rows.  An OR chain is hulled once, from the union of
-    the points of all its arms: conv(conv(A ∪ B) ∪ C) = conv(A ∪ B ∪ C),
-    and `_hull` returns primitive, canonical facets and equations whatever
-    redundant points it is given.  The top node's points are pruned to the
-    vertices of the result by `_vertices`, which also checks `_hull`'s rows
-    at every point.
+    The base's vertices come from the FacetList when it carries them, and
+    otherwise from one double description of its rows; `_points` lifts
+    each node to points, with no double description for a face.  An OR
+    chain is hulled once, from the union of the points of all its arms:
+    conv(conv(A ∪ B) ∪ C) = conv(A ∪ B ∪ C), and `_hull` returns
+    primitive, canonical facets and equations whatever redundant points it
+    is given.  The round is then certified from both sides (Mehlhorn et
+    al., "Checking geometric programs", 1999): `_vertices` prunes the
+    points to the hull's vertices and checks every row at every point, so
+    conv(vertices) lies in the rows, and the rows' own vertices, by the
+    primal double description where `_hull` ran the polar one, must be
+    exactly that list, so no vertex was lost.  Otherwise InternalError.
     """
     if not phi.is_reduced():
         raise ValueError("formula must be reduced before lifting")
@@ -487,17 +487,19 @@ def lift_hrep(phi, base):
     if isinstance(base, FacetList):
         if base.n != n:
             raise ValueError(f"dimension mismatch: formula {n}, base {base.n}")
-        rows, verts = base.hrows(), base.hvertices
+        verts = base.hvertices or _box_vertices(base.hrows(), n)
     else:
-        rows = [_homogeneous(tuple(_rational(v) for v in a), _rational(rhs)) for a, rhs in base]
-        verts = None
-    if verts is None:
-        verts = _box_vertices(rows, n)
-    points = _points(phi, rows, _faces(verts, n), n)
+        verts = _box_vertices([_homogeneous(tuple(_rational(v) for v in a), _rational(rhs))
+                               for a, rhs in base], n)
+    points = _points(phi, _faces(verts, n), n)
     if not points:
         return None
     facets, equations = _hull(points, n)
-    return _facet_list(n, facets, equations, _vertices(points, facets, equations))
+    F = _facet_list(n, facets, equations, _vertices(points, facets, equations))
+    points, rays, lin = vertices_of_rows(F.hrows(), n)
+    if rays or lin or set(points) != set(F.hvertices):
+        raise lpsolve.InternalError("a hull's rows and its vertex list disagree")
+    return F
 
 
 def _rounds(phi, base):
@@ -583,14 +585,12 @@ def _faces(verts, n):
     return faces
 
 
-def _face(node, faces):
-    """The points of a literal, a constant or an AND of them, or None.
-
-    They are the base vertices on every face a literal fixes, from the
-    `_faces` table; a false constant or two literals that disagree give the
-    empty set.  Any other node gives None.
-    """
-    fixed = {}
+def _fixings(node):
+    """(fixed, rest) of an AND, a literal or a constant, through nested ANDs:
+    `fixed` maps each coordinate a literal fixes to its value and `rest`
+    lists the other children, ORs.  None when a false constant or two
+    disagreeing literals make it empty."""
+    fixed, rest = {}, []
     todo = [node]
     while todo:
         c = todo.pop()
@@ -598,60 +598,51 @@ def _face(node, faces):
             todo.extend(c.children)
         elif c.kind is fm.Kind.CONST:
             if not c.value:
-                return set()
+                return None
         elif c.kind is fm.Kind.LIT:
             v = 0 if c.negated else 1
             if fixed.setdefault(c.var - 1, v) != v:
-                return set()
+                return None
         else:
-            return None
-    on = [faces[key] for key in fixed.items()] or [faces[None]]
-    return min(on, key=len).intersection(*on)
+            rest.append(c)
+    return fixed, rest
 
 
-def _points(node, rows, faces, n):
+def _points(node, faces, n):
     """Homogeneous int points whose convex hull is the lift of `node`, as a set.
 
-    `rows` are the base's homogeneous int rows and `faces` its `_faces` table.
-    An OR node gives the union of its arms' points, nested ORs included,
-    with no hull in between; a literal, a constant or an AND of them the
-    base's vertices on its face; any other node the vertices of its lifted
-    rows.
+    `faces` is the base's `_faces` table.  An OR node gives the union of
+    its arms' points, nested ORs included, with no hull in between.  A
+    literal, a constant or an AND of them gives the base's vertices on
+    their face of the box, which is a face of the base.  An AND of them
+    with one OR child X lifts to conv(X) ∩ {x_F = v}, a face of conv(X)
+    inside the box: X's points on it.  An AND with more OR children gives
+    the vertices of its fixes' rows and its children's hulls, which lie
+    in the base.
     """
     if node.kind is fm.Kind.OR:
-        return set().union(*(_points(arm, rows, faces, n) for arm in node.children))
-    face = _face(node, faces)
-    if face is not None:
-        return face
-    out = _lift_rows(node, rows, faces, n)
-    if out is None:
+        return set().union(*(_points(arm, faces, n) for arm in node.children))
+    split = _fixings(node)
+    if split is None:
         return set()
-    points, rays, lin = vertices_of_rows(out, n)
+    fixed, rest = split
+    if not rest:
+        on = [faces[key] for key in fixed.items()] or [faces[None]]
+        return min(on, key=len).intersection(*on)
+    if len(rest) == 1:
+        return {g for g in _points(rest[0], faces, n)
+                if all(g[i] == v * g[n] for i, v in fixed.items())}
+    rows = []
+    for i, v in fixed.items():
+        a = tuple(int(j == i) for j in range(n))
+        rows += [a + (-v,), _negated(a) + (v,)]
+    for child in rest:
+        points = _points(child, faces, n)
+        if not points:
+            return set()
+        facets, equations = _hull(points, n)
+        rows += facets + equations + [_negated(h) for h in equations]
+    points, rays, lin = vertices_of_rows(rows, n)
     if rays or lin:
         raise RuntimeError("internal: lift arms must stay bounded inside the box")
     return set(points)
-
-
-def _lift_rows(node, rows, faces, n):
-    """The lift of `node` over homogeneous int rows, as such rows; None if empty.
-
-    `faces` is the base's `_faces` table, for an OR child's arms.
-    """
-    k = node.kind
-    if k is fm.Kind.CONST:
-        return rows if node.value else None
-    if k is fm.Kind.LIT:
-        v = 0 if node.negated else 1
-        a = tuple(int(i == node.var - 1) for i in range(n))
-        return rows + [a + (-v,), _negated(a) + (v,)]
-    if k is fm.Kind.AND:
-        parts = [_lift_rows(c, rows, faces, n) for c in node.children]
-        if any(p is None for p in parts):
-            return None
-        return list(dict.fromkeys(itertools.chain.from_iterable(parts)))
-    # OR: convex hull of the whole chain's points
-    points = _points(node, rows, faces, n)
-    if not points:
-        return None
-    facets, equations = _hull(points, n)
-    return facets + equations + [_negated(h) for h in equations]

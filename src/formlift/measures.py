@@ -17,15 +17,13 @@ mode), the feasible coefficient vectors with delta normalized to 1 form a
 polyhedron whose vertices are enumerated exactly, and each vertex is priced
 against the relaxation.
 
-An x-space relaxation (`is_hrep`) is priced over its own vertex list, taken
-once by double description and checked from both sides before it is used
-(`_checked_vertices`): every vertex satisfies every row, and every facet
-and equation of their hull is a row.  The minimum over the list is then the
-minimum over the relaxation, found in Python ints.  Only a violation runs
-an exact LP, whose optimum must equal that minimum and supplies the
-reported point.  A lifted relaxation, or an x-space one whose rows do not
-state the hull of its vertices (a hand-written file, say), is priced with
-one exact LP per vertex.
+An x-space relaxation R is priced over its vertex list in Python ints.  A
+hull round (a FacetList from `hull.lift_hrep`) brings its certified list;
+an x-space formulation gets one from `_checked_vertices`.  Only a violation
+runs an exact LP, over R's formulation, whose optimum must equal the
+minimum over the list and supplies the reported point.  A lifted R, or an
+x-space one whose rows do not state the hull of its vertices (a
+hand-written file, say), is priced with one exact LP per vertex.
 """
 
 from __future__ import annotations
@@ -38,6 +36,7 @@ from operator import mul
 
 from . import formula as fm
 from . import hull, lpsolve
+from . import polytope as pt
 from .lpsolve import _rational
 
 PITCH_SEARCH_LIMIT = 8
@@ -151,9 +150,10 @@ class ClosureQuery:
     `mode` is "pitch" (uncomplemented inequalities, every coefficient
     support, smallest supports first) or "notch" (every complementation
     pattern); `level` bounds the measure.  `S` is the 0/1 set the
-    inequalities must be valid for and `R` the relaxation to price against.
-    Above PITCH_SEARCH_LIMIT (pitch) or NOTCH_SEARCH_LIMIT (notch) variables
-    the oracle refuses rather than subsample.
+    inequalities must be valid for and `R` the relaxation to price against,
+    a formulation or a FacetList such as a hull round.  Above
+    PITCH_SEARCH_LIMIT (pitch) or NOTCH_SEARCH_LIMIT (notch) variables the
+    oracle refuses rather than subsample.
     """
 
     mode: str
@@ -237,14 +237,11 @@ def _cone_generators(dim, level, valid_rows):
     return sorted(points, key=lambda g: tuple(v * (L // g[dim]) for v in g[:dim]))
 
 
-def _cone_vertices(dim, level, valid_rows):
-    """The vertices of `_cone_generators` as `Fraction` tuples, in its order."""
-    return [hull._point(g) for g in _cone_generators(dim, level, valid_rows)]
-
-
 def _checked_vertices(R):
-    """The vertex list of an x-space R, checked from both sides, or None.
+    """The vertex list of an x-space formulation R, checked from both sides, or None.
 
+    For relaxations without a certified list: the cube, a `yvars 0` file,
+    one handed to a checker, a FacetList from `hull.facets_of_points`.
     One double description over R's rows, each int row (a, b, l) as the
     primitive homogeneous row (a, -b), gives the vertices as homogeneous
     int points (X, D) for X/D.  Every vertex must satisfy every row, so
@@ -296,7 +293,12 @@ def _vertex_minimum(W, C):
     return best, best_D
 
 
-def _check_violation(query, viol):
+def _formulation(R):
+    """R for an exact LP: a FacetList's rows, in order, clamped to the box."""
+    return pt.from_hrep(R.n, R.rows()) if isinstance(R, hull.FacetList) else R
+
+
+def _check_violation(query, viol, R):
     ineq = viol.standard()
     if not ineq.is_valid_on(query.S.points):
         raise lpsolve.InternalError("closure oracle produced an inequality invalid on S")
@@ -305,7 +307,7 @@ def _check_violation(query, viol):
         raise lpsolve.InternalError("closure oracle exceeded the requested measure level")
     if ineq.lhs(viol.point) >= ineq.delta:
         raise lpsolve.InternalError("closure oracle witness does not violate the inequality")
-    if not lpsolve.contains_point(query.R, viol.point):
+    if not lpsolve.contains_point(R, viol.point):
         raise lpsolve.InternalError("closure oracle witness is outside the relaxation")
     return viol
 
@@ -321,8 +323,8 @@ def closure_violation(query: ClosureQuery):
     coefficient polyhedron because the pricing objective is nonnegative on
     its recession directions.  Each such vertex is priced by its least
     value over R: over an x-space R the least value at R's vertices, whose
-    list is checked to be all of R (see the module docstring), and
-    otherwise an exact LP.  Every reported violation comes from an exact
+    list is certified or checked to be all of R (see the module docstring),
+    and otherwise an exact LP.  Every reported violation comes from an exact
     LP, which must agree with the vertex minimum where there is one, and is
     re-verified exactly before being returned.
     """
@@ -345,7 +347,11 @@ def _search(query):
     if R.n != n:
         raise ValueError(f"dimension mismatch: points {n}, relaxation {R.n}")
     limit = PITCH_SEARCH_LIMIT if query.mode == "pitch" else NOTCH_SEARCH_LIMIT
-    V = _checked_vertices(R) if R.is_hrep and n <= limit else None
+    V = getattr(R, "hvertices", None)
+    if V is None:
+        R = _formulation(R)
+        query = ClosureQuery(query.mode, query.level, S, R)
+        V = _checked_vertices(R) if R.is_hrep and n <= limit else None
     if V is None:
         # a point of S inside an x-space R proves R nonempty by row evaluation
         witnessed = R.is_hrep and any(lpsolve.contains_point(R, s) for s in S.points)
@@ -385,8 +391,8 @@ def _price(query, I, neg, V):
     """Price the cone vertices of one scope: support I, complemented indices neg.
 
     Pitch scopes are (support, ()); notch scopes are (all variables,
-    pattern).  `V` is R's checked vertex list, or None to price each cone
-    vertex with an LP.  Returns (violation or None, vertices priced).
+    pattern).  `V` is R's certified or checked vertex list, or None to price
+    each cone vertex with an LP.  Returns (violation or None, vertices priced).
     """
     # validity rows restricted to I; an all-zero row means no nonnegative
     # inequality on the scope can be valid (in notch mode: the point that
@@ -415,7 +421,8 @@ def _price(query, I, neg, V):
             coeffs[i - 1] = Fraction(ci, e)
         a = tuple(-ci if i in ns else ci for i, ci in enumerate(coeffs, start=1))
         const = sum(coeffs[i - 1] for i in neg)
-        value, point = _priced_minimum(R, a, const)
+        Q = _formulation(R)
+        value, point = _priced_minimum(Q, a, const)
         if W is not None and value != Fraction(s, e * D):
             raise lpsolve.InternalError("pricing LP disagrees with the relaxation's vertices")
         if value < 1:
@@ -423,5 +430,5 @@ def _price(query, I, neg, V):
                 n=n, neg=neg, coeffs=tuple(coeffs), delta=Fraction(1),
                 point=point, value=value,
                 support=tuple(i for i, ci in zip(I, C) if ci != 0))
-            return _check_violation(query, viol), priced
+            return _check_violation(query, viol, Q), priced
     return None, priced

@@ -770,7 +770,7 @@ def _row_pairs(toks, d):
     return pairs
 
 
-def from_text(text: str) -> ExtendedFormulation:
+def from_text(text: str, check=None) -> ExtendedFormulation:
     """Parse the `to_text` format.
 
     Each `row` or `ineq` line is read straight into its int row.  `yvars 0`
@@ -779,8 +779,10 @@ def from_text(text: str) -> ExtendedFormulation:
     all-zero row with positive right side is read back as the empty marker.
     The `wit` lines of a `yvars d` file become its point map; they are kept
     as read, neither evaluated nor projected.  Lines may carry `#` comments.
+    `check`, when given, is called with the header's variable count before
+    any row is read, so a caller can refuse a stated size before it costs.
     """
-    n, d, rows, proj, wits = _parse_text(text)
+    n, d, rows, proj, wits = _parse_text(text, check)
     if d == 0:
         if len(rows) == 1 and not rows[0][0] and rows[0][1] > 0:
             return empty_formulation(n)
@@ -804,7 +806,7 @@ def _table_map(table, d):
     return point_map
 
 
-def _parse_text(text: str) -> tuple:
+def _parse_text(text: str, check=None) -> tuple:
     """The fields of a `to_text` file exactly as listed: (n, d, rows, proj, wits).
 
     Rows are int rows (a, b, l) in file order and proj is ordered by x
@@ -828,6 +830,8 @@ def _parse_text(text: str) -> tuple:
         raise ValueError("bad xvars/yvars line") from exc
     if n < 1 or d < 0:
         raise ValueError("variable counts out of range")
+    if check is not None:
+        check(n)
 
     width = n if d == 0 else d
     memo = {}

@@ -16,7 +16,6 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 from . import formula as fm
 from . import hull, lpsolve, measures
@@ -153,10 +152,11 @@ def check_completeness(phi, k_max: int, instance: str = "adhoc",
     Also records the first round at which equality holds, up to k_max; that
     number is informational, only the n-round equality decides the verdict.
     Once a round equals the hull the chain is stationary, so the scan stops
-    there.  Round k equals conv(S) exactly when its canonical FacetList
-    equals that of S, so a pass takes no LP: the rows of conv(S) are
-    computed once and checked at every point of S by exact evaluation of
-    their homogeneous int rows.  Only a fail builds the last round's
+    there.  Each round carries its vertex list, certified by `lift_hrep`
+    to be exactly the vertices of its rows, and every 0/1 point is a vertex
+    of the hull of a 0/1 set that holds it; so round k equals conv(S)
+    exactly when its vertices are the points of S, and a pass builds no
+    hull of S and takes no LP.  Only a fail builds the last round's
     formulation, and `hull.equals_hull` writes its certificate.
     """
     t0 = time.perf_counter()
@@ -171,17 +171,13 @@ def check_completeness(phi, k_max: int, instance: str = "adhoc",
         cert = None if next(rounds_of) is None else "empty target but the lift is nonempty"
         return _report("complete", instance, params, "fail" if cert else "pass", cert, t0,
                        [("first_equal", "none"), ("rounds", 1)])
-    target = hull.facets_of_points(S.points)
-    homogeneous = [(*p, 1) for p in S.points]
-    if not (all(sum(map(mul, h, g)) >= 0 for h in target.hfacets for g in homogeneous)
-            and not any(sum(map(mul, h, g)) for h in target.hequations for g in homogeneous)):
-        raise lpsolve.InternalError("hull of the target cuts off one of its points")
+    target = {(*p, 1) for p in S.points}
     for k, F in zip(range(1, n + 1), rounds_of):
-        if F == target:
-            return _report("complete", instance, params, "pass", None, t0,
-                           [("first_equal", k if k <= k_max else "none"), ("rounds", k)])
         if F is None:
             break
+        if set(F.hvertices) == target:
+            return _report("complete", instance, params, "pass", None, t0,
+                           [("first_equal", k if k <= k_max else "none"), ("rounds", k)])
     ef = pt.empty_formulation(n) if F is None else pt.from_hrep(n, F.rows())
     chk = hull.equals_hull(ef, S.points)
     if chk:
@@ -220,6 +216,9 @@ def check_integrality(phi, Q, instance: str = "adhoc", lifted=None) -> CheckRepo
 
 
 def _progression(mode, phi, level_max, instance, relaxations):
+    """Round k against the closure of measure k, k = 1..level_max: round k
+    is `relaxations[k - 1]`, or else the cube's k-th hull round as its
+    FacetList, priced over its certified vertex list."""
     t0 = time.perf_counter()
     limit = measures.PITCH_SEARCH_LIMIT if mode == "pitch" else measures.NOTCH_SEARCH_LIMIT
     phi = _prepare(phi, limit, mode)
@@ -236,7 +235,7 @@ def _progression(mode, phi, level_max, instance, relaxations):
             R = relaxations[k - 1]
         else:
             F = next(rounds_of)
-            R = pt.empty_formulation(phi.n) if F is None else pt.from_hrep(phi.n, F.rows())
+            R = pt.empty_formulation(phi.n) if F is None else F
         rep = measures.verify_closure(measures.ClosureQuery(mode, k, S, R))
         examined += rep.examined
         priced += rep.priced

@@ -522,6 +522,30 @@ def test_progression_lifts_each_round_once(tmp_path, capsys, monkeypatch):
         assert len(calls) == 2
 
 
+def test_progression_hulls_each_or_chain_once_per_round(tmp_path, capsys, monkeypatch):
+    # bz4 is an AND of four OR chains: each round hulls every chain once and
+    # then its own rows once, and closure pricing takes the round's certified
+    # vertex list, so `measures` hulls nothing
+    from formlift import hull
+    _closure_inputs(tmp_path, capsys)
+    callers = []
+    real = hull._hull
+
+    def counting(points, n):
+        frame, names = sys._getframe(1), set()
+        while frame is not None:
+            names.add(frame.f_globals.get("__name__"))
+            frame = frame.f_back
+        callers.append(names)
+        return real(points, n)
+
+    monkeypatch.setattr(hull, "_hull", counting)
+    got = run(capsys, "verify", "pitch", "--formula", str(tmp_path / "bz4.bool"), "--rounds", "2")
+    assert got[:2] == (0, PINNED_LINES["pitch", "bz4"])
+    assert len(callers) == 2 * (4 + 1)
+    assert not any("formlift.measures" in names for names in callers)
+
+
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -564,6 +588,10 @@ FUZZ_VECTORS = ("1/2,1/3,0", "0,1,-2")
 FUZZ_TOKENS = ("", " ", "\n", "x0", "x5", "x9", "(", ")", "!", "&", "|", "0", "1", "-", "/",
                "1/0", "-1", "2/3", "1.5", "1e3", "1e9999999", "nan", "inf", ":", "0:1", "9:9",
                ">=", "#", "é", "ef", "xvars", "yvars", "ineq", "row", "proj", "wit")
+# variable counts that a header may state; they are refused before they cost.
+# A formula that names such a variable asks for an answer that large, so
+# they go into formulation files and vectors only.
+FUZZ_COUNTS = ("200000", "123456789")
 
 
 def _lifted_text():
@@ -575,7 +603,8 @@ def _lifted_text():
 def _mutated(draw, text, nest):
     """`text` with one to three tokens dropped, duplicated, corrupted or inserted,
     a character replaced, or, when `nest`, the whole wrapped in up to 1100
-    parentheses or negations."""
+    parentheses or negations.  A corrupted or inserted token comes from
+    FUZZ_TOKENS, and from FUZZ_COUNTS too when not `nest`."""
     tokens = re.findall(r"\s+|[A-Za-z]+\d*|\d+|.", text, re.S)
     for _ in range(draw(st.integers(1, 3))):
         op = draw(st.sampled_from(("drop", "dup", "corrupt", "insert", "char", "nest")))
@@ -593,7 +622,8 @@ def _mutated(draw, text, nest):
         elif op == "dup" and tokens:
             tokens.insert(i, tokens[i] + " ")
         elif op in ("corrupt", "insert"):
-            tokens[i:i + (op == "corrupt")] = [draw(st.sampled_from(FUZZ_TOKENS))]
+            pool = FUZZ_TOKENS if nest else FUZZ_TOKENS + FUZZ_COUNTS
+            tokens[i:i + (op == "corrupt")] = [draw(st.sampled_from(pool))]
     return "".join(tokens)
 
 
@@ -640,3 +670,26 @@ def test_mutated_inputs_exit_cleanly(tmp_path_factory, case):
     if code == 2:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("formlift: "), (argv, lines)
+
+
+def test_a_stated_size_is_refused_before_it_is_built(tmp_path, capsys, monkeypatch):
+    # a three-line file that states 200000 variables: every command that
+    # knows its dimension refuses it with its one line before any box row
+    big, f = tmp_path / "big.ef", tmp_path / "f.bool"
+    big.write_text("ef\nxvars 200000\nyvars 0\n")
+    f.write_text("x1 | x2\n")
+
+    def refuse(n, rows):
+        raise AssertionError("the box rows of a refused file were built")
+
+    monkeypatch.setattr(pt, "_boxed", refuse)
+    over = f"formlift: {big} is over 200000 variables, the formula over 2\n"
+    for argv, err in [
+        (("optimize", "--ef", big, "--min", "--obj", "1,1"),
+         "formlift: objective has 2 entries, the formulation 200000\n"),
+        (("member", "--ef", big, "--point", "0,1"),
+         "formlift: point has 2 entries, the formulation 200000\n"),
+        (("closure", "--mode", "pitch", "--level", "1", "--formula", f, "--ef", big), over),
+        (("lift", "--formula", f, "--polytope", big), over),
+    ]:
+        assert run(capsys, *map(str, argv)) == (2, "", err)

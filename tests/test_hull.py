@@ -1,10 +1,11 @@
 import hashlib
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from formlift import formula as fm
@@ -376,12 +377,26 @@ def _reference_rounds(phi, base_rows, k):
 
 
 def _reduced_formulas(n):
-    """Reduced trees over n variables: literals, literal ANDs, ORs inside ANDs, constants."""
+    """Reduced trees over n variables: literals, literal ANDs, ORs inside ANDs,
+    constants, and the three shapes of an AND beside an OR (`_and_shapes`)."""
     lits = st.builds(lambda i, neg: fm.lit(i, n, negated=neg), st.integers(1, n), st.booleans())
     consts = st.builds(lambda v: fm.const(v, n), st.booleans())
     leaf = st.integers(0, 7).flatmap(lambda k: consts if k == 0 else lits)
-    return st.recursive(leaf, lambda kids: st.builds(fm.land, kids, kids)
-                        | st.builds(fm.lor, kids, kids), max_leaves=7)
+    trees = st.recursive(leaf, lambda kids: st.builds(fm.land, kids, kids)
+                         | st.builds(fm.lor, kids, kids), max_leaves=7)
+    return trees | _and_shapes(lits, st.builds(fm.lor, lits, lits | trees), st.integers(1, n), n)
+
+
+def _and_shapes(lits, ors, var, n):
+    """An AND of literals with an OR child, nested inside an OR (the OR is
+    filtered by the literals' face); a literal AND-ed with two ORs (the rows
+    path); and contradictory literals beside an OR (an empty lift)."""
+    filtered = st.builds(lambda a, b, o, arm: fm.lor(fm.land(fm.land(a, b), o), arm),
+                         lits, lits, ors, lits)
+    two_ors = st.builds(lambda a, o1, o2: fm.land(fm.land(a, o1), o2), lits, ors, ors)
+    contradiction = st.builds(
+        lambda i, o: fm.land(fm.land(fm.lit(i, n), o), fm.lit(i, n, negated=True)), var, ors)
+    return filtered | two_ors | contradiction
 
 
 @st.composite
@@ -397,8 +412,14 @@ def _lift_bases(draw, n):
     return pt.from_hrep(n, rows).xspace_rows()
 
 
+_CUBE4 = pt.cube(4).xspace_rows()
+
+
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.integers(3, 6).flatmap(lambda n: st.tuples(_reduced_formulas(n), _lift_bases(n))))
+@example((fm.parse("x1 & !x2 & (x3 | x4) | x2 & x4", 4), _CUBE4))
+@example((fm.parse("x1 & (x2 | x3) & (!x2 | x4)", 4), _CUBE4))
+@example((fm.parse("x1 & (x2 | x3) & !x1 | x4", 4), _CUBE4))
 def test_rounds_match_one_double_description_per_arm(case):
     phi, base = case
     want = _reference_rounds(phi, base, 3)
@@ -450,6 +471,62 @@ def test_an_equation_off_a_point_is_caught(monkeypatch):
     monkeypatch.setattr(hull, "_hull", planted)
     with pytest.raises(lp.InternalError, match="off one of its equations"):
         hull.lift_hrep(fm.parse("x1 | x2", 2), pt.cube(2).xspace_rows())
+
+
+@pytest.mark.parametrize("text, hulls, enumerations", [
+    # the face x1 = 1, x2 = 0 of conv(x3 | x4) is filtered from that chain's
+    # points: one hull for the top chain, its polar and the certificate
+    ("x1 & !x2 & (x3 | x4) | x2 & x4", 1, 2),
+    # two OR children take the rows path: each chain and the top are hulled,
+    # and the AND's rows are enumerated once more
+    ("x1 & (x2 | x3) & (!x2 | x4)", 3, 5),
+])
+def test_an_and_beside_one_or_is_filtered_not_hulled(monkeypatch, text, hulls, enumerations):
+    calls = []
+    for name in ("_hull", "vertices_of_rows"):
+        real = getattr(hull, name)
+        monkeypatch.setattr(hull, name, lambda *a, name=name, real=real:
+                            calls.append(name) or real(*a))
+    hull.lift_hrep(fm.parse(text, 4), pt.cube(4).xspace_rows())
+    assert (calls.count("_hull"), calls.count("vertices_of_rows")) == (hulls, enumerations)
+
+
+# the round certificate: the rows' own vertices, enumerated once more by the
+# primal double description, must be exactly the round's vertex list
+
+_OR_CHAIN = fm.parse("x1 | x2 & !x3", 3)
+
+
+def test_a_dropped_facet_is_caught(monkeypatch):
+    real = hull._hull
+
+    def dropped(points, n):
+        facets, equations = real(points, n)
+        return facets[1:], equations
+    monkeypatch.setattr(hull, "_hull", dropped)
+    with pytest.raises(lp.InternalError, match="rows and its vertex list disagree"):
+        hull.lift_hrep(_OR_CHAIN, pt.cube(3).xspace_rows())
+
+
+def test_a_vertex_dropped_by_the_prune_is_caught(monkeypatch):
+    real = hull._vertices
+    monkeypatch.setattr(hull, "_vertices", lambda *args: real(*args)[1:])
+    with pytest.raises(lp.InternalError, match="rows and its vertex list disagree"):
+        hull.lift_hrep(_OR_CHAIN, pt.cube(3).xspace_rows())
+
+
+def test_a_vertex_lost_by_the_primal_enumeration_is_caught(monkeypatch):
+    real, certify = hull.vertices_of_rows, hull.lift_hrep.__code__
+
+    def losing(rows, n):
+        points, rays, lin = real(rows, n)
+        if sys._getframe(1).f_code is certify:
+            points = points[:-1]
+        return points, rays, lin
+
+    monkeypatch.setattr(hull, "vertices_of_rows", losing)
+    with pytest.raises(lp.InternalError, match="rows and its vertex list disagree"):
+        hull.lift_hrep(_OR_CHAIN, pt.cube(3).xspace_rows())
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)

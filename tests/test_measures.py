@@ -206,7 +206,7 @@ def test_int_cone_vertices_match_fraction_rows(case):
              for J in itertools.combinations(range(dim), min(level, dim))]
     rows += [(tuple(map(F, d)), F(1)) for d in dvecs]
     verts, _ = hull.vertices_of_hrep(hull.FacetList(dim, tuple(rows)))
-    assert ms._cone_vertices(dim, level, dvecs) == list(verts)
+    assert [hull._point(g) for g in ms._cone_generators(dim, level, dvecs)] == list(verts)
 
 
 def test_level_one_cone_is_its_all_ones_vertex():
@@ -222,7 +222,8 @@ def test_level_one_cone_is_its_all_ones_vertex():
             rows += [d + (-1,) for d in dvecs]
             points, _rays, _lineality = hull.vertices_of_rows(rows, dim)
             want = [tuple(F(v, g[dim]) for v in g[:dim]) for g in points]
-            assert ms._cone_vertices(dim, 1, dvecs) == want == [(F(1),) * dim]
+            got = [hull._point(g) for g in ms._cone_generators(dim, 1, dvecs)]
+            assert got == want == [(F(1),) * dim]
 
 
 def _closure_lines():
@@ -380,6 +381,43 @@ def test_canonical_relaxations_pass_the_vertex_check():
         for F in (next(rounds), next(rounds)):
             if F is not None:
                 assert ms._checked_vertices(pt.from_hrep(5, F.rows()))
+
+
+def _round_relaxations():
+    """(S, round, the round as a FacetList without vertices, the round as a
+    formulation of its rows) for rounds 1 and 2 of the pinned closure formulas."""
+    phis = [instances.gen_bz(4).formula,
+            instances.gen_covering([[1, 1, 0], [0, 1, 1], [1, 0, 1]]).formula]
+    phis += [vf.random_reduced_formula(4, 6, neg_density=0.3, seed=s) for s in range(6)]
+    for phi in phis:
+        phi = fm.reduce(phi)
+        S = fm.enumerate_set(phi)
+        for F in itertools.islice(hull._rounds(phi, pt.cube(phi.n).xspace_rows()), 2):
+            if S.points and F is not None:
+                plain = hull.facets_of_points([hull._point(g) for g in F.hvertices])
+                yield S, F, plain, pt.from_hrep(phi.n, F.rows())
+
+
+def test_a_round_is_priced_over_its_certified_vertices(monkeypatch):
+    # a round from lift_hrep is priced over the vertex list it carries; the
+    # same rows without a list (facets_of_points), or as a formulation, fall
+    # back to `_checked_vertices`, and all three give the same line, the
+    # violations' LP points included
+    checked = []
+    real = ms._checked_vertices
+    monkeypatch.setattr(ms, "_checked_vertices", lambda R: checked.append(R) or real(R))
+    violations = 0
+    for S, F, plain, R in _round_relaxations():
+        assert plain == F and plain.hvertices is None
+        for mode, level in (("pitch", 1), ("pitch", 2), ("notch", 1), ("notch", 2)):
+            checked.clear()
+            line = ms.verify_closure(ms.ClosureQuery(mode, level, S, F)).line()
+            assert not checked
+            assert ms.verify_closure(ms.ClosureQuery(mode, level, S, plain)).line() == line
+            assert ms.verify_closure(ms.ClosureQuery(mode, level, S, R)).line() == line
+            assert checked == [R, R]
+            violations += "violation=none" not in line
+    assert violations
 
 
 def _faulty_first_vertex_list(monkeypatch, fault):

@@ -164,28 +164,49 @@ def test_completeness_agrees_with_equals_hull_on_every_round():
     assert verdicts == {"pass", "fail"}
 
 
-def _planted_target(monkeypatch, row):
-    """Make hull.facets_of_points return one more facet row."""
-    real = hull.facets_of_points
+def _planted_rounds(monkeypatch, fault):
+    """Make hull._rounds yield each round with its vertex list put through
+    `fault` and its rows left right; the next round still lifts the true one."""
+    real = hull._rounds
 
-    def planted(points):
-        out = real(points)
-        return dataclasses.replace(out, facets=out.facets + (row,))
+    def planted(phi, base):
+        for F in real(phi, base):
+            if F is not None:
+                G = dataclasses.replace(F)
+                object.__setattr__(G, "hvertices", fault(F.hvertices))
+                F = G
+            yield F
 
-    monkeypatch.setattr(hull, "facets_of_points", planted)
+    monkeypatch.setattr(hull, "_rounds", planted)
 
 
 def test_completeness_raises_when_comparison_and_equals_hull_disagree(monkeypatch):
-    # x1 >= -1 is valid and redundant: no round lists it, equals_hull accepts it
-    _planted_target(monkeypatch, ((F(1), F(0)), F(-1)))
+    # every round misses a point of S from its vertex list, so no comparison
+    # passes, while equals_hull accepts the rows
+    _planted_rounds(monkeypatch, lambda V: V[1:])
     with pytest.raises(lp.InternalError, match="disagree"):
         vf.check_completeness(fm.parse("x1 | x2", 2), 2)
 
 
-def test_completeness_raises_on_a_target_row_cutting_off_a_point(monkeypatch):
-    # x1 >= 1 cuts off the satisfying point (0,1)
-    _planted_target(monkeypatch, ((F(1), F(0)), F(1)))
-    with pytest.raises(lp.InternalError, match="cuts off"):
+def test_completeness_raises_when_a_round_lists_a_point_the_target_lacks(monkeypatch):
+    # (1/2, 1/2) lies in conv(S) but is no point of S
+    _planted_rounds(monkeypatch, lambda V: V + ((1, 1, 2),))
+    with pytest.raises(lp.InternalError, match="disagree"):
+        vf.check_completeness(fm.parse("x1 | x2", 2), 2)
+
+
+def test_completeness_compares_only_certified_rounds(monkeypatch):
+    # the round's hull lost a facet while its vertex list is S all the same;
+    # the comparison would pass on rows that state a larger set, so
+    # lift_hrep's certificate must refuse the round first
+    real = hull._hull
+
+    def dropped(points, n):
+        facets, equations = real(points, n)
+        return facets[1:], equations
+    monkeypatch.setattr(hull, "_hull", dropped)
+    monkeypatch.setattr(hull, "_vertices", lambda points, facets, equations: tuple(points))
+    with pytest.raises(lp.InternalError, match="rows and its vertex list disagree"):
         vf.check_completeness(fm.parse("x1 | x2", 2), 2)
 
 
