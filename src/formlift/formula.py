@@ -327,6 +327,33 @@ def _push(f: Formula, neg: bool) -> Formula:
     return _node(kind, f.n, tuple(_push(c, neg) for c in f.children))
 
 
+def fixings(f: Formula):
+    """(fixed, rest) of a reduced node, walking through nested ANDs.
+
+    `fixed` maps each 1-based variable that a literal conjunct fixes to its
+    0/1 value; `rest` lists the other conjuncts, ORs, in reading order.  A
+    literal fixes its own variable, a true constant nothing, and an OR is
+    its own rest.  None when a false constant or two disagreeing literals
+    make the conjunction empty.
+    """
+    fixed, rest = {}, []
+    todo = [f]
+    while todo:
+        c = todo.pop()
+        if c.kind is Kind.AND:
+            todo.extend(reversed(c.children))
+        elif c.kind is Kind.CONST:
+            if not c.value:
+                return None
+        elif c.kind is Kind.LIT:
+            v = 0 if c.negated else 1
+            if fixed.setdefault(c.var, v) != v:
+                return None
+        else:
+            rest.append(c)
+    return fixed, rest
+
+
 # ---------------------------------------------------------------------------
 # 0/1 point sets
 

@@ -16,7 +16,11 @@ A literal face needs none: its points are the base's vertices on it,
 filtered from the vertex list that each round carries to the next.  Each
 round's FacetList is canonical, and its vertex list is certified from both
 sides where the round is made; the next round, `verify.check_completeness`
-and the closure pricing of `measures` all rely on that list.
+and the closure pricing of `measures` all rely on that list.  A polytope
+given only by rows, a lift's base or an x-space relaxation that `measures`
+prices, gets its list from `certified_vertices`, checked from both sides
+too, with an exact LP proving each facet of the list's hull that no row
+states.
 """
 
 from __future__ import annotations
@@ -468,8 +472,8 @@ def lift_hrep(phi, base):
     the box, or is unbounded, raises ValueError.
 
     The base's vertices come from the FacetList when it carries them, and
-    otherwise from one double description of its rows; `_points` lifts
-    each node to points, with no double description for a face.  An OR
+    otherwise from `certified_vertices`, checked from both sides; `_points`
+    lifts each node to points, with no double description for a face.  An OR
     chain is hulled once, from the union of the points of all its arms:
     conv(conv(A ∪ B) ∪ C) = conv(A ∪ B ∪ C), and `_hull` returns
     primitive, canonical facets and equations whatever redundant points it
@@ -484,13 +488,15 @@ def lift_hrep(phi, base):
         raise ValueError("formula must be reduced before lifting")
     n = phi.n
     _check_dim(n)
-    if isinstance(base, FacetList):
-        if base.n != n:
-            raise ValueError(f"dimension mismatch: formula {n}, base {base.n}")
-        verts = base.hvertices or _box_vertices(base.hrows(), n)
-    else:
-        verts = _box_vertices([_homogeneous(tuple(_rational(v) for v in a), _rational(rhs))
-                               for a, rhs in base], n)
+    if isinstance(base, FacetList) and base.n != n:
+        raise ValueError(f"dimension mismatch: formula {n}, base {base.n}")
+    verts = getattr(base, "hvertices", None)
+    if verts is None:
+        rows = base.hrows() if isinstance(base, FacetList) else [
+            _homogeneous(tuple(_rational(v) for v in a), _rational(rhs)) for a, rhs in base]
+        verts = certified_vertices(rows, n)
+        if verts is None or any(not 0 <= v <= g[n] for g in verts for v in g[:n]):
+            raise ValueError("the base of a lift must be a polytope inside the unit box")
     points = _points(phi, _faces(verts, n), n)
     if not points:
         return None
@@ -515,17 +521,40 @@ def _rounds(phi, base):
     yield from itertools.repeat(None)
 
 
-def _box_vertices(rows, n):
-    """The vertices of {x : h·(x, 1) >= 0 for h in rows}, which must lie in [0, 1]^n.
+def certified_vertices(rows, n):
+    """The vertices of {x : h·(x, 1) >= 0 for h in rows}, checked from both sides.
 
-    Rows that state the unit box itself give its 2^n corners directly.
+    `rows` are primitive homogeneous int rows.  Rows that state the unit
+    box give its 2^n corners.  Otherwise one primal double description
+    gives the vertices as homogeneous int points (X, d) for X/d, or None
+    when the polyhedron has a ray or a line.  Every row must hold at every
+    vertex, so conv(V) lies in the rows.  Every facet of conv(V), and every
+    equation of its affine hull with both signs, must be one of the rows or
+    be proved valid on them by an exact LP (`lpsolve.optimize_rows`), so
+    the rows lie in conv(V) and no vertex was lost.  An empty list stands
+    only once an exact LP finds the rows infeasible.  A failed check is an
+    InternalError.
     """
     box_rows, corners = _unit_box(n)
     if set(rows) == box_rows:
         return corners
     points, rays, lin = vertices_of_rows(rows, n)
-    if rays or lin or any(not 0 <= v <= g[n] for g in points for v in g[:n]):
-        raise ValueError("the base of a lift must be a polytope inside the unit box")
+    if any(sum(map(mul, h, g)) < 0 for g in points for h in rows):
+        raise lpsolve.InternalError("a vertex violates one of its rows")
+    dense = [(h[:n], -h[n]) for h in rows]
+    if not points:
+        if lpsolve.optimize_rows(dense, n, (0,) * n).status != "infeasible":
+            raise lpsolve.InternalError("a nonempty polyhedron has no vertex")
+        return points
+    if rays or lin:
+        return None
+    facets, equations = _hull(points, n)
+    have = set(rows)
+    for h in (*facets, *equations, *map(_negated, equations)):
+        if h not in have:
+            out = lpsolve.optimize_rows(dense, n, h[:n])
+            if out.status != "optimal" or out.value < -h[n]:
+                raise lpsolve.InternalError("a vertex of the rows is missing from their list")
     return points
 
 
@@ -585,29 +614,6 @@ def _faces(verts, n):
     return faces
 
 
-def _fixings(node):
-    """(fixed, rest) of an AND, a literal or a constant, through nested ANDs:
-    `fixed` maps each coordinate a literal fixes to its value and `rest`
-    lists the other children, ORs.  None when a false constant or two
-    disagreeing literals make it empty."""
-    fixed, rest = {}, []
-    todo = [node]
-    while todo:
-        c = todo.pop()
-        if c.kind is fm.Kind.AND:
-            todo.extend(c.children)
-        elif c.kind is fm.Kind.CONST:
-            if not c.value:
-                return None
-        elif c.kind is fm.Kind.LIT:
-            v = 0 if c.negated else 1
-            if fixed.setdefault(c.var - 1, v) != v:
-                return None
-        else:
-            rest.append(c)
-    return fixed, rest
-
-
 def _points(node, faces, n):
     """Homogeneous int points whose convex hull is the lift of `node`, as a set.
 
@@ -622,19 +628,19 @@ def _points(node, faces, n):
     """
     if node.kind is fm.Kind.OR:
         return set().union(*(_points(arm, faces, n) for arm in node.children))
-    split = _fixings(node)
+    split = fm.fixings(node)
     if split is None:
         return set()
     fixed, rest = split
     if not rest:
-        on = [faces[key] for key in fixed.items()] or [faces[None]]
+        on = [faces[var - 1, v] for var, v in fixed.items()] or [faces[None]]
         return min(on, key=len).intersection(*on)
     if len(rest) == 1:
         return {g for g in _points(rest[0], faces, n)
-                if all(g[i] == v * g[n] for i, v in fixed.items())}
+                if all(g[var - 1] == v * g[n] for var, v in fixed.items())}
     rows = []
-    for i, v in fixed.items():
-        a = tuple(int(j == i) for j in range(n))
+    for var, v in fixed.items():
+        a = tuple(int(j == var - 1) for j in range(n))
         rows += [a + (-v,), _negated(a) + (v,)]
     for child in rest:
         points = _points(child, faces, n)

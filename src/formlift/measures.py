@@ -19,11 +19,13 @@ against the relaxation.
 
 An x-space relaxation R is priced over its vertex list in Python ints.  A
 hull round (a FacetList from `hull.lift_hrep`) brings its certified list;
-an x-space formulation gets one from `_checked_vertices`.  Only a violation
-runs an exact LP, over R's formulation, whose optimum must equal the
-minimum over the list and supplies the reported point.  A lifted R, or an
-x-space one whose rows do not state the hull of its vertices (a
-hand-written file, say), is priced with one exact LP per vertex.
+an x-space formulation gets one from `hull.certified_vertices`, checked
+from both sides, with an exact LP proving each facet of the list's hull
+that no row of R states (a hand-written file's implied equation, say).  A
+list that fails the check is an InternalError, never a reason to price
+another way.  Only a violation runs an exact LP, over R's formulation,
+whose optimum must equal the minimum over the list and supplies the
+reported point.  A lifted R is priced with one exact LP per cone vertex.
 """
 
 from __future__ import annotations
@@ -238,21 +240,13 @@ def _cone_generators(dim, level, valid_rows):
 
 
 def _checked_vertices(R):
-    """The vertex list of an x-space formulation R, checked from both sides, or None.
+    """The vertex list of an x-space formulation R, checked from both sides.
 
     For relaxations without a certified list: the cube, a `yvars 0` file,
     one handed to a checker, a FacetList from `hull.facets_of_points`.
-    One double description over R's rows, each int row (a, b, l) as the
-    primitive homogeneous row (a, -b), gives the vertices as homogeneous
-    int points (X, D) for X/D.  Every vertex must satisfy every row, so
-    conv(V) lies in R; a vertex that does not is an InternalError.  Every
-    facet of conv(V) must be one of the rows and every equation of its
-    affine hull a row with both signs, so R lies in conv(V) and no vertex
-    was lost.  A list that passes both checks is all of R.  None, for LP
-    pricing, when R is unbounded or the second check fails, which rows that
-    do not state conv(V) canonically can make happen (a hand-written file
-    whose equations are implied by inequalities, say).  An empty list
-    stands for an empty R only once an LP's Farkas certificate confirms it.
+    Each int row (a, b, l) goes to `hull.certified_vertices` as the
+    primitive homogeneous row (a, -b); the vertices come back as
+    homogeneous int points (X, D) for X/D, or None when R is unbounded.
     """
     n = R.n
     rows = []
@@ -261,21 +255,7 @@ def _checked_vertices(R):
         for j, c in a:
             h[j] = c
         rows.append(hull._reduced(h))
-    V, rays, lineality = hull.vertices_of_rows(rows, n)
-    if any(sum(map(mul, h, g)) < 0 for g in V for h in rows):
-        raise lpsolve.InternalError("a vertex of the relaxation violates one of its rows")
-    if not V:
-        if not lpsolve.is_empty(R):
-            raise lpsolve.InternalError("a nonempty relaxation has no vertex")
-        return V
-    if rays or lineality:
-        return None
-    facets, equations = hull._hull(V, n)
-    have = set(rows)
-    if all(h in have for h in facets) and all(
-            h in have and tuple(-v for v in h) in have for h in equations):
-        return V
-    return None
+    return hull.certified_vertices(rows, n)
 
 
 def _vertex_minimum(W, C):
@@ -323,8 +303,8 @@ def closure_violation(query: ClosureQuery):
     coefficient polyhedron because the pricing objective is nonnegative on
     its recession directions.  Each such vertex is priced by its least
     value over R: over an x-space R the least value at R's vertices, whose
-    list is certified or checked to be all of R (see the module docstring),
-    and otherwise an exact LP.  Every reported violation comes from an exact
+    list is certified to be all of R (see the module docstring), and over a
+    lifted R an exact LP.  Every reported violation comes from an exact
     LP, which must agree with the vertex minimum where there is one, and is
     re-verified exactly before being returned.
     """
@@ -338,6 +318,13 @@ def verify_closure(query: ClosureQuery) -> ClosureReport:
 
 
 def _search(query):
+    """(violation or None, examined, skipped, priced) of one query.
+
+    R's vertex list is a hull round's own or, for an x-space formulation
+    within the search limit, `_checked_vertices`; an empty list ends the
+    search.  Without a list (a lifted R), an exact LP decides emptiness
+    first and each cone vertex is priced by LP.
+    """
     if query.mode not in ("pitch", "notch"):
         raise ValueError(f"mode must be 'pitch' or 'notch', not {query.mode!r}")
     if query.level < 1:
@@ -352,12 +339,7 @@ def _search(query):
         R = _formulation(R)
         query = ClosureQuery(query.mode, query.level, S, R)
         V = _checked_vertices(R) if R.is_hrep and n <= limit else None
-    if V is None:
-        # a point of S inside an x-space R proves R nonempty by row evaluation
-        witnessed = R.is_hrep and any(lpsolve.contains_point(R, s) for s in S.points)
-        if not witnessed and lpsolve.is_empty(R):
-            return None, 0, 0, 0
-    elif not V:
+    if lpsolve.is_empty(R) if V is None else not V:
         return None, 0, 0, 0
     if n > limit:
         raise ValueError(f"dimension {n} exceeds {query.mode} search limit {limit}")

@@ -415,7 +415,10 @@ class LiftReport:
     by an exact LP; every "empty" verdict is an LP's.  `route` is "ef" for
     the extended-formulation construction and "hull" for rounds compacted
     through vertex enumeration.  The row bound
-    size(phi)*(base_rows+2) + 2n*and_count applies to the "ef" route.
+    leaves(phi)*(base_rows+2) + 2n*and_count applies to the "ef" route: a
+    leaf, literal or constant, takes at most base_rows+2 rows and each AND
+    at most 2n more.  A reduced formula has and_count + or_count + 1
+    leaves, which is size(phi) when it has no constant.
     """
 
     n: int
@@ -437,7 +440,8 @@ class LiftReport:
 
     @property
     def row_bound(self) -> int:
-        return self.formula_size * (self.base_rows + 2) + 2 * self.n * self.and_count
+        leaves = self.and_count + self.or_count + 1
+        return leaves * (self.base_rows + 2) + 2 * self.n * self.and_count
 
     @property
     def within_bound(self) -> bool:
@@ -455,35 +459,6 @@ def _count_kind(f: fm.Formula, kind: fm.Kind) -> int:
     """Binary `kind` operators in f: a chain of k operands counts k - 1."""
     own = len(f.children) - 1 if f.kind is kind else 0
     return own + sum(_count_kind(c, kind) for c in f.children)
-
-
-def _is_pure(f: fm.Formula) -> bool:
-    """No disjunction anywhere below: the subtree fixes a set of coordinates."""
-    if f.kind in (fm.Kind.LIT, fm.Kind.CONST):
-        return True
-    if f.kind is fm.Kind.AND:
-        return all(_is_pure(c) for c in f.children)
-    return False
-
-
-def _conjuncts(f: fm.Formula) -> list:
-    if f.kind is fm.Kind.AND:
-        return [p for c in f.children for p in _conjuncts(c)]
-    return [f]
-
-
-def _fixings(parts):
-    """Map var -> 0/1 from literal conjuncts; None on conflict or constant false."""
-    out = {}
-    for p in parts:
-        if p.kind is fm.Kind.CONST:
-            if not p.value:
-                return None
-            continue
-        v = 0 if p.negated else 1
-        if out.setdefault(p.var, v) != v:
-            return None
-    return out
 
 
 def _restrict_block(Q, fixings, stats):
@@ -528,11 +503,6 @@ def _decide_empty(ef, site, stats):
 
 
 def _lift_collapse(f, Q, stats):
-    if _is_pure(f):
-        fixings = _fixings(_conjuncts(f))
-        if fixings is None:
-            return empty_formulation(Q.n)
-        return _restrict_block(Q, fixings, stats)
     if f.kind is fm.Kind.OR:
         # a left fold over the chain; balas_union returns an empty arm away
         ef = _lift_collapse(f.children[0], Q, stats)
@@ -542,16 +512,16 @@ def _lift_collapse(f, Q, stats):
                 stats["elided_arms"] += 1
             ef = balas_union(ef, other)
         return ef
-    # conjunction with at least one disjunction below: lift the complex
-    # conjuncts, intersect them, then batch the literal fixings on top
-    parts = _conjuncts(f)
-    pure = [p for p in parts if _is_pure(p)]
-    complex_ = [p for p in parts if not _is_pure(p)]
-    fixings = _fixings(pure) if pure else {}
-    if fixings is None:
+    split = fm.fixings(f)
+    if split is None:
         return empty_formulation(Q.n)
-    ef = _lift_collapse(complex_[0], Q, stats)
-    for p in complex_[1:]:
+    fixings, rest = split
+    if not rest:
+        return _restrict_block(Q, fixings, stats)
+    # conjunction with at least one disjunction below: lift the OR
+    # conjuncts, intersect them, then batch the literal fixings on top
+    ef = _lift_collapse(rest[0], Q, stats)
+    for p in rest[1:]:
         if ef.empty_marker:
             return ef
         other = _lift_collapse(p, Q, stats)

@@ -274,11 +274,12 @@ def check_size_accounting(phi, Q, instance: str = "adhoc", covering_m=None,
                           report=None) -> CheckReport:
     """The built lift respects the constructive row bound.
 
-    The bound size(phi)*(rows(Q)+2) + 2n*#AND is asserted; the ratio against
-    the plain product size(phi)*rows(Q), the saving against the block-free
+    The bound leaves(phi)*(rows(Q)+2) + 2n*#AND is asserted, where a
+    constant leaf counts like a literal; the ratio against the plain
+    product size(phi)*rows(Q), the saving against the block-free
     construction, and (when covering_m is given) the ratio against the
-    covering yardstick 2n*(covering_m*n) of one lift are reported without being
-    judged; covering_m must be at least 1.
+    covering yardstick 2n*(covering_m*n) of one lift are reported without
+    being judged; covering_m must be at least 1.
     """
     if covering_m is not None and covering_m < 1:
         raise ValueError(f"covering_m must be at least 1, not {covering_m}")

@@ -218,6 +218,19 @@ def test_verify_size_rejects_covering_m_below_one(tmp_path, capsys):
     assert code == 0 and "covering_yardstick=8 covering_ratio=1" in out
 
 
+@pytest.mark.parametrize("text, line", [
+    ("1", "check=size instance=one verdict=pass n=1 size=0 ef_rows=2 bound=4 "
+          "plain_product=0 naive_rows=2 saved=0 blocks=1"),
+    ("(x1 | 0) & (x2 | 1)", "check=size instance=one verdict=pass n=2 size=2 ef_rows=20 "
+                            "bound=28 plain_product=8 naive_rows=21 saved=1 blocks=3"),
+], ids=["true", "mixed"])
+def test_verify_size_counts_constant_leaves(tmp_path, capsys, text, line):
+    f = tmp_path / "one.bool"
+    f.write_text(text + "\n")
+    code, out, err = run(capsys, "verify", "size", "--formula", str(f))
+    assert (code, out, err) == (0, line + "\n", "")
+
+
 def test_verify_complete_example(tmp_path, capsys):
     f = tmp_path / "any3.bool"
     f.write_text("(x1 & !x2) | (x2 & x3)\n")

@@ -304,3 +304,30 @@ def test_parentheses_and_negations_cost_no_recursion():
         fm.parse("(" * 1001 + "x1" + ")" * 1001)
     with pytest.raises(RecursionError):
         fm.parse("!(" * 501 + "x1" + ")" * 501)
+
+
+def test_fixings_walk_nested_ands():
+    fixed, rest = fm.fixings(fm.parse("x1 & (!x3 & (x4 & 1)) & x1", 4))
+    assert fixed == {1: 1, 3: 0, 4: 1} and rest == []
+
+
+def test_fixings_keep_the_or_conjuncts_in_reading_order():
+    # the order of `rest` fixes the row order of an extended formulation
+    f = fm.parse("(x1 | x2) & x3 & (x2 | !x4 | x1) & (!x1 & ((x3 | x4) & (x2 | x3)))", 4)
+    fixed, rest = fm.fixings(f)
+    assert fixed == {3: 1, 1: 0}
+    assert [c.to_text() for c in rest] == ["x1 | x2", "x2 | !x4 | x1", "x3 | x4", "x2 | x3"]
+    assert fm.fixings(rest[0]) == ({}, [rest[0]])
+
+
+@pytest.mark.parametrize("text", ["x1 & !x1", "x2 & (x1 & x3 & !x2)", "x1 & 0", "0",
+                                  "(x1 | x2) & x3 & 0"])
+def test_fixings_of_an_empty_conjunction_are_none(text):
+    assert fm.fixings(fm.parse(text, 3)) is None
+
+
+def test_fixings_of_leaves():
+    assert fm.fixings(fm.parse("1", 2)) == ({}, [])
+    assert fm.fixings(fm.parse("x2", 2)) == ({2: 1}, [])
+    assert fm.fixings(fm.parse("!x1", 2)) == ({1: 0}, [])
+    assert fm.fixings(fm.parse("1 & !x2 & 1", 2)) == ({2: 0}, [])

@@ -529,6 +529,55 @@ def test_a_vertex_lost_by_the_primal_enumeration_is_caught(monkeypatch):
         hull.lift_hrep(_OR_CHAIN, pt.cube(3).xspace_rows())
 
 
+# the base certificate: a base given by rows gets its vertex list from
+# `certified_vertices`, which proves each facet and equation of the list's
+# hull valid on the rows, by an exact LP where no row states it
+
+# x1 + x2 >= 1 and x1 + x2 + x3 <= 1: the segment from e1 to e2, on which
+# x3 = 0 and x1 + x2 = 1 hold although no row states them
+_SEGMENT = ([((F(1), F(1), F(0)), F(1)), ((F(-1), F(-1), F(-1)), F(-1))]
+            + pt.cube(3).xspace_rows())
+# x1 + x2 + x3 >= 2 and x1 + x2 + x3 + x4 <= 2: a triangle with x4 = 0
+_TRIANGLE = ([((F(1), F(1), F(1), F(0)), F(2)), ((F(-1),) * 4, F(-2))]
+             + pt.cube(4).xspace_rows())
+
+
+def test_a_base_vertex_lost_by_the_primal_enumeration_is_caught(monkeypatch):
+    # without e1 the base has no point with x1 = 1, and x1 | x3 would lift
+    # to nothing instead of the single vertex e1
+    phi = fm.parse("x1 | x3", 3)
+    assert hull.lift_hrep(phi, _SEGMENT).hvertices == ((1, 0, 0, 1),)
+    real, calls = hull.vertices_of_rows, []
+
+    def losing(rows, n):
+        points, rays, lin = real(rows, n)
+        calls.append(n)
+        return (points[:-1] if len(calls) == 1 else points), rays, lin
+
+    monkeypatch.setattr(hull, "vertices_of_rows", losing)
+    with pytest.raises(lp.InternalError, match="missing from their list"):
+        hull.lift_hrep(phi, _SEGMENT)
+
+
+@pytest.mark.parametrize("base, text", [
+    (_SEGMENT, "x1 | x3"),
+    (_SEGMENT, "x1 | x2 & !x3"),
+    (_TRIANGLE, "x1 & !x2 | x2 & x3 | x4"),
+    (_TRIANGLE, "(x1 | x4) & (x2 | x3)"),
+])
+def test_a_lower_dimensional_base_lifts_like_the_hull_of_its_vertices(monkeypatch, base,
+                                                                      text):
+    phi = fm.reduce(fm.parse(text, 4 if base is _TRIANGLE else 3))
+    points, _, _ = hull.vertices_of_rows([hull._homogeneous(a, rhs) for a, rhs in base], phi.n)
+    plain = hull.facets_of_points(map(hull._point, points))
+    solves, real = [], lp.optimize_rows
+    monkeypatch.setattr(lp, "optimize_rows", lambda *a: solves.append(a) or real(*a))
+    want = list(itertools.islice(hull._rounds(phi, plain), 2))
+    assert not solves
+    assert list(itertools.islice(hull._rounds(phi, base), 2)) == want
+    assert solves
+
+
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(_point_sets(), st.data())
 def test_the_prune_keeps_exactly_the_extreme_points(pts, data):

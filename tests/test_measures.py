@@ -370,9 +370,12 @@ def test_vertex_minimum_equals_the_pricing_lp(case):
             assert rep.line() == _lp_priced_line(mp, S, R, mode, level)
 
 
-def test_canonical_relaxations_pass_the_vertex_check():
+def test_canonical_relaxations_pass_the_vertex_check(monkeypatch):
     # the cube and every hull round are stated by their own facets, so each
-    # is priced over its vertex list
+    # is priced over its vertex list, and no facet needs an LP to prove it
+    solves = []
+    real = lp.optimize_rows
+    monkeypatch.setattr(lp, "optimize_rows", lambda *a: solves.append(a) or real(*a))
     for n in range(1, 6):
         assert len(ms._checked_vertices(pt.cube(n))) == 2 ** n
     for seed in range(20):
@@ -381,6 +384,7 @@ def test_canonical_relaxations_pass_the_vertex_check():
         for F in (next(rounds), next(rounds)):
             if F is not None:
                 assert ms._checked_vertices(pt.from_hrep(5, F.rows()))
+    assert not solves
 
 
 def _round_relaxations():
@@ -452,29 +456,21 @@ def test_a_vertex_outside_the_relaxation_is_caught(monkeypatch):
 
 
 @pytest.mark.parametrize("mode, level", [("pitch", 1), ("notch", 2)])
-def test_a_dropped_vertex_falls_back_to_lp_pricing(monkeypatch, mode, level):
-    # conv(V) without one vertex has a facet that is no row of R, so R is
-    # priced by LP instead, with the same report line
+def test_a_dropped_vertex_is_caught(monkeypatch, mode, level):
+    # conv(V) without one vertex has a facet that is no row of R and that
+    # the dropped vertex violates, so the exact LP over R's rows goes below it
     S, R = _round_one_of_bz4()
-    want = ms.verify_closure(ms.ClosureQuery(mode, level, S, R)).line()
-    assert ms._checked_vertices(R) is not None
     _faulty_first_vertex_list(monkeypatch, lambda V: V[:-1])
-    assert ms._checked_vertices(R) is None
-    monkeypatch.undo()
-    _faulty_first_vertex_list(monkeypatch, lambda V: V[:-1])
-    solves = []
-    real = lp.optimize
-    monkeypatch.setattr(lp, "optimize", lambda *a: solves.append(a) or real(*a))
-    assert ms.verify_closure(ms.ClosureQuery(mode, level, S, R)).line() == want
-    assert solves
+    with pytest.raises(lp.InternalError, match="missing from their list"):
+        ms.verify_closure(ms.ClosureQuery(mode, level, S, R))
 
 
 def test_an_empty_vertex_list_needs_an_empty_relaxation(monkeypatch):
-    S = fm.point_set(2, [(1, 1)])
     assert ms._checked_vertices(pt.empty_formulation(2)) == []
+    S, R = _round_one_of_bz4()
     _faulty_first_vertex_list(monkeypatch, lambda V: [])
     with pytest.raises(lp.InternalError, match="has no vertex"):
-        ms.verify_closure(ms.ClosureQuery("pitch", 1, S, pt.cube(2)))
+        ms.verify_closure(ms.ClosureQuery("pitch", 1, S, R))
 
 
 def test_a_pricing_lp_off_the_vertex_minimum_is_caught(monkeypatch):
@@ -501,8 +497,8 @@ def test_hand_written_xspace_files_keep_their_closure_line(tmp_path, capsys, mon
                                                             mode, level):
     # the same polytopes written with scaled, redundant or implied rows: the
     # closure line matches the canonical file's and LP pricing's.  A segment
-    # whose equations only inequalities imply fails the vertex check and is
-    # priced by LP.
+    # whose equations only inequalities imply gets its vertex list proved by
+    # exact LPs; the other files state every facet of their vertices' hull.
     tri = "(x1 | x2) & (x2 | x3) & (x1 | x3)\n"
     (tmp_path / "tri.bool").write_text(tri)
     phi = fm.reduce(fm.parse(tri))
@@ -520,9 +516,12 @@ def test_hand_written_xspace_files_keep_their_closure_line(tmp_path, capsys, mon
     }
     paths = {}
     checked = {}
-    real = ms._checked_vertices
+    proofs = set()
+    real, real_lp = ms._checked_vertices, lp.optimize_rows
     monkeypatch.setattr(ms, "_checked_vertices",
                         lambda R: checked.setdefault(name, real(R)))
+    monkeypatch.setattr(lp, "optimize_rows",
+                        lambda *a: proofs.add(name) or real_lp(*a))
     lines = {}
     for name, text in files.items():
         paths[name] = tmp_path / f"{name}.ef"
@@ -535,8 +534,8 @@ def test_hand_written_xspace_files_keep_their_closure_line(tmp_path, capsys, mon
     monkeypatch.undo()
     assert lines["cube"] == lines["cube-scaled"]
     assert lines["round"] == lines["round-scaled"]
-    assert all(checked[name] for name in files if name != "segment")
-    assert checked["segment"] is None
+    assert all(checked[name] for name in files)
+    assert proofs == {"segment"}
     for name, path in paths.items():
         R = pt.from_text(path.read_text())
         assert lines[name] == _lp_priced_line(monkeypatch, S, R, mode, level) + "\n"

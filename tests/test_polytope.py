@@ -160,6 +160,32 @@ def _random_reduced(rng, n):
     return build(size)
 
 
+def test_the_row_bound_counts_constant_leaves():
+    # a constant leaf takes rows like a literal, so the bound counts leaves,
+    # and_count + or_count + 1, which is the size when no constant occurs
+    rng = random.Random(5)
+    constants = 0
+    for _ in range(400):
+        n = rng.randint(1, 3)
+
+        def build(s):
+            if s == 1:
+                if rng.random() < 0.3:
+                    return fm.const(rng.random() < 0.5, n)
+                return fm.lit(rng.randint(1, n), n, negated=rng.random() < 0.4)
+            left = rng.randint(1, s - 1)
+            op = fm.land if rng.random() < 0.5 else fm.lor
+            return op(build(left), build(s - left))
+        phi = build(rng.randint(1, 6))
+        ef, rep = pt.lift(phi, pt.cube(n))
+        assert rep.within_bound, (phi.to_text(), rep.summary_line())
+        leaves = rep.and_count + rep.or_count + 1
+        constants += leaves > phi.size
+        if leaves == phi.size:
+            assert rep.row_bound == phi.size * (2 * n + 2) + 2 * n * rep.and_count
+    assert constants > 100
+
+
 def test_lift_requires_reduced_formula():
     with pytest.raises(ValueError):
         pt.lift(fm.lnot(fm.parse("x1 & x2", 2)), pt.cube(2))
