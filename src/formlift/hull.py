@@ -13,21 +13,20 @@ because the method is exponential in general.  The x-space lift runs one
 double description per OR chain: an OR node's points are the union of its
 arms' points, nested ORs included, and only the chain's root is hulled.
 A literal face needs none: its points are the base's vertices on it,
-filtered from the vertex list that each round carries to the next.  Each
-round's FacetList is canonical, and its vertex list is certified from both
-sides where the round is made; the next round, `verify.check_completeness`
-and the closure pricing of `measures` all rely on that list.  A polytope
-given only by rows, a lift's base or an x-space relaxation that `measures`
-prices, gets its list from `certified_vertices`, checked from both sides
-too, with an exact LP proving each facet of the list's hull that no row
-states.
+filtered from the vertex list that each round carries to the next.  Every
+FacetList answers `hvertices`, its vertex list certified from both sides:
+a round brings the list it was certified with where it was made, and any
+other FacetList gets its list from `certified_vertices`, with an exact LP
+proving each facet of the list's hull that no row states.  The next round,
+`verify.check_completeness` and the closure pricing of `measures` all rely
+on that list.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -279,7 +278,7 @@ def _hull(points, n):
     polar = [tuple(s - m * w for s, w in zip(S, wj)) + (m,) for wj in W]
     pverts, prays, plin = vertices_of_rows(polar, q)
     if prays or plin:
-        raise RuntimeError("internal: polar of a full-dimensional hull must be bounded")
+        raise lpsolve.InternalError("polar of a full-dimensional hull must be bounded")
     # a·(w - c) <= 1 for all w, tight on a facet, with a = g[:q]/g[q],
     # w_i = X[pivots[i]] - x0[pivots[i]], c = S/m and X = D·x; times m·g[q]
     # and flipped to >= form.  a = 0 is no vertex: every polar row is m there.
@@ -308,18 +307,25 @@ class FacetList:
     """H-description in x-space: rows a·x >= rhs plus affine equations.
 
     `facets_of_points` produces irredundant lists; the type itself also
-    serves as a plain container of known valid rows.  The same rows come
-    as homogeneous int rows too, outside equality: `hfacets` holds each
-    facet as the primitive row h with h·(x, 1) >= 0 and `hequations` each
-    equation as one with h·(x, 1) = 0.  A FacetList that `lift_hrep`
-    returns also carries its certified vertices in `hvertices`, as
-    homogeneous int points (X, d) for X/d.
+    serves as a plain container of known valid rows, each with n
+    coefficients.  The same rows come as homogeneous int rows too, outside
+    equality: `hfacets` holds each facet as the primitive row h with
+    h·(x, 1) >= 0 and `hequations` each equation as one with h·(x, 1) = 0.
+    `hvertices` holds the vertices as homogeneous int points (X, d) for
+    X/d, certified from both sides: a round of `lift_hrep` carries the list
+    it was certified with, and any other FacetList gets its list from
+    `certified_vertices`.  It is None when the rows state no polytope
+    inside the unit box: a ray, a line or a vertex outside [0, 1]^n.
     """
 
     n: int
     facets: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
     equations: tuple[tuple[tuple[Fraction, ...], Fraction], ...] = ()
-    hvertices: tuple | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        for a, _ in (*self.facets, *self.equations):
+            if len(a) != self.n:
+                raise ValueError(f"row has {len(a)} coefficients, expected {self.n}")
 
     @functools.cached_property
     def hfacets(self) -> tuple[tuple[int, ...], ...]:
@@ -328,6 +334,15 @@ class FacetList:
     @functools.cached_property
     def hequations(self) -> tuple[tuple[int, ...], ...]:
         return tuple(_homogeneous(a, rhs) for a, rhs in self.equations)
+
+    @functools.cached_property
+    def hvertices(self) -> tuple[tuple[int, ...], ...] | None:
+        n = self.n
+        _check_dim(n)
+        verts = certified_vertices(self.hrows(), n)
+        if verts is None or any(not 0 <= v <= g[n] for g in verts for v in g[:n]):
+            return None
+        return tuple(verts)
 
     def rows(self) -> list[tuple[tuple[Fraction, ...], Fraction]]:
         """All constraints as inequality rows (each equation becomes a pair)."""
@@ -357,7 +372,8 @@ def _facet_list(n, facets, equations, vertices=None) -> FacetList:
 
     Facets are primitive and zero outside the pivot columns of the affine
     hull, equations have primitive coefficients, and both are sorted.  The
-    int rows themselves, and `vertices` when given, ride along.
+    int rows themselves, and the certified `vertices` when given, ride
+    along in the cached properties.
     """
     eqs = []
     for h in equations:
@@ -367,7 +383,8 @@ def _facet_list(n, facets, equations, vertices=None) -> FacetList:
                   tuple(sorted(eqs)))
     # the rows the cached properties would compute, in `_hull`'s order
     F.__dict__.update(hfacets=tuple(facets), hequations=tuple(equations))
-    object.__setattr__(F, "hvertices", vertices)
+    if vertices is not None:
+        F.__dict__["hvertices"] = vertices
     return F
 
 
@@ -466,38 +483,33 @@ def lift_hrep(phi, base):
 
     Literals restrict to faces, AND intersects row systems, OR takes the
     convex hull of its arms.  Returns a canonical FacetList that carries
-    its vertex list, or None when the result is empty.  `base` is a list
-    of (coeffs, rhs) rows describing a polytope inside the unit box, or a
-    FacetList such as the round before; a base that has a vertex outside
-    the box, or is unbounded, raises ValueError.
+    its vertex list, or None when the result is empty.  `base` is a
+    FacetList such as the round before, or a list of (coeffs, rhs) rows,
+    read as a FacetList; a base whose `hvertices` is None, one with a
+    vertex outside the box or unbounded, raises ValueError.
 
-    The base's vertices come from the FacetList when it carries them, and
-    otherwise from `certified_vertices`, checked from both sides; `_points`
-    lifts each node to points, with no double description for a face.  An OR
-    chain is hulled once, from the union of the points of all its arms:
-    conv(conv(A ∪ B) ∪ C) = conv(A ∪ B ∪ C), and `_hull` returns
-    primitive, canonical facets and equations whatever redundant points it
-    is given.  The round is then certified from both sides (Mehlhorn et
-    al., "Checking geometric programs", 1999): `_vertices` prunes the
-    points to the hull's vertices and checks every row at every point, so
-    conv(vertices) lies in the rows, and the rows' own vertices, by the
-    primal double description where `_hull` ran the polar one, must be
-    exactly that list, so no vertex was lost.  Otherwise InternalError.
+    `_points` lifts each node to points from the base's vertex list, with
+    no double description for a face.  An OR chain is hulled once, from
+    the union of the points of all its arms: conv(conv(A ∪ B) ∪ C) =
+    conv(A ∪ B ∪ C), and `_hull` returns primitive, canonical facets and
+    equations whatever redundant points it is given.  The round is then
+    certified from both sides (Mehlhorn et al., "Checking geometric
+    programs", 1999): `_vertices` prunes the points to the hull's vertices
+    and checks every row at every point, so conv(vertices) lies in the
+    rows, and the rows' own vertices, by the primal double description
+    where `_hull` ran the polar one, must be exactly that list, so no
+    vertex was lost.  Otherwise InternalError.
     """
     if not phi.is_reduced():
         raise ValueError("formula must be reduced before lifting")
     n = phi.n
-    _check_dim(n)
-    if isinstance(base, FacetList) and base.n != n:
+    if not isinstance(base, FacetList):
+        base = FacetList(n, tuple((tuple(map(_rational, a)), _rational(rhs)) for a, rhs in base))
+    if base.n != n:
         raise ValueError(f"dimension mismatch: formula {n}, base {base.n}")
-    verts = getattr(base, "hvertices", None)
-    if verts is None:
-        rows = base.hrows() if isinstance(base, FacetList) else [
-            _homogeneous(tuple(_rational(v) for v in a), _rational(rhs)) for a, rhs in base]
-        verts = certified_vertices(rows, n)
-        if verts is None or any(not 0 <= v <= g[n] for g in verts for v in g[:n]):
-            raise ValueError("the base of a lift must be a polytope inside the unit box")
-    points = _points(phi, _faces(verts, n), n)
+    if base.hvertices is None:
+        raise ValueError("the base of a lift must be a polytope inside the unit box")
+    points = _points(phi, _faces(base.hvertices, n), n)
     if not points:
         return None
     facets, equations = _hull(points, n)
@@ -650,5 +662,5 @@ def _points(node, faces, n):
         rows += facets + equations + [_negated(h) for h in equations]
     points, rays, lin = vertices_of_rows(rows, n)
     if rays or lin:
-        raise RuntimeError("internal: lift arms must stay bounded inside the box")
+        raise lpsolve.InternalError("lift arms must stay bounded inside the box")
     return set(points)

@@ -17,15 +17,16 @@ mode), the feasible coefficient vectors with delta normalized to 1 form a
 polyhedron whose vertices are enumerated exactly, and each vertex is priced
 against the relaxation.
 
-An x-space relaxation R is priced over its vertex list in Python ints.  A
-hull round (a FacetList from `hull.lift_hrep`) brings its certified list;
-an x-space formulation gets one from `hull.certified_vertices`, checked
-from both sides, with an exact LP proving each facet of the list's hull
-that no row of R states (a hand-written file's implied equation, say).  A
-list that fails the check is an InternalError, never a reason to price
-another way.  Only a violation runs an exact LP, over R's formulation,
-whose optimum must equal the minimum over the list and supplies the
-reported point.  A lifted R is priced with one exact LP per cone vertex.
+An x-space relaxation R is priced over its vertex list in Python ints:
+the `hvertices` of a FacetList, or of the FacetList of an x-space
+formulation's rows.  A hull round brings the list it was certified with;
+any other gets one from `hull.certified_vertices`, checked from both
+sides, with an exact LP proving each facet of the list's hull that no row
+of R states (a hand-written file's implied equation, say).  A list that
+fails the check is an InternalError, never a reason to price another way.
+Only a violation runs an exact LP, over R's formulation, whose optimum
+must equal the minimum over the list and supplies the reported point.  A
+lifted R is priced with one exact LP per cone vertex.
 """
 
 from __future__ import annotations
@@ -239,25 +240,6 @@ def _cone_generators(dim, level, valid_rows):
     return sorted(points, key=lambda g: tuple(v * (L // g[dim]) for v in g[:dim]))
 
 
-def _checked_vertices(R):
-    """The vertex list of an x-space formulation R, checked from both sides.
-
-    For relaxations without a certified list: the cube, a `yvars 0` file,
-    one handed to a checker, a FacetList from `hull.facets_of_points`.
-    Each int row (a, b, l) goes to `hull.certified_vertices` as the
-    primitive homogeneous row (a, -b); the vertices come back as
-    homogeneous int points (X, D) for X/D, or None when R is unbounded.
-    """
-    n = R.n
-    rows = []
-    for a, b, _ in R.rows:
-        h = [0] * n + [-b]
-        for j, c in a:
-            h[j] = c
-        rows.append(hull._reduced(h))
-    return hull.certified_vertices(rows, n)
-
-
 def _vertex_minimum(W, C):
     """(s, D) with s/D the least of C·w/D over the vertices (w, D) in W.
 
@@ -320,10 +302,12 @@ def verify_closure(query: ClosureQuery) -> ClosureReport:
 def _search(query):
     """(violation or None, examined, skipped, priced) of one query.
 
-    R's vertex list is a hull round's own or, for an x-space formulation
-    within the search limit, `_checked_vertices`; an empty list ends the
-    search.  Without a list (a lifted R), an exact LP decides emptiness
-    first and each cone vertex is priced by LP.
+    Within the search limit, R's vertex list is `hvertices`, of R itself
+    when it is a FacetList and of its rows when it is an x-space
+    formulation; an empty list ends the search.  A FacetList whose rows
+    leave the unit box is priced as its formulation, clamped to the box.
+    Without a list (a lifted R), an exact LP decides emptiness first and
+    each cone vertex is priced by LP.
     """
     if query.mode not in ("pitch", "notch"):
         raise ValueError(f"mode must be 'pitch' or 'notch', not {query.mode!r}")
@@ -334,11 +318,12 @@ def _search(query):
     if R.n != n:
         raise ValueError(f"dimension mismatch: points {n}, relaxation {R.n}")
     limit = PITCH_SEARCH_LIMIT if query.mode == "pitch" else NOTCH_SEARCH_LIMIT
-    V = getattr(R, "hvertices", None)
+    V = R.hvertices if isinstance(R, hull.FacetList) and n <= limit else None
     if V is None:
         R = _formulation(R)
         query = ClosureQuery(query.mode, query.level, S, R)
-        V = _checked_vertices(R) if R.is_hrep and n <= limit else None
+        if R.is_hrep and n <= limit:
+            V = hull.FacetList(n, tuple(R.xspace_rows())).hvertices
     if lpsolve.is_empty(R) if V is None else not V:
         return None, 0, 0, 0
     if n > limit:
@@ -373,8 +358,9 @@ def _price(query, I, neg, V):
     """Price the cone vertices of one scope: support I, complemented indices neg.
 
     Pitch scopes are (support, ()); notch scopes are (all variables,
-    pattern).  `V` is R's certified or checked vertex list, or None to price
-    each cone vertex with an LP.  Returns (violation or None, vertices priced).
+    pattern).  `V` is R's certified vertex list, or None for a lifted R, to
+    price each cone vertex with an LP.  Returns (violation or None,
+    vertices priced).
     """
     # validity rows restricted to I; an all-zero row means no nonnegative
     # inequality on the scope can be valid (in notch mode: the point that

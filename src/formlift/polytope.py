@@ -428,8 +428,8 @@ class LiftReport:
     ef_ydim: int
     and_count: int
     or_count: int
-    blocks: int
-    elided_arms: int
+    blocks: int = 0
+    elided_arms: int = 0
     route: str = "ef"
     emptiness: tuple = ()
     witnessed: int = 0
@@ -453,6 +453,14 @@ class LiftReport:
                 f"blocks={self.blocks} elided={self.elided_arms} "
                 f"checked={len(self.emptiness)} bound={self.row_bound} "
                 f"route={self.route}")
+
+
+def _report(phi, base_rows, ef_rows, ef_ydim, route, **stats) -> LiftReport:
+    """The LiftReport of one round of phi by `route`; `stats` are the ef
+    route's counts, which the hull route leaves at zero."""
+    return LiftReport(phi.n, phi.size, base_rows, ef_rows, ef_ydim,
+                      _count_kind(phi, fm.Kind.AND), _count_kind(phi, fm.Kind.OR),
+                      route=route, **stats)
 
 
 def _count_kind(f: fm.Formula, kind: fm.Kind) -> int:
@@ -555,20 +563,8 @@ def lift(phi: fm.Formula, Q: ExtendedFormulation):
         ef = Q
     else:
         ef = _lift_collapse(phi, Q, stats)
-    report = LiftReport(
-        n=Q.n,
-        formula_size=phi.size,
-        base_rows=len(Q.rows),
-        ef_rows=len(ef.rows),
-        ef_ydim=ef.ydim,
-        and_count=_count_kind(phi, fm.Kind.AND),
-        or_count=_count_kind(phi, fm.Kind.OR),
-        blocks=stats["blocks"],
-        elided_arms=stats["elided_arms"],
-        route="ef",
-        emptiness=tuple(stats["emptiness"]),
-        witnessed=stats["witnessed"],
-    )
+    stats["emptiness"] = tuple(stats["emptiness"])
+    report = _report(phi, len(Q.rows), len(ef.rows), ef.ydim, "ef", **stats)
     return ef, report
 
 
@@ -598,10 +594,10 @@ def iterate_lift(phi: fm.Formula, Q: ExtendedFormulation, k: int,
         for F in itertools.islice(hull._rounds(phi, cur), k - 1):
             if F is None:
                 ef = empty_formulation(n)
-                reports.append(_hull_report(phi, len(cur), len(ef.rows), n))
+                reports.append(_report(phi, len(cur), len(ef.rows), n, "hull"))
                 break
             new = F.rows()
-            reports.append(_hull_report(phi, len(cur), len(new), n))
+            reports.append(_report(phi, len(cur), len(new), n, "hull"))
             cur = new
         else:
             ef = from_hrep(n, cur)
@@ -612,21 +608,6 @@ def iterate_lift(phi: fm.Formula, Q: ExtendedFormulation, k: int,
         ef, rep = lift(phi, ef)
         reports.append(rep)
     return (ef, reports) if with_reports else ef
-
-
-def _hull_report(phi, base_rows, out_rows, n):
-    return LiftReport(
-        n=n,
-        formula_size=phi.size,
-        base_rows=base_rows,
-        ef_rows=out_rows,
-        ef_ydim=n,
-        and_count=_count_kind(phi, fm.Kind.AND),
-        or_count=_count_kind(phi, fm.Kind.OR),
-        blocks=0,
-        elided_arms=0,
-        route="hull",
-    )
 
 
 # ---------------------------------------------------------------------------

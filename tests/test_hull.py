@@ -438,6 +438,82 @@ def test_rounds_match_one_double_description_per_arm(case):
         assert hull.lift_hrep(phi, got[0]) == (want[1] if len(want) > 1 else None)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(3, 5).flatmap(lambda n: st.tuples(_reduced_formulas(n), _lift_bases(n))))
+def test_a_plain_facet_list_certifies_the_vertices_a_round_carries(case):
+    # rounds 1-3 carry the list `lift_hrep` certified; the same rows in a
+    # FacetList that carries none give the same list, certified lazily
+    phi, base = case
+    for Fl in itertools.islice(hull._rounds(phi, base), 3):
+        if Fl is None:
+            break
+        plain = hull.FacetList(Fl.n, Fl.facets, Fl.equations)
+        assert "hvertices" not in vars(plain)
+        assert set(plain.hvertices) == set(Fl.hvertices)
+
+
+def test_a_facet_list_outside_the_box_has_no_vertex_list():
+    ray = hull.FacetList(2, (((F(1), F(1)), F(1)),))  # x1 + x2 >= 1
+    assert ray.hvertices is None
+    segment = hull.FacetList(1, (((F(1),), F(0)), ((F(-1),), F(-2))))  # 0 <= x1 <= 2
+    assert segment.hvertices is None
+    square = hull.FacetList(2, tuple(pt.cube(2).xspace_rows()))
+    assert set(square.hvertices) == {(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)}
+    assert hull.FacetList(1, (((F(1),), F(2)), ((F(-1),), F(0)))).hvertices == ()
+    with pytest.raises(ValueError, match="hull limit"):
+        hull.FacetList(9, ()).hvertices
+
+
+_CUBE3 = pt.cube(3).xspace_rows()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hull.lift_hrep(fm.parse("x1 | x2 & !x3", 3), _CUBE3 + [((1, 1, 1, 1), 1)]),
+    lambda: hull.lift_hrep(fm.parse("x1 | x2 & !x3", 3), _CUBE3 + [((1, 1), 1)]),
+    lambda: hull.vertices_of_hrep(hull.FacetList(3, (((F(1), F(0)), F(0)),))),
+    lambda: hull.FacetList(2, (), (((F(1), F(1), F(1)), F(1)),)),
+])
+def test_a_row_without_n_coefficients_is_refused(call):
+    with pytest.raises(ValueError, match=r"row has \d coefficients, expected \d"):
+        call()
+
+
+def _with_a_ray(monkeypatch, inside_hull):
+    """Make `vertices_of_rows` report a ray, for the calls `_hull` makes
+    when `inside_hull` is true and for every other call otherwise."""
+    real_rows, real_hull, depth = hull.vertices_of_rows, hull._hull, []
+
+    def spied_hull(points, n):
+        depth.append(1)
+        try:
+            return real_hull(points, n)
+        finally:
+            depth.pop()
+
+    def planted(rows, n):
+        points, rays, lin = real_rows(rows, n)
+        if bool(depth) == inside_hull:
+            rays = rays + [(1,) + (0,) * (n - 1)]
+        return points, rays, lin
+
+    monkeypatch.setattr(hull, "_hull", spied_hull)
+    monkeypatch.setattr(hull, "vertices_of_rows", planted)
+
+
+def test_an_unbounded_polar_is_an_internal_error(monkeypatch):
+    _with_a_ray(monkeypatch, inside_hull=True)
+    with pytest.raises(lp.InternalError, match="polar of a full-dimensional hull"):
+        hull.facets_of_points([(0, 0), (1, 0), (0, 1)])
+
+
+def test_unbounded_and_arms_are_an_internal_error(monkeypatch):
+    # an AND with two OR children meets its children's hulls by one double
+    # description over the cube's corners, with no check before it
+    _with_a_ray(monkeypatch, inside_hull=False)
+    with pytest.raises(lp.InternalError, match="lift arms must stay bounded"):
+        hull.lift_hrep(fm.parse("(x1 | x2) & (x3 | x4)", 4), _CUBE4)
+
+
 def test_a_base_outside_the_box_is_refused():
     phi = fm.parse("x1 | x2", 2)
     stretched = pt.cube(2).xspace_rows()[:-1] + [((F(0), F(-1)), F(-2))]  # x2 <= 2

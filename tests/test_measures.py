@@ -342,9 +342,14 @@ def _spied_search(monkeypatch, S, R, mode, level):
     return rep, priced
 
 
+def _vertex_list(R):
+    """The vertex list `measures` prices an x-space formulation R over."""
+    return hull.FacetList(R.n, tuple(R.xspace_rows())).hvertices
+
+
 def _lp_priced_line(monkeypatch, S, R, mode, level):
     """The report line with every cone vertex priced by an exact LP."""
-    monkeypatch.setattr(ms, "_checked_vertices", lambda R: None)
+    monkeypatch.setattr(hull, "certified_vertices", lambda rows, n: None)
     line = ms.verify_closure(ms.ClosureQuery(mode, level, S, R)).line()
     monkeypatch.undo()
     return line
@@ -357,7 +362,7 @@ def test_vertex_minimum_equals_the_pricing_lp(case):
     # minimum over R, and the report equals that of LP pricing throughout
     S, R = case
     with pytest.MonkeyPatch.context() as mp:
-        checked = ms._checked_vertices(R) is not None
+        checked = _vertex_list(R) is not None
         for mode, level in (("pitch", 1), ("pitch", 2), ("notch", 1), ("notch", 2)):
             rep, priced = _spied_search(mp, S, R, mode, level)
             assert checked or not priced
@@ -377,19 +382,20 @@ def test_canonical_relaxations_pass_the_vertex_check(monkeypatch):
     real = lp.optimize_rows
     monkeypatch.setattr(lp, "optimize_rows", lambda *a: solves.append(a) or real(*a))
     for n in range(1, 6):
-        assert len(ms._checked_vertices(pt.cube(n))) == 2 ** n
+        assert len(_vertex_list(pt.cube(n))) == 2 ** n
     for seed in range(20):
         phi = fm.reduce(vf.random_reduced_formula(5, 7, neg_density=0.3, seed=seed))
         rounds = hull._rounds(phi, pt.cube(5).xspace_rows())
         for F in (next(rounds), next(rounds)):
             if F is not None:
-                assert ms._checked_vertices(pt.from_hrep(5, F.rows()))
+                assert _vertex_list(pt.from_hrep(5, F.rows()))
     assert not solves
 
 
 def _round_relaxations():
-    """(S, round, the round as a FacetList without vertices, the round as a
-    formulation of its rows) for rounds 1 and 2 of the pinned closure formulas."""
+    """(S, round, the round as a FacetList of its hull's rows with no list
+    carried, the round as a formulation of its rows) for rounds 1 and 2 of
+    the pinned closure formulas."""
     phis = [instances.gen_bz(4).formula,
             instances.gen_covering([[1, 1, 0], [0, 1, 1], [1, 0, 1]]).formula]
     phis += [vf.random_reduced_formula(4, 6, neg_density=0.3, seed=s) for s in range(6)]
@@ -404,24 +410,39 @@ def _round_relaxations():
 
 def test_a_round_is_priced_over_its_certified_vertices(monkeypatch):
     # a round from lift_hrep is priced over the vertex list it carries; the
-    # same rows without a list (facets_of_points), or as a formulation, fall
-    # back to `_checked_vertices`, and all three give the same line, the
-    # violations' LP points included
+    # same rows with no list carried (facets_of_points) certify theirs once,
+    # lazily, and as a formulation each query certifies the list of its
+    # rows; all three give the same line, the violations' LP points included
     checked = []
-    real = ms._checked_vertices
-    monkeypatch.setattr(ms, "_checked_vertices", lambda R: checked.append(R) or real(R))
+    real = hull.certified_vertices
+    monkeypatch.setattr(hull, "certified_vertices",
+                        lambda rows, n: checked.append(set(rows)) or real(rows, n))
     violations = 0
     for S, F, plain, R in _round_relaxations():
-        assert plain == F and plain.hvertices is None
+        assert plain == F and set(plain.hvertices) == set(F.hvertices)
         for mode, level in (("pitch", 1), ("pitch", 2), ("notch", 1), ("notch", 2)):
             checked.clear()
             line = ms.verify_closure(ms.ClosureQuery(mode, level, S, F)).line()
             assert not checked
             assert ms.verify_closure(ms.ClosureQuery(mode, level, S, plain)).line() == line
+            assert not checked
             assert ms.verify_closure(ms.ClosureQuery(mode, level, S, R)).line() == line
-            assert checked == [R, R]
+            assert len(checked) == 1 and set(F.hrows()) <= checked[0]
             violations += "violation=none" not in line
     assert violations
+
+
+def test_a_facet_list_that_leaves_the_box_is_priced_clamped():
+    # x1 + x2 >= 1 alone is unbounded, so it has no vertex list of its own;
+    # it is priced as its formulation, clamped to the box, over that list
+    R = hull.FacetList(2, (((F(1), F(1)), F(1)),))
+    assert R.hvertices is None
+    S = fm.PointSet01(2, ((1, 0), (1, 1)))
+    for mode, level in (("pitch", 1), ("pitch", 2), ("notch", 2)):
+        line = ms.verify_closure(ms.ClosureQuery(mode, level, S, R)).line()
+        assert "violation=none" not in line
+        assert line == ms.verify_closure(
+            ms.ClosureQuery(mode, level, S, pt.from_hrep(2, R.rows()))).line()
 
 
 def _faulty_first_vertex_list(monkeypatch, fault):
@@ -466,7 +487,7 @@ def test_a_dropped_vertex_is_caught(monkeypatch, mode, level):
 
 
 def test_an_empty_vertex_list_needs_an_empty_relaxation(monkeypatch):
-    assert ms._checked_vertices(pt.empty_formulation(2)) == []
+    assert _vertex_list(pt.empty_formulation(2)) == ()
     S, R = _round_one_of_bz4()
     _faulty_first_vertex_list(monkeypatch, lambda V: [])
     with pytest.raises(lp.InternalError, match="has no vertex"):
@@ -517,9 +538,9 @@ def test_hand_written_xspace_files_keep_their_closure_line(tmp_path, capsys, mon
     paths = {}
     checked = {}
     proofs = set()
-    real, real_lp = ms._checked_vertices, lp.optimize_rows
-    monkeypatch.setattr(ms, "_checked_vertices",
-                        lambda R: checked.setdefault(name, real(R)))
+    real, real_lp = hull.certified_vertices, lp.optimize_rows
+    monkeypatch.setattr(hull, "certified_vertices",
+                        lambda rows, n: checked.setdefault(name, real(rows, n)))
     monkeypatch.setattr(lp, "optimize_rows",
                         lambda *a: proofs.add(name) or real_lp(*a))
     lines = {}
