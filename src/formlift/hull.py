@@ -12,14 +12,16 @@ values handed back to callers.  Inputs are capped at dimension HULL_LIMIT
 because the method is exponential in general.  The x-space lift runs one
 double description per OR chain: an OR node's points are the union of its
 arms' points, nested ORs included, and only the chain's root is hulled.
-A literal face needs none: its points are the base's vertices on it,
-filtered from the vertex list that each round carries to the next.  Every
-FacetList answers `hvertices`, its vertex list certified from both sides:
-a round brings the list it was certified with where it was made, and any
-other FacetList gets its list from `certified_vertices`, with an exact LP
-proving each facet of the list's hull that no row states.  The next round,
-`verify.check_completeness` and the closure pricing of `measures` all rely
-on that list.
+Every AND, a literal included, lifts to the face of the box that its
+fixes cut from the points below it: the vertex list that each round
+carries to the next, its one OR child's points, or the vertices of the
+meet of its OR children's hulls.  Every FacetList answers `hvertices`,
+its vertex list certified from both sides: a round brings the list it
+was certified with where it was made, and any other FacetList gets its
+list from `certified_vertices`, with an exact LP proving each facet of
+the list's hull that no row states.  The next round,
+`verify.check_completeness` and the closure pricing of `measures` all
+rely on that list.
 """
 
 from __future__ import annotations
@@ -488,17 +490,18 @@ def lift_hrep(phi, base):
     read as a FacetList; a base whose `hvertices` is None, one with a
     vertex outside the box or unbounded, raises ValueError.
 
-    `_points` lifts each node to points from the base's vertex list, with
-    no double description for a face.  An OR chain is hulled once, from
-    the union of the points of all its arms: conv(conv(A ∪ B) ∪ C) =
-    conv(A ∪ B ∪ C), and `_hull` returns primitive, canonical facets and
-    equations whatever redundant points it is given.  The round is then
-    certified from both sides (Mehlhorn et al., "Checking geometric
-    programs", 1999): `_vertices` prunes the points to the hull's vertices
-    and checks every row at every point, so conv(vertices) lies in the
-    rows, and the rows' own vertices, by the primal double description
-    where `_hull` ran the polar one, must be exactly that list, so no
-    vertex was lost.  Otherwise InternalError.
+    `_points` lifts each node to points from the base's vertex list.  An
+    AND keeps the points below it that lie on its fixes' face of the box,
+    with no row for a fix.  An OR chain is hulled once, from the union of
+    the points of all its arms: conv(conv(A ∪ B) ∪ C) = conv(A ∪ B ∪ C),
+    and `_hull` returns primitive, canonical facets and equations whatever
+    redundant points it is given.  The round is then certified from both
+    sides (Mehlhorn et al., "Checking geometric programs", 1999):
+    `_vertices` prunes the points to the hull's vertices and checks every
+    row at every point, so conv(vertices) lies in the rows, and the rows'
+    own vertices, by the primal double description where `_hull` ran the
+    polar one, must be exactly that list, so no vertex was lost.
+    Otherwise InternalError.
     """
     if not phi.is_reduced():
         raise ValueError("formula must be reduced before lifting")
@@ -509,7 +512,7 @@ def lift_hrep(phi, base):
         raise ValueError(f"dimension mismatch: formula {n}, base {base.n}")
     if base.hvertices is None:
         raise ValueError("the base of a lift must be a polytope inside the unit box")
-    points = _points(phi, _faces(base.hvertices, n), n)
+    points = _points(phi, base.hvertices, n)
     if not points:
         return None
     facets, equations = _hull(points, n)
@@ -616,51 +619,37 @@ def _vertices(points, facets, equations):
     return tuple(out)
 
 
-def _faces(verts, n):
-    """The base vertices `verts` (X, d) on each face X_i = v·d of the box,
-    keyed (i, v), and all of them keyed None."""
-    faces = {None: frozenset(verts)}
-    for i in range(n):
-        faces[i, 0] = frozenset(g for g in verts if g[i] == 0)
-        faces[i, 1] = frozenset(g for g in verts if g[i] == g[n])
-    return faces
-
-
-def _points(node, faces, n):
+def _points(node, verts, n):
     """Homogeneous int points whose convex hull is the lift of `node`, as a set.
 
-    `faces` is the base's `_faces` table.  An OR node gives the union of
-    its arms' points, nested ORs included, with no hull in between.  A
-    literal, a constant or an AND of them gives the base's vertices on
-    their face of the box, which is a face of the base.  An AND of them
-    with one OR child X lifts to conv(X) ∩ {x_F = v}, a face of conv(X)
-    inside the box: X's points on it.  An AND with more OR children gives
-    the vertices of its fixes' rows and its children's hulls, which lie
-    in the base.
+    `verts` is the base's vertex list.  An OR node gives the union of its
+    arms' points, nested ORs included, with no hull in between.  Any other
+    node is an AND of fixes x_F = v and OR children, a literal or a
+    constant being the AND of itself.  It first takes a point set `below`:
+    the base's vertices when it has no OR child, its one OR child's points,
+    or the vertices of the meet of its OR children's hulls.  conv(below)
+    lies in the box, so {x_F = v} cuts a face of it, and the node's lift,
+    that face, is the hull of the points of `below` on it.
     """
     if node.kind is fm.Kind.OR:
-        return set().union(*(_points(arm, faces, n) for arm in node.children))
+        return set().union(*(_points(arm, verts, n) for arm in node.children))
     split = fm.fixings(node)
     if split is None:
         return set()
     fixed, rest = split
     if not rest:
-        on = [faces[var - 1, v] for var, v in fixed.items()] or [faces[None]]
-        return min(on, key=len).intersection(*on)
-    if len(rest) == 1:
-        return {g for g in _points(rest[0], faces, n)
-                if all(g[var - 1] == v * g[n] for var, v in fixed.items())}
-    rows = []
-    for var, v in fixed.items():
-        a = tuple(int(j == var - 1) for j in range(n))
-        rows += [a + (-v,), _negated(a) + (v,)]
-    for child in rest:
-        points = _points(child, faces, n)
-        if not points:
-            return set()
-        facets, equations = _hull(points, n)
-        rows += facets + equations + [_negated(h) for h in equations]
-    points, rays, lin = vertices_of_rows(rows, n)
-    if rays or lin:
-        raise lpsolve.InternalError("lift arms must stay bounded inside the box")
-    return set(points)
+        below = verts
+    elif len(rest) == 1:
+        below = _points(rest[0], verts, n)
+    else:
+        rows = []
+        for child in rest:
+            points = _points(child, verts, n)
+            if not points:
+                return set()
+            facets, equations = _hull(points, n)
+            rows += facets + equations + [_negated(h) for h in equations]
+        below, rays, lin = vertices_of_rows(rows, n)
+        if rays or lin:
+            raise lpsolve.InternalError("lift arms must stay bounded inside the box")
+    return {g for g in below if all(g[var - 1] == v * g[n] for var, v in fixed.items())}

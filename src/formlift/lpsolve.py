@@ -50,12 +50,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-# The installed rational type, reported as the arithmetic backend; the solver
-# itself computes on Python ints and answers in Fractions either way.
-try:
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
+# The rational type the benchmark reads and records as the arithmetic backend;
+# the solver itself computes on Python ints and answers in Fractions.
+_Q = Fraction
 
 
 class InternalError(RuntimeError):
@@ -595,19 +592,13 @@ def optimize(Q, c, sense: str = "min") -> LpOutcome:
 def emptiness(Q) -> LpOutcome:
     """Emptiness test with certificate.
 
-    Returns the outcome of a zero-objective solve: "optimal" carries a
-    feasible lifted point (and its projection) witnessing nonemptiness,
-    "infeasible" carries a Farkas combination of the rows.  The marker is
-    reported infeasible with no certificate; its single row 0 >= 1 is its
-    own refutation.
+    Returns the outcome of `optimize` with the zero objective: "optimal"
+    carries a feasible lifted point (and its projection) witnessing
+    nonemptiness, "infeasible" carries a Farkas combination of the rows.
+    The marker is reported infeasible with no certificate; its single row
+    0 >= 1 is its own refutation.
     """
-    if Q.empty_marker:
-        return LpOutcome("infeasible")
-    status, value, y, dual, farkas = _solve(Q.rows, Q.ydim, _ZERO,
-                                            _start(Q, (0,) * Q.n))
-    if status == "infeasible":
-        return LpOutcome("infeasible", farkas=farkas)
-    return LpOutcome("optimal", Fraction(0), _x(Q, y), y, dual, None)
+    return LpOutcome("infeasible") if Q.empty_marker else optimize(Q, (0,) * Q.n)
 
 
 def is_empty(Q) -> bool:

@@ -302,12 +302,12 @@ def verify_closure(query: ClosureQuery) -> ClosureReport:
 def _search(query):
     """(violation or None, examined, skipped, priced) of one query.
 
-    Within the search limit, R's vertex list is `hvertices`, of R itself
-    when it is a FacetList and of its rows when it is an x-space
-    formulation; an empty list ends the search.  A FacetList whose rows
-    leave the unit box is priced as its formulation, clamped to the box.
-    Without a list (a lifted R), an exact LP decides emptiness first and
-    each cone vertex is priced by LP.
+    A dimension above the mode's search limit is refused before any LP.
+    R's vertex list is `hvertices`, of R itself when it is a FacetList and
+    of its rows when it is an x-space formulation; an empty list ends the
+    search.  A FacetList whose rows leave the unit box is priced as its
+    formulation, clamped to the box.  Without a list (a lifted R), an
+    exact LP decides emptiness first and each cone vertex is priced by LP.
     """
     if query.mode not in ("pitch", "notch"):
         raise ValueError(f"mode must be 'pitch' or 'notch', not {query.mode!r}")
@@ -318,16 +318,16 @@ def _search(query):
     if R.n != n:
         raise ValueError(f"dimension mismatch: points {n}, relaxation {R.n}")
     limit = PITCH_SEARCH_LIMIT if query.mode == "pitch" else NOTCH_SEARCH_LIMIT
-    V = R.hvertices if isinstance(R, hull.FacetList) and n <= limit else None
+    if n > limit:
+        raise ValueError(f"dimension {n} exceeds {query.mode} search limit {limit}")
+    V = R.hvertices if isinstance(R, hull.FacetList) else None
     if V is None:
         R = _formulation(R)
         query = ClosureQuery(query.mode, query.level, S, R)
-        if R.is_hrep and n <= limit:
+        if R.is_hrep:
             V = hull.FacetList(n, tuple(R.xspace_rows())).hvertices
     if lpsolve.is_empty(R) if V is None else not V:
         return None, 0, 0, 0
-    if n > limit:
-        raise ValueError(f"dimension {n} exceeds {query.mode} search limit {limit}")
 
     if query.mode == "pitch":
         scopes = [(I, ()) for k in range(1, n + 1)

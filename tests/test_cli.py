@@ -159,6 +159,14 @@ def test_closure_exit_codes(tmp_path, capsys):
     assert code == 1 and "violated at" in out
 
 
+def test_closure_refuses_an_empty_relaxation_above_the_search_limit(tmp_path, capsys):
+    f = tmp_path / "f7.bool"
+    f.write_text("x1 & !x1 & (x2 | x3 | x4 | x5 | x6 | x7)\n")
+    code, out, err = run(capsys, "closure", "--mode", "notch", "--level", "1",
+                         "--formula", str(f))
+    assert (code, out, err) == (2, "", "formlift: dimension 7 exceeds notch search limit 6\n")
+
+
 def test_gen_families(tmp_path, capsys):
     code, out, _ = run(capsys, "gen", "matching-k4", "--out", str(tmp_path))
     assert code == 0 and out.strip() == "instance matching-k4 n=6"

@@ -389,8 +389,8 @@ def _reduced_formulas(n):
 
 def _and_shapes(lits, ors, var, n):
     """An AND of literals with an OR child, nested inside an OR (the OR is
-    filtered by the literals' face); a literal AND-ed with two ORs (the rows
-    path); and contradictory literals beside an OR (an empty lift)."""
+    filtered by the literals' face); a literal AND-ed with two ORs (filtered
+    from their meet); and contradictory literals beside an OR (an empty lift)."""
     filtered = st.builds(lambda a, b, o, arm: fm.lor(fm.land(fm.land(a, b), o), arm),
                          lits, lits, ors, lits)
     two_ors = st.builds(lambda a, o1, o2: fm.land(fm.land(a, o1), o2), lits, ors, ors)
@@ -420,6 +420,10 @@ _CUBE4 = pt.cube(4).xspace_rows()
 @example((fm.parse("x1 & !x2 & (x3 | x4) | x2 & x4", 4), _CUBE4))
 @example((fm.parse("x1 & (x2 | x3) & (!x2 | x4)", 4), _CUBE4))
 @example((fm.parse("x1 & (x2 | x3) & !x1 | x4", 4), _CUBE4))
+@example((fm.parse("x1 & !x2 | x3 & x4", 4), _CUBE4))
+@example((fm.parse("1 & (x1 | x2) | x3 & !x4", 4), _CUBE4))
+@example((fm.parse("x1 & (x2 & (x3 | x4)) & (!x2 | x4)", 4), _CUBE4))
+@example((fm.parse("x1 & (x2 | x3) & (!x2 | !x3)", 4), _CUBE4))
 def test_rounds_match_one_double_description_per_arm(case):
     phi, base = case
     want = _reference_rounds(phi, base, 3)
@@ -553,9 +557,11 @@ def test_an_equation_off_a_point_is_caught(monkeypatch):
     # the face x1 = 1, x2 = 0 of conv(x3 | x4) is filtered from that chain's
     # points: one hull for the top chain, its polar and the certificate
     ("x1 & !x2 & (x3 | x4) | x2 & x4", 1, 2),
-    # two OR children take the rows path: each chain and the top are hulled,
-    # and the AND's rows are enumerated once more
+    # two OR children: each chain and the top are hulled, and the meet of
+    # the chains' hulls is enumerated once more
     ("x1 & (x2 | x3) & (!x2 | x4)", 3, 5),
+    # an AND of fixes alone is filtered from the base's vertex list
+    ("x1 & !x2 | x3 & x4", 1, 2),
 ])
 def test_an_and_beside_one_or_is_filtered_not_hulled(monkeypatch, text, hulls, enumerations):
     calls = []

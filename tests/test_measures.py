@@ -130,6 +130,17 @@ def test_closure_query_validation():
         ms.closure_violation(ms.ClosureQuery("pitch", 1, big, pt.cube(9)))
 
 
+def test_the_search_limit_is_checked_before_any_lp(monkeypatch):
+    phi = fm.reduce(fm.parse(" | ".join(f"x{i}" for i in range(1, 8))))
+    R, _ = pt.lift(phi, pt.cube(7))
+    calls = []
+    real = lp.emptiness
+    monkeypatch.setattr(lp, "emptiness", lambda Q: calls.append(Q) or real(Q))
+    with pytest.raises(ValueError, match="exceeds notch search limit 6"):
+        ms.verify_closure(ms.ClosureQuery("notch", 1, fm.enumerate_set(phi), R))
+    assert calls == []
+
+
 def test_closure_finds_cube_violation():
     # vertex covers of the triangle: x1 + x2 >= 1 is valid with pitch 1 but
     # the cube contains the origin
