@@ -218,16 +218,15 @@ def _cmd_notchset(args):
         S = _points_from_file(args.points, args.n)
     else:
         phi = _load_formula(args.formula, args.n)
+        measures._check_faces(phi.n)
         S = fm.enumerate_set(phi)
-    try:
-        print(f"notch={measures.notch_of_set(S)}")
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    print(f"notch={measures.notch_of_set(S)}")
     return 0
 
 
 def _cmd_closure(args):
     phi = fm.reduce(_load_formula(args.formula))
+    measures._check_search(args.mode, phi.n)
     S = fm.enumerate_set(phi)
     if args.ef:
         R = _load_ef(args.ef, phi.n,
@@ -235,10 +234,7 @@ def _cmd_closure(args):
     else:
         rounds = args.rounds if args.rounds is not None else args.level
         R = pt.iterate_lift(phi, _load_polytope(args.polytope, phi.n), rounds)
-    try:
-        rep = measures.verify_closure(measures.ClosureQuery(args.mode, args.level, S, R))
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    rep = measures.verify_closure(measures.ClosureQuery(args.mode, args.level, S, R))
     print(rep.line())
     return 0 if rep.closed else 1
 
@@ -250,22 +246,19 @@ def _cmd_gen(args):
         raise InputError(f"gen {args.family} needs --matrix")
     if args.family == "bounded" and not args.b:
         raise InputError("gen bounded needs --b")
-    try:
-        if args.family == "bz":
-            inst = instances.gen_bz(args.n)
-        elif args.family == "covering":
-            inst = instances.gen_covering(_int_lines(args.matrix, "an integer row", "rows"))
-        elif args.family == "bounded":
-            b = _parse_vector(args.b, "--b")
-            if any(v.denominator != 1 for v in b):
-                raise InputError(f"--b thresholds must be integers, got {args.b!r}")
-            b = tuple(int(v) for v in b)
-            inst = instances.gen_bounded_covering(
-                _int_lines(args.matrix, "an integer row", "rows"), b)
-        else:
-            inst = instances.gen_matching_k4()
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    if args.family == "bz":
+        inst = instances.gen_bz(args.n)
+    elif args.family == "covering":
+        inst = instances.gen_covering(_int_lines(args.matrix, "an integer row", "rows"))
+    elif args.family == "bounded":
+        b = _parse_vector(args.b, "--b")
+        if any(v.denominator != 1 for v in b):
+            raise InputError(f"--b thresholds must be integers, got {args.b!r}")
+        b = tuple(int(v) for v in b)
+        inst = instances.gen_bounded_covering(
+            _int_lines(args.matrix, "an integer row", "rows"), b)
+    else:
+        inst = instances.gen_matching_k4()
     paths = instances.save_bundle(inst, args.out or ".")
     print(f"instance {inst.name} n={inst.n}")
     if args.verbose:
@@ -299,10 +292,7 @@ def _one_check(args, path):
 def _cmd_verify(args):
     if args.kind in ("complete", "pitch", "notch") and args.rounds < 1:
         raise InputError("this check needs --rounds at least 1")
-    try:
-        reports = [_one_check(args, path) for path in args.formula]
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    reports = [_one_check(args, path) for path in args.formula]
     for rep in reports:
         print(rep.line())
     return 0 if all(r.passed for r in reports) else 1

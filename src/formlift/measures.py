@@ -115,6 +115,12 @@ def notch_of(ineq: StandardFormInequality) -> int:
     return _least_count(ineq.coeffs, ineq.delta, "notch")
 
 
+def _check_faces(n):
+    """Refuse `notch_of_set`'s 3^n faces above FACE_LIMIT; asked before S is built."""
+    if n > FACE_LIMIT:
+        raise ValueError(f"dimension {n} exceeds face enumeration limit {FACE_LIMIT}")
+
+
 def notch_of_set(S: fm.PointSet01) -> int:
     """Smallest k such that every k-dimensional cube face contains a point of S.
 
@@ -122,8 +128,7 @@ def notch_of_set(S: fm.PointSet01) -> int:
     cube itself is an n-face.  Enumerates all 3^n faces; S must be nonempty.
     """
     n = S.n
-    if n > FACE_LIMIT:
-        raise ValueError(f"dimension {n} exceeds face enumeration limit {FACE_LIMIT}")
+    _check_faces(n)
     if not S.points:
         raise ValueError("the notch of the empty set is undefined")
     pts = set(S.points)
@@ -155,8 +160,8 @@ class ClosureQuery:
     pattern); `level` bounds the measure.  `S` is the 0/1 set the
     inequalities must be valid for and `R` the relaxation to price against,
     a formulation or a FacetList such as a hull round.  Above
-    PITCH_SEARCH_LIMIT (pitch) or NOTCH_SEARCH_LIMIT (notch) variables the
-    oracle refuses rather than subsample.
+    PITCH_SEARCH_LIMIT (pitch) or NOTCH_SEARCH_LIMIT (notch) variables
+    `_check_search` refuses rather than subsample.
     """
 
     mode: str
@@ -299,10 +304,17 @@ def verify_closure(query: ClosureQuery) -> ClosureReport:
     return ClosureReport(query.mode, query.level, viol, examined, skipped, priced)
 
 
+def _check_search(mode, n):
+    """Refuse a `mode` search above its limit; asked before S or R is built."""
+    limit = PITCH_SEARCH_LIMIT if mode == "pitch" else NOTCH_SEARCH_LIMIT
+    if n > limit:
+        raise ValueError(f"dimension {n} exceeds {mode} search limit {limit}")
+
+
 def _search(query):
     """(violation or None, examined, skipped, priced) of one query.
 
-    A dimension above the mode's search limit is refused before any LP.
+    `_check_search` refuses a dimension above the search limit before any LP.
     R's vertex list is `hvertices`, of R itself when it is a FacetList and
     of its rows when it is an x-space formulation; an empty list ends the
     search.  A FacetList whose rows leave the unit box is priced as its
@@ -317,9 +329,7 @@ def _search(query):
     n = S.n
     if R.n != n:
         raise ValueError(f"dimension mismatch: points {n}, relaxation {R.n}")
-    limit = PITCH_SEARCH_LIMIT if query.mode == "pitch" else NOTCH_SEARCH_LIMIT
-    if n > limit:
-        raise ValueError(f"dimension {n} exceeds {query.mode} search limit {limit}")
+    _check_search(query.mode, n)
     V = R.hvertices if isinstance(R, hull.FacetList) else None
     if V is None:
         R = _formulation(R)

@@ -6,7 +6,7 @@ of the line.  A fail always carries a certificate built from exact
 rationals, re-verified by direct arithmetic before the report is emitted.
 The lifted formulation (or the relaxation chain) can be injected, which is
 how the test suite feeds deliberately broken inputs to prove the checkers
-can fail.
+can fail.  Each checker asks the owner of its size cap before any work.
 """
 
 from __future__ import annotations
@@ -74,13 +74,6 @@ def _report(check, instance, params, verdict, certificate, t0, stats):
                        time.perf_counter() - t0, tuple(stats))
 
 
-def _prepare(phi, limit, what):
-    phi = fm.reduce(phi)
-    if phi.n > limit:
-        raise ValueError(f"{what} handles at most {limit} variables, got {phi.n}")
-    return phi
-
-
 # ---------------------------------------------------------------------------
 # individual checks
 
@@ -95,7 +88,8 @@ def check_sandwich(phi, Q, instance: str = "adhoc", lifted=None) -> CheckReport:
     directions drawn from SANDWICH_SEED.
     """
     t0 = time.perf_counter()
-    phi = _prepare(phi, fm.ENUM_LIMIT, "check_sandwich")
+    phi = fm.reduce(phi)
+    S = fm.enumerate_set(phi)
     if lifted is None:
         lifted, rep = pt.lift(phi, Q)
         stats_tail = [("ef_rows", rep.ef_rows), ("size", rep.formula_size),
@@ -104,8 +98,8 @@ def check_sandwich(phi, Q, instance: str = "adhoc", lifted=None) -> CheckReport:
         stats_tail = [("ef_rows", len(lifted.rows)), ("size", phi.size)]
     params = [("n", phi.n)]
     members = 0
-    for p in itertools.product((0, 1), repeat=phi.n):
-        if not (phi.evaluate(p) and lpsolve.contains_point(Q, p)):
+    for p in S.points:
+        if not lpsolve.contains_point(Q, p):
             continue
         members += 1
         if not lpsolve.contains_point(lifted, p):
@@ -160,8 +154,9 @@ def check_completeness(phi, k_max: int, instance: str = "adhoc",
     formulation, and `hull.equals_hull` writes its certificate.
     """
     t0 = time.perf_counter()
-    phi = _prepare(phi, hull.HULL_LIMIT, "check_completeness")
+    phi = fm.reduce(phi)
     n = phi.n
+    hull._check_dim(n)
     S = points if points is not None else fm.enumerate_set(phi)
     if S.n != n:
         raise ValueError(f"point set has dimension {S.n}, formula has {n}")
@@ -194,7 +189,8 @@ def check_completeness(phi, k_max: int, instance: str = "adhoc",
 def check_integrality(phi, Q, instance: str = "adhoc", lifted=None) -> CheckReport:
     """The 0/1 points of the lift are exactly the satisfying points inside Q."""
     t0 = time.perf_counter()
-    phi = _prepare(phi, fm.ENUM_LIMIT, "check_integrality")
+    phi = fm.reduce(phi)
+    members = set(fm.enumerate_set(phi).points)
     if lifted is None:
         lifted, rep = pt.lift(phi, Q)
         tail = [("ef_rows", rep.ef_rows)]
@@ -205,7 +201,7 @@ def check_integrality(phi, Q, instance: str = "adhoc", lifted=None) -> CheckRepo
     for p in itertools.product((0, 1), repeat=phi.n):
         tested += 1
         inside = lpsolve.contains_point(lifted, p)
-        expected = phi.evaluate(p) and lpsolve.contains_point(Q, p)
+        expected = p in members and lpsolve.contains_point(Q, p)
         if inside != expected:
             cert = (f"point {_vec(p)} is {'in' if inside else 'outside'} the lift "
                     f"but {'belongs' if expected else 'does not belong'} to the target")
@@ -218,10 +214,11 @@ def check_integrality(phi, Q, instance: str = "adhoc", lifted=None) -> CheckRepo
 def _progression(mode, phi, level_max, instance, relaxations):
     """Round k against the closure of measure k, k = 1..level_max: round k
     is `relaxations[k - 1]`, or else the cube's k-th hull round as its
-    FacetList, priced over its certified vertex list."""
+    FacetList, priced over its certified vertex list.  An empty round (None)
+    ends the scan: no inequality is violated over an empty relaxation."""
     t0 = time.perf_counter()
-    limit = measures.PITCH_SEARCH_LIMIT if mode == "pitch" else measures.NOTCH_SEARCH_LIMIT
-    phi = _prepare(phi, limit, mode)
+    phi = fm.reduce(phi)
+    measures._check_search(mode, phi.n)
     if mode == "pitch" and not phi.is_monotone():
         raise ValueError("pitch progression needs a monotone formula")
     if level_max < 1:
@@ -231,11 +228,9 @@ def _progression(mode, phi, level_max, instance, relaxations):
     examined = priced = 0
     rounds_of = hull._rounds(phi, pt.cube(phi.n).xspace_rows())
     for k in range(1, level_max + 1):
-        if relaxations is not None:
-            R = relaxations[k - 1]
-        else:
-            F = next(rounds_of)
-            R = pt.empty_formulation(phi.n) if F is None else F
+        R = relaxations[k - 1] if relaxations is not None else next(rounds_of)
+        if R is None:
+            break
         rep = measures.verify_closure(measures.ClosureQuery(mode, k, S, R))
         examined += rep.examined
         priced += rep.priced
@@ -284,7 +279,7 @@ def check_size_accounting(phi, Q, instance: str = "adhoc", covering_m=None,
     if covering_m is not None and covering_m < 1:
         raise ValueError(f"covering_m must be at least 1, not {covering_m}")
     t0 = time.perf_counter()
-    phi = _prepare(phi, fm.ENUM_LIMIT, "check_size_accounting")
+    phi = fm.reduce(phi)
     if report is None:
         _, report = pt.lift(phi, Q)
     params = [("n", phi.n), ("size", report.formula_size)]

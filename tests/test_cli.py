@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import pathlib
@@ -567,6 +568,74 @@ def test_progression_hulls_each_or_chain_once_per_round(tmp_path, capsys, monkey
     assert not any("formlift.measures" in names for names in callers)
 
 
+def test_progression_stops_at_the_first_empty_round(tmp_path, capsys, monkeypatch):
+    # the set is empty, so is every round: no level prices a relaxation
+    from formlift import hull
+    f = tmp_path / "contra.bool"
+    f.write_text("x1 & !x1 & x2\n")
+    calls = []
+    for mod, name in ((hull, "vertices_of_rows"), (lp, "optimize_rows")):
+        def counting(*args, _real=getattr(mod, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(mod, name, counting)
+    got = run(capsys, "verify", "notch", "--formula", str(f), "--rounds", "3")
+    line = "check=notch instance=contra verdict=pass n=2 levels=3 examined=0 priced=0\n"
+    assert got == (0, line, "")
+    assert calls == []
+
+
+# ---------------------------------------------------------------------------
+# size caps: each refused by its owner, before any work
+
+
+def _disjunction_file(tmp_path, n):
+    f = tmp_path / f"or{n}.bool"
+    f.write_text(" | ".join(f"x{i}" for i in range(1, n + 1)) + "\n")
+    return str(f)
+
+
+CLOSURE_PITCH = ["closure", "--mode", "pitch", "--level", "1"]
+# verify notch and closure --mode notch refuse one 7-variable file with one line
+REFUSALS = [
+    (["verify", "sandwich"], 21, "dimension 21 exceeds enumeration limit 20"),
+    (["verify", "integral"], 21, "dimension 21 exceeds enumeration limit 20"),
+    (["verify", "complete"], 9, "dimension 9 exceeds hull limit 8"),
+    (["verify", "pitch"], 9, "dimension 9 exceeds pitch search limit 8"),
+    (["verify", "notch"], 7, "dimension 7 exceeds notch search limit 6"),
+    (CLOSURE_PITCH, 9, "dimension 9 exceeds pitch search limit 8"),
+    (CLOSURE_PITCH, 20, "dimension 20 exceeds pitch search limit 8"),
+    (CLOSURE_PITCH, 21, "dimension 21 exceeds pitch search limit 8"),
+    (["closure", "--mode", "notch", "--level", "1"], 7,
+     "dimension 7 exceeds notch search limit 6"),
+    (["notchset"], 9, "dimension 9 exceeds face enumeration limit 8"),
+    (["notchset"], 20, "dimension 20 exceeds face enumeration limit 8"),
+    (["notchset"], 21, "dimension 21 exceeds face enumeration limit 8"),
+]
+
+
+@pytest.mark.parametrize("argv, n, message", REFUSALS, ids=[
+    "-".join([w for w in argv if w.isalpha()] + [str(n)]) for argv, n, _ in REFUSALS])
+def test_a_cap_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, n, message):
+    from formlift import hull
+
+    def work(*args, **kwargs):
+        raise AssertionError("work done before the cap was checked")
+
+    monkeypatch.setattr(fm.Formula, "_eval", work)
+    monkeypatch.setattr(hull, "vertices_of_rows", work)
+    monkeypatch.setattr(lp, "_solve", work)
+    got = run(capsys, *argv, "--formula", _disjunction_file(tmp_path, n))
+    assert got == (2, "", f"formlift: {message}\n")
+
+
+def test_verify_size_has_no_cap(tmp_path, capsys):
+    got = run(capsys, "verify", "size", "--formula", _disjunction_file(tmp_path, 21))
+    line = ("check=size instance=or21 verdict=pass n=21 size=21 ef_rows=924 bound=924 "
+            "plain_product=882 naive_rows=924 saved=0 blocks=21\n")
+    assert got == (0, line, "")
+
+
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -595,6 +664,23 @@ def test_readme_transcripts_reproduce(tmp_path, capsys, monkeypatch):
         code, out, err = run(capsys, *argv)
         assert code in (0, 1), argv
         assert err.splitlines() + out.splitlines() == lines, argv
+
+
+def _limit_constants():
+    """(`module.NAME`, value) of every module-level `*_LIMIT` under src/formlift."""
+    for path in sorted(pathlib.Path(fm.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            for target in getattr(node, "targets", ()):
+                if isinstance(target, ast.Name) and target.id.endswith("_LIMIT"):
+                    yield f"{path.stem}.{target.id}", ast.literal_eval(node.value)
+
+
+def test_readme_caps_table_names_every_limit():
+    caps = README.read_text().split("\n## Caps\n", 1)[1].split("\n## ", 1)[0]
+    limits = list(_limit_constants())
+    assert "measures.FACE_LIMIT" in dict(limits)
+    for name, value in limits:
+        assert f"| `{name}` | {value} |" in caps, name
 
 
 # ---------------------------------------------------------------------------
