@@ -31,7 +31,6 @@ class Instance:
     n: int
     points: fm.PointSet01 | None = None
     reference: FacetList | None = None
-    note: str = ""
 
     def __post_init__(self):
         if self.formula.n != self.n:
@@ -65,8 +64,7 @@ def gen_bz(n: int) -> Instance:
     pts = _arith_points(n, lambda p: sum(p) >= 2)
     ones = tuple(Fraction(1) for _ in range(n))
     ref = FacetList(n, ((ones, Fraction(2)),))
-    return Instance(f"bz{n}", phi, n, pts, ref,
-                    note="covering by all-but-one clauses; solutions have two or more ones")
+    return Instance(f"bz{n}", phi, n, pts, ref)
 
 
 def gen_covering(A, name: str = "covering") -> Instance:
@@ -75,8 +73,7 @@ def gen_covering(A, name: str = "covering") -> Instance:
     phi = fm.covering_cnf(rows)
     n = phi.n
     pts = _arith_points(n, lambda p: all(sum(p[j] * r[j] for j in range(n)) >= 1 for r in rows))
-    return Instance(name, phi, n, pts, None,
-                    note=f"covering system with {len(rows)} rows")
+    return Instance(name, phi, n, pts, None)
 
 
 def gen_bounded_covering(A, b, name: str = "bounded-covering") -> Instance:
@@ -110,8 +107,7 @@ def gen_bounded_covering(A, b, name: str = "bounded-covering") -> Instance:
     phi = fm.and_all(parts, n)
     pts = _arith_points(n, lambda p: all(
         sum(p[j] * r[j] for j in range(n)) >= bi for r, bi in zip(rows, b)))
-    return Instance(name, phi, n, pts, None,
-                    note=f"bounded covering with {len(rows)} rows, entries up to {DELTA_LIMIT}")
+    return Instance(name, phi, n, pts, None)
 
 
 K4_EDGES = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
@@ -146,9 +142,7 @@ def gen_matching_k4() -> Instance:
     ref = FacetList(n,
                     tuple((row, one) for row in cuts),
                     tuple((_cut_row({u}), one) for u in (1, 2, 3, 4)))
-    return Instance("matching-k4", phi, n, pts, ref,
-                    note="supports containing a perfect matching of K4; "
-                         "odd-cut rows plus degree equations")
+    return Instance("matching-k4", phi, n, pts, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +154,7 @@ def save_bundle(inst: Instance, directory) -> list:
 
     Produces <name>.bool with the formula, <name>.ef with the reference rows
     when a reference exists, and appends `instance <name> n=<n>` to
-    manifest.txt unless already present.  The note is not persisted.
+    manifest.txt unless already present.
     """
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)

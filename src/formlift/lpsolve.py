@@ -135,16 +135,17 @@ def _common(u):
 
 
 def _combination(irows, u):
-    """u·A and u·rhs of the rows as given, for rational row multipliers u.
+    """u·A and u·rhs of the rows as given, for multipliers u by row index.
 
     Returns (comb, total, M): int numerators over one positive int M, comb a
     dict by column.  Row i contributes with the int weight w_i = (u_i/l_i)·M.
     """
-    M = lcm(*(v.denominator * l for v, (_, _, l) in zip(u, irows) if v))
+    M = lcm(*(v.denominator * irows[i][2] for i, v in u.items() if v))
     comb = {}
     total = 0
-    for (a, b, l), v in zip(irows, u):
+    for i, v in u.items():
         if v:
+            a, b, l = irows[i]
             w = v.numerator * (M // (v.denominator * l))
             for j, c in a:
                 comb[j] = comb.get(j, 0) + w * c
@@ -425,14 +426,11 @@ def _solve(irows, dim, obj, start=None):
 
 
 def _implied(irows, obj, u):
-    """The bound u·rhs that multipliers u >= 0 prove on obj·y over the rows.
-
-    obj is one int row (numerators, 0, scale).  Returns u·rhs as a Fraction
-    when u >= 0 and u·A = obj exactly, by integer cross-multiplication over
-    u's common denominator M; None otherwise.
+    """The bound u·rhs that multipliers u, a dict by row index whose signs
+    the caller checks, prove on obj·y over the rows: a Fraction when u·A =
+    obj exactly, by integer cross-multiplication over u's common
+    denominator M, else None.  obj is one int row (numerators, 0, scale).
     """
-    if any(v < 0 for v in u):
-        return None
     comb, total, M = _combination(irows, u)
     C, _, k = obj
     C = dict(C)
@@ -445,7 +443,7 @@ def _check_farkas(irows, farkas):
     """farkas >= 0, farkas·A = 0 and farkas·rhs > 0 over the rows as given."""
     if any(u < 0 for u in farkas):
         raise InternalError("negative Farkas multiplier")
-    gain = _implied(irows, _ZERO, farkas)
+    gain = _implied(irows, _ZERO, dict(enumerate(farkas)))
     if gain is None or gain <= 0:
         raise InternalError("Farkas certificate does not refute the system")
 
@@ -456,15 +454,15 @@ def _check_optimal(irows, obj, value, z, dual):
     Each identity is checked on ints over common denominators: z = Z/D and
     obj = C/k, and the dual's combination by `_implied`.
     """
-    if not _holds(irows, z):
+    Z, D = _common(z)
+    if not _holds_over(irows, Z, D):
         raise InternalError("reported optimum violates a constraint")
     if any(u < 0 for u in dual):
         raise InternalError("negative dual multiplier")
-    Z, D = _common(z)
     C, _, k = obj
     if sum(c * Z[j] for j, c in C) * value.denominator != value.numerator * k * D:
         raise InternalError("objective value disagrees with the reported point")
-    if _implied(irows, obj, dual) != value:
+    if _implied(irows, obj, dict(enumerate(dual))) != value:
         raise InternalError("dual certificate does not prove optimality")
 
 
@@ -688,8 +686,8 @@ def proves_valid(Q, a, rhs) -> bool:
     a = tuple(v.numerator if v.denominator == 1 else v for v in map(_rational, a))
     rhs = _rational(rhs)
     u = Q.dual_map(a, rhs)
-    if u is None:
+    if u is None or any(v < 0 or not 0 <= r < len(Q.rows) for r, v in u.items()):
         return False
     obj, const = _y_objective(Q, a)
-    bound = _implied(Q.rows, _objective(obj), [u.get(r, 0) for r in range(len(Q.rows))])
+    bound = _implied(Q.rows, _objective(obj), u)
     return bound is not None and bound >= rhs - const

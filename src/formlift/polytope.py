@@ -7,21 +7,21 @@ conjunction intersects the two lifted sets, and a disjunction takes the
 convex hull of the union by the standard disjunctive construction.  All data
 is exact rational.
 
-The disjunctive rows are A1 y1 - lam*b1 >= 0 and A2 y2 + lam*b2 >= b2 with a
-single fresh multiplier lam and no explicit 0 <= lam <= 1 rows: every
-formulation rooted at `cube`/`from_hrep` carries the full unit-box rows, and
-for such systems feasibility of {y : A y >= s*b} already forces s >= 0, so
-each arm's block pins lam into [0,1].  `from_hrep` therefore always appends
-the box rows; hand-built formulations fed to `balas_union` must satisfy the
-same scale property.
+A disjunction of k arms is one system over y1 | y2 w2 | ... | yk wk, whose
+rows are each arm's A_i y_i >= (w_(i+1) - w_i) b_i with w_1 = 0 and
+w_(k+1) = 1, and no bounds on the weights: every formulation rooted at
+`cube`/`from_hrep` carries the full unit-box rows, and for such systems
+feasibility of {y : A y >= s*b} already forces s >= 0, so the arms' blocks
+order 0 <= w_2 <= ... <= w_k <= 1.  `from_hrep` therefore always appends
+the box rows; hand-built arms of `balas_union` must have the same property.
 
 Every formulation these constructors build in memory also carries the point
 map of its own construction: for a 0/1 point p it returns the lifted y that
 the construction assigns to p, or None when p is not in the set.  A box
 keeps y = p when its rows hold at p, a face restriction keeps the base's y
 when p has the fixed value, an intersection concatenates the two arms' ys,
-and a union puts p in arm A with lam = 1 or in arm B with lam = 0 and zeros
-the other arm.  Evaluating the rows at that y certifies membership and
+and a union puts p in the first arm that lifts it with weight 1 and zeros
+the other arms.  Evaluating the rows at that y certifies membership and
 nonemptiness without an LP; a y that fails the rows decides nothing.
 
 They also carry the dual map of their construction: for an x-space
@@ -34,9 +34,9 @@ combines its sign rows, padded by a box row pair so that u·b is exact, or
 uses a row equal to the inequality; a face x_i = v asks its base for the
 inequality without the term a_i x_i when the face row pays for it, and for
 the inequality itself otherwise; an intersection uses arm A's multipliers,
-or arm B's plus the tie rows; a union adds both arms' multipliers, whose
-exact right sides cancel the lam column.  A u is a proposal, checked on the
-rows by `lpsolve` before it decides anything.
+or arm B's plus the tie rows; a union adds every arm's multipliers, whose
+exact right sides cancel the weight columns.  A u is a proposal, checked
+on the rows by `lpsolve` before it decides anything.
 """
 
 from __future__ import annotations
@@ -214,18 +214,21 @@ def _meet_map(ma, mb):
     return point_map
 
 
-def _union_map(ma, mb, dA, dB):
-    """Point map of a disjunctive union: (yA, 0, 1) from arm A, else (0, yB, 0)."""
-    if ma is None or mb is None:
+def _union_map(maps, starts, weights, dim):
+    """Point map of a disjunctive union: p in the first arm that lifts it, at weight 1."""
+    if None in maps:
         return None
-    zA, zB = (0,) * dA, (0,) * dB
 
     def point_map(p):
-        ya = ma(p)
-        if ya is not None:
-            return ya + zB + (1,)
-        yb = mb(p)
-        return None if yb is None else zA + yb + (0,)
+        for i, m in enumerate(maps):
+            y = m(p)
+            if y is not None:
+                out = [0] * dim
+                out[starts[i]:starts[i] + len(y)] = y
+                for j in weights[i:]:
+                    out[j] = 1
+                return tuple(out)
+        return None
 
     return point_map
 
@@ -277,22 +280,20 @@ def _meet_dual(da, db, mA, ties):
     return dual_map
 
 
-def _union_dual(da, db, mA):
-    """Dual map of a disjunctive union: both arms' multipliers, B's shifted
-    past A's mA rows.  Both are exact, so the lam column cancels."""
-    if da is None or db is None:
+def _union_dual(duals, offsets):
+    """Dual map of a disjunctive union: every arm's multipliers, arm i's
+    shifted past the offsets[i] rows before it; exact, so the weights cancel."""
+    if None in duals:
         return None
 
     def dual_map(a, beta):
-        u = da(a, beta)
-        if u is None:
-            return None
-        w = db(a, beta)
-        if w is None:
-            return None
-        for k, v in w.items():
-            u[k + mA] = v
-        return u
+        out = {}
+        for dual, m in zip(duals, offsets):
+            u = dual(a, beta)
+            if u is None:
+                return None
+            out.update((k + m, v) for k, v in u.items())
+        return out
 
     return dual_map
 
@@ -346,37 +347,48 @@ def intersect(A: ExtendedFormulation, B: ExtendedFormulation) -> ExtendedFormula
                                                    len(A.rows) + len(B.rows)))
 
 
-def balas_union(A: ExtendedFormulation, B: ExtendedFormulation) -> ExtendedFormulation:
-    """Formulation of conv(A ∪ B) by the disjunctive construction.
-
-    Variables are (y1, y2, lam); each arm's rows are scaled by its weight.
-    No explicit bounds on lam are added: both arms must carry box-rooted
-    rows (see the module docstring), which force 0 <= lam <= 1.  Marker
-    arms are returned away before any rows are built.
+def balas_union(*arms: ExtendedFormulation) -> ExtendedFormulation:
+    """Formulation of the convex hull of the arms' union (see the module
+    docstring) over the columns y1 | y2 w2 | ... | yk wk, as a left fold of
+    two-arm unions lays them out.  Marker arms are dropped before any rows
+    are built; a single arm left is returned as it is.
     """
-    if A.n != B.n:
-        raise ValueError(f"dimension mismatch: {A.n} vs {B.n}")
-    if A.empty_marker:
-        return B
-    if B.empty_marker:
-        return A
-    dA, dB = A.ydim, B.ydim
-    lam = dA + dB
-    # (a/l)·yA >= b/l becomes (a/l)·yA - (b/l)·lam >= 0, and (a/l)·yB >= b/l
-    # becomes (a/l)·yB + (b/l)·lam >= b/l: the same rationals, so the same l
-    rows = [(a + (((lam, -b),) if b else ()), 0, l) for a, b, l in A.rows]
-    rows += [(_shift(a, dA) + (((lam, b),) if b else ()), b, l) for a, b, l in B.rows]
+    if not arms:
+        raise ValueError("a union needs at least one arm")
+    n = arms[0].n
+    for X in arms:
+        if X.n != n:
+            raise ValueError(f"dimension mismatch: {n} vs {X.n}")
+    kept = [X for X in arms if not X.empty_marker]
+    if len(kept) <= 1:
+        return kept[0] if kept else arms[-1]
+    # counting arms from 0, arm i has its y at column starts[i], then for i > 0
+    # the column w[i] of W_i, the weight of arms 0..i-1; W_0 = 0 and W_k = 1
+    *starts, dim = itertools.accumulate([X.ydim + (i > 0) for i, X in enumerate(kept)], initial=0)
+    w = [None] + [s + X.ydim for s, X in zip(starts[1:], kept[1:])] + [None]
+    # arm i's rows are scaled by W_(i+1) - W_i: the same rationals, so the same l
+    rows = []
+    for X, s, lo, hi in zip(kept, starts, w, w[1:]):
+        for a, b, l in X.rows:
+            a = _shift(a, s) if s else a
+            if b and lo is not None:
+                a += ((lo, b),)
+            if b and hi is not None:
+                a += ((hi, -b),)
+            rows.append((a, b if hi is None else 0, l))
     proj = []
-    for i in range(A.n):
-        pa, ta = A.proj[i]
-        pb, tb = B.proj[i]
-        p = pa + _shift(pb, dA)
-        if ta != tb:
-            p = p + ((lam, ta - tb),)
-        proj.append((p, tb))
-    return ExtendedFormulation(A.n, dA + dB + 1, tuple(rows), tuple(proj),
-                               point_map=_union_map(A.point_map, B.point_map, dA, dB),
-                               dual_map=_union_dual(A.dual_map, B.dual_map, len(A.rows)))
+    for i in range(n):
+        p, t = [], None
+        for X, s, lo in zip(kept, starts, w):
+            pi, ti = X.proj[i]
+            p += _shift(pi, s) + (((lo, t - ti),) if lo is not None and t != ti else ())
+            t = ti
+        proj.append((tuple(p), t))
+    offsets = list(itertools.accumulate([len(X.rows) for X in kept[:-1]], initial=0))
+    return ExtendedFormulation(n, dim, tuple(rows), tuple(proj),
+                               point_map=_union_map([X.point_map for X in kept],
+                                                    starts, w[1:-1], dim),
+                               dual_map=_union_dual([X.dual_map for X in kept], offsets))
 
 
 def with_xspace_rows(Q: ExtendedFormulation, rows) -> ExtendedFormulation:
@@ -512,14 +524,10 @@ def _decide_empty(ef, site, stats):
 
 def _lift_collapse(f, Q, stats):
     if f.kind is fm.Kind.OR:
-        # a left fold over the chain; balas_union returns an empty arm away
-        ef = _lift_collapse(f.children[0], Q, stats)
-        for arm in f.children[1:]:
-            other = _lift_collapse(arm, Q, stats)
-            if ef.empty_marker or other.empty_marker:
-                stats["elided_arms"] += 1
-            ef = balas_union(ef, other)
-        return ef
+        # balas_union drops empty arms; elided counts them as a two-arm fold would
+        arms = [_lift_collapse(arm, Q, stats) for arm in f.children]
+        stats["elided_arms"] += len(arms) - max(sum(not a.empty_marker for a in arms), 1)
+        return balas_union(*arms)
     split = fm.fixings(f)
     if split is None:
         return empty_formulation(Q.n)

@@ -417,16 +417,18 @@ def _alternating(depth):
 
 
 @pytest.mark.parametrize("text, lifts", [
-    (_disjunction(450), True),
-    (_disjunction(1200), False),
-    ("(" * 3000 + "x1" + ")" * 3000, False),
-    ("!" * 3000 + "x1", False),
-    (_alternating(900), False),
+    (_disjunction(450), "rows=5400 ydim=2699 base=10 size=450 and=0 or=449 "
+                        "blocks=450 elided=0 checked=450 bound=5400"),
+    (_disjunction(1200), "rows=14400 ydim=7199 base=10 size=1200 and=0 or=1199 "
+                         "blocks=1200 elided=0 checked=1200 bound=14400"),
+    ("(" * 3000 + "x1" + ")" * 3000, None),
+    ("!" * 3000 + "x1", None),
+    (_alternating(900), None),
 ], ids=["flat-disjunction", "long-disjunction", "nested-parentheses", "stacked-negations",
         "alternating-and-or"])
 def test_deep_formula_is_one_line_or_a_lift(tmp_path, capsys, text, lifts):
-    # a chain is one node, so a long disjunction lifts until the nested
-    # point and dual maps of its unions reach the recursion limit
+    # a chain is one node and its union one system, so a long disjunction
+    # lifts; a formula nested deeper than the recursion limit is one line
     f = tmp_path / "deep.bool"
     f.write_text(text + "\n")
     code, out, err = run(capsys, "lift", "--formula", str(f), "--rounds", "1",
@@ -434,11 +436,33 @@ def test_deep_formula_is_one_line_or_a_lift(tmp_path, capsys, text, lifts):
     assert out == ""
     if lifts:
         assert code == 0
-        assert err == ("round 1: rows=5400 ydim=2699 base=10 size=450 and=0 or=449 "
-                       "blocks=450 elided=0 checked=450 bound=5400 route=ef\n")
+        assert err == f"round 1: {lifts} route=ef\n"
     else:
         assert code == 2
         assert err == "formlift: formula nests too deeply or has too long a chain\n"
+
+
+def _stack_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_a_long_disjunction_costs_no_frame_per_arm(tmp_path, capsys):
+    # the union's point and dual maps are one closure each over the list of
+    # arms, so 600 arms lift with little more stack than one arm needs
+    f = tmp_path / "long.bool"
+    f.write_text(_disjunction(600) + "\n")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 150)
+    try:
+        got = run(capsys, "lift", "--formula", str(f), "--rounds", "1",
+                  "--out", str(tmp_path / "long.ef"))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == (0, "", "round 1: rows=7200 ydim=3599 base=10 size=600 and=0 or=599 "
+                          "blocks=600 elided=0 checked=600 bound=7200 route=ef\n")
 
 
 @pytest.mark.parametrize("text, plain", [

@@ -219,10 +219,11 @@ def _nogood(p):
 
 
 def _exact(ef, a, beta, u):
-    """u proves a·x >= beta on ef with u·A = a·T and u·b = beta - a·t exactly."""
+    """u >= 0 proves a·x >= beta on ef with u·A = a·T and u·b = beta - a·t
+    exactly; `_implied` leaves the signs to its caller."""
     obj, const = lp._y_objective(ef, a)
-    dense = [u.get(r, 0) for r in range(len(ef.rows))]
-    return lp._implied(ef.rows, lp._objective(obj), dense) == beta - const
+    return (all(v >= 0 for v in u.values())
+            and lp._implied(ef.rows, lp._objective(obj), u) == beta - const)
 
 
 def _plain(ef):
@@ -267,6 +268,17 @@ def test_a_dual_map_is_never_trusted():
             assert [lp.contains_point(bad, p) for p in _points(4)] == want
         assert solve.call_count == (outside if bad is stale else 16)
         assert not any(lp.proves_valid(bad, a, rhs) for a, rhs in box)
+
+
+def test_a_dual_map_naming_a_missing_row_proves_nothing():
+    bz4 = fm.reduce(fm.parse("(x1 | x2) & (x2 | x3) & (x3 | x4) & (x1 | x4)", 4))
+    ef, _ = pt.lift(bz4, pt.cube(4))
+    # the map still names rows of the whole formulation
+    cut = dataclasses.replace(ef, rows=ef.rows[:len(ef.rows) // 2])
+    cuts = [_nogood(p) for p in _points(4)]
+    missing = [(a, rhs) for a, rhs in cuts
+               if max(ef.dual_map(a, rhs) or [-1]) >= len(cut.rows)]
+    assert missing and not any(lp.proves_valid(cut, a, rhs) for a, rhs in missing)
 
 
 def test_composition_stays_linear_in_the_formula():

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -130,6 +131,59 @@ def test_balas_union_moves_between_projection_offsets():
     for x, inside in ((F(-1, 4), False), (0, True), (F(1, 4), True), (F(3, 4), True),
                       (1, True), (F(5, 4), False)):
         assert lp.contains_point(U, (x,)) == inside
+
+
+@st.composite
+def _union_arms(draw):
+    """2-6 arms over one base, the cube or a box-rooted polytope: faces of
+    the base, lifts of small formulas over it and empty markers."""
+    n = draw(st.integers(1, 4))
+    Q = pt.from_hrep(n, draw(st.lists(st.tuples(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n), st.integers(-2, 1)), max_size=2)))
+    arms = []
+    for kind in draw(st.lists(st.sampled_from(("face", "lift", "empty")), min_size=2, max_size=6)):
+        if kind == "face":
+            arms.append(pt.face_restrict(Q, draw(st.integers(1, n)), draw(st.integers(0, 1))))
+        elif kind == "lift":
+            phi = vf.random_reduced_formula(n, draw(st.integers(1, 4)), neg_density=0.4,
+                                            seed=draw(st.integers(0, 10**6)))
+            arms.append(pt.lift(phi, Q)[0])
+        else:
+            arms.append(pt.empty_formulation(n))
+    return arms
+
+
+def _answers(fn, args):
+    """fn's answer to each argument tuple, or None when there is no fn."""
+    return None if fn is None else [fn(*a) for a in args]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(_union_arms())
+def test_balas_union_of_many_arms_is_the_left_fold_of_two_arm_unions(arms):
+    got, want = pt.balas_union(*arms), functools.reduce(pt.balas_union, arms)
+    assert (got.rows, got.proj, got.ydim, got.empty_marker) == \
+        (want.rows, want.proj, want.ydim, want.empty_marker)
+    points = [(p,) for p in itertools.product((0, 1), repeat=got.n)]
+    ys = _answers(got.point_map, points)
+    assert ys == _answers(want.point_map, points)
+    # the fold runs the same code, so each answer is also checked on the rows
+    assert all(y is None or lp._holds(got.rows, y) for y in ys or ())
+    cuts = [(tuple(1 - 2 * v for v in p), 1 - sum(p)) for (p,) in points]
+    cuts += pt.cube(got.n).xspace_rows()
+    us = _answers(got.dual_map, cuts)
+    assert us == _answers(want.dual_map, cuts)
+    assert all(u is None or lp.proves_valid(got, *cut) for u, cut in zip(us or (), cuts))
+
+
+def test_balas_union_needs_an_arm_of_one_dimension():
+    with pytest.raises(ValueError, match="at least one arm"):
+        pt.balas_union()
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        pt.balas_union(pt.cube(2), pt.cube(2), pt.cube(3))
+    # one arm left after the markers are dropped is returned as it is
+    Q = pt.cube(2)
+    assert pt.balas_union(pt.empty_formulation(2), Q, pt.empty_formulation(2)) is Q
 
 
 def _brute_set(phi, n):
