@@ -3,9 +3,9 @@
 A formulation holds inequality rows over lifted variables y together with an
 affine projection x = T y + t.  Boolean formulas act on a relaxation inside
 the unit box: a literal restricts to the face x_i = 0 or x_i = 1, a
-conjunction intersects the two lifted sets, and a disjunction takes the
-convex hull of the union by the standard disjunctive construction.  All data
-is exact rational.
+conjunction of k arms intersects their lifted sets, and a disjunction takes
+the convex hull of the union by the standard disjunctive construction.  All
+data is exact rational.
 
 A disjunction of k arms is one system over y1 | y2 w2 | ... | yk wk, whose
 rows are each arm's A_i y_i >= (w_(i+1) - w_i) b_i with w_1 = 0 and
@@ -19,7 +19,7 @@ Every formulation these constructors build in memory also carries the point
 map of its own construction: for a 0/1 point p it returns the lifted y that
 the construction assigns to p, or None when p is not in the set.  A box
 keeps y = p when its rows hold at p, a face restriction keeps the base's y
-when p has the fixed value, an intersection concatenates the two arms' ys,
+when p has the fixed value, an intersection of k arms concatenates their ys,
 and a union puts p in the first arm that lifts it with weight 1 and zeros
 the other arms.  Evaluating the rows at that y certifies membership and
 nonemptiness without an LP; a y that fails the rows decides nothing.
@@ -33,8 +33,9 @@ Such a u proves the inequality valid (Balas's disjunctive duality).  A box
 combines its sign rows, padded by a box row pair so that u·b is exact, or
 uses a row equal to the inequality; a face x_i = v asks its base for the
 inequality without the term a_i x_i when the face row pays for it, and for
-the inequality itself otherwise; an intersection uses arm A's multipliers,
-or arm B's plus the tie rows; a union adds every arm's multipliers, whose
+the inequality itself otherwise; an intersection of k arms uses the
+multipliers of the first arm that proves it, plus that arm's tie rows when
+it is not the first; a union adds every arm's multipliers, whose
 exact right sides cancel the weight columns.  A u is a proposal, checked
 on the rows by `lpsolve` before it decides anything.
 """
@@ -51,6 +52,8 @@ from math import lcm
 from . import formula as fm
 from . import hull, lpsolve
 from .lpsolve import _int_rows, _neg, _pairs, _rational
+
+BOX_LIMIT = 2000
 
 # A linear expression over lifted variables: ((index, coef), ...) sorted by
 # index with nonzero coefficients.  A rational row (expr, rhs) means
@@ -116,7 +119,10 @@ class ExtendedFormulation:
         """(p, y) for each 0/1 point p, in lexicographic order, that the point
         map lifts to some y; empty without a map or above hull.HULL_LIMIT
         variables.  A y is a proposal: callers check it before trusting it."""
-        return tuple(_lifted_points(self))
+        if self.point_map is None or self.n > hull.HULL_LIMIT:
+            return ()
+        ys = ((p, self.point_map(p)) for p in itertools.product((0, 1), repeat=self.n))
+        return tuple((p, y) for p, y in ys if y is not None)
 
     def xspace_rows(self) -> list:
         """Rows as dense `Fraction` x-space constraints; only valid when is_hrep."""
@@ -157,7 +163,10 @@ def from_hrep(n: int, rows) -> ExtendedFormulation:
 
 
 def _boxed(n, rows) -> ExtendedFormulation:
-    """x-space formulation from int rows, with the unit-box rows appended."""
+    """x-space formulation from int rows, with the unit-box rows appended;
+    refused above BOX_LIMIT variables before any row is built."""
+    if n > BOX_LIMIT:
+        raise ValueError(f"dimension {n} exceeds box limit {BOX_LIMIT}")
     out = list(rows)
     for i in range(n):
         out.append((((i, 1),), 0, 1))
@@ -199,17 +208,18 @@ def _face_map(base, i, value):
     return lambda p: base(p) if p[i] == value else None
 
 
-def _meet_map(ma, mb):
-    """Point map of an intersection: both arms' ys, concatenated."""
-    if ma is None or mb is None:
+def _meet_map(maps):
+    """Point map of an intersection: every arm's y, concatenated."""
+    if None in maps:
         return None
 
     def point_map(p):
-        ya = ma(p)
-        if ya is None:
-            return None
-        yb = mb(p)
-        return None if yb is None else ya + yb
+        ys = []
+        for m in maps:
+            ys.append(m(p))
+            if ys[-1] is None:
+                return None
+        return tuple(itertools.chain.from_iterable(ys))
 
     return point_map
 
@@ -258,24 +268,26 @@ def _face_dual(base, i, value, m):
     return dual_map
 
 
-def _meet_dual(da, db, mA, ties):
-    """Dual map of an intersection: arm A's multipliers, else arm B's, shifted
-    past A's mA rows, plus |a_i| on tie row 2i (a_i > 0) or 2i+1 from `ties`."""
-    if da is None or db is None:
+def _meet_dual(duals, offsets, ties):
+    """Dual map of an intersection: the multipliers of the first arm that
+    proves the inequality, shifted past the offsets[j] rows before arm j,
+    plus for an arm after the first |a_i| on its tie row ties[j] + 2i
+    (a_i > 0) or ties[j] + 2i + 1."""
+    if None in duals:
         return None
 
     def dual_map(a, beta):
-        u = da(a, beta)
-        if u is not None:
+        for j, dual in enumerate(duals):
+            u = dual(a, beta)
+            if u is None:
+                continue
+            if j:
+                u = {k + offsets[j]: v for k, v in u.items()}
+                for i, ai in enumerate(a):
+                    if ai:
+                        u[ties[j] + 2 * i + (ai < 0)] = abs(ai)
             return u
-        u = db(a, beta)
-        if u is None:
-            return None
-        out = {k + mA: v for k, v in u.items()}
-        for i, ai in enumerate(a):
-            if ai:
-                out[ties + 2 * i + (ai < 0)] = abs(ai)
-        return out
+        return None
 
     return dual_map
 
@@ -325,26 +337,36 @@ def face_restrict(Q: ExtendedFormulation, var: int, value) -> ExtendedFormulatio
                                dual_map=_face_dual(Q.dual_map, var - 1, value, len(Q.rows)))
 
 
-def intersect(A: ExtendedFormulation, B: ExtendedFormulation) -> ExtendedFormulation:
-    """Formulation of the intersection; adds 2n rows tying the projections."""
-    if A.n != B.n:
-        raise ValueError(f"dimension mismatch: {A.n} vs {B.n}")
-    if A.empty_marker or B.empty_marker:
-        return empty_formulation(A.n)
-    dA = A.ydim
-    ties = []
-    for i in range(A.n):
-        pa, ta = A.proj[i]
-        pb, tb = B.proj[i]
-        tie = pa + _shift(_neg(pb), dA)
-        rhs = tb - ta
-        ties.append((tie, rhs))
-        ties.append((_neg(tie), -rhs))
-    rows = A.rows + tuple((_shift(a, dA), b, l) for a, b, l in B.rows) + _int_rows(ties)
-    return ExtendedFormulation(A.n, dA + B.ydim, rows, A.proj,
-                               point_map=_meet_map(A.point_map, B.point_map),
-                               dual_map=_meet_dual(A.dual_map, B.dual_map, len(A.rows),
-                                                   len(A.rows) + len(B.rows)))
+def intersect(*arms: ExtendedFormulation) -> ExtendedFormulation:
+    """Formulation of the intersection of k arms over the columns
+    y1 | y2 | ... | yk, as a left fold of two-arm intersections lays them
+    out: each arm after the first adds its rows, then 2n rows tying its
+    projection to the first arm's.  A marker arm gives the marker; a single
+    arm is returned as it is.
+    """
+    if not arms:
+        raise ValueError("an intersection needs at least one arm")
+    first = arms[0]
+    for X in arms:
+        if X.n != first.n:
+            raise ValueError(f"dimension mismatch: {first.n} vs {X.n}")
+    if len(arms) == 1:
+        return first
+    if any(X.empty_marker for X in arms):
+        return empty_formulation(first.n)
+    rows, offsets, ties, dim = list(first.rows), [0], [0], first.ydim
+    for X in arms[1:]:
+        offsets.append(len(rows))
+        rows += [(_shift(a, dim), b, l) for a, b, l in X.rows]
+        ties.append(len(rows))
+        # each tie row and its negation: the same l, the ints negated
+        for a, b, l in _int_rows([(pa + _shift(_neg(pb), dim), tb - ta)
+                                  for (pa, ta), (pb, tb) in zip(first.proj, X.proj)]):
+            rows += [(a, b, l), (_neg(a), -b, l)]
+        dim += X.ydim
+    return ExtendedFormulation(first.n, dim, tuple(rows), first.proj,
+                               point_map=_meet_map([X.point_map for X in arms]),
+                               dual_map=_meet_dual([X.dual_map for X in arms], offsets, ties))
 
 
 def balas_union(*arms: ExtendedFormulation) -> ExtendedFormulation:
@@ -486,38 +508,60 @@ def _restrict_block(Q, fixings, stats):
     for var in sorted(fixings):
         ef = face_restrict(ef, var, fixings[var])
     stats["blocks"] += 1
-    if _decide_empty(ef, "block", stats):
+    if _decide_empty([ef], _witness([ef]), "block", stats):
         return empty_formulation(Q.n)
     return ef
 
 
-def _lifted_points(ef):
-    """(p, y) for each 0/1 point p that ef's point map lifts, in lexicographic
-    order; nothing without a map or when n exceeds hull.HULL_LIMIT."""
-    point_map = ef.point_map
-    if point_map is None or ef.n > hull.HULL_LIMIT:
-        return
-    for p in itertools.product((0, 1), repeat=ef.n):
-        y = point_map(p)
-        if y is not None:
-            yield p, y
-
-
-def _witnessed(ef) -> bool:
-    """True when some 0/1 point's lifted y satisfies every row of ef.
-
-    Such a y proves ef nonempty; finding no witness decides nothing.  The
-    scan stops at the first witness.
+def _witness(arms, at=(0, None)):
+    """Resume the lexicographic scan of 0/1 points for a witness of the
+    intersection of `arms`: a point that every arm's point map lifts to a y
+    satisfying the arm's rows and, after the first arm, projecting to the
+    first arm's x, as the tie rows say.  `at` = (i, (Y, D)) starts at the
+    i-th point, where all arms but the last hold and the first lifts it to
+    Y/D; the default starts a single arm.  Returns that pair for the first
+    witness, where the scan for one more arm resumes, since a witness of k
+    arms is one of their first k-1; or None, also without a map or above
+    hull.HULL_LIMIT.
     """
-    return any(lpsolve._holds(ef.rows, y) for _, y in _lifted_points(ef))
+    n = arms[0].n
+    first = len(arms) - 1
+    if arms[first].point_map is None or n > hull.HULL_LIMIT:
+        return None
+    start, y0 = at
+    x0 = None  # the first arm's x, projected when a later arm needs it
+    for i, p in enumerate(itertools.islice(itertools.product((0, 1), repeat=n), start, None),
+                          start):
+        j = first
+        while j < len(arms):
+            y = arms[j].point_map(p)
+            if y is None:
+                break
+            Y, D = lpsolve._common(y)
+            if not lpsolve._holds_over(arms[j].rows, Y, D):
+                break
+            if not j:
+                y0 = Y, D
+            else:
+                if x0 is None:
+                    x0 = lpsolve._project(arms[0], *y0)
+                if lpsolve._project(arms[j], Y, D) != x0:
+                    break
+            j += 1
+        else:
+            return i, y0
+        first, x0 = 0, None
+    return None
 
 
-def _decide_empty(ef, site, stats):
-    if _witnessed(ef):
+def _decide_empty(arms, witness, site, stats):
+    """Record whether the intersection of `arms` is empty: not when a 0/1
+    witness was found, else by an exact LP over it, built only then."""
+    if witness is not None:
         stats["witnessed"] += 1
         empty = False
     else:
-        empty = lpsolve.is_empty(ef)
+        empty = lpsolve.is_empty(intersect(*arms))
     stats["emptiness"].append(f"{site}:{'empty' if empty else 'nonempty'}")
     return empty
 
@@ -534,20 +578,18 @@ def _lift_collapse(f, Q, stats):
     fixings, rest = split
     if not rest:
         return _restrict_block(Q, fixings, stats)
-    # conjunction with at least one disjunction below: lift the OR
-    # conjuncts, intersect them, then batch the literal fixings on top
-    ef = _lift_collapse(rest[0], Q, stats)
-    for p in rest[1:]:
-        if ef.empty_marker:
-            return ef
-        other = _lift_collapse(p, Q, stats)
-        if other.empty_marker:
-            return other
-        ef = intersect(ef, other)
-        if _decide_empty(ef, "intersect", stats):
+    # conjunction with at least one disjunction below: lift the OR conjuncts,
+    # decide each prefix of their intersection, then batch the fixings on top
+    arms, at = [], (0, None)
+    for conjunct in rest:
+        X = _lift_collapse(conjunct, Q, stats)
+        if X.empty_marker:
+            return X
+        arms.append(X)
+        at = _witness(arms, at) if at is not None else None
+        if len(arms) > 1 and _decide_empty(arms, at, "intersect", stats):
             return empty_formulation(Q.n)
-    if ef.empty_marker:
-        return ef
+    ef = intersect(*arms)
     if fixings:
         ef = _restrict_block(ef, fixings, stats)
     return ef
@@ -558,9 +600,9 @@ def lift(phi: fm.Formula, Q: ExtendedFormulation):
 
     Requires a reduced formula.  Every returned non-marker formulation is
     nonempty: emptiness is decided after each restriction block and each
-    intersection, first by a 0/1 witness from the point map and otherwise by
-    an exact feasibility solve, and empty disjunction arms are dropped before
-    the union is formed.
+    conjunct added to an intersection, first by a 0/1 witness from the point
+    maps and otherwise by an exact feasibility solve, and empty disjunction
+    arms are dropped before the union is formed.
     """
     if not phi.is_reduced():
         raise ValueError("formula must be reduced before lifting")

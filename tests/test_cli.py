@@ -5,6 +5,7 @@ import pathlib
 import re
 import shlex
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -409,6 +410,12 @@ def _disjunction(k):
     return " | ".join(f"x{i % 5 + 1}" for i in range(k))
 
 
+def _conjunction(k):
+    """A CNF of k three-literal clauses over x1..x5."""
+    return " & ".join(f"(x{i % 5 + 1} | x{(i + 1) % 5 + 1} | x{(i + 2) % 5 + 1})"
+                      for i in range(k))
+
+
 def _alternating(depth):
     text = "x1"
     for k in range(depth):
@@ -421,14 +428,17 @@ def _alternating(depth):
                         "blocks=450 elided=0 checked=450 bound=5400"),
     (_disjunction(1200), "rows=14400 ydim=7199 base=10 size=1200 and=0 or=1199 "
                          "blocks=1200 elided=0 checked=1200 bound=14400"),
+    (_conjunction(1000), "rows=45990 ydim=17000 base=10 size=3000 and=999 or=2000 "
+                         "blocks=3000 elided=0 checked=3999 bound=45990"),
     ("(" * 3000 + "x1" + ")" * 3000, None),
     ("!" * 3000 + "x1", None),
     (_alternating(900), None),
-], ids=["flat-disjunction", "long-disjunction", "nested-parentheses", "stacked-negations",
-        "alternating-and-or"])
+], ids=["flat-disjunction", "long-disjunction", "long-conjunction", "nested-parentheses",
+        "stacked-negations", "alternating-and-or"])
 def test_deep_formula_is_one_line_or_a_lift(tmp_path, capsys, text, lifts):
-    # a chain is one node and its union one system, so a long disjunction
-    # lifts; a formula nested deeper than the recursion limit is one line
+    # a chain is one node and its union or intersection one system, so a
+    # long disjunction or conjunction lifts; a formula nested deeper than the
+    # recursion limit is one line
     f = tmp_path / "deep.bool"
     f.write_text(text + "\n")
     code, out, err = run(capsys, "lift", "--formula", str(f), "--rounds", "1",
@@ -463,6 +473,23 @@ def test_a_long_disjunction_costs_no_frame_per_arm(tmp_path, capsys):
         sys.setrecursionlimit(limit)
     assert got == (0, "", "round 1: rows=7200 ydim=3599 base=10 size=600 and=0 or=599 "
                           "blocks=600 elided=0 checked=600 bound=7200 route=ef\n")
+
+
+def test_a_long_conjunction_costs_no_frame_per_conjunct(tmp_path, capsys):
+    # the intersection's point and dual maps are one closure each over the
+    # list of arms, and its prefixes are decided without nesting, so 600
+    # clauses lift with little more stack than one clause needs
+    f = tmp_path / "long.bool"
+    f.write_text(_conjunction(600) + "\n")
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 150)
+    try:
+        got = run(capsys, "lift", "--formula", str(f), "--rounds", "1",
+                  "--out", str(tmp_path / "long.ef"))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == (0, "", "round 1: rows=27590 ydim=10200 base=10 size=1800 and=599 or=1200 "
+                          "blocks=1800 elided=0 checked=2399 bound=27590 route=ef\n")
 
 
 @pytest.mark.parametrize("text, plain", [
@@ -658,6 +685,18 @@ def test_verify_size_has_no_cap(tmp_path, capsys):
     line = ("check=size instance=or21 verdict=pass n=21 size=21 ef_rows=924 bound=924 "
             "plain_product=882 naive_rows=924 saved=0 blocks=21\n")
     assert got == (0, line, "")
+
+
+@pytest.mark.parametrize("argv", [["lift"], ["verify", "size"]], ids=["lift", "verify-size"])
+def test_a_named_dimension_over_the_box_limit_is_refused(tmp_path, capsys, argv):
+    # a typo such as x9200000 names a dimension whose unit box alone would
+    # take minutes to build; it is refused before any box row
+    f = tmp_path / "typo.bool"
+    f.write_text("x9200000 | x1\n")
+    t0 = time.perf_counter()
+    got = run(capsys, *argv, "--formula", str(f))
+    assert time.perf_counter() - t0 < 1
+    assert got == (2, "", "formlift: dimension 9200000 exceeds box limit 2000\n")
 
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"

@@ -54,6 +54,15 @@ def test_from_hrep_appends_box_and_dedupes():
     assert len(Q.rows) == 5
 
 
+def test_a_box_over_the_limit_is_refused_before_it_is_built():
+    assert len(pt.cube(pt.BOX_LIMIT).rows) == 2 * pt.BOX_LIMIT
+    message = f"dimension {pt.BOX_LIMIT + 1} exceeds box limit {pt.BOX_LIMIT}"
+    with pytest.raises(ValueError, match=message):
+        pt.from_hrep(pt.BOX_LIMIT + 1, [])
+    with pytest.raises(ValueError, match="dimension 200000 exceeds box limit"):
+        pt.from_text("ef\nxvars 200000\nyvars 0\n")
+
+
 def test_from_hrep_rejects_bad_rows():
     with pytest.raises(ValueError):
         pt.from_hrep(2, [((1,), 0)])
@@ -134,19 +143,27 @@ def test_balas_union_moves_between_projection_offsets():
 
 
 @st.composite
-def _union_arms(draw):
+def _arms(draw, through=False):
     """2-6 arms over one base, the cube or a box-rooted polytope: faces of
-    the base, lifts of small formulas over it and empty markers."""
+    the base, lifts of small formulas over it and empty markers.  With
+    `through`, no marker is drawn and every arm holds one 0/1 point, so that
+    an intersection of many arms still has points to map."""
     n = draw(st.integers(1, 4))
     Q = pt.from_hrep(n, draw(st.lists(st.tuples(
         st.lists(st.integers(-2, 2), min_size=n, max_size=n), st.integers(-2, 1)), max_size=2)))
+    p = draw(st.tuples(*[st.integers(0, 1)] * n)) if through else None
+    kinds = ("face", "lift") if through else ("face", "lift", "empty")
     arms = []
-    for kind in draw(st.lists(st.sampled_from(("face", "lift", "empty")), min_size=2, max_size=6)):
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=2, max_size=6)):
         if kind == "face":
-            arms.append(pt.face_restrict(Q, draw(st.integers(1, n)), draw(st.integers(0, 1))))
+            var = draw(st.integers(1, n))
+            value = p[var - 1] if through else draw(st.integers(0, 1))
+            arms.append(pt.face_restrict(Q, var, value))
         elif kind == "lift":
             phi = vf.random_reduced_formula(n, draw(st.integers(1, 4)), neg_density=0.4,
                                             seed=draw(st.integers(0, 10**6)))
+            if through:
+                phi = fm.lor(phi, fm.and_all([fm.lit(i, n, not v) for i, v in enumerate(p, 1)], n))
             arms.append(pt.lift(phi, Q)[0])
         else:
             arms.append(pt.empty_formulation(n))
@@ -159,7 +176,7 @@ def _answers(fn, args):
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(_union_arms())
+@given(_arms())
 def test_balas_union_of_many_arms_is_the_left_fold_of_two_arm_unions(arms):
     got, want = pt.balas_union(*arms), functools.reduce(pt.balas_union, arms)
     assert (got.rows, got.proj, got.ydim, got.empty_marker) == \
@@ -184,6 +201,36 @@ def test_balas_union_needs_an_arm_of_one_dimension():
     # one arm left after the markers are dropped is returned as it is
     Q = pt.cube(2)
     assert pt.balas_union(pt.empty_formulation(2), Q, pt.empty_formulation(2)) is Q
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.one_of(_arms(), _arms(through=True)))
+def test_intersect_of_many_arms_is_the_left_fold_of_two_arm_intersections(arms):
+    got, want = pt.intersect(*arms), functools.reduce(pt.intersect, arms)
+    assert (got.rows, got.proj, got.ydim, got.empty_marker) == \
+        (want.rows, want.proj, want.ydim, want.empty_marker)
+    points = [(p,) for p in itertools.product((0, 1), repeat=got.n)]
+    ys = _answers(got.point_map, points)
+    assert ys == _answers(want.point_map, points)
+    # the fold runs the same code, so each answer is also checked on the rows
+    assert all(y is None or lp._holds(got.rows, y) for y in ys or ())
+    cuts = [(tuple(1 - 2 * v for v in p), 1 - sum(p)) for (p,) in points]
+    cuts += pt.cube(got.n).xspace_rows()
+    us = _answers(got.dual_map, cuts)
+    assert us == _answers(want.dual_map, cuts)
+    proved = [lp.proves_valid(got, *cut) for cut in cuts]
+    assert proved == [lp.proves_valid(want, *cut) for cut in cuts]
+    assert all(u is None or ok for u, ok in zip(us or (), proved))
+
+
+def test_intersect_needs_an_arm_of_one_dimension():
+    with pytest.raises(ValueError, match="at least one arm"):
+        pt.intersect()
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        pt.intersect(pt.cube(2), pt.cube(2), pt.cube(3))
+    Q = pt.cube(2)
+    assert pt.intersect(Q) is Q
+    assert pt.intersect(Q, pt.empty_formulation(2), Q).empty_marker
 
 
 def _brute_set(phi, n):
@@ -283,6 +330,18 @@ def test_lift_emptiness_decisions_recorded():
     _, rep = pt.lift(phi, pt.cube(3))
     assert len(rep.emptiness) == rep.blocks + 1  # one intersection check
     assert all(d.endswith(":nonempty") for d in rep.emptiness)
+
+
+def test_an_empty_prefix_ends_the_conjunction():
+    # the first and third conjuncts fix x1 = 1 and x1 = 0: the LP finds the
+    # third prefix empty, and the fourth conjunct is never lifted
+    phi = fm.parse("(x1 & x2 | x1 & x3) & (x2 | x3) & (!x1 & x2 | !x1 & x3) & (x2 | !x3)", 3)
+    ef, rep = pt.lift(phi, pt.cube(3))
+    assert ef.empty_marker
+    assert rep.emptiness == ("block:nonempty",) * 4 + (
+        "intersect:nonempty", "block:nonempty", "block:nonempty", "intersect:empty")
+    assert (rep.blocks, rep.witnessed) == (6, 7)
+    assert "checked=8 " in rep.summary_line()
 
 
 def test_lift_of_marker_base_passes_through():
