@@ -55,10 +55,13 @@ def gen_bz(n: int) -> Instance:
     """All-but-one covering: clauses sum_{i != j} x_i >= 1 for each j.
 
     The 0/1 solutions are the points with at least two ones, so the single
-    reference row is sum x_i >= 2.
+    reference row is sum x_i >= 2.  No unit box is built over more than
+    `polytope.BOX_LIMIT` variables, so such an n is refused before its
+    n x n clause matrix.
     """
     if n < 3:
         raise ValueError("need n >= 3")
+    pt._check_box(n)
     rows = [[0 if i == j else 1 for i in range(n)] for j in range(n)]
     phi = fm.covering_cnf(rows)
     pts = _arith_points(n, lambda p: sum(p) >= 2)

@@ -2,10 +2,11 @@
 
 A formulation holds inequality rows over lifted variables y together with an
 affine projection x = T y + t.  Boolean formulas act on a relaxation inside
-the unit box: a literal restricts to the face x_i = 0 or x_i = 1, a
-conjunction of k arms intersects their lifted sets, and a disjunction takes
-the convex hull of the union by the standard disjunctive construction.  All
-data is exact rational.
+the unit box: a literal restricts to the face x_i = 0 or x_i = 1, an AND
+of literals to one face block that fixes them all, a conjunction of k arms
+intersects their lifted sets, and a disjunction takes the convex hull of
+the union by the standard disjunctive construction.  All data is exact
+rational.
 
 A disjunction of k arms is one system over y1 | y2 w2 | ... | yk wk, whose
 rows are each arm's A_i y_i >= (w_(i+1) - w_i) b_i with w_1 = 0 and
@@ -18,8 +19,8 @@ the box rows; hand-built arms of `balas_union` must have the same property.
 Every formulation these constructors build in memory also carries the point
 map of its own construction: for a 0/1 point p it returns the lifted y that
 the construction assigns to p, or None when p is not in the set.  A box
-keeps y = p when its rows hold at p, a face restriction keeps the base's y
-when p has the fixed value, an intersection of k arms concatenates their ys,
+keeps y = p when its rows hold at p, a face block keeps the base's y when
+p has every fixed value, an intersection of k arms concatenates their ys,
 and a union puts p in the first arm that lifts it with weight 1 and zeros
 the other arms.  Evaluating the rows at that y certifies membership and
 nonemptiness without an LP; a y that fails the rows decides nothing.
@@ -31,18 +32,21 @@ u·b = beta - a·t exactly, where x = T y + t is the projection; or None.
 Each call returns a new dict, which the composing map may extend.
 Such a u proves the inequality valid (Balas's disjunctive duality).  A box
 combines its sign rows, padded by a box row pair so that u·b is exact, or
-uses a row equal to the inequality; a face x_i = v asks its base for the
-inequality without the term a_i x_i when the face row pays for it, and for
-the inequality itself otherwise; an intersection of k arms uses the
-multipliers of the first arm that proves it, plus that arm's tie rows when
-it is not the first; a union adds every arm's multipliers, whose
-exact right sides cancel the weight columns.  A u is a proposal, checked
-on the rows by `lpsolve` before it decides anything.
+uses a row equal to the inequality; a face block, the faces x_i = v_i of
+an AND of literals, asks its base once for the inequality without every
+term a_i x_i that its face row pays for (a_i v_i > min(a_i, 0)), putting
+|a_i| on that row, and once for the inequality itself when that fails or no
+face pays, so at most twice however many faces it has; an intersection
+of k arms uses the multipliers of the first arm that proves it, plus that
+arm's tie rows when it is not the first; a union adds every arm's
+multipliers, whose exact right sides cancel the weight columns.  A u is a
+proposal, checked on the rows by `lpsolve` before it decides anything.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -162,11 +166,16 @@ def from_hrep(n: int, rows) -> ExtendedFormulation:
     return _boxed(n, _int_rows(out))
 
 
+def _check_box(n):
+    """Refuse a unit box over more than BOX_LIMIT variables."""
+    if n > BOX_LIMIT:
+        raise ValueError(f"dimension {n} exceeds box limit {BOX_LIMIT}")
+
+
 def _boxed(n, rows) -> ExtendedFormulation:
     """x-space formulation from int rows, with the unit-box rows appended;
     refused above BOX_LIMIT variables before any row is built."""
-    if n > BOX_LIMIT:
-        raise ValueError(f"dimension {n} exceeds box limit {BOX_LIMIT}")
+    _check_box(n)
     out = list(rows)
     for i in range(n):
         out.append((((i, 1),), 0, 1))
@@ -201,11 +210,13 @@ def _box_dual(rows, a, beta):
     return {rows.index(row): 1} if row in rows else None
 
 
-def _face_map(base, i, value):
-    """Point map of a face restriction x_(i+1) = value: the base's y on the face."""
+def _face_map(base, fixed):
+    """Point map of a face block: the base's y where p has every fixed value."""
     if base is None:
         return None
-    return lambda p: base(p) if p[i] == value else None
+    get = operator.itemgetter(*[i for i, _, _ in fixed])
+    want = get({i: value for i, value, _ in fixed})  # shaped as get(p) is
+    return lambda p: base(p) if get(p) == want else None
 
 
 def _meet_map(maps):
@@ -243,27 +254,26 @@ def _union_map(maps, starts, weights, dim):
     return point_map
 
 
-def _face_dual(base, i, value, m):
-    """Dual map of a face restriction x_(i+1) = value whose rows sit at m, m+1.
-
-    When the face pays for the term a_i x_i (a_i·value > min(a_i, 0)), the
-    base is asked for the inequality without it and |a_i| goes on row m
-    (a_i > 0) or m+1; the base is asked for the inequality itself only when
-    that fails, so each face makes one base call on the common path.
-    """
+def _face_dual(base, fixed):
+    """Dual map of a face block: the base is asked once without every term
+    a_i x_i that its face pays for (a_i·value > min(a_i, 0)), putting |a_i|
+    on the face's first row (a_i > 0) or second, and once for the inequality
+    itself when that fails or no face pays."""
     if base is None:
         return None
-    if value.denominator == 1:  # int arithmetic on the common path
-        value = value.numerator
 
     def dual_map(a, beta):
-        ai = a[i]
-        if ai * value > min(ai, 0):
-            u = base(a[:i] + (0,) + a[i + 1:], beta - ai * value)
-            if u is not None:
-                u[m if ai > 0 else m + 1] = abs(ai)
-                return u
-        return base(a, beta)
+        rest, low, paid = list(a), beta, {}
+        for i, value, row in fixed:
+            ai = a[i]
+            if ai * value > (ai if ai < 0 else 0):
+                rest[i], low = 0, low - ai * value
+                paid[row + (ai < 0)] = abs(ai)
+        u = base(tuple(rest), low) if paid else None
+        if u is None:
+            return base(a, beta)
+        u.update(paid)
+        return u
 
     return dual_map
 
@@ -322,19 +332,22 @@ def _cut_map(base, rows):
     return point_map
 
 
-def face_restrict(Q: ExtendedFormulation, var: int, value) -> ExtendedFormulation:
-    """Restrict to the face x_var = value (var is 1-based, value 0 or 1)."""
-    if not 1 <= var <= Q.n:
-        raise ValueError(f"variable x{var} out of range 1..{Q.n}")
-    value = _rational(value)
-    if Q.empty_marker:
+def face_restrict(Q: ExtendedFormulation, fixings) -> ExtendedFormulation:
+    """Restrict to the face x_var = value (var 1-based, value 0 or 1) of
+    each item of `fixings`, as `formula.fixings` gives them, in one pass:
+    a row pair per variable, appended in increasing variable order."""
+    fixed, new = [], []  # (index, value, first row) of each face; its rows
+    for var in sorted(fixings):
+        if not 1 <= var <= Q.n:
+            raise ValueError(f"variable x{var} out of range 1..{Q.n}")
+        value, (pairs, off) = fixings[var], Q.proj[var - 1]
+        fixed.append((var - 1, value, len(Q.rows) + len(new)))
+        new += ((pairs, value - off), (_neg(pairs), off - value))
+    if Q.empty_marker or not fixed:
         return Q
-    pairs, off = Q.proj[var - 1]
-    rhs = value - off
-    new = _int_rows(((pairs, rhs), (_neg(pairs), -rhs)))
-    return ExtendedFormulation(Q.n, Q.ydim, Q.rows + new, Q.proj,
-                               point_map=_face_map(Q.point_map, var - 1, value),
-                               dual_map=_face_dual(Q.dual_map, var - 1, value, len(Q.rows)))
+    return ExtendedFormulation(Q.n, Q.ydim, Q.rows + _int_rows(new), Q.proj,
+                               point_map=_face_map(Q.point_map, fixed),
+                               dual_map=_face_dual(Q.dual_map, fixed))
 
 
 def intersect(*arms: ExtendedFormulation) -> ExtendedFormulation:
@@ -504,13 +517,9 @@ def _count_kind(f: fm.Formula, kind: fm.Kind) -> int:
 
 
 def _restrict_block(Q, fixings, stats):
-    ef = Q
-    for var in sorted(fixings):
-        ef = face_restrict(ef, var, fixings[var])
+    ef = face_restrict(Q, fixings)
     stats["blocks"] += 1
-    if _decide_empty([ef], _witness([ef]), "block", stats):
-        return empty_formulation(Q.n)
-    return ef
+    return empty_formulation(Q.n) if _decide_empty([ef], _witness([ef]), "block", stats) else ef
 
 
 def _witness(arms, at=(0, None)):

@@ -280,7 +280,7 @@ def test_criterion_10_infrastructure():
 
         # negative controls: every checker must fail with a certificate
         phi_or = fm.parse("x1 | x2", 2)
-        broken = pt.face_restrict(pt.cube(2), 1, 1)
+        broken = pt.face_restrict(pt.cube(2), {1: 1})
         r = vf.check_sandwich(phi_or, pt.cube(2), lifted=broken)
         assert not r.passed and r.certificate
         r = vf.check_completeness(phi_or, 2, points=fm.point_set(2, [(1, 1)]))

@@ -492,6 +492,22 @@ def test_a_long_conjunction_costs_no_frame_per_conjunct(tmp_path, capsys):
                           "blocks=1800 elided=0 checked=2399 bound=27590 route=ef\n")
 
 
+def test_a_long_literal_block_costs_no_frame_per_fixing():
+    # a block of literals is one face with one point map and one dual map,
+    # so 300 literals are lifted and queried with little more stack than one
+    n = 300
+    phi = fm.reduce(fm.parse(" & ".join(f"x{i}" for i in range(1, n + 1)), n))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 150)
+    try:
+        ef, _ = pt.lift(phi, pt.cube(n))
+        got = (lp.proves_valid(ef, (1,) * n, n), lp.contains_point(ef, (1,) * n),
+               lp.contains_point(ef, (0,) + (1,) * (n - 1)))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == (True, True, False)
+
+
 @pytest.mark.parametrize("text, plain", [
     ("(" * 400 + "x1 | x2" + ")" * 400, "x1 | x2"),
     ("!(" * 200 + "x1 & !x2" + ")" * 200, "x1 & !x2"),
@@ -662,6 +678,9 @@ REFUSALS = [
     (["notchset"], 9, "dimension 9 exceeds face enumeration limit 8"),
     (["notchset"], 20, "dimension 20 exceeds face enumeration limit 8"),
     (["notchset"], 21, "dimension 21 exceeds face enumeration limit 8"),
+    # no bundle over more than the box limit can be lifted; gen bz refuses one
+    # before its n x n clause matrix
+    (["gen", "bz", "--n"], 2001, "dimension 2001 exceeds box limit 2000"),
 ]
 
 
@@ -676,7 +695,10 @@ def test_a_cap_is_refused_before_any_work(tmp_path, capsys, monkeypatch, argv, n
     monkeypatch.setattr(fm.Formula, "_eval", work)
     monkeypatch.setattr(hull, "vertices_of_rows", work)
     monkeypatch.setattr(lp, "_solve", work)
-    got = run(capsys, *argv, "--formula", _disjunction_file(tmp_path, n))
+    monkeypatch.setattr(fm, "covering_cnf", work)
+    tail = ([str(n), "--out", str(tmp_path)] if argv[-1] == "--n"
+            else ["--formula", _disjunction_file(tmp_path, n)])
+    got = run(capsys, *argv, *tail)
     assert got == (2, "", f"formlift: {message}\n")
 
 

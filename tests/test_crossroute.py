@@ -209,8 +209,8 @@ def test_built_int_rows_match_a_fresh_conversion(inst, data):
     cut = pt.with_xspace_rows(A, [(a, Fraction(2 * data.draw(st.integers(-3, 2)) + 1, 2))])
     unions = [(A, B), (cut, B), (B, cut)]
     built = [pt.balas_union(X, Y) for X, Y in unions]
-    for ef in (pt.intersect(A, B), pt.intersect(B, A), pt.face_restrict(A, var, 0),
-               pt.face_restrict(pt.intersect(A, Q), var, 1),
+    for ef in (pt.intersect(A, B), pt.intersect(B, A), pt.face_restrict(A, {var: 0}),
+               pt.face_restrict(pt.intersect(A, Q), {var: 1}),
                pt.with_xspace_rows(built[0], [(a, 1)]), cut, A, B, *built):
         assert ef.rows == lp._int_rows(_written_rows(ef))
     for (X, Y), U in zip(unions, built):

@@ -126,7 +126,7 @@ def test_equals_hull_pass_and_reasons():
     got = sum(ai * xi for ai, xi in zip(a, chk.point))
     assert got < rhs
     # too small a lift misses points
-    tight = pt.face_restrict(pt.cube(2), 1, 1)
+    tight = pt.face_restrict(pt.cube(2), {1: 1})
     chk2 = hull.equals_hull(tight, S)
     assert not chk2 and chk2.reason == "missing-point"
 

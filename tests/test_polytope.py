@@ -71,15 +71,28 @@ def test_from_hrep_rejects_bad_rows():
 
 
 def test_face_restrict_pins_variable():
-    Q = pt.face_restrict(pt.cube(2), 1, 1)
+    Q = pt.face_restrict(pt.cube(2), {1: 1})
     assert lp.contains_point(Q, (1, 0)) and lp.contains_point(Q, (1, 1))
     assert not lp.contains_point(Q, (0, 0))
     assert len(Q.rows) == len(pt.cube(2).rows) + 2
 
 
+def test_a_face_block_asks_its_base_at_most_twice(monkeypatch):
+    # only the base's own row proves x1 + ... + x8 >= 7 on the face
+    # x1 = ... = x6 = 1; a fold of six faces tries every subset of their terms
+    k = 6
+    base = pt.from_hrep(8, [((1,) * 8, k + 1)])
+    phi = fm.reduce(fm.parse(" & ".join(f"x{i}" for i in range(1, k + 1)), 8))
+    ef, _ = pt.lift(phi, base)
+    calls, box_dual = [], pt._box_dual
+    monkeypatch.setattr(pt, "_box_dual", lambda *args: calls.append(args) or box_dual(*args))
+    assert lp.proves_valid(ef, (1,) * 8, k + 1)
+    assert len(calls) <= 2
+
+
 def test_intersect_adds_tie_rows():
-    A = pt.face_restrict(pt.cube(2), 1, 1)
-    B = pt.face_restrict(pt.cube(2), 2, 0)
+    A = pt.face_restrict(pt.cube(2), {1: 1})
+    B = pt.face_restrict(pt.cube(2), {2: 0})
     C = pt.intersect(A, B)
     assert len(C.rows) == len(A.rows) + len(B.rows) + 2 * 2
     assert lp.contains_point(C, (1, 0))
@@ -87,8 +100,8 @@ def test_intersect_adds_tie_rows():
 
 
 def test_balas_union_is_convex_hull():
-    A = pt.face_restrict(pt.cube(2), 1, 0)  # segment x1 = 0
-    B = pt.face_restrict(pt.cube(2), 2, 0)  # segment x2 = 0
+    A = pt.face_restrict(pt.cube(2), {1: 0})  # segment x1 = 0
+    B = pt.face_restrict(pt.cube(2), {2: 0})  # segment x2 = 0
     U = pt.balas_union(A, B)
     assert len(U.rows) == len(A.rows) + len(B.rows)
     assert lp.contains_point(U, (F(1, 2), F(1, 2)))  # midpoint of (0,1)-(1,0)
@@ -101,8 +114,8 @@ def test_balas_union_no_multiplier_rows_needed():
     # scaled feasibility of box-rooted arms pins the multiplier: maxing and
     # minning any direction stays within the hull of the two arms
     rng = random.Random(2)
-    A = pt.face_restrict(pt.cube(3), 1, 1)
-    B = pt.face_restrict(pt.face_restrict(pt.cube(3), 2, 0), 3, 0)
+    A = pt.face_restrict(pt.cube(3), {1: 1})
+    B = pt.face_restrict(pt.cube(3), {2: 0, 3: 0})
     U = pt.balas_union(A, B)
     pts_a = [p for p in itertools.product((0, 1), repeat=3) if p[0] == 1]
     pts_b = [(0, 0, 0), (1, 0, 0)]
@@ -134,7 +147,7 @@ def test_balas_union_moves_between_projection_offsets():
     # arm A is x1 = 1 - y with y in [0, 1/2], so x1 in [1/2, 1]; arm B is the
     # face x1 = 0.  Their offsets differ, which the weight column must carry.
     A = pt.from_text("ef\nxvars 1\nyvars 1\nineq 1 >= 0\nineq -1 >= -1/2\nproj 1 1 -1\n")
-    U = pt.balas_union(A, pt.face_restrict(pt.cube(1), 1, 0))
+    U = pt.balas_union(A, pt.face_restrict(pt.cube(1), {1: 0}))
     assert lp.optimize(U, (1,), "min").value == 0
     assert lp.optimize(U, (1,), "max").value == 1
     for x, inside in ((F(-1, 4), False), (0, True), (F(1, 4), True), (F(3, 4), True),
@@ -158,7 +171,7 @@ def _arms(draw, through=False):
         if kind == "face":
             var = draw(st.integers(1, n))
             value = p[var - 1] if through else draw(st.integers(0, 1))
-            arms.append(pt.face_restrict(Q, var, value))
+            arms.append(pt.face_restrict(Q, {var: value}))
         elif kind == "lift":
             phi = vf.random_reduced_formula(n, draw(st.integers(1, 4)), neg_density=0.4,
                                             seed=draw(st.integers(0, 10**6)))
@@ -231,6 +244,48 @@ def test_intersect_needs_an_arm_of_one_dimension():
     Q = pt.cube(2)
     assert pt.intersect(Q) is Q
     assert pt.intersect(Q, pt.empty_formulation(2), Q).empty_marker
+
+
+@st.composite
+def _face_blocks(draw):
+    """(base, fixings, on the cube): a base over 1-5 variables, the cube, a
+    box-rooted polytope with up to 3 extra rows or a lift of a small formula over
+    one of them, and a block of fixings."""
+    n = draw(st.integers(1, 5))
+    extra = draw(st.lists(st.tuples(
+        st.lists(st.integers(-2, 2), min_size=n, max_size=n), st.integers(-2, 2)), max_size=3))
+    Q = pt.from_hrep(n, extra)
+    if draw(st.booleans()):
+        phi = vf.random_reduced_formula(n, draw(st.integers(1, 4)), neg_density=0.4,
+                                        seed=draw(st.integers(0, 10**6)))
+        Q = pt.lift(phi, Q)[0]
+    fixings = draw(st.dictionaries(st.integers(1, n), st.integers(0, 1), min_size=1))
+    return Q, fixings, Q.rows == pt.cube(n).rows
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_face_blocks())
+def test_a_face_block_is_the_fold_of_its_faces(case):
+    Q, fixings, on_cube = case
+    got = pt.face_restrict(Q, fixings)
+    want = functools.reduce(lambda ef, var: pt.face_restrict(ef, {var: fixings[var]}),
+                            sorted(fixings), Q)
+    assert (got.rows, got.proj, got.ydim, got.empty_marker) == \
+        (want.rows, want.proj, want.ydim, want.empty_marker)
+    points = [(p,) for p in itertools.product((0, 1), repeat=got.n)]
+    assert _answers(got.point_map, points) == _answers(want.point_map, points)
+    cuts = [(tuple(1 - 2 * v for v in p), 1 - sum(p)) for (p,) in points]
+    cuts += pt.cube(got.n).xspace_rows()
+    us = _answers(got.dual_map, cuts)
+    proved = [lp.proves_valid(got, *cut) for cut in cuts]
+    folded = [lp.proves_valid(want, *cut) for cut in cuts]
+    # every proposal of the block checks; the fold, which may try every
+    # subset of the paid terms, proves what the block proves, and on the
+    # cube it proposes the same multipliers
+    assert all(u is None or ok for u, ok in zip(us or (), proved))
+    assert all(ok <= fold for ok, fold in zip(proved, folded))
+    if on_cube:
+        assert us == _answers(want.dual_map, cuts)
 
 
 def _brute_set(phi, n):

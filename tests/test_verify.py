@@ -28,7 +28,7 @@ def test_sandwich_passes_on_bz4():
 
 def test_sandwich_fails_on_broken_lift_missing_point():
     phi = fm.parse("x1 | x2", 2)
-    broken = pt.face_restrict(pt.cube(2), 1, 1)  # drops the satisfying point (0,1)
+    broken = pt.face_restrict(pt.cube(2), {1: 1})  # drops the satisfying point (0,1)
     rep = vf.check_sandwich(phi, pt.cube(2), instance="broken", lifted=broken)
     assert not rep.passed
     assert "cut off by the lift" in rep.certificate
@@ -41,7 +41,7 @@ def test_sandwich_fails_on_broken_lift_missing_point():
 
 def test_sandwich_fails_when_lift_leaks_out():
     phi = fm.parse("x1 & x2", 2)
-    Q = pt.face_restrict(pt.cube(2), 1, 1)
+    Q = pt.face_restrict(pt.cube(2), {1: 1})
     rep = vf.check_sandwich(phi, Q, instance="leak", lifted=pt.cube(2))
     assert not rep.passed
     assert "base row" in rep.certificate
@@ -385,8 +385,8 @@ def _negative_controls(lie=False):
     lifted = pt.lift(fm.reduce(x1_or_x2), cube)[0]
     return [
         vf.check_sandwich(x1_or_x2, cube, instance="broken",
-                          lifted=keep(pt.face_restrict(cube, 1, 1))),
-        vf.check_sandwich(x1_and_x2, pt.face_restrict(cube, 1, 1), instance="leak",
+                          lifted=keep(pt.face_restrict(cube, {1: 1}))),
+        vf.check_sandwich(x1_and_x2, pt.face_restrict(cube, {1: 1}), instance="leak",
                           lifted=keep(cube)),
         vf.check_sandwich(diag, pt.lift(diag, cube)[0], instance="diag-leak", lifted=keep(cube)),
         vf.check_integrality(x1_and_x2, cube, instance="inflated", lifted=keep(cube)),
