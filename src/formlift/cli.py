@@ -154,10 +154,8 @@ def _cmd_lift(args):
 def _cmd_optimize(args):
     c = _parse_vector(args.obj, "--obj")
     Q = _load_ef(args.ef, len(c), lambda m: f"objective has {len(c)} entries, the formulation {m}")
-    if Q.empty_marker:
-        raise InputError("the formulation is empty; nothing to optimize")
-    out = lpsolve.optimize(Q, c, "max" if args.max else "min")
-    if out.status == "infeasible":
+    out = None if Q.empty_marker else lpsolve.optimize(Q, c, "max" if args.max else "min")
+    if out is None or out.status == "infeasible":
         raise InputError(f"{args.ef}: the formulation is empty; nothing to optimize")
     # both texts are made before either is printed, so a failure prints nothing
     value = _printable("the optimal value", str, out.value)

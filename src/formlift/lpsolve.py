@@ -28,19 +28,19 @@ answer.  Values, points and multipliers are handed back as `Fraction`s.
 
 The public entry points work either on a lifted formulation object or on
 plain dense inequality rows in x-space, converted on each call.  A
-formulation is duck typed: fields n, ydim, rows (int rows in the form
-`_int_rows` gives), proj, empty_marker, point_map and dual_map, and
-properties is_hrep and witnesses (its 0/1 points p with their proposed
-lifted y), each computed once and kept.  `contains_point` decides an x-space
-formulation by evaluating its rows, and proves a 0/1 point inside a lifted
-one by evaluating the rows at the lifted point that `point_map` proposes; no
-certificate is needed beyond that evaluation.  A fractional point that is a
-convex combination of witness points is proved inside the same way, at the
-same combination of their lifted ys, after one small LP finds the weights.
-`proves_valid` proves an x-space inequality valid from the row multipliers
-`dual_map` proposes, checked by the same combination code (`_implied`) as
-the solver's own dual and Farkas certificates; multipliers that fail decide
-nothing.
+formulation is duck typed: fields n, ydim, rows and proj (int rows in the
+form `_int_rows` gives; proj's row i stands for x_i = (a·y + b)/l),
+empty_marker, point_map and dual_map, and properties is_hrep and witnesses
+(its 0/1 points p with their proposed lifted y), each computed once and
+kept.  `contains_point` decides an x-space formulation by evaluating its
+rows, and proves a 0/1 point inside a lifted one by evaluating the rows at
+the lifted point that `point_map` proposes; no certificate is needed beyond
+that evaluation.  A fractional point that is a convex combination of witness
+points is proved inside the same way, at the same combination of their
+lifted ys, after one small LP finds the weights.  `proves_valid` proves an
+x-space inequality valid from the row multipliers `dual_map` proposes,
+checked by the same combination code (`_implied`) as the solver's own dual
+and Farkas certificates; multipliers that fail decide nothing.
 `contains_point` proves a 0/1 point outside that way, by its no-good cut.
 """
 
@@ -68,6 +68,11 @@ def _rational(v) -> Fraction:
     if isinstance(v, float):
         raise TypeError("floating point input is not accepted; pass int, str or Fraction")
     return Fraction(v)
+
+
+def _ints(vs) -> tuple:
+    """The exact values vs, each integral one as an int, on which products run fastest."""
+    return tuple(v.numerator if v.denominator == 1 else v for v in map(_rational, vs))
 
 
 @dataclass(frozen=True)
@@ -504,41 +509,26 @@ def optimize_rows(rows, dim, c, sense: str = "min") -> LpOutcome:
 
 
 def _y_objective(Q, c):
-    """The linear form c·x as pairs over y, and its constant, through the projection."""
+    """The linear form c·x as pairs over y, and its constant, through the
+    projection; ints where c_i and the row's l are integral."""
     obj = {}
-    const = Fraction(0)
-    for ci, (pairs, off) in zip(c, Q.proj):
+    const = 0
+    for ci, (a, b, l) in zip(c, Q.proj):
         if ci:
-            if off:
-                const += ci * off
-            for j, coef in pairs:
+            if l != 1:
+                ci = Fraction(ci, l)
+            if b:
+                const += ci * b
+            for j, coef in a:
                 v = ci * coef
                 obj[j] = obj[j] + v if j in obj else v
     return tuple((j, v) for j, v in obj.items() if v), const
 
 
 def _project(Q, Y, D=1):
-    """The x of the lifted point Y/D, for int numerators Y over D > 0.
-
-    Each coordinate sums int products over the common denominator of its
-    projection coefficients, and becomes one Fraction with its offset.
-    """
-    out = []
-    for pairs, off in Q.proj:
-        num, den = 0, 1
-        for j, coef in pairs:
-            v = Y[j]
-            if v:
-                cd = coef.denominator
-                if cd != den:
-                    k = lcm(den, cd)
-                    num *= k // den
-                    den = k
-                num += coef.numerator * (den // cd) * v
-        den *= D
-        out.append(Fraction(num * off.denominator + off.numerator * den,
-                            den * off.denominator))
-    return tuple(out)
+    """The x of the lifted point Y/D, for int numerators Y over D > 0:
+    x_i = (a·Y + b·D)/(l·D), one int sum per coordinate."""
+    return tuple(Fraction(sum([c * Y[j] for j, c in a]) + b * D, l * D) for a, b, l in Q.proj)
 
 
 def _x(Q, y):
@@ -568,7 +558,7 @@ def optimize(Q, c, sense: str = "min") -> LpOutcome:
     """
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', not {sense!r}")
-    c = tuple(_rational(v) for v in c)
+    c = _ints(c)
     if len(c) != Q.n:
         raise ValueError("objective length does not match the variable count")
     if Q.empty_marker:
@@ -666,10 +656,10 @@ def contains_point(Q, x) -> bool:
     elif Q.witnesses and _combined(Q, x):
         return True
     fix = []
-    for xi, (pairs, off) in zip(x, Q.proj):
-        rhs = xi - off
-        fix.append((pairs, rhs))
-        fix.append((_neg(pairs), -rhs))
+    for xi, (a, b, l) in zip(x, Q.proj):
+        rhs = xi * l - b  # (a·y + b)/l = x_i as a·y = x_i·l - b
+        fix.append((a, rhs))
+        fix.append((_neg(a), -rhs))
     status, *_ = _solve(Q.rows + _int_rows(fix), Q.ydim, _ZERO)
     return status == "optimal"
 
@@ -682,8 +672,7 @@ def proves_valid(Q, a, rhs) -> bool:
     """
     if Q.dual_map is None or Q.empty_marker:
         return False
-    # integral entries as ints, on which the composition runs fastest
-    a = tuple(v.numerator if v.denominator == 1 else v for v in map(_rational, a))
+    a = _ints(a)
     rhs = _rational(rhs)
     u = Q.dual_map(a, rhs)
     if u is None or any(v < 0 or not 0 <= r < len(Q.rows) for r, v in u.items()):

@@ -51,7 +51,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import formula as fm
 from . import hull, lpsolve
@@ -61,7 +61,8 @@ BOX_LIMIT = 2000
 
 # A linear expression over lifted variables: ((index, coef), ...) sorted by
 # index with nonzero coefficients.  A rational row (expr, rhs) means
-# expr·y >= rhs; an int row (a, b, l) means (a/l)·y >= b/l.
+# expr·y >= rhs; an int row (a, b, l) means (a/l)·y >= b/l as a row and
+# x_i = (a·y + b)/l as the projection of coordinate i.
 
 
 def _dense(pairs, dim) -> tuple:
@@ -77,8 +78,9 @@ def _dense_row(row, dim) -> tuple:
     return _dense(((j, Fraction(c, l)) for j, c in a), dim), Fraction(b, l)
 
 
-def _shift(pairs, by) -> tuple:
-    return tuple((j + by, c) for j, c in pairs)
+def _shift(pairs, by, k=1) -> tuple:
+    """The pairs moved `by` columns on, their values times k."""
+    return tuple((j + by, c * k) for j, c in pairs)
 
 
 @dataclass(frozen=True)
@@ -89,9 +91,10 @@ class ExtendedFormulation:
     a holds (column, nonzero int) pairs sorted by column, b is an int and l
     the least common denominator of the row, so equal rational rows are
     equal int rows (see `lpsolve._int_rows`); each constructor builds them
-    from its inputs' int rows.  `proj` gives one rational (expr, offset) per
-    x coordinate.  `empty_marker` flags the canonical empty formulation,
-    which carries the single unsatisfiable row 0 >= 1.
+    from its inputs' int rows.  `proj` holds one int row (a, b, l) in the
+    same canonical form per x coordinate, standing for x_i = (a·y + b)/l.
+    `empty_marker` flags the canonical empty formulation, which carries the
+    single unsatisfiable row 0 >= 1.
     `point_map` maps a 0/1 point to the lifted y its construction assigns
     (see the module docstring) or that a file's `wit` lines list, or is None
     for formulations built by hand or read from text without `wit` lines.
@@ -115,8 +118,7 @@ class ExtendedFormulation:
         """True when y is x itself: identity projection, rows in x-space."""
         if self.ydim != self.n:
             return False
-        return all(pairs == ((i, Fraction(1)),) and off == 0
-                   for i, (pairs, off) in enumerate(self.proj))
+        return all(row == (((i, 1),), 0, 1) for i, row in enumerate(self.proj))
 
     @cached_property
     def witnesses(self) -> tuple:
@@ -136,7 +138,7 @@ class ExtendedFormulation:
 
 
 def _identity_proj(n) -> tuple:
-    return tuple((((i, Fraction(1)),), Fraction(0)) for i in range(n))
+    return tuple((((i, 1),), 0, 1) for i in range(n))
 
 
 def empty_formulation(n: int) -> ExtendedFormulation:
@@ -340,12 +342,13 @@ def face_restrict(Q: ExtendedFormulation, fixings) -> ExtendedFormulation:
     for var in sorted(fixings):
         if not 1 <= var <= Q.n:
             raise ValueError(f"variable x{var} out of range 1..{Q.n}")
-        value, (pairs, off) = fixings[var], Q.proj[var - 1]
+        value, (a, b, l) = fixings[var], Q.proj[var - 1]
         fixed.append((var - 1, value, len(Q.rows) + len(new)))
-        new += ((pairs, value - off), (_neg(pairs), off - value))
+        # (a/l)·y = value - b/l as a row pair; canonical, as the projection is
+        new += ((a, value * l - b, l), (_neg(a), b - value * l, l))
     if Q.empty_marker or not fixed:
         return Q
-    return ExtendedFormulation(Q.n, Q.ydim, Q.rows + _int_rows(new), Q.proj,
+    return ExtendedFormulation(Q.n, Q.ydim, Q.rows + tuple(new), Q.proj,
                                point_map=_face_map(Q.point_map, fixed),
                                dual_map=_face_dual(Q.dual_map, fixed))
 
@@ -372,9 +375,15 @@ def intersect(*arms: ExtendedFormulation) -> ExtendedFormulation:
         offsets.append(len(rows))
         rows += [(_shift(a, dim), b, l) for a, b, l in X.rows]
         ties.append(len(rows))
-        # each tie row and its negation: the same l, the ints negated
-        for a, b, l in _int_rows([(pa + _shift(_neg(pb), dim), tb - ta)
-                                  for (pa, ta), (pb, tb) in zip(first.proj, X.proj)]):
+        # each tie row, first's x minus X's x >= 0 over l = lcm(la, lb),
+        # reduced by its gcd to the canonical form; then its negation
+        for (pa, ta, la), (pb, tb, lb) in zip(first.proj, X.proj):
+            l = lcm(la, lb)
+            ka, kb = l // la, l // lb
+            a, b = _shift(pa, 0, ka) + _shift(pb, dim, -kb), tb * kb - ta * ka
+            g = gcd(l, b, *dict(a).values()) if l > 1 else 1
+            if g > 1:
+                a, b, l = tuple((j, c // g) for j, c in a), b // g, l // g
             rows += [(a, b, l), (_neg(a), -b, l)]
         dim += X.ydim
     return ExtendedFormulation(first.n, dim, tuple(rows), first.proj,
@@ -411,14 +420,19 @@ def balas_union(*arms: ExtendedFormulation) -> ExtendedFormulation:
             if b and hi is not None:
                 a += ((hi, -b),)
             rows.append((a, b if hi is None else 0, l))
+    # each x_i over l, the lcm of the arms' l; canonical without a gcd, since for
+    # each prime power of l the last arm whose l it divides keeps an entry, a
+    # weight or the constant that it does not divide
     proj = []
     for i in range(n):
+        l = lcm(*[X.proj[i][2] for X in kept])
         p, t = [], None
         for X, s, lo in zip(kept, starts, w):
-            pi, ti = X.proj[i]
-            p += _shift(pi, s) + (((lo, t - ti),) if lo is not None and t != ti else ())
-            t = ti
-        proj.append((tuple(p), t))
+            a, b, k = X.proj[i]
+            b *= l // k
+            p += _shift(a, s, l // k) + (((lo, t - b),) if lo is not None and t != b else ())
+            t = b
+        proj.append((tuple(p), t, l))
     offsets = list(itertools.accumulate([len(X.rows) for X in kept[:-1]], initial=0))
     return ExtendedFormulation(n, dim, tuple(rows), tuple(proj),
                                point_map=_union_map([X.point_map for X in kept],
@@ -436,7 +450,7 @@ def with_xspace_rows(Q: ExtendedFormulation, rows) -> ExtendedFormulation:
         return Q
     extra = []
     for a, rhs in rows:
-        a = tuple(_rational(v) for v in a)
+        a = lpsolve._ints(a)
         if len(a) != Q.n:
             raise ValueError(f"row has {len(a)} coefficients, expected {Q.n}")
         expr, off = lpsolve._y_objective(Q, a)
@@ -701,7 +715,7 @@ def _coeffs(pairs, width, l=1) -> str:
 
 
 def _write(n, ydim, rows, proj) -> str:
-    """The text of int rows and rational projection; ydim 0 writes dense
+    """The text of int rows and projection; ydim 0 writes dense
     x-space `ineq` rows, ydim d sparse `row` lines of column:value pairs."""
     lines = ["ef", f"xvars {n}", f"yvars {ydim}"]
     if ydim:
@@ -709,8 +723,8 @@ def _write(n, ydim, rows, proj) -> str:
                      for a, b, l in rows)
     else:
         lines.extend("ineq " + _coeffs(a, n, l) + " >= " + _fmt(b, l) for a, b, l in rows)
-    lines.extend(f"proj {i} {_fmt(off)} " + _coeffs(pairs, ydim)
-                 for i, (pairs, off) in enumerate(proj, start=1))
+    lines.extend(f"proj {i} {_fmt(b, l)} " + _coeffs(a, ydim, l)
+                 for i, (a, b, l) in enumerate(proj, start=1))
     return "\n".join(lines) + "\n"
 
 
@@ -742,12 +756,6 @@ def _value(tok, where, memo) -> tuple:
         f = _parse_frac(tok, where)
         v = memo[tok] = (f.numerator, f.denominator)
     return v
-
-
-def _sparse(toks, memo) -> tuple:
-    """Nonzero (index, Fraction) pairs of `proj` coefficient tokens."""
-    pairs = ((j, _value(tok, "proj", memo)) for j, tok in enumerate(toks) if tok != "0")
-    return tuple((j, Fraction(c, d)) for j, (c, d) in pairs if c)
 
 
 def _int_row(pairs, rhs, where, memo) -> tuple:
@@ -819,10 +827,10 @@ def _table_map(table, d):
 def _parse_text(text: str, check=None) -> tuple:
     """The fields of a `to_text` file exactly as listed: (n, d, rows, proj, wits).
 
-    Rows are int rows (a, b, l) in file order and proj is ordered by x
-    index (empty when d is 0); wits maps each `wit` line's 0/1 point to its
-    tuple of indices.  Nothing is added or dropped.  Malformed input raises
-    ValueError.
+    Rows are int rows (a, b, l) in file order and proj holds the int row of
+    each x coordinate in x order (empty when d is 0); wits maps each `wit`
+    line's 0/1 point to its tuple of indices.  Nothing is added or dropped.
+    Malformed input raises ValueError.
     """
     lines = []
     for raw in text.splitlines():
@@ -872,8 +880,9 @@ def _parse_text(text: str, check=None) -> tuple:
                 raise ValueError(f"bad proj index {toks[1]!r}") from exc
             if not 1 <= i <= n or i in proj:
                 raise ValueError(f"bad or repeated proj index {i}")
-            off = _parse_frac(toks[2], "proj")
-            proj[i] = (_sparse(toks[3:], memo), off)
+            _value(toks[2], "proj", memo)  # the offset is read first, as it comes first
+            proj[i] = _int_row([(j, t) for j, t in enumerate(toks[3:]) if t != "0"],
+                               toks[2], "proj", memo)
         elif toks[0] == "wit":
             p, ones = _wit(toks, n, d, line)
             if p in wits:

@@ -287,12 +287,15 @@ def test_optimize_unbounded_or_empty_file_exits_two(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("formlift: ") and "unbounded" in err
     assert len(err.splitlines()) == 1
-    empty = tmp_path / "empty.ef"
-    empty.write_text("ef\nxvars 1\nyvars 1\nineq 1 >= 1\nineq -1 >= 0\nproj 1 0 1\n")
-    code, out, err = run(capsys, "optimize", "--ef", str(empty), "--min", "--obj=1")
-    assert code == 2 and out == ""
-    assert err.startswith("formlift: ") and "empty" in err
-    assert len(err.splitlines()) == 1
+    # a lifted file the LP finds infeasible, and the empty marker, in one wording
+    lifted = tmp_path / "empty.ef"
+    lifted.write_text("ef\nxvars 1\nyvars 1\nineq 1 >= 1\nineq -1 >= 0\nproj 1 0 1\n")
+    marker = tmp_path / "marker.ef"
+    marker.write_text("ef\nxvars 2\nyvars 0\nineq 0 0 >= 1\n")
+    for empty, obj in ((lifted, "--obj=1"), (marker, "--obj=1,1")):
+        code, out, err = run(capsys, "optimize", "--ef", str(empty), "--min", obj)
+        assert code == 2 and out == ""
+        assert err == f"formlift: {empty}: the formulation is empty; nothing to optimize\n"
 
 
 # A lifted file over x1 = y1 with only y1 >= y2: unbounded until it meets the box.

@@ -185,6 +185,21 @@ def _written_rows(ef):
     return rows
 
 
+def _written_proj(ef):
+    """The projection of ef as its text lists it, read with Fraction alone:
+    one rational row (pairs, offset) per x coordinate, the identity when the
+    text is in x-space."""
+    proj = []
+    for line in pt.to_text(ef).splitlines():
+        kind, *toks = line.split()
+        if kind == "proj":
+            i, off, *coeffs = toks
+            assert int(i) == len(proj) + 1
+            proj.append((tuple((j, Fraction(c)) for j, c in enumerate(coeffs) if Fraction(c)),
+                         Fraction(off)))
+    return proj or [(((i, 1),), 0) for i in range(ef.n)]
+
+
 def _disjunctive_rows(A, B):
     """The rational rows of conv(A ∪ B) over (yA, yB, lam), from the arms' written rows."""
     lam = A.ydim + B.ydim
@@ -197,22 +212,31 @@ def _disjunctive_rows(A, B):
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(_instances(max_size=5), st.data())
 def test_built_int_rows_match_a_fresh_conversion(inst, data):
-    # every constructor builds its int rows from its inputs' int rows, which
-    # must be the canonical int rows of the rationals the text writes; a
-    # union's rows must be its arms' rows scaled by the weight.  The cut has
-    # denominators 2 and 3, so that some rows have a scale other than 1.
+    # every constructor builds its int rows and its int projection from its
+    # inputs' int rows, which must be the canonical int rows of the rationals
+    # the text writes, with no Fraction left; a union's rows must be its arms'
+    # rows scaled by the weight.  The cut has denominators 2 and 3, so that
+    # some rows have a scale other than 1, and C's projection x_i = 1/2 - y/3
+    # has denominators, so that some projections do.
     phi, Q = inst
     A = pt.lift(phi, Q)[0]
     B = pt.lift(data.draw(_formulas(Q.n, data.draw(st.integers(1, 4)))), Q)[0]
+    C = pt.from_text(f"ef\nxvars {Q.n}\nyvars 1\nrow 0:1 >= 0\nrow 0:-1 >= -1\n"
+                     + "".join(f"proj {i} 1/2 -1/3\n" for i in range(1, Q.n + 1)))
     var = data.draw(st.integers(1, Q.n))
     a = tuple(Fraction(data.draw(st.integers(-2, 2)), 3) for _ in range(Q.n))
     cut = pt.with_xspace_rows(A, [(a, Fraction(2 * data.draw(st.integers(-3, 2)) + 1, 2))])
-    unions = [(A, B), (cut, B), (B, cut)]
+    unions = [(A, B), (cut, B), (B, cut), (C, A), (A, C), (C, C)]
     built = [pt.balas_union(X, Y) for X, Y in unions]
     for ef in (pt.intersect(A, B), pt.intersect(B, A), pt.face_restrict(A, {var: 0}),
-               pt.face_restrict(pt.intersect(A, Q), {var: 1}),
-               pt.with_xspace_rows(built[0], [(a, 1)]), cut, A, B, *built):
-        assert ef.rows == lp._int_rows(_written_rows(ef))
+               pt.face_restrict(pt.intersect(A, Q), {var: 1}), pt.face_restrict(C, {var: 1}),
+               pt.intersect(A, C), pt.intersect(C, C), pt.balas_union(C, A, C),
+               pt.with_xspace_rows(built[0], [(a, 1)]), pt.iterate_lift(phi, Q, 2),
+               cut, Q, A, B, C, *built):
+        for X in (ef, pt.from_text(pt.to_text(ef))):
+            assert X.rows == lp._int_rows(_written_rows(X))
+            assert X.proj == lp._int_rows(_written_proj(X))
+            assert all(type(v) is int for a, b, l in X.proj for v in (b, l, *dict(a).values()))
     for (X, Y), U in zip(unions, built):
         if not (X.empty_marker or Y.empty_marker):
             assert U.rows == lp._int_rows(_disjunctive_rows(X, Y))

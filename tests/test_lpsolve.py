@@ -351,7 +351,7 @@ def test_presolved_sign_rows_match_vertex_enumeration(system, sense):
     flip = -1 if sense == "max" else 1
     out = lp.optimize_rows(rows, n, c, sense)
     # the sparse rows, repeated columns included, must give the same solve
-    proj = tuple((((j, F(1)),), F(0)) for j in range(n))
+    proj = tuple((((j, 1),), 0, 1) for j in range(n))
     Q = pt.ExtendedFormulation(n, n, lp._int_rows(sparse), proj)
     if out.status == "unbounded":
         with pytest.raises(lp.UnboundedError):

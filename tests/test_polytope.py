@@ -531,7 +531,7 @@ def test_from_text_repeated_bad_token_same_error(text, message):
 def test_from_text_reads_unlike_spellings_of_one_value():
     Q = pt.from_text("ef\nxvars 1\nyvars 3\nineq 00 -0/4 2/4 >= -0\nproj 1 3/3 1/2 0 +1/2\n")
     assert Q.rows == ((((2, 1),), 0, 2),)
-    assert Q.proj == ((((0, F(1, 2)), (2, F(1, 2))), F(1)),)
+    assert Q.proj == ((((0, 1), (2, 1)), 2, 2),)
 
 
 _coef = st.builds(F, st.integers(-9, 9), st.integers(1, 12))
@@ -554,7 +554,7 @@ def _formulations(draw):
         return pt.from_hrep(n, rows)
     rows = draw(st.lists(st.tuples(_sparse_expr(d), _coef), max_size=8))
     proj = draw(st.lists(st.tuples(_sparse_expr(d), _coef), min_size=n, max_size=n))
-    Q = pt.ExtendedFormulation(n, d, lp._int_rows(rows), tuple(proj))
+    Q = pt.ExtendedFormulation(n, d, lp._int_rows(rows), lp._int_rows(proj))
     # an identity projection would be written as x-space rows, without box rows
     assume(not Q.is_hrep)
     return Q
@@ -572,6 +572,36 @@ def test_text_round_trip_property(Q):
         assert back == Q
     else:
         assert (back.n, back.ydim, back.rows, back.proj) == (Q.n, Q.ydim, Q.rows, Q.proj)
+
+
+def _text_proj(Q):
+    """The projection of Q as its text lists it, read with Fraction alone:
+    one dense (T_i, t_i) per x coordinate, the identity in x-space."""
+    lines = [line.split()[2:] for line in pt.to_text(Q).splitlines()
+             if line.startswith("proj ")]
+    if not lines:
+        return [([F(int(i == j)) for j in range(Q.n)], F(0)) for i in range(Q.n)]
+    return [([F(c) for c in coeffs], F(off)) for off, *coeffs in lines]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_formulations(), st.data())
+def test_int_projection_evaluates_like_fractions(Q, data):
+    # the int sums of _project and _y_objective against a plain Fraction
+    # evaluation of x = T y + t and c·x at y = Y/D, c with denominators
+    Y = data.draw(st.lists(st.integers(-9, 9), min_size=Q.ydim, max_size=Q.ydim))
+    D = data.draw(st.integers(1, 12))
+    c = data.draw(st.lists(_coef, min_size=Q.n, max_size=Q.n))
+    proj = _text_proj(Q)
+    x = tuple(sum((T_j * F(v, D) for T_j, v in zip(T, Y)), t) for T, t in proj)
+    assert lp._project(Q, Y, D) == x
+    cT = {j: sum(ci * T[j] for ci, (T, _) in zip(c, proj)) for j in range(Q.ydim)}
+    for cc in (c, lp._ints(c)):
+        pairs, const = lp._y_objective(Q, cc)
+        assert dict(pairs) == {j: v for j, v in cT.items() if v}
+        assert const == sum(ci * t for ci, (_, t) in zip(c, proj))
+        cx = sum(ci * xi for ci, xi in zip(c, x))
+        assert sum(v * F(Y[j], D) for j, v in pairs) + const == cx
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
@@ -628,7 +658,7 @@ def test_zero_spellings_are_dropped_and_decimals_read_exactly():
     Q = pt.from_text("ef\nxvars 1\nyvars 4\nineq 0/3 -0 00 1.5 >= 0/3\n"
                      "proj 1 -0 00 0/3 -0 1.5\n")
     assert Q.rows == ((((3, 3),), 0, 2),)
-    assert Q.proj == ((((3, F(3, 2)),), F(0)),)
+    assert Q.proj == ((((3, 3),), 0, 2),)
     Q = pt.from_text("ef\nxvars 2\nyvars 0\nineq 1.5 0/3 >= 00\n")
     assert Q.rows[0] == (((0, 3),), 0, 2)
 
