@@ -20,11 +20,12 @@ its 0/1 witness with the best objective, as the construction or the file's
 a wrong answer.
 
 Every answer carries an exact certificate that is re-verified on all of the
-rows as given before it is returned, by integer cross-multiplication over
-common denominators: an optimal solve checks primal feasibility, dual
-feasibility and strong duality, an infeasible solve checks its Farkas
-vector.  A failed check raises InternalError rather than returning a wrong
-answer.  Values, points and multipliers are handed back as `Fraction`s.
+rows as given before it is returned: an optimal solve checks primal
+feasibility, dual feasibility and strong duality, an infeasible solve its
+Farkas vector.  The point and the multipliers stay int numerators over one
+positive int from the tableau through these checks, which run on ints by
+cross-multiplication, and a failed one raises InternalError rather than
+returning a wrong answer.  `Fraction`s are made once, in the `LpOutcome`.
 
 The public entry points work either on a lifted formulation object or on
 plain dense inequality rows in x-space, converted on each call.  A
@@ -131,6 +132,7 @@ def _objective(pairs):
 
 
 _ZERO = _objective(())  # the objective 0·z
+_F0 = Fraction(0)  # every zero entry of an LpOutcome
 
 
 def _common(u):
@@ -139,23 +141,29 @@ def _common(u):
     return [v.numerator * (d // v.denominator) for v in u], d
 
 
-def _combination(irows, u):
-    """u·A and u·rhs of the rows as given, for multipliers u by row index.
+def _fractions(U, d):
+    """The int numerators U over d > 0 as Fractions, each zero as _F0."""
+    return tuple(Fraction(v, d) if v else _F0 for v in U)
 
-    Returns (comb, total, M): int numerators over one positive int M, comb a
-    dict by column.  Row i contributes with the int weight w_i = (u_i/l_i)·M.
+
+def _combination(irows, u, E):
+    """u·A and u·rhs of the rows as given, for multipliers u/E, u a dict of
+    int numerators by row index and E > 0.
+
+    Returns (comb, total, M): int numerators over M = L·E, comb a dict by
+    column.  Row i has the int weight u_i·(L // l_i), L the lcm of the l_i.
     """
-    M = lcm(*(v.denominator * irows[i][2] for i, v in u.items() if v))
+    L = lcm(*(irows[i][2] for i, v in u.items() if v))
     comb = {}
     total = 0
     for i, v in u.items():
         if v:
             a, b, l = irows[i]
-            w = v.numerator * (M // (v.denominator * l))
+            w = v * (L // l)
             for j, c in a:
                 comb[j] = comb.get(j, 0) + w * c
             total += w * b
-    return comb, total, M
+    return comb, total, L * E
 
 
 def _holds(irows, y) -> bool:
@@ -278,21 +286,21 @@ def _run(tab, den, basis, cost, cden, col_limit, rhs):
 
 
 def _multipliers(cost, cden, m, slack, bound):
-    """Row multipliers read off a final cost row, one per original row.
-
-    A tableau row's multiplier is the reduced cost of its slack; a sign row
-    (c/l)·z_j >= 0 presolved into the bound of variable j is the reduced cost
-    of column 2j divided by c/l.
+    """Row multipliers read off a final cost row, one per original row, as
+    int numerators U over E = cden·L, L the lcm of the presolved rows' c.
+    A tableau row's multiplier is the reduced cost of its slack; that of a
+    sign row (c/l)·z_j >= 0 presolved into the bound of variable j is the
+    reduced cost of column 2j divided by c/l.
     """
-    zero = Fraction(0)
-    u = [zero] * m
+    L = lcm(*(c for _, c, _ in bound.values()))
+    U = [0] * m
     for i in range(m):
         v = cost.get(slack + i)
         if v:
-            u[i] = Fraction(v, cden)
+            U[i] = v * L
     for j, (i, c, l) in bound.items():
-        u[i] = Fraction(cost.get(2 * j, 0) * l, cden * c)
-    return tuple(u)
+        U[i] = cost.get(2 * j, 0) * l * (L // c)
+    return U, cden * L
 
 
 def _shifted(irows, start):
@@ -312,7 +320,8 @@ def _solve(irows, dim, obj, start=None):
 
     irows come from `_int_rows`, obj is one int row (numerators, 0, scale)
     of the objective.  Returns (status, value, y, dual, farkas), exact and
-    self-verified.
+    self-verified: value a Fraction, y = (Y, D) and the multipliers (U, E)
+    int numerators over one positive int.
 
     The tableau is set up in z = y - start, with start an int point (the
     origin when None).  Rows that start satisfies have b - a·start <= 0 and
@@ -390,7 +399,7 @@ def _solve(irows, dim, obj, start=None):
             raise InternalError("phase one cannot be unbounded")
         if cost.get(RHS, 0) < 0:
             farkas = _multipliers(cost, cden, m, SLACK, bound)
-            _check_farkas(irows, farkas)
+            _check_farkas(irows, *farkas)
             return "infeasible", None, None, None, farkas
         # Pivot leftover artificials out.  Such a row was never a pivot row,
         # so its own slack column, which no other row holds, is still in it.
@@ -413,30 +422,29 @@ def _solve(irows, dim, obj, start=None):
     if status != "optimal":
         return "unbounded", None, None, None, None
 
-    y = [Fraction(0)] * dim if start is None else [Fraction(v) for v in start]
-    for col, row, d in zip(basis, tab, den):
-        v = row.get(RHS)
-        if v and col < SLACK:
-            j, neg = divmod(col, 2)
-            q = Fraction(-v if neg else v, d)
-            y[j] = y[j] + q if y[j] else q
-    y = tuple(y)
-    value = Fraction(-cost.get(RHS, 0), cden)
-    if start is not None:
-        C, _, k = obj
-        value += Fraction(sum(c * start[j] for j, c in C), k)
+    # y = start + z over D, the lcm of the basic rows that set a coordinate
+    sets = [(col, row[RHS], d) for col, row, d in zip(basis, tab, den)
+            if col < SLACK and RHS in row]
+    D = lcm(*(d for _, _, d in sets))
+    Y = [0] * dim if start is None else [v * D for v in start]
+    for col, v, d in sets:
+        j, neg = divmod(col, 2)
+        Y[j] += (-v if neg else v) * (D // d)
+    C, _, k = obj
+    shift = 0 if start is None else sum(c * start[j] for j, c in C)
+    value = Fraction(cden * shift - cost.get(RHS, 0) * k, cden * k)
     dual = _multipliers(cost, cden, m, SLACK, bound)
-    _check_optimal(irows, obj, value, y, dual)
-    return "optimal", value, y, dual, None
+    _check_optimal(irows, obj, value, Y, D, *dual)
+    return "optimal", value, (Y, D), dual, None
 
 
-def _implied(irows, obj, u):
-    """The bound u·rhs that multipliers u, a dict by row index whose signs
-    the caller checks, prove on obj·y over the rows: a Fraction when u·A =
-    obj exactly, by integer cross-multiplication over u's common
-    denominator M, else None.  obj is one int row (numerators, 0, scale).
+def _implied(irows, obj, u, E):
+    """The bound (u/E)·rhs that int multipliers u by row index over E > 0,
+    whose signs the caller checks, prove on obj·y over the rows: a Fraction
+    when (u/E)·A = obj exactly, by integer cross-multiplication, else None.
+    obj is one int row (numerators, 0, scale).
     """
-    comb, total, M = _combination(irows, u)
+    comb, total, M = _combination(irows, u, E)
     C, _, k = obj
     C = dict(C)
     if any(comb.get(j, 0) * k != C.get(j, 0) * M for j in comb.keys() | C.keys()):
@@ -444,30 +452,28 @@ def _implied(irows, obj, u):
     return Fraction(total, M)
 
 
-def _check_farkas(irows, farkas):
-    """farkas >= 0, farkas·A = 0 and farkas·rhs > 0 over the rows as given."""
-    if any(u < 0 for u in farkas):
+def _check_farkas(irows, U, E):
+    """U/E >= 0, (U/E)·A = 0 and (U/E)·rhs > 0 over the rows as given."""
+    if any(u < 0 for u in U):
         raise InternalError("negative Farkas multiplier")
-    gain = _implied(irows, _ZERO, dict(enumerate(farkas)))
+    gain = _implied(irows, _ZERO, dict(enumerate(U)), E)
     if gain is None or gain <= 0:
         raise InternalError("Farkas certificate does not refute the system")
 
 
-def _check_optimal(irows, obj, value, z, dual):
-    """z is feasible, dual >= 0, dual·A = obj and dual·rhs = obj·z = value.
-
-    Each identity is checked on ints over common denominators: z = Z/D and
-    obj = C/k, and the dual's combination by `_implied`.
+def _check_optimal(irows, obj, value, Y, D, U, E):
+    """z = Y/D is feasible, dual = U/E >= 0, dual·A = obj and dual·rhs =
+    obj·z = value, each identity checked on ints (obj = C/k), the dual's
+    combination by `_implied`.
     """
-    Z, D = _common(z)
-    if not _holds_over(irows, Z, D):
+    if not _holds_over(irows, Y, D):
         raise InternalError("reported optimum violates a constraint")
-    if any(u < 0 for u in dual):
+    if any(u < 0 for u in U):
         raise InternalError("negative dual multiplier")
     C, _, k = obj
-    if sum(c * Z[j] for j, c in C) * value.denominator != value.numerator * k * D:
+    if sum(c * Y[j] for j, c in C) * value.denominator != value.numerator * k * D:
         raise InternalError("objective value disagrees with the reported point")
-    if _implied(irows, obj, dict(enumerate(dual))) != value:
+    if _implied(irows, obj, dict(enumerate(U)), E) != value:
         raise InternalError("dual certificate does not prove optimality")
 
 
@@ -502,9 +508,9 @@ def optimize_rows(rows, dim, c, sense: str = "min") -> LpOutcome:
     status, value, z, dual, farkas = _solve(_int_rows(srows), dim,
                                             _objective(_pairs(flip * v for v in c)))
     if status == "optimal":
-        return LpOutcome("optimal", flip * value, z, None, dual, None)
+        return LpOutcome("optimal", flip * value, _fractions(*z), None, _fractions(*dual))
     if status == "infeasible":
-        return LpOutcome("infeasible", farkas=farkas)
+        return LpOutcome("infeasible", farkas=_fractions(*farkas))
     return LpOutcome("unbounded")
 
 
@@ -529,11 +535,6 @@ def _project(Q, Y, D=1):
     """The x of the lifted point Y/D, for int numerators Y over D > 0:
     x_i = (a·Y + b·D)/(l·D), one int sum per coordinate."""
     return tuple(Fraction(sum([c * Y[j] for j, c in a]) + b * D, l * D) for a, b, l in Q.proj)
-
-
-def _x(Q, y):
-    """The x of a lifted point y; y itself on an x-space formulation."""
-    return y if Q.is_hrep else _project(Q, *_common(y))
 
 
 def _start(Q, c):
@@ -573,8 +574,10 @@ def optimize(Q, c, sense: str = "min") -> LpOutcome:
     if status == "unbounded":
         raise UnboundedError("lifted formulations are bounded; unbounded solve")
     if status == "infeasible":
-        return LpOutcome("infeasible", farkas=farkas)
-    return LpOutcome("optimal", flip * (value + const), _x(Q, y), y, dual, None)
+        return LpOutcome("infeasible", farkas=_fractions(*farkas))
+    lifted = _fractions(*y)
+    x = lifted if Q.is_hrep else _project(Q, *y)
+    return LpOutcome("optimal", flip * (value + const), x, lifted, _fractions(*dual))
 
 
 def emptiness(Q) -> LpOutcome:
@@ -613,7 +616,7 @@ def _combined(Q, x) -> bool:
     status, _, lam, _, _ = _solve(_int_rows(rows), len(wits), _ZERO)
     if status != "optimal":
         return False
-    L, D = _common(lam)
+    L, D = lam
     Y = [0] * Q.ydim
     for w, (_, y) in zip(L, wits):
         if w:
@@ -670,13 +673,16 @@ def proves_valid(Q, a, rhs) -> bool:
     The proposed multipliers are checked exactly against Q's rows; False
     decides nothing (no map, no multipliers, or multipliers that fail).
     """
+    a = _ints(a)
+    if len(a) != Q.n:
+        raise ValueError("inequality length does not match the variable count")
     if Q.dual_map is None or Q.empty_marker:
         return False
-    a = _ints(a)
     rhs = _rational(rhs)
     u = Q.dual_map(a, rhs)
-    if u is None or any(v < 0 or not 0 <= r < len(Q.rows) for r, v in u.items()):
+    if u is None or not all(0 <= r < len(Q.rows) for r in u):
         return False
+    U, E = _common(u.values())
     obj, const = _y_objective(Q, a)
-    bound = _implied(Q.rows, _objective(obj), u)
-    return bound is not None and bound >= rhs - const
+    bound = _implied(Q.rows, _objective(obj), dict(zip(u, U)), E)
+    return min(U, default=0) >= 0 and bound is not None and bound >= rhs - const

@@ -251,8 +251,9 @@ def _exact(ef, a, beta, u):
     """u >= 0 proves a·x >= beta on ef with u·A = a·T and u·b = beta - a·t
     exactly; `_implied` leaves the signs to its caller."""
     obj, const = lp._y_objective(ef, a)
+    U, E = lp._common(u.values())
     return (all(v >= 0 for v in u.values())
-            and lp._implied(ef.rows, lp._objective(obj), u) == beta - const)
+            and lp._implied(ef.rows, lp._objective(obj), dict(zip(u, U)), E) == beta - const)
 
 
 def _plain(ef):

@@ -129,6 +129,15 @@ def test_contains_point():
     assert not lp.contains_point(pt.empty_formulation(2), (0, 0))
 
 
+def test_proves_valid_refuses_a_wrong_length():
+    # a truncated inequality on the cube, a long one on the cube, and a short
+    # one on a lift: each is refused before any dual map is asked
+    ef, _ = pt.lift(fm.parse("x1 | x2", 2), pt.cube(2))
+    for Q, a in ((pt.cube(2), (1,)), (pt.cube(2), (1, 1, 1)), (ef, (1,))):
+        with pytest.raises(ValueError, match="inequality length"):
+            lp.proves_valid(Q, a, 0)
+
+
 def test_membership_through_projection():
     # lifted formulation of conv({(0,0),(1,1)}) via a disjunction
     phi = fm.parse("x1 & x2 | !x1 & !x2", 2)
@@ -268,7 +277,7 @@ def test_check_optimal_refuses_tampered_certificates(c):
     out = lp.optimize_rows(TAMPER_ROWS, 2, c)
     irows = _int_rows(TAMPER_ROWS)
     obj = lp._objective(tuple(enumerate(c)))
-    lp._check_optimal(irows, obj, out.value, out.x, out.dual)
+    lp._check_optimal(irows, obj, out.value, *lp._common(out.x), *lp._common(out.dual))
     k = next(i for i, v in enumerate(out.dual) if v)
     # row 0 violated by exactly 1/7, moving x1 alone
     (a0, a1), b = TAMPER_ROWS[0]
@@ -283,23 +292,57 @@ def test_check_optimal_refuses_tampered_certificates(c):
     ]
     for why, (value, x, dual) in tampered:
         with pytest.raises(lp.InternalError, match=why):
-            lp._check_optimal(irows, obj, value, x, dual)
+            lp._check_optimal(irows, obj, value, *lp._common(x), *lp._common(dual))
 
 
 def test_check_farkas_refuses_tampered_certificates():
     out = lp.optimize_rows(FARKAS_ROWS, 2, (F(0), F(0)))
     irows = _int_rows(FARKAS_ROWS)
-    lp._check_farkas(irows, out.farkas)
+    lp._check_farkas(irows, *lp._common(out.farkas))
     assert all(out.farkas[:2])
     for u in (_bumped(out.farkas, 0, F(1, 7)), _bumped(out.farkas, 1, F(1, 7)),
               _bumped(out.farkas, 4, F(1, 7))):
         with pytest.raises(lp.InternalError, match="does not refute"):
-            lp._check_farkas(irows, u)  # farkas·A is no longer 0
+            lp._check_farkas(irows, *lp._common(u))  # farkas·A is no longer 0
     for u in ((F(0),) * 5, (F(0), F(0), F(0), F(1), F(1, 2))):
         with pytest.raises(lp.InternalError, match="does not refute"):
-            lp._check_farkas(irows, u)  # farkas·A = 0 but farkas·rhs = 0
+            lp._check_farkas(irows, *lp._common(u))  # farkas·A = 0 but farkas·rhs = 0
     with pytest.raises(lp.InternalError, match="negative Farkas"):
-        lp._check_farkas(irows, _bumped(out.farkas, 4, F(-1, 7)))
+        lp._check_farkas(irows, *lp._common(_bumped(out.farkas, 4, F(-1, 7))))
+
+
+def test_solves_run_their_own_certificate_check(monkeypatch):
+    # one more unit on the first nonzero multiplier numerator must stop the
+    # solve itself, on its dual and on its Farkas vector alike
+    real = lp._multipliers
+
+    def tampered(*args):
+        U, E = real(*args)
+        k = next(i for i, v in enumerate(U) if v)
+        U[k] += 1
+        return U, E
+
+    monkeypatch.setattr(lp, "_multipliers", tampered)
+    with pytest.raises(lp.InternalError, match="dual certificate does not prove optimality"):
+        lp.optimize_rows(TAMPER_ROWS, 2, (1, 1))
+    with pytest.raises(lp.InternalError, match="does not refute"):
+        lp.optimize_rows(FARKAS_ROWS, 2, (0, 0))
+
+
+def test_outcomes_hold_fractions_only():
+    # the solver computes on ints; every entry it hands back is a Fraction,
+    # so that a caller's division stays exact
+    ef, _ = pt.lift(inst.gen_bz(4).formula, pt.cube(4))
+    c = (1, -1, 1, -1)
+    assert lp._start(ef, c) is not None
+    outs = [lp.optimize_rows(TAMPER_ROWS, 2, (1, 1)), lp.optimize(pt.cube(3), (1, -1, 0), "max"),
+            lp.optimize(ef, c), lp.optimize_rows(FARKAS_ROWS, 2, (0, 0)),
+            lp.emptiness(pt.with_xspace_rows(ef, [((1, 1, 1, 1), 5)]))]
+    assert [o.status for o in outs] == ["optimal"] * 3 + ["infeasible"] * 2
+    for o in outs:
+        for vec in (o.x, o.y, o.dual, o.farkas):
+            assert all(type(v) is Fraction for v in vec or ())
+        assert o.value is None or type(o.value) is Fraction
 
 
 # Sign rows c·y_j >= 0 with c > 0 become column bounds inside the solver; the
@@ -529,7 +572,7 @@ def test_started_solves_agree_with_cold_solves():
         assert not lp._holds(ef.rows, (1,) * ef.ydim)
         for status, value, y, dual, _ in results:
             assert status == "optimal" and value == results[0][1]
-            lp._check_optimal(ef.rows, obj, value, y, dual)
+            lp._check_optimal(ef.rows, obj, value, *y, *dual)
 
 
 def test_feasible_start_skips_phase_one(monkeypatch):
