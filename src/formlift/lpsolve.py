@@ -33,15 +33,17 @@ formulation is duck typed: fields n, ydim, rows and proj (int rows in the
 form `_int_rows` gives; proj's row i stands for x_i = (a·y + b)/l),
 empty_marker, point_map and dual_map, and properties is_hrep and witnesses
 (its 0/1 points p with their proposed lifted y), each computed once and
-kept.  `contains_point` decides an x-space formulation by evaluating its
-rows, and proves a 0/1 point inside a lifted one by evaluating the rows at
-the lifted point that `point_map` proposes; no certificate is needed beyond
-that evaluation.  A fractional point that is a convex combination of witness
-points is proved inside the same way, at the same combination of their
-lifted ys, after one small LP finds the weights.  `proves_valid` proves an
-x-space inequality valid from the row multipliers `dual_map` proposes,
-checked by the same combination code (`_implied`) as the solver's own dual
-and Farkas certificates; multipliers that fail decide nothing.
+kept.  `contains_point` reads x once as int numerators X over one d and
+decides an x-space formulation by evaluating its rows there.  It proves a
+0/1 point inside a lifted one with `_lifts`, which checks on ints that the
+y `point_map` proposes satisfies every row and projects to x, as the
+witness scan of `polytope` does; no certificate is needed beyond that.  A
+fractional point that is a convex combination of witness points is proved
+inside the same way, at that combination of their lifted ys, after one
+small LP finds the weights.  `proves_valid` proves an x-space inequality
+valid from the row multipliers `dual_map` proposes, checked by the same
+combination code (`_implied`) as the solver's own dual and Farkas
+certificates; multipliers that fail decide nothing.
 `contains_point` proves a 0/1 point outside that way, by its no-good cut.
 """
 
@@ -65,15 +67,20 @@ class UnboundedError(InternalError):
 
 
 def _rational(v) -> Fraction:
-    """v as an exact Fraction; floats are refused because they are not exact."""
+    """v as an exact Fraction, a Fraction itself unchanged; floats are
+    refused because they are not exact."""
+    if type(v) is Fraction:
+        return v
     if isinstance(v, float):
         raise TypeError("floating point input is not accepted; pass int, str or Fraction")
     return Fraction(v)
 
 
 def _ints(vs) -> tuple:
-    """The exact values vs, each integral one as an int, on which products run fastest."""
-    return tuple(v.numerator if v.denominator == 1 else v for v in map(_rational, vs))
+    """The exact values vs, each integral one as an int, on which products
+    run fastest; an int entry is kept as it is."""
+    vs = [v if type(v) is int else _rational(v) for v in vs]
+    return tuple(v.numerator if v.denominator == 1 else v for v in vs)
 
 
 @dataclass(frozen=True)
@@ -537,6 +544,14 @@ def _project(Q, Y, D=1):
     return tuple(Fraction(sum([c * Y[j] for j, c in a]) + b * D, l * D) for a, b, l in Q.proj)
 
 
+def _lifts(Q, Y, D, X, d=1) -> bool:
+    """Y/D is a point of Q over X/d, for int numerators Y over D > 0 and X
+    over d > 0: the projection (a·Y + b·D)/(l·D) is X_i/d in each
+    coordinate, (a·Y + b·D)·d == X_i·l·D, and every row holds at Y/D."""
+    return all((sum([c * Y[j] for j, c in a]) + b * D) * d == xi * l * D
+               for xi, (a, b, l) in zip(X, Q.proj)) and _holds_over(Q.rows, Y, D)
+
+
 def _start(Q, c):
     """Where a solve over a lifted Q starts: the y of its witness p with the
     least c·p (the first such p in `witnesses` order), or None on an x-space
@@ -597,19 +612,19 @@ def is_empty(Q) -> bool:
     return emptiness(Q).status == "infeasible"
 
 
-def _combined(Q, x) -> bool:
-    """True when x = Σ λ_p·p over Q's witnesses p proves x inside Q.
+def _combined(Q, X, d) -> bool:
+    """True when x = X/d = Σ λ_p·p over Q's witnesses p proves x inside Q.
 
-    One small exact LP finds λ >= 0 with Σ λ_p·p = x and Σ λ_p = 1; the
-    lifted point y = Σ λ_p·y_p must then satisfy every row of Q and project
-    to x.  Since Q is convex and contains each proved y_p, a convex
+    One small exact LP finds λ >= 0 with Σ d·λ_p·p = X and Σ λ_p = 1; the
+    lifted point y = Σ λ_p·y_p must then be a point of Q over x (`_lifts`).
+    Since Q is convex and contains each proved y_p, a convex
     combination of 0/1 points of the set is proved this way; False decides
     nothing (x outside the witnesses' hull, or a witness y that fails).
     """
     wits = Q.witnesses
     rows = [(((k, 1),), 0) for k in range(len(wits))]
-    for i, xi in enumerate(x):
-        pairs = tuple((k, 1) for k, (p, _) in enumerate(wits) if p[i])
+    for i, xi in enumerate(X):
+        pairs = tuple((k, d) for k, (p, _) in enumerate(wits) if p[i])
         rows += ((pairs, xi), (_neg(pairs), -xi))
     ones = tuple((k, 1) for k in range(len(wits)))
     rows += ((ones, 1), (_neg(ones), -1))
@@ -623,7 +638,7 @@ def _combined(Q, x) -> bool:
             for j, v in enumerate(y):
                 if v:
                     Y[j] += w * v
-    return _holds_over(Q.rows, Y, D) and _project(Q, Y, D) == x
+    return _lifts(Q, Y, D, X, d)
 
 
 def contains_point(Q, x) -> bool:
@@ -640,27 +655,26 @@ def contains_point(Q, x) -> bool:
     columns as witnesses.  Every question still open is an exact
     feasibility solve over Q's rows with x fixed.
     """
-    x = tuple(_rational(v) for v in x)
-    if len(x) != Q.n:
+    X, d = _common(_ints(x))
+    if len(X) != Q.n:
         raise ValueError("point length does not match the variable count")
     if Q.empty_marker:
         return False
     if Q.is_hrep:
-        return _holds(Q.rows, x)
-    if all(v == 0 or v == 1 for v in x):
+        return _holds_over(Q.rows, X, d)
+    if d == 1 and all(v == 0 or v == 1 for v in X):
         if Q.point_map is not None:
-            y = Q.point_map(x)
-            if y is not None:
-                Y, D = _common(y)
-                if _holds_over(Q.rows, Y, D) and _project(Q, Y, D) == x:
-                    return True
-        if proves_valid(Q, tuple(1 - 2 * v for v in x), 1 - sum(x)):
+            y = Q.point_map(tuple(X))
+            if y is not None and _lifts(Q, *_common(y), X):
+                return True
+        if proves_valid(Q, tuple(1 - 2 * v for v in X), 1 - sum(X)):
             return False
-    elif Q.witnesses and _combined(Q, x):
+    elif Q.witnesses and _combined(Q, X, d):
         return True
     fix = []
-    for xi, (a, b, l) in zip(x, Q.proj):
-        rhs = xi * l - b  # (a·y + b)/l = x_i as a·y = x_i·l - b
+    for xi, (a, b, l) in zip(X, Q.proj):
+        a = tuple((j, c * d) for j, c in a)
+        rhs = xi * l - b * d  # (a·y + b)/l = X_i/d as d·a·y = X_i·l - b·d
         fix.append((a, rhs))
         fix.append((_neg(a), -rhs))
     status, *_ = _solve(Q.rows + _int_rows(fix), Q.ydim, _ZERO)
@@ -678,7 +692,7 @@ def proves_valid(Q, a, rhs) -> bool:
         raise ValueError("inequality length does not match the variable count")
     if Q.dual_map is None or Q.empty_marker:
         return False
-    rhs = _rational(rhs)
+    rhs, = _ints((rhs,))
     u = Q.dual_map(a, rhs)
     if u is None or not all(0 <= r < len(Q.rows) for r in u):
         return False

@@ -22,8 +22,9 @@ the construction assigns to p, or None when p is not in the set.  A box
 keeps y = p when its rows hold at p, a face block keeps the base's y when
 p has every fixed value, an intersection of k arms concatenates their ys,
 and a union puts p in the first arm that lifts it with weight 1 and zeros
-the other arms.  Evaluating the rows at that y certifies membership and
-nonemptiness without an LP; a y that fails the rows decides nothing.
+the other arms.  Evaluating the rows and the projection at that y, on ints
+(`lpsolve._lifts`), certifies membership and nonemptiness without an LP; a
+y that fails the rows or projects elsewhere decides nothing.
 
 They also carry the dual map of their construction: for an x-space
 inequality a·x >= beta it returns multipliers u >= 0 on the rows, as a dict
@@ -472,10 +473,10 @@ class LiftReport:
     `elided_arms` counts disjunction arms dropped because they were proved
     empty, and `emptiness` records each feasibility decision in construction
     order as "<site>:<verdict>".  Of those decisions, `witnessed` were made by
-    a 0/1 point whose lifted y satisfies every row and the rest, `lp_decided`,
-    by an exact LP; every "empty" verdict is an LP's.  `route` is "ef" for
-    the extended-formulation construction and "hull" for rounds compacted
-    through vertex enumeration.  The row bound
+    a 0/1 point p whose lifted y satisfies every row and projects to p, and
+    the rest, `lp_decided`, by an exact LP; every "empty" verdict is an
+    LP's.  `route` is "ef" for the extended-formulation construction and
+    "hull" for rounds compacted through vertex enumeration.  The row bound
     leaves(phi)*(base_rows+2) + 2n*and_count applies to the "ef" route: a
     leaf, literal or constant, takes at most base_rows+2 rows and each AND
     at most 2n more.  A reduced formula has and_count + or_count + 1
@@ -536,44 +537,29 @@ def _restrict_block(Q, fixings, stats):
     return empty_formulation(Q.n) if _decide_empty([ef], _witness([ef]), "block", stats) else ef
 
 
-def _witness(arms, at=(0, None)):
+def _witness(arms, start=0):
     """Resume the lexicographic scan of 0/1 points for a witness of the
-    intersection of `arms`: a point that every arm's point map lifts to a y
-    satisfying the arm's rows and, after the first arm, projecting to the
-    first arm's x, as the tie rows say.  `at` = (i, (Y, D)) starts at the
-    i-th point, where all arms but the last hold and the first lifts it to
-    Y/D; the default starts a single arm.  Returns that pair for the first
-    witness, where the scan for one more arm resumes, since a witness of k
-    arms is one of their first k-1; or None, also without a map or above
-    hull.HULL_LIMIT.
+    intersection of `arms`: a point p that every arm's point map lifts to a
+    y of the arm over p (`lpsolve._lifts`), so that the tie rows hold too.
+    The scan starts at the `start`-th point, which every arm but the last
+    lifts (the default starts a single arm), and returns the index of the
+    first witness, where the scan for one more arm resumes, since a witness
+    of k arms is one of their first k-1; or None, also without a map or
+    above hull.HULL_LIMIT.
     """
     n = arms[0].n
     first = len(arms) - 1
     if arms[first].point_map is None or n > hull.HULL_LIMIT:
         return None
-    start, y0 = at
-    x0 = None  # the first arm's x, projected when a later arm needs it
     for i, p in enumerate(itertools.islice(itertools.product((0, 1), repeat=n), start, None),
                           start):
-        j = first
-        while j < len(arms):
-            y = arms[j].point_map(p)
-            if y is None:
+        for Q in arms[first:]:
+            y = Q.point_map(p)
+            if y is None or not lpsolve._lifts(Q, *lpsolve._common(y), p):
                 break
-            Y, D = lpsolve._common(y)
-            if not lpsolve._holds_over(arms[j].rows, Y, D):
-                break
-            if not j:
-                y0 = Y, D
-            else:
-                if x0 is None:
-                    x0 = lpsolve._project(arms[0], *y0)
-                if lpsolve._project(arms[j], Y, D) != x0:
-                    break
-            j += 1
         else:
-            return i, y0
-        first, x0 = 0, None
+            return i
+        first = 0
     return None
 
 
@@ -603,7 +589,7 @@ def _lift_collapse(f, Q, stats):
         return _restrict_block(Q, fixings, stats)
     # conjunction with at least one disjunction below: lift the OR conjuncts,
     # decide each prefix of their intersection, then batch the fixings on top
-    arms, at = [], (0, None)
+    arms, at = [], 0
     for conjunct in rest:
         X = _lift_collapse(conjunct, Q, stats)
         if X.empty_marker:

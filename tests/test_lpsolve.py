@@ -108,6 +108,34 @@ def test_optimize_rejects_floats():
         lp.optimize(pt.cube(2), (0.5, 1))
 
 
+def test_points_and_right_sides_refuse_floats():
+    # the int fast path of _ints lets no float through; str and bool still read
+    with pytest.raises(TypeError):
+        lp.contains_point(pt.cube(2), (0.5, 0))
+    with pytest.raises(TypeError):
+        lp.proves_valid(pt.cube(2), (1, 0), 0.5)
+    assert lp.contains_point(pt.cube(2), ("1/2", True))
+    assert not lp.contains_point(pt.cube(2), ("3/2", False))
+    assert lp.proves_valid(pt.cube(2), ("1", False), "0")
+    half = F(1, 2)
+    assert lp._rational(half) is half
+
+
+def test_witness_and_inside_paths_make_no_fractions(monkeypatch):
+    # every emptiness site of bz4 is witnessed and every satisfying 0/1 point
+    # proved inside by the point map, all on ints: no projection is built
+    def refuse(*args):
+        raise AssertionError("_project called")
+
+    monkeypatch.setattr(lp, "_project", refuse)
+    phi = inst.gen_bz(4).formula
+    ef, rep = pt.lift(phi, pt.cube(4))
+    assert rep.emptiness and rep.witnessed == len(rep.emptiness)
+    inside = [p for p in itertools.product((0, 1), repeat=4) if phi.evaluate(p)]
+    assert len(inside) == 11
+    assert all(lp.contains_point(ef, p) for p in inside)
+
+
 def test_emptiness_certificates():
     out = lp.emptiness(pt.cube(2))
     assert out.status == "optimal"

@@ -1,5 +1,7 @@
+import dataclasses
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -587,14 +589,25 @@ def _text_proj(Q):
 @settings(max_examples=150, deadline=None)
 @given(_formulations(), st.data())
 def test_int_projection_evaluates_like_fractions(Q, data):
-    # the int sums of _project and _y_objective against a plain Fraction
-    # evaluation of x = T y + t and c·x at y = Y/D, c with denominators
+    # the int sums of _project, _lifts and _y_objective against a plain
+    # Fraction evaluation of the rows, x = T y + t and c·x at y = Y/D, c with
+    # denominators, over X/d equal to x or one unit off in one coordinate
     Y = data.draw(st.lists(st.integers(-9, 9), min_size=Q.ydim, max_size=Q.ydim))
     D = data.draw(st.integers(1, 12))
     c = data.draw(st.lists(_coef, min_size=Q.n, max_size=Q.n))
     proj = _text_proj(Q)
     x = tuple(sum((T_j * F(v, D) for T_j, v in zip(T, Y)), t) for T, t in proj)
     assert lp._project(Q, Y, D) == x
+    d = math.lcm(*(v.denominator for v in x)) * data.draw(st.integers(1, 3))
+    X = [int(v * d) for v in x]
+    off = data.draw(st.integers(-1, Q.n - 1))
+    if off >= 0:
+        X[off] += data.draw(st.sampled_from((-1, 1)))
+    over = tuple(F(v, d) for v in X) == x
+    assert over == (off < 0)
+    rows = all(sum(F(k, l) * F(Y[j], D) for j, k in a) >= F(b, l) for a, b, l in Q.rows)
+    assert lp._lifts(Q, Y, D, X, d) == (rows and over)
+    assert lp._lifts(dataclasses.replace(Q, rows=()), Y, D, X, d) == over
     cT = {j: sum(ci * T[j] for ci, (T, _) in zip(c, proj)) for j in range(Q.ydim)}
     for cc in (c, lp._ints(c)):
         pairs, const = lp._y_objective(Q, cc)
