@@ -384,8 +384,20 @@ def _parser() -> argparse.ArgumentParser:
     return top
 
 
+def _vectors_joined(argv) -> list:
+    """argv with each `--obj v` and `--point v` written as `--obj=v`, so that
+    argparse takes a vector that starts with `-`, such as -1,1, as the value."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--obj", "--point"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def dispatch(argv) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_vectors_joined(argv))
     try:
         if (getattr(args, "rounds", None) or 0) < 0:
             raise InputError("rounds must be nonnegative")

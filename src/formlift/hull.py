@@ -6,9 +6,10 @@ vertex enumeration of an inequality system runs double description on its
 homogenization.  The kernel runs on Python ints: rows, rays and points
 are primitive integer tuples (a point X/d is kept as (X, d)), Gaussian
 elimination is fraction-free, and each ray carries its zero set as a
-bitmask.  `fractions.Fraction` appears only at the edges: reading rational
-rows and points, dividing a ray by its homogenizing coordinate, and the
-values handed back to callers.  Inputs are capped at dimension HULL_LIMIT
+bitmask.  A FacetList holds int rows (a, b, l), as formulations do, and
+`fractions.Fraction` appears only at the edges: reading rational rows and
+points, a FacetList's `Fraction` rows, built when read, and the points and
+rays handed back to callers.  Inputs are capped at dimension HULL_LIMIT
 because the method is exponential in general.  The x-space lift runs one
 double description per OR chain: an OR node's points are the union of its
 arms' points, nested ORs included, and only the chain's root is hulled.
@@ -35,7 +36,7 @@ from operator import mul
 
 from . import formula as fm
 from . import lpsolve
-from .lpsolve import _pairs, _rational
+from .lpsolve import _dense_row, _int_rows, _neg, _pairs, _rational
 
 HULL_LIMIT = 8
 
@@ -63,19 +64,16 @@ def _sign_normalized(vec) -> tuple[int, ...]:
     return p
 
 
-def _homogeneous(a, rhs) -> tuple[int, ...]:
-    """The row a·x >= rhs as a primitive int row h with h·(x, 1) >= 0."""
-    return _primitive((*a, -rhs))
+def _hrow(row, n) -> tuple[int, ...]:
+    """The int row (a, b, l) as the primitive int row h with h·(x, 1) >= 0."""
+    a = dict(row[0])
+    return _reduced([a.get(j, 0) for j in range(n)] + [-row[1]])
 
 
 def _point(g) -> tuple[Fraction, ...]:
     """The rational point X/d of a homogeneous point g = (X, d), d > 0."""
     d = g[-1]
     return tuple(Fraction(v, d) for v in g[:-1])
-
-
-def _fractions(vec) -> tuple[Fraction, ...]:
-    return tuple(map(Fraction, vec))
 
 
 # ---------------------------------------------------------------------------
@@ -304,38 +302,42 @@ def _check_dim(n):
         raise ValueError(f"dimension {n} exceeds hull limit {HULL_LIMIT}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FacetList:
     """H-description in x-space: rows a·x >= rhs plus affine equations.
 
     `facets_of_points` produces irredundant lists; the type itself also
     serves as a plain container of known valid rows, each with n
-    coefficients.  The same rows come as homogeneous int rows too, outside
-    equality: `hfacets` holds each facet as the primitive row h with
-    h·(x, 1) >= 0 and `hequations` each equation as one with h·(x, 1) = 0.
-    `hvertices` holds the vertices as homogeneous int points (X, d) for
-    X/d, certified from both sides: a round of `lift_hrep` carries the list
-    it was certified with, and any other FacetList gets its list from
-    `certified_vertices`.  It is None when the rows state no polytope
-    inside the unit box: a ray, a line or a vertex outside [0, 1]^n.
+    coefficients, kept at their scale as int rows (a, b, l) in the form of
+    `lpsolve._int_rows`: `ifacets` and `iequations`, which decide equality.
+    `facets` and `equations` are the same rows as dense `Fraction` rows,
+    built when read.  `hvertices` holds the vertices as homogeneous int
+    points (X, d) for X/d, certified from both sides: a round of
+    `lift_hrep` carries the list it was certified with, and any other
+    FacetList gets its list from `certified_vertices`.  It is None when
+    the rows state no polytope inside the unit box: a ray, a line or a
+    vertex outside [0, 1]^n.
     """
 
     n: int
-    facets: tuple[tuple[tuple[Fraction, ...], Fraction], ...]
-    equations: tuple[tuple[tuple[Fraction, ...], Fraction], ...] = ()
+    ifacets: tuple
+    iequations: tuple = ()
 
-    def __post_init__(self):
-        for a, _ in (*self.facets, *self.equations):
-            if len(a) != self.n:
-                raise ValueError(f"row has {len(a)} coefficients, expected {self.n}")
+    def __init__(self, n, facets, equations=()):
+        facets, equations = tuple(facets), tuple(equations)
+        for a, _ in (*facets, *equations):
+            if len(a) != n:
+                raise ValueError(f"row has {len(a)} coefficients, expected {n}")
+        self.__dict__.update(n=n, ifacets=_int_rows((_pairs(a), rhs) for a, rhs in facets),
+                             iequations=_int_rows((_pairs(a), rhs) for a, rhs in equations))
 
     @functools.cached_property
-    def hfacets(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(_homogeneous(a, rhs) for a, rhs in self.facets)
+    def facets(self) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:
+        return tuple(_dense_row(row, self.n) for row in self.ifacets)
 
     @functools.cached_property
-    def hequations(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(_homogeneous(a, rhs) for a, rhs in self.equations)
+    def equations(self) -> tuple[tuple[tuple[Fraction, ...], Fraction], ...]:
+        return tuple(_dense_row(row, self.n) for row in self.iequations)
 
     @functools.cached_property
     def hvertices(self) -> tuple[tuple[int, ...], ...] | None:
@@ -346,48 +348,50 @@ class FacetList:
             return None
         return tuple(verts)
 
-    def rows(self) -> list[tuple[tuple[Fraction, ...], Fraction]]:
-        """All constraints as inequality rows (each equation becomes a pair)."""
-        out = list(self.facets)
-        for a, rhs in self.equations:
-            out.append((a, rhs))
-            out.append((tuple(-v for v in a), -rhs))
+    def irows(self) -> list[tuple]:
+        """All constraints as int rows (each equation becomes a pair)."""
+        out = list(self.ifacets)
+        for a, b, l in self.iequations:
+            out += [(a, b, l), (_neg(a), -b, l)]
         return out
 
+    def rows(self) -> list[tuple[tuple[Fraction, ...], Fraction]]:
+        """All constraints as dense `Fraction` rows (each equation becomes a pair)."""
+        return [_dense_row(row, self.n) for row in self.irows()]
+
     def hrows(self) -> list[tuple[int, ...]]:
-        """All constraints as homogeneous int rows, each equation as a pair."""
-        return [*self.hfacets, *self.hequations, *(_negated(h) for h in self.hequations)]
+        """All constraints as homogeneous int rows (each equation becomes a pair)."""
+        return [_hrow(row, self.n) for row in self.irows()]
 
     def to_text(self) -> str:
         """Serialize in the extended-formulation text format with yvars 0."""
         from .polytope import _write
-        rows = lpsolve._int_rows([(_pairs(a), rhs) for a, rhs in self.rows()])
-        return _write(self.n, 0, rows, ())
+        return _write(self.n, 0, self.irows(), ())
 
 
 def _negated(h) -> tuple[int, ...]:
     return tuple(-v for v in h)
 
 
-def _facet_list(n, facets, equations, vertices=None) -> FacetList:
-    """The canonical FacetList of the homogeneous rows `_hull` returns.
-
-    Facets are primitive and zero outside the pivot columns of the affine
-    hull, equations have primitive coefficients, and both are sorted.  The
-    int rows themselves, and the certified `vertices` when given, ride
-    along in the cached properties.
-    """
-    eqs = []
-    for h in equations:
-        k = gcd(*h[:n])
-        eqs.append((tuple(Fraction(v // k) for v in h[:n]), Fraction(-h[n], k)))
-    F = FacetList(n, tuple(sorted((_fractions(h[:n]), Fraction(-h[n])) for h in facets)),
-                  tuple(sorted(eqs)))
-    # the rows the cached properties would compute, in `_hull`'s order
-    F.__dict__.update(hfacets=tuple(facets), hequations=tuple(equations))
+def _of_int_rows(n, facets, equations=(), vertices=None) -> FacetList:
+    """The FacetList of canonical int rows as they are, with `vertices` when given."""
+    F = object.__new__(FacetList)
+    F.__dict__.update(n=n, ifacets=tuple(facets), iequations=tuple(equations))
     if vertices is not None:
         F.__dict__["hvertices"] = vertices
     return F
+
+
+def _facet_list(n, facets, equations, vertices=None) -> FacetList:
+    """The canonical FacetList of the primitive homogeneous rows `_hull`
+    returns: facet h is the int row (h[:n], -h[n], 1) and equation h is
+    (h[:n], -h[n], gcd(h[:n])).  Facets are sorted by (h[:n], -h[n]) and
+    equations by h[:n] over that gcd; no two rows of a hull share a
+    direction."""
+    facets = sorted(facets, key=lambda h: (h[:n], -h[n]))
+    equations = sorted(equations, key=lambda h: [v // gcd(*h[:n]) for v in h[:n]])
+    return _of_int_rows(n, [(_pairs(h[:n]), -h[n], 1) for h in facets],
+                        [(_pairs(h[:n]), -h[n], gcd(*h[:n])) for h in equations], vertices)
 
 
 def facets_of_points(points) -> FacetList:
@@ -421,7 +425,7 @@ def vertices_of_hrep(F: FacetList):
     for l in lin:
         rays.add(l)
         rays.add(tuple(-v for v in l))
-    return tuple(sorted(map(_point, points))), tuple(_fractions(r) for r in sorted(rays))
+    return tuple(sorted(map(_point, points))), tuple(tuple(map(Fraction, r)) for r in sorted(rays))
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +511,7 @@ def lift_hrep(phi, base):
         raise ValueError("formula must be reduced before lifting")
     n = phi.n
     if not isinstance(base, FacetList):
-        base = FacetList(n, tuple((tuple(map(_rational, a)), _rational(rhs)) for a, rhs in base))
+        base = FacetList(n, base)
     if base.n != n:
         raise ValueError(f"dimension mismatch: formula {n}, base {base.n}")
     if base.hvertices is None:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import formula as fm
 from . import polytope as pt
-from .hull import FacetList
+from .hull import FacetList, _of_int_rows
 
 SET_ENUM_LIMIT = 12
 DELTA_LIMIT = 3
@@ -222,7 +222,7 @@ def _read_facets(text: str, n: int) -> FacetList:
     raises its ValueError.  Rows whose negation also appears are folded back
     into a single equation; the remaining rows stay inequalities.  The int
     rows are canonical, so a negation is found by comparing int rows, and
-    each row becomes rational only for the FacetList.
+    they go into the FacetList as they are.
     """
     m, d, rows, _, _ = pt._parse_text(text)
     if d != 0:
@@ -237,10 +237,9 @@ def _read_facets(text: str, n: int) -> FacetList:
         used[i] = True
         neg = (pt._neg(a), -b, l)
         j = next((k for k in range(i + 1, len(rows)) if not used[k] and rows[k] == neg), None)
-        row = pt._dense_row(rows[i], n)
         if j is None:
-            facets.append(row)
+            facets.append(rows[i])
         else:
             used[j] = True
-            equations.append(row)
-    return FacetList(n, tuple(facets), tuple(equations))
+            equations.append(rows[i])
+    return _of_int_rows(n, facets, equations)

@@ -153,6 +153,15 @@ def _fractions(U, d):
     return tuple(Fraction(v, d) if v else _F0 for v in U)
 
 
+def _dense_row(row, dim) -> tuple:
+    """The int row (a, b, l) as a dense `Fraction` row (coefficients, rhs)."""
+    a, b, l = row
+    out = [_F0] * dim
+    for j, c in a:
+        out[j] = Fraction(c, l)
+    return tuple(out), Fraction(b, l)
+
+
 def _combination(irows, u, E):
     """u·A and u·rhs of the rows as given, for multipliers u/E, u a dict of
     int numerators by row index and E > 0.

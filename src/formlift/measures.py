@@ -262,7 +262,7 @@ def _vertex_minimum(W, C):
 
 def _formulation(R):
     """R for an exact LP: a FacetList's rows, in order, clamped to the box."""
-    return pt.from_hrep(R.n, R.rows()) if isinstance(R, hull.FacetList) else R
+    return pt._boxed(R.n, R.irows()) if isinstance(R, hull.FacetList) else R
 
 
 def _check_violation(query, viol, R):
@@ -335,7 +335,7 @@ def _search(query):
         R = _formulation(R)
         query = ClosureQuery(query.mode, query.level, S, R)
         if R.is_hrep:
-            V = hull.FacetList(n, tuple(R.xspace_rows())).hvertices
+            V = hull._of_int_rows(n, R.rows).hvertices
     if lpsolve.is_empty(R) if V is None else not V:
         return None, 0, 0, 0
 

@@ -56,7 +56,7 @@ from math import gcd, lcm
 
 from . import formula as fm
 from . import hull, lpsolve
-from .lpsolve import _int_rows, _neg, _pairs, _rational
+from .lpsolve import _dense_row, _int_rows, _neg, _pairs, _rational
 
 BOX_LIMIT = 2000
 
@@ -64,19 +64,6 @@ BOX_LIMIT = 2000
 # index with nonzero coefficients.  A rational row (expr, rhs) means
 # expr·y >= rhs; an int row (a, b, l) means (a/l)·y >= b/l as a row and
 # x_i = (a·y + b)/l as the projection of coordinate i.
-
-
-def _dense(pairs, dim) -> tuple:
-    out = [Fraction(0)] * dim
-    for j, c in pairs:
-        out[j] = c
-    return tuple(out)
-
-
-def _dense_row(row, dim) -> tuple:
-    """The int row (a, b, l) as a dense `Fraction` row (coefficients, rhs)."""
-    a, b, l = row
-    return _dense(((j, Fraction(c, l)) for j, c in a), dim), Fraction(b, l)
 
 
 def _shift(pairs, by, k=1) -> tuple:
@@ -649,17 +636,16 @@ def iterate_lift(phi: fm.Formula, Q: ExtendedFormulation, k: int,
     n = Q.n
     ef = Q
     if k > 1 and Q.is_hrep and not Q.empty_marker and n <= hull.HULL_LIMIT:
-        cur = Q.xspace_rows()
+        cur = hull._of_int_rows(n, Q.rows)
         for F in itertools.islice(hull._rounds(phi, cur), k - 1):
             if F is None:
                 ef = empty_formulation(n)
-                reports.append(_report(phi, len(cur), len(ef.rows), n, "hull"))
+                reports.append(_report(phi, len(cur.irows()), len(ef.rows), n, "hull"))
                 break
-            new = F.rows()
-            reports.append(_report(phi, len(cur), len(new), n, "hull"))
-            cur = new
+            reports.append(_report(phi, len(cur.irows()), len(F.irows()), n, "hull"))
+            cur = F
         else:
-            ef = from_hrep(n, cur)
+            ef = _boxed(n, cur.irows())
         k = 1  # only the final round is an explicit construction
     for _ in range(k):
         if ef.empty_marker:

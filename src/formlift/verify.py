@@ -161,7 +161,7 @@ def check_completeness(phi, k_max: int, instance: str = "adhoc",
     if S.n != n:
         raise ValueError(f"point set has dimension {S.n}, formula has {n}")
     params = [("n", n), ("k_max", k_max)]
-    rounds_of = hull._rounds(phi, pt.cube(n).xspace_rows())
+    rounds_of = hull._rounds(phi, hull._of_int_rows(n, pt.cube(n).rows))
     if not S.points:
         cert = None if next(rounds_of) is None else "empty target but the lift is nonempty"
         return _report("complete", instance, params, "fail" if cert else "pass", cert, t0,
@@ -173,7 +173,7 @@ def check_completeness(phi, k_max: int, instance: str = "adhoc",
         if set(F.hvertices) == target:
             return _report("complete", instance, params, "pass", None, t0,
                            [("first_equal", k if k <= k_max else "none"), ("rounds", k)])
-    ef = pt.empty_formulation(n) if F is None else pt.from_hrep(n, F.rows())
+    ef = pt.empty_formulation(n) if F is None else pt._boxed(n, F.irows())
     chk = hull.equals_hull(ef, S.points)
     if chk:
         raise lpsolve.InternalError("hull comparison and equals_hull disagree")
@@ -226,7 +226,7 @@ def _progression(mode, phi, level_max, instance, relaxations):
     S = fm.enumerate_set(phi)
     params = [("n", phi.n), ("levels", level_max)]
     examined = priced = 0
-    rounds_of = hull._rounds(phi, pt.cube(phi.n).xspace_rows())
+    rounds_of = hull._rounds(phi, hull._of_int_rows(phi.n, pt.cube(phi.n).rows))
     for k in range(1, level_max + 1):
         R = relaxations[k - 1] if relaxations is not None else next(rounds_of)
         if R is None:

@@ -85,6 +85,20 @@ def test_member_exit_codes(tmp_path, capsys):
     assert code == 1 and out.strip() == "outside"
 
 
+@pytest.mark.parametrize("argv", [("optimize", "--min", "--obj", "-1,1"),
+                                  ("optimize", "--max", "--obj", "-1/2,-3"),
+                                  ("member", "--point", "-1/2,0"),
+                                  ("member", "--point", "1/2,1")])
+def test_a_vector_after_a_space_reads_as_with_equals(tmp_path, capsys, argv):
+    # a vector that starts with `-` is the option's value, not an option
+    ef = tmp_path / "c2.ef"
+    ef.write_text("ef\nxvars 2\nyvars 0\n")
+    *head, opt, vec = argv
+    spaced = run(capsys, *head, "--ef", str(ef), opt, vec)
+    assert spaced == run(capsys, *head, "--ef", str(ef), f"{opt}={vec}")
+    assert spaced[0] in (0, 1) and spaced[1]
+
+
 def test_measure_example(capsys):
     code, out, _ = run(capsys, "measure", "--ineq", "x1 + x5 >= 1", "--n", "5")
     assert code == 0 and out.strip() == "pitch=1 notch=4"

@@ -194,11 +194,21 @@ def test_hull_limit_enforced():
 
 
 def test_facet_list_to_text_parses_as_formulation():
-    Fl = hull.facets_of_points([(0, 0), (1, 0), (0, 1)])
-    Q = pt.from_text(Fl.to_text())
-    assert Q.n == 2
-    assert lp.contains_point(Q, (F(1, 2), F(1, 4)))
-    assert not lp.contains_point(Q, (1, 1))
+    for Fl, line, inside, outside in [
+        (hull.facets_of_points([(0, 0), (1, 0), (0, 1)]), "ineq -1 -1 >= -1",
+         (F(1, 2), F(1, 4)), (1, 1)),
+        # an equation of a hull has primitive coefficients
+        (hull.facets_of_points([(F(1, 2), 0), (F(1, 2), 1)]), "ineq 1 0 >= 1/2",
+         (F(1, 2), F(1, 3)), (1, 0)),
+        # a list built by hand keeps the scale of its rows
+        (hull.FacetList(2, (((2, 2), 2),)), "ineq 2 2 >= 2", (1, F(1, 2)), (F(1, 4), F(1, 4))),
+    ]:
+        text = Fl.to_text()
+        assert line in text.splitlines()
+        Q = pt.from_text(text)
+        assert Q.n == 2
+        assert lp.contains_point(Q, inside)
+        assert not lp.contains_point(Q, outside)
 
 
 # ---------------------------------------------------------------------------
@@ -361,11 +371,11 @@ def _facets_of(points):
 
 
 def _homogeneous_rows(Fl):
-    return [hull._homogeneous(a, rhs) for a, rhs in Fl.rows()]
+    return hull.FacetList(Fl.n, Fl.rows()).hrows()
 
 
 def _reference_rounds(phi, base_rows, k):
-    rows, out = [hull._homogeneous(a, rhs) for a, rhs in base_rows], []
+    rows, out = hull.FacetList(phi.n, base_rows).hrows(), []
     for _ in range(k):
         points = _reference_points(phi, rows, phi.n)
         Fl = _facets_of(points) if points else None
@@ -432,10 +442,12 @@ def test_rounds_match_one_double_description_per_arm(case):
     for Fl in got:
         if Fl is None:
             continue
-        # the carried ints are the FacetList's rows and vertices
-        plain = hull.FacetList(Fl.n, Fl.facets, Fl.equations)
-        assert set(Fl.hfacets) == set(plain.hfacets)
-        assert set(Fl.hequations) == set(plain.hequations)
+        # the int rows are those of the FacetList's own rational rows, which
+        # are sorted; they are what `lift --rounds 2` writes
+        assert hull.FacetList(Fl.n, Fl.facets, Fl.equations) == Fl
+        assert list(Fl.facets) == sorted(Fl.facets)
+        assert list(Fl.equations) == sorted(Fl.equations)
+        assert Fl.irows() == list(lp._int_rows((lp._pairs(a), rhs) for a, rhs in Fl.rows()))
         verts, rays = hull.vertices_of_hrep(Fl)
         assert rays == () and sorted(map(hull._point, Fl.hvertices)) == list(verts)
     if got[0] is not None:
@@ -650,7 +662,7 @@ def test_a_base_vertex_lost_by_the_primal_enumeration_is_caught(monkeypatch):
 def test_a_lower_dimensional_base_lifts_like_the_hull_of_its_vertices(monkeypatch, base,
                                                                       text):
     phi = fm.reduce(fm.parse(text, 4 if base is _TRIANGLE else 3))
-    points, _, _ = hull.vertices_of_rows([hull._homogeneous(a, rhs) for a, rhs in base], phi.n)
+    points, _, _ = hull.vertices_of_rows(hull.FacetList(phi.n, base).hrows(), phi.n)
     plain = hull.facets_of_points(map(hull._point, points))
     solves, real = [], lp.optimize_rows
     monkeypatch.setattr(lp, "optimize_rows", lambda *a: solves.append(a) or real(*a))

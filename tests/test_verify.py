@@ -172,9 +172,7 @@ def _planted_rounds(monkeypatch, fault):
     def planted(phi, base):
         for F in real(phi, base):
             if F is not None:
-                G = dataclasses.replace(F)
-                object.__setattr__(G, "hvertices", fault(F.hvertices))
-                F = G
+                F = hull._of_int_rows(F.n, F.ifacets, F.iequations, fault(F.hvertices))
             yield F
 
     monkeypatch.setattr(hull, "_rounds", planted)
@@ -224,6 +222,25 @@ def test_passing_completeness_solves_no_lp_and_builds_no_round(monkeypatch):
     rep = vf.check_completeness(phi, 4, instance="bz4")
     assert rep.passed
     assert ("first_equal", 2) in rep.stats
+
+
+@pytest.mark.parametrize("text", ["bz4", "x1 & (x2 | x3) | x2 & x4",
+                                  "x1 & (x2 | x3) & (!x2 | x4)"])
+def test_the_hull_route_makes_no_fraction(monkeypatch, text):
+    # the hull rounds reach the formulation of `iterate_lift`, the completeness
+    # comparison and closure pricing as int rows
+    phi = fm.reduce(inst.gen_bz(4).formula if text == "bz4" else fm.parse(text, 4))
+    cube = pt.cube(4)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Fraction was made")
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(refuse))
+    pt.to_text(pt.iterate_lift(phi, cube, 3))
+    checks = [vf.check_completeness(phi, 4), vf.check_notch_progression(phi, 2)]
+    if phi.is_monotone():
+        checks.append(vf.check_pitch_progression(phi, 2))
+    assert all(rep.passed for rep in checks)
 
 
 def test_integrality_passes_on_bz4():

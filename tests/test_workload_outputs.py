@@ -3,7 +3,8 @@
 One pass of each workload at seed 7 is hashed in a subprocess: `prints=`
 covers every operation's argv, exit code and output, `files=` every file
 the workload leaves.  A change that moves either digest changes what the
-program answers or writes.
+program answers or writes.  One pass of closure-chain at seed 7 is also
+counted by `tools/fraction_counts.py`: it makes no `Fraction`.
 """
 
 import subprocess
@@ -37,3 +38,13 @@ def test_workload_outputs_are_pinned():
             f"{name}: outputs moved from the pinned digests; run "
             "`python3 tools/same_outputs.py --passes 2 --seeds 1 7` on clean copies "
             "of the parent and the change to see which answers or files differ")
+
+
+def test_closure_chain_makes_no_fraction():
+    # the hull rounds of `verify pitch|notch` run on ints from the cube's rows
+    # to the priced vertex lists; the counts are exact
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "fraction_counts.py"),
+                          "--passes", "1", "--seeds", "7", "--workloads", "closure-chain"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split()[-2:] == ["new=0", "cmp=0"], run.stdout
