@@ -51,20 +51,18 @@ def _load_ef(path: str, n=None, mismatch=None):
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _load_polytope(source: str, n: int):
-    """The base relaxation: the cube, or a formulation file clamped to the unit box.
-
-    A `yvars 0` file comes back from `from_text` with the box rows; every
-    other file, with `wit` lines or without, gets them through its
-    projection, so that every union over it keeps its weight in [0, 1].
-    """
-    if source == "cube":
+def _load_polytope(source, n: int):
+    """The base relaxation: the cube (source None or 'cube') or a formulation file."""
+    if source in (None, "cube"):
         return pt.cube(n)
-    Q = _load_ef(source, n, lambda m: f"{source} is over {m} variables, the formula over {n}")
-    box = pt.cube(n)
-    if not (Q.is_hrep and set(box.rows) <= set(Q.rows)):
-        Q = pt.with_xspace_rows(Q, box.xspace_rows())
-    return Q
+    return _load_ef(source, n, lambda m: f"{source} is over {m} variables, the formula over {n}")
+
+
+def _refuse_unused(args, command, **used):
+    """An InputError for the first flag given that `command` does not use."""
+    for flag, use in used.items():
+        if getattr(args, flag) is not None and not use:
+            raise InputError(f"{command} takes no --{flag.replace('_', '-')}")
 
 
 def _parse_vector(text: str, what: str):
@@ -227,6 +225,7 @@ def _cmd_closure(args):
     measures._check_search(args.mode, phi.n)
     S = fm.enumerate_set(phi)
     if args.ef:
+        _refuse_unused(args, "closure --ef", polytope=False, rounds=False)
         R = _load_ef(args.ef, phi.n,
                      lambda m: f"{args.ef} is over {m} variables, the formula over {phi.n}")
     else:
@@ -265,30 +264,29 @@ def _cmd_gen(args):
     return 0
 
 
-_VERIFY_NEEDS_Q = {"sandwich", "integral", "size"}
+# each `verify` kind's checker, looked up on `verify` by name when it runs, and
+# whether it lifts over --polytope (else it takes --rounds)
+_CHECKS = {"sandwich": ("check_sandwich", True), "complete": ("check_completeness", False),
+           "integral": ("check_integrality", True), "pitch": ("check_pitch_progression", False),
+           "notch": ("check_notch_progression", False), "size": ("check_size_accounting", True)}
 
 
 def _one_check(args, path):
-    kind = args.kind
     phi = _load_formula(path)
-    name = Path(path).stem
-    if kind in _VERIFY_NEEDS_Q:
-        Q = _load_polytope(args.polytope, phi.n)
-    if kind == "sandwich":
-        return verify.check_sandwich(phi, Q, instance=name)
-    if kind == "complete":
-        return verify.check_completeness(phi, args.rounds, instance=name)
-    if kind == "integral":
-        return verify.check_integrality(phi, Q, instance=name)
-    if kind == "pitch":
-        return verify.check_pitch_progression(phi, args.rounds, instance=name)
-    if kind == "notch":
-        return verify.check_notch_progression(phi, args.rounds, instance=name)
-    return verify.check_size_accounting(phi, Q, instance=name, covering_m=args.covering_m)
+    (check, lifts), name = _CHECKS[args.kind], Path(path).stem
+    if not lifts:
+        return getattr(verify, check)(phi, args.rounds, instance=name)
+    size = {"covering_m": args.covering_m} if args.kind == "size" else {}
+    Q = _load_polytope(args.polytope, phi.n)
+    return getattr(verify, check)(phi, Q, instance=name, **size)
 
 
 def _cmd_verify(args):
-    if args.kind in ("complete", "pitch", "notch") and args.rounds < 1:
+    lifts = _CHECKS[args.kind][1]
+    _refuse_unused(args, f"verify {args.kind}", polytope=lifts, rounds=not lifts,
+                   covering_m=args.kind == "size")
+    args.rounds = 1 if args.rounds is None else args.rounds
+    if args.rounds < 1:
         raise InputError("this check needs --rounds at least 1")
     reports = [_one_check(args, path) for path in args.formula]
     for rep in reports:
@@ -322,8 +320,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lift", help="apply a formula to a relaxation")
     p.add_argument("--formula", required=True)
-    p.add_argument("--polytope", default="cube",
-                   help="'cube' or a formulation file (default cube)")
+    p.add_argument("--polytope", help="'cube' or a formulation file (default cube)")
     p.add_argument("--rounds", type=int, default=1)
     p.add_argument("--out")
     p.set_defaults(run=_cmd_lift)
@@ -357,7 +354,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("pitch", "notch"), required=True)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--formula", required=True)
-    p.add_argument("--polytope", default="cube")
+    p.add_argument("--polytope", help="'cube' or a formulation file (default cube)")
     p.add_argument("--ef", help="check this formulation instead of lifting")
     p.add_argument("--rounds", type=int, help="lift rounds (default: the level)")
     p.set_defaults(run=_cmd_closure)
@@ -371,12 +368,11 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_gen)
 
     p = sub.add_parser("verify", help="run a checker over formula files")
-    p.add_argument("kind", choices=("sandwich", "complete", "integral",
-                                    "pitch", "notch", "size"))
+    p.add_argument("kind", choices=tuple(_CHECKS))
     p.add_argument("--formula", required=True, nargs="+")
-    p.add_argument("--polytope", default="cube")
-    p.add_argument("--rounds", type=int, default=1,
-                   help="k_max / v_max for complete, pitch, notch")
+    p.add_argument("--polytope", help="'cube' or a formulation file (default cube)")
+    p.add_argument("--rounds", type=int,
+                   help="k_max / v_max for complete, pitch, notch (default 1)")
     p.add_argument("--covering-m", type=int, dest="covering_m",
                    help="report the covering yardstick ratio (size)")
     p.set_defaults(run=_cmd_verify)

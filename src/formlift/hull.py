@@ -507,13 +507,10 @@ def lift_hrep(phi, base):
     polar one, must be exactly that list, so no vertex was lost.
     Otherwise InternalError.
     """
-    if not phi.is_reduced():
-        raise ValueError("formula must be reduced before lifting")
     n = phi.n
     if not isinstance(base, FacetList):
         base = FacetList(n, base)
-    if base.n != n:
-        raise ValueError(f"dimension mismatch: formula {n}, base {base.n}")
+    _check_lift(phi, base)
     if base.hvertices is None:
         raise ValueError("the base of a lift must be a polytope inside the unit box")
     points = _points(phi, base.hvertices, n)
@@ -525,6 +522,14 @@ def lift_hrep(phi, base):
     if rays or lin or set(points) != set(F.hvertices):
         raise lpsolve.InternalError("a hull's rows and its vertex list disagree")
     return F
+
+
+def _check_lift(phi, base):
+    """Refuse a formula that is not reduced or is over another dimension than base."""
+    if not phi.is_reduced():
+        raise ValueError("formula must be reduced before lifting")
+    if phi.n != base.n:
+        raise ValueError(f"dimension mismatch: formula {phi.n}, relaxation {base.n}")
 
 
 def _rounds(phi, base):
@@ -578,13 +583,16 @@ def certified_vertices(rows, n):
 
 
 @functools.cache
+def _box_rows(n) -> tuple:
+    """The 2n int rows of [0, 1]^n over x: x_i >= 0, then -x_i >= -1, for each i."""
+    return tuple(row for i in range(n) for row in ((((i, 1),), 0, 1), (((i, -1),), -1, 1)))
+
+
+@functools.cache
 def _unit_box(n):
     """The homogeneous int rows of [0, 1]^n, as a set, and its corners (X, 1)."""
-    rows = set()
-    for i in range(n):
-        e = tuple(int(j == i) for j in range(n))
-        rows.update((e + (0,), _negated(e) + (1,)))
-    return frozenset(rows), tuple((*p, 1) for p in itertools.product((0, 1), repeat=n))
+    return (frozenset(_hrow(row, n) for row in _box_rows(n)),
+            tuple((*p, 1) for p in itertools.product((0, 1), repeat=n)))
 
 
 def _vertices(points, facets, equations):

@@ -10,38 +10,30 @@ rational.
 
 A disjunction of k arms is one system over y1 | y2 w2 | ... | yk wk, whose
 rows are each arm's A_i y_i >= (w_(i+1) - w_i) b_i with w_1 = 0 and
-w_(k+1) = 1, and no bounds on the weights: every formulation rooted at
-`cube`/`from_hrep` carries the full unit-box rows, and for such systems
-feasibility of {y : A y >= s*b} already forces s >= 0, so the arms' blocks
-order 0 <= w_2 <= ... <= w_k <= 1.  `from_hrep` therefore always appends
-the box rows; hand-built arms of `balas_union` must have the same property.
+w_(k+1) = 1, and no bounds on the weights: when the rows prove the unit
+box, feasibility of {y : A y >= s*b} already forces s >= 0, so the arms'
+blocks order 0 <= w_2 <= ... <= w_k <= 1.  `lift` and `iterate_lift` make
+sure of it by clamping their base to the box (`_clamped`); hand-built arms
+of `balas_union` must have the same property.
 
 Every formulation these constructors build in memory also carries the point
 map of its own construction: for a 0/1 point p it returns the lifted y that
-the construction assigns to p, or None when p is not in the set.  A box
-keeps y = p when its rows hold at p, a face block keeps the base's y when
-p has every fixed value, an intersection of k arms concatenates their ys,
-and a union puts p in the first arm that lifts it with weight 1 and zeros
-the other arms.  Evaluating the rows and the projection at that y, on ints
-(`lpsolve._lifts`), certifies membership and nonemptiness without an LP; a
-y that fails the rows or projects elsewhere decides nothing.
+the construction assigns to p, or None when p is not in the set; a box
+keeps y = p when its rows hold at p, and `_face_map`, `_meet_map`,
+`_union_map` and `_cut_map` give the other rules.  Evaluating the rows and
+the projection at that y, on ints (`lpsolve._lifts`), certifies membership
+and nonemptiness without an LP; a y that fails the rows or projects
+elsewhere decides nothing.
 
 They also carry the dual map of their construction: for an x-space
 inequality a·x >= beta it returns multipliers u >= 0 on the rows, as a dict
 from row index to multiplier (rows not listed weigh 0), with u·A = a·T and
 u·b = beta - a·t exactly, where x = T y + t is the projection; or None.
-Each call returns a new dict, which the composing map may extend.
-Such a u proves the inequality valid (Balas's disjunctive duality).  A box
-combines its sign rows, padded by a box row pair so that u·b is exact, or
-uses a row equal to the inequality; a face block, the faces x_i = v_i of
-an AND of literals, asks its base once for the inequality without every
-term a_i x_i that its face row pays for (a_i v_i > min(a_i, 0)), putting
-|a_i| on that row, and once for the inequality itself when that fails or no
-face pays, so at most twice however many faces it has; an intersection
-of k arms uses the multipliers of the first arm that proves it, plus that
-arm's tie rows when it is not the first; a union adds every arm's
-multipliers, whose exact right sides cancel the weight columns.  A u is a
-proposal, checked on the rows by `lpsolve` before it decides anything.
+Each call returns a new dict, which the composing map may extend.  Such a
+u proves the inequality valid (Balas's disjunctive duality); `_box_dual`,
+`_face_dual`, `_meet_dual` and `_union_dual` give each construction's
+rule.  A u is a proposal, checked on the rows by `lpsolve` before it
+decides anything.
 """
 
 from __future__ import annotations
@@ -104,9 +96,7 @@ class ExtendedFormulation:
     @cached_property
     def is_hrep(self) -> bool:
         """True when y is x itself: identity projection, rows in x-space."""
-        if self.ydim != self.n:
-            return False
-        return all(row == (((i, 1),), 0, 1) for i, row in enumerate(self.proj))
+        return self.ydim == self.n and self.proj == _identity_proj(self.n)
 
     @cached_property
     def witnesses(self) -> tuple:
@@ -140,20 +130,12 @@ def cube(n: int) -> ExtendedFormulation:
 
 
 def from_hrep(n: int, rows) -> ExtendedFormulation:
-    """x-space formulation from dense rows a·x >= rhs, clamped to the unit box.
-
-    The full box rows are always appended (then exact duplicates dropped);
-    they bound the feasible scale, which the disjunctive union relies on.
-    """
+    """x-space formulation from dense rows a·x >= rhs, with the unit-box rows
+    appended (then exact duplicates dropped)."""
     if n < 1:
         raise ValueError("need at least one variable")
-    out = []
-    for a, rhs in rows:
-        a = tuple(_rational(v) for v in a)
-        if len(a) != n:
-            raise ValueError(f"row has {len(a)} coefficients, expected {n}")
-        out.append((_pairs(a), _rational(rhs)))
-    return _boxed(n, _int_rows(out))
+    _check_box(n)
+    return _boxed(n, with_xspace_rows(ExtendedFormulation(n, n, (), _identity_proj(n)), rows).rows)
 
 
 def _check_box(n):
@@ -166,14 +148,33 @@ def _boxed(n, rows) -> ExtendedFormulation:
     """x-space formulation from int rows, with the unit-box rows appended;
     refused above BOX_LIMIT variables before any row is built."""
     _check_box(n)
-    out = list(rows)
-    for i in range(n):
-        out.append((((i, 1),), 0, 1))
-        out.append((((i, -1),), -1, 1))
-    rows = tuple(dict.fromkeys(out))
+    rows = tuple(dict.fromkeys((*rows, *hull._box_rows(n))))
     return ExtendedFormulation(n, n, rows, _identity_proj(n),
                                point_map=lambda p: tuple(p) if lpsolve._holds(rows, p) else None,
                                dual_map=lambda a, beta: _box_dual(rows, a, beta))
+
+
+def _clamped(Q) -> ExtendedFormulation:
+    """Q within the unit box, refused above BOX_LIMIT variables first.  An
+    x-space Q lists the box rows or gets them as `_boxed` appends them; a
+    lifted Q keeps each box row that its dual map proves and gets the
+    others through its projection: all 2n for a file or a hand-built Q."""
+    # Why proofs are enough.  Proved box rows put the projection inside the
+    # box.  Proofs u, v of a coordinate's bounds x_i >= L and -x_i >= -U
+    # (an appended box row proves itself) add up to 0·y >= L - U over Q's
+    # rows; for L < U that is a Farkas certificate that A y >= s·b has no
+    # solution with s < 0, so every union weight over Q stays nonnegative.
+    # If every coordinate is pinned, L = U, the projection is a single point,
+    # and every union over Q projects to that point whatever its weights.
+    _check_box(Q.n)
+    if Q.empty_marker:
+        return Q
+    box = hull._box_rows(Q.n)
+    if Q.is_hrep:
+        return Q if set(box) <= set(Q.rows) else _boxed(Q.n, Q.rows)
+    missing = [(a, b) for a, b in (_dense_row(row, Q.n) for row in box)
+               if not lpsolve.proves_valid(Q, a, b)]
+    return with_xspace_rows(Q, missing) if missing else Q
 
 
 def _box_dual(rows, a, beta):
@@ -187,12 +188,12 @@ def _box_dual(rows, a, beta):
     """
     low = sum(v for v in a if v < 0)
     if low >= beta:
-        u = {}
+        box, u = hull._box_rows(len(a)), {}
         for i, v in enumerate(a):
             if v:
-                u[rows.index((((i, 1),), 0, 1) if v > 0 else (((i, -1),), -1, 1))] = abs(v)
+                u[rows.index(box[2 * i + (v < 0)])] = abs(v)
         if low > beta:
-            for row in ((((0, 1),), 0, 1), (((0, -1),), -1, 1)):
+            for row in box[:2]:
                 k = rows.index(row)
                 u[k] = u.get(k, 0) + low - beta
         return u
@@ -594,29 +595,29 @@ def _lift_collapse(f, Q, stats):
 def lift(phi: fm.Formula, Q: ExtendedFormulation):
     """Lifted relaxation phi(Q) plus a LiftReport.
 
-    Requires a reduced formula.  Every returned non-marker formulation is
-    nonempty: emptiness is decided after each restriction block and each
-    conjunct added to an intersection, first by a 0/1 witness from the point
-    maps and otherwise by an exact feasibility solve, and empty disjunction
-    arms are dropped before the union is formed.
+    Requires a reduced formula; Q is clamped to the unit box (`_clamped`)
+    first.  Every returned non-marker formulation is nonempty: emptiness is
+    decided after each restriction block and each conjunct added to an
+    intersection, first by a 0/1 witness from the point maps and otherwise
+    by an exact feasibility solve, and empty disjunction arms are dropped
+    before the union is formed.
     """
-    if not phi.is_reduced():
-        raise ValueError("formula must be reduced before lifting")
-    if phi.n != Q.n:
-        raise ValueError(f"dimension mismatch: formula {phi.n}, relaxation {Q.n}")
+    hull._check_lift(phi, Q)
+    return _lift(phi, _clamped(Q))
+
+
+def _lift(phi, Q):
+    """`lift` over a base already clamped to the unit box."""
     stats = {"blocks": 0, "elided_arms": 0, "emptiness": [], "witnessed": 0}
-    if Q.empty_marker:
-        ef = Q
-    else:
-        ef = _lift_collapse(phi, Q, stats)
+    ef = Q if Q.empty_marker else _lift_collapse(phi, Q, stats)
     stats["emptiness"] = tuple(stats["emptiness"])
-    report = _report(phi, len(Q.rows), len(ef.rows), ef.ydim, "ef", **stats)
-    return ef, report
+    return ef, _report(phi, len(Q.rows), len(ef.rows), ef.ydim, "ef", **stats)
 
 
 def iterate_lift(phi: fm.Formula, Q: ExtendedFormulation, k: int,
                  with_reports: bool = False):
-    """k-fold lift phi(phi(...(Q))); k = 0 returns Q unchanged.
+    """k-fold lift phi(phi(...(Q))); Q is clamped to the unit box once,
+    before round 1, and k = 0 returns the clamped base.
 
     When the base is an x-space formulation in at most hull.HULL_LIMIT variables,
     rounds 1..k-1 are computed as exact facet lists by vertex enumeration
@@ -628,13 +629,10 @@ def iterate_lift(phi: fm.Formula, Q: ExtendedFormulation, k: int,
     """
     if k < 0:
         raise ValueError("round count must be nonnegative")
-    if not phi.is_reduced():
-        raise ValueError("formula must be reduced before lifting")
-    if phi.n != Q.n:
-        raise ValueError(f"dimension mismatch: formula {phi.n}, relaxation {Q.n}")
+    hull._check_lift(phi, Q)
     reports = []
     n = Q.n
-    ef = Q
+    ef = Q = _clamped(Q)
     if k > 1 and Q.is_hrep and not Q.empty_marker and n <= hull.HULL_LIMIT:
         cur = hull._of_int_rows(n, Q.rows)
         for F in itertools.islice(hull._rounds(phi, cur), k - 1):
@@ -650,7 +648,7 @@ def iterate_lift(phi: fm.Formula, Q: ExtendedFormulation, k: int,
     for _ in range(k):
         if ef.empty_marker:
             break
-        ef, rep = lift(phi, ef)
+        ef, rep = _lift(phi, ef)
         reports.append(rep)
     return (ef, reports) if with_reports else ef
 
@@ -804,11 +802,7 @@ def _parse_text(text: str, check=None) -> tuple:
     line's 0/1 point to its tuple of indices.  Nothing is added or dropped.
     Malformed input raises ValueError.
     """
-    lines = []
-    for raw in text.splitlines():
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            lines.append(body)
+    lines = [body for body in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if body]
     if not lines or lines[0] != "ef":
         raise ValueError("expected header line 'ef'")
     if len(lines) < 3 or not lines[1].startswith("xvars ") or not lines[2].startswith("yvars "):

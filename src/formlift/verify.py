@@ -79,7 +79,7 @@ def _report(check, instance, params, verdict, certificate, t0, stats):
 
 
 def check_sandwich(phi, Q, instance: str = "adhoc", lifted=None) -> CheckReport:
-    """The lift contains every satisfying 0/1 point of Q and stays inside Q.
+    """The lift contains every satisfying 0/1 point of Q and stays inside Q ∩ [0,1]^n.
 
     Containment in Q is proved row by row when Q lives in x-space, by the
     lift's composed multipliers where they verify and otherwise by an LP
@@ -96,6 +96,7 @@ def check_sandwich(phi, Q, instance: str = "adhoc", lifted=None) -> CheckReport:
                       ("blocks", rep.blocks)]
     else:
         stats_tail = [("ef_rows", len(lifted.rows)), ("size", phi.size)]
+    Q = pt._clamped(Q)
     params = [("n", phi.n)]
     members = 0
     for p in S.points:

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import io
 import pathlib
 import re
@@ -572,10 +573,72 @@ def test_lifted_file_with_witnesses_is_clamped_once(tmp_path, capsys):
     code, _, err = run(capsys, "lift", "--formula", bz, "--polytope", l1, "--out", l2)
     assert code == 0 and "rows=1872 " in err and " base=152 " in err
     assert "\nwit " in (tmp_path / "l2.ef").read_text()
-    Q = cli._load_polytope(l1, 4)
+    base = pt.from_text((tmp_path / "l1.ef").read_text())
+    Q = pt._clamped(base)
+    assert len(Q.rows) == len(base.rows) + 8 == 152
     assert Q.witnesses and all(lp._holds(Q.rows, y) for _, y in Q.witnesses)
-    _, rep = pt.lift(fm.reduce(fm.parse((tmp_path / "bz4.bool").read_text())), Q)
+    _, rep = pt.lift(fm.reduce(fm.parse((tmp_path / "bz4.bool").read_text())), base)
+    assert rep.base_rows == 152
     assert rep.witnessed == len(rep.emptiness) == 15
+
+
+def test_every_path_over_a_lifted_polytope_file_clamps_it_once(tmp_path, capsys, monkeypatch):
+    # the bytes each command printed and wrote when the CLI appended the box
+    # rows itself; a lift over a file has no dual map, so a second clamp in
+    # round 2 would read base=1880
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "gen", "bz", "--n", "4")
+    assert run(capsys, "lift", "--formula", "bz4.bool", "--out", "l1.ef")[0] == 0
+    code, _, err = run(capsys, "lift", "--formula", "bz4.bool", "--polytope", "l1.ef",
+                       "--rounds", "2", "--out", "l2.ef")
+    assert code == 0
+    assert [line.split(" size=")[0] for line in err.splitlines()] == [
+        "round 1: rows=1872 ydim=680 base=152", "round 2: rows=22512 ydim=8168 base=1872"]
+    assert hashlib.sha256((tmp_path / "l2.ef").read_bytes()).hexdigest()[:16] == "553738f28cb2ba97"
+    assert run(capsys, "lift", "--formula", "bz4.bool", "--polytope", "l1.ef",
+               "--rounds", "0", "--out", "l0.ef")[0] == 0
+    written = (tmp_path / "l0.ef").read_bytes()
+    assert written.count(b"\n") == 170
+    assert hashlib.sha256(written).hexdigest()[:16] == "e7669bb9e92f35fb"
+    for kind, shown in (("sandwich", " points=11 rows=12 ef_rows=1872 "),
+                        ("integral", " points=16 ef_rows=1872\n"),
+                        ("size", " ef_rows=1872 bound=1872 plain_product=1824 ")):
+        code, out, _ = run(capsys, "verify", kind, "--formula", "bz4.bool", "--polytope", "l1.ef")
+        assert code == 0 and shown in out
+    code, out, _ = run(capsys, "closure", "--mode", "pitch", "--level", "1", "--formula",
+                       "bz4.bool", "--polytope", "l1.ef", "--rounds", "0")
+    assert (code, out) == (0, "closure mode=pitch level=1 examined=15 skipped=10 priced=5 "
+                              "violation=none\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("verify complete --formula bz4.bool --polytope nonexistent.ef",
+     "verify complete takes no --polytope"),
+    ("verify pitch --formula bz4.bool --polytope nonexistent.ef", "verify pitch takes no --polytope"),
+    ("verify notch --formula bz4.bool --polytope nonexistent.ef", "verify notch takes no --polytope"),
+    ("verify sandwich --formula bz4.bool --covering-m 3", "verify sandwich takes no --covering-m"),
+    ("verify integral --formula bz4.bool --rounds 2", "verify integral takes no --rounds"),
+    ("closure --mode pitch --level 1 --formula bz4.bool --ef bz4.ef --rounds 3 "
+     "--polytope nonexistent.ef", "closure --ef takes no --polytope"),
+    ("closure --mode pitch --level 1 --formula bz4.bool --ef bz4.ef --rounds 3",
+     "closure --ef takes no --rounds"),
+], ids=["complete-polytope", "pitch-polytope", "notch-polytope", "sandwich-covering-m",
+        "integral-rounds", "closure-ef-polytope", "closure-ef-rounds"])
+def test_a_flag_the_command_would_ignore_is_refused(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "gen", "bz", "--n", "4")
+    assert run(capsys, *argv.split()) == (2, "", f"formlift: {message}\n")
+
+
+def test_the_flags_each_command_uses_are_still_taken(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "gen", "bz", "--n", "4")
+    for argv in ("verify size --formula bz4.bool --covering-m 3 --polytope cube",
+                 "verify complete --formula bz4.bool --rounds 2",
+                 "verify sandwich --formula bz4.bool --polytope bz4.ef",
+                 "closure --mode pitch --level 1 --formula bz4.bool --ef bz4.ef",
+                 "closure --mode pitch --level 1 --formula bz4.bool --polytope cube --rounds 1"):
+        assert run(capsys, *argv.split())[0] == 0, argv
 
 
 # The closure-chain checks of `verify pitch|notch --rounds 2`, with their
@@ -736,6 +799,18 @@ def test_a_named_dimension_over_the_box_limit_is_refused(tmp_path, capsys, argv)
     got = run(capsys, *argv, "--formula", str(f))
     assert time.perf_counter() - t0 < 1
     assert got == (2, "", "formlift: dimension 9200000 exceeds box limit 2000\n")
+
+
+@pytest.mark.parametrize("argv", [["lift"], ["verify", "size"]], ids=["lift", "verify-size"])
+def test_a_lifted_base_over_the_box_limit_is_refused(tmp_path, capsys, argv):
+    # the lift clamps the file, and asks the box cap before any box row
+    n = pt.BOX_LIMIT + 1
+    (tmp_path / "wide.bool").write_text(f"x{n} | x1\n")
+    (tmp_path / "wide.ef").write_text(f"ef\nxvars {n}\nyvars 1\nrow 0:1 >= 0\n"
+                                      + "".join(f"proj {i} 0 1\n" for i in range(1, n + 1)))
+    got = run(capsys, *argv, "--formula", str(tmp_path / "wide.bool"),
+              "--polytope", str(tmp_path / "wide.ef"))
+    assert got == (2, "", f"formlift: dimension {n} exceeds box limit {pt.BOX_LIMIT}\n")
 
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"

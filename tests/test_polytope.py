@@ -406,6 +406,38 @@ def test_lift_of_marker_base_passes_through():
     assert ef.empty_marker
 
 
+def test_lift_clamps_a_hand_built_base_to_the_box():
+    # the half-plane x1 + x2 >= 1 is unbounded; without the box rows an arm
+    # of x1 | x2 lets its union weight leave [0, 1] and the lift is unbounded
+    phi = fm.parse("x1 | x2", 2)
+    half = pt.ExtendedFormulation(2, 2, lp._int_rows([(((0, 1), (1, 1)), 1)]),
+                                  pt._identity_proj(2))
+    ef, rep = pt.lift(phi, half)
+    assert lp.optimize(ef, (1, 1), "max").value == 2
+    assert rep.base_rows == 1 + 4
+    # a lift in memory proves the box through its composed dual map and gets
+    # no row; the same rows and projection without the maps get all 2n
+    lifted, _ = pt.lift(phi, pt.cube(2))
+    bare = pt.ExtendedFormulation(lifted.n, lifted.ydim, lifted.rows, lifted.proj)
+    assert pt.lift(phi, lifted)[1].base_rows == len(lifted.rows)
+    assert pt.lift(phi, bare)[1].base_rows == len(lifted.rows) + 4
+    assert pt.iterate_lift(phi, bare, 0) == pt.with_xspace_rows(bare, pt.cube(2).xspace_rows())
+    assert pt.iterate_lift(phi, lifted, 0) is lifted
+
+
+def test_a_lift_over_an_x_space_base_proves_no_box_row(monkeypatch):
+    # cube, hull rounds and x-space files list the box rows, so no proof is asked
+    phi = fm.parse("x1 & (x2 | x3) | x2 & !x3", 3)
+    F1 = next(hull._rounds(phi, hull._of_int_rows(3, pt.cube(3).rows)))
+    calls = []
+    monkeypatch.setattr(lp, "proves_valid", lambda *args: calls.append(args))
+    for Q in (pt.cube(3), pt._boxed(3, F1.irows()), pt.from_text(F1.to_text())):
+        ef, rep = pt.lift(phi, Q)
+        assert rep.base_rows == len(Q.rows)
+    pt.iterate_lift(phi, pt.cube(3), 3)
+    assert calls == []
+
+
 def test_iterate_lift_rounds():
     phi = fm.reduce(fm.parse("(x1 | x2) & (!x1 | !x2)", 2))
     assert pt.iterate_lift(phi, pt.cube(2), 0) is not None
