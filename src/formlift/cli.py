@@ -237,6 +237,8 @@ def _cmd_closure(args):
 
 
 def _cmd_gen(args):
+    _refuse_unused(args, f"gen {args.family}", n=args.family == "bz",
+                   matrix=args.family in ("covering", "bounded"), b=args.family == "bounded")
     if args.family == "bz" and args.n is None:
         raise InputError("gen bz needs --n")
     if args.family in ("covering", "bounded") and not args.matrix:

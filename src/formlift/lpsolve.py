@@ -246,14 +246,15 @@ def _eliminate(row, d, prow, p, pc):
     return _reduce(row, d * p)
 
 
-def _pivot(tab, den, basis, cost, cden, pr, pc):
+def _pivot(tab, den, basis, cost, cden, pr, pc, hold):
     """Bring column pc into the basis at row pr; returns the cost row's denominator.
 
     The pivot row is scaled by the sign of its pivot element and given that
     element as its denominator (so the entry reads 1), then reduced by the
-    gcd.  Every other row with an entry in column pc, the cost row included,
-    is cleared against it by integer multiply-subtract and reduced by its own
-    gcd.  All of it runs on Python ints.
+    gcd.  Every other row with an entry in column pc, the indices `hold`
+    lists, and the cost row when it has one, is cleared against it by
+    integer multiply-subtract and reduced by its own gcd.  All of it runs on
+    Python ints.
     """
     prow = tab[pr]
     p = prow[pc]
@@ -262,9 +263,9 @@ def _pivot(tab, den, basis, cost, cden, pr, pc):
             prow[c] = -prow[c]
         p = -p
     p = den[pr] = _reduce(prow, p)
-    for i, row in enumerate(tab):
-        if i != pr and pc in row:
-            den[i] = _eliminate(row, den[i], prow, p, pc)
+    for i in hold:
+        if i != pr:
+            den[i] = _eliminate(tab[i], den[i], prow, p, pc)
     if pc in cost:
         cden = _eliminate(cost, cden, prow, p, pc)
     basis[pr] = pc
@@ -278,17 +279,20 @@ def _run(tab, den, basis, cost, cden, col_limit, rhs):
     leaving row has the least ratio b/a of right-hand side to a positive
     entry, ties to the smallest basis index.  Denominators are positive and
     cancel from b/a within a row, so both tests read numerators only, and
-    ratios are compared by cross-multiplying.  Returns the cost row's
-    denominator and "optimal" or "unbounded".
+    ratios are compared by cross-multiplying.  The rows that hold the
+    entering column are found in one scan, which the pivot reuses.  Returns
+    the cost row's denominator and "optimal" or "unbounded".
     """
     while True:
         pc = min((c for c, v in cost.items() if v < 0 and c < col_limit), default=None)
         if pc is None:
             return cden, "optimal"
+        hold = [i for i, row in enumerate(tab) if pc in row]
         best = None
-        for i, row in enumerate(tab):
-            a = row.get(pc)
-            if a is not None and a > 0:
+        for i in hold:
+            row = tab[i]
+            a = row[pc]
+            if a > 0:
                 b = row.get(rhs, 0)
                 if best is None:
                     best, ba, bb = i, a, b
@@ -298,7 +302,7 @@ def _run(tab, den, basis, cost, cden, col_limit, rhs):
                         best, ba, bb = i, a, b
         if best is None:
             return cden, "unbounded"
-        cden = _pivot(tab, den, basis, cost, cden, best, pc)
+        cden = _pivot(tab, den, basis, cost, cden, best, pc, hold)
 
 
 def _multipliers(cost, cden, m, slack, bound):
@@ -317,18 +321,6 @@ def _multipliers(cost, cden, m, slack, bound):
     for j, (i, c, l) in bound.items():
         U[i] = cost.get(2 * j, 0) * l * (L // c)
     return U, cden * L
-
-
-def _shifted(irows, start):
-    """The rows in z = y - start: (a/l)·y >= b/l becomes (a/l)·z >= (b - a·start)/l."""
-    out = []
-    for a, b, l in irows:
-        for j, c in a:
-            v = start[j]
-            if v:
-                b -= c * v
-        out.append((a, b, l))
-    return out
 
 
 def _solve(irows, dim, obj, start=None):
@@ -360,10 +352,17 @@ def _solve(irows, dim, obj, start=None):
     SLACK = 2 * dim
     ART = SLACK + m
     RHS = ART + m
-    srows = irows if start is None else _shifted(irows, start)
 
+    # each row in z = y - start: (a/l)·y >= b/l is (a/l)·z >= (b - a·start)/l
+    shifted = []
     bound = {}  # variable -> (index, numerator, scale) of its presolved sign row
-    for i, (a, b, l) in enumerate(srows):
+    for i, (a, b, l) in enumerate(irows):
+        if start is not None:
+            for j, c in a:
+                v = start[j]
+                if v:
+                    b -= c * v
+        shifted.append(b)
         if not b and len(a) == 1:
             (j, c), = a
             if c > 0 and j not in bound:
@@ -376,7 +375,7 @@ def _solve(irows, dim, obj, start=None):
     den = []
     basis = []
     art_rows = []
-    for i, (a, b, l) in enumerate(srows):
+    for i, ((a, _, l), b) in enumerate(zip(irows, shifted)):
         if i in presolved:
             continue
         f = -1 if b <= 0 else 1
@@ -422,7 +421,8 @@ def _solve(irows, dim, obj, start=None):
         for r in range(len(tab)):
             if basis[r] >= ART:
                 pc = min(c for c in tab[r] if c < ART)
-                cden = _pivot(tab, den, basis, cost, cden, r, pc)
+                cden = _pivot(tab, den, basis, cost, cden, r, pc,
+                              [i for i, row in enumerate(tab) if pc in row])
 
     # Phase 2: price out the basic columns of the objective row.
     cost = {}

@@ -432,8 +432,10 @@ def balas_union(*arms: ExtendedFormulation) -> ExtendedFormulation:
 def with_xspace_rows(Q: ExtendedFormulation, rows) -> ExtendedFormulation:
     """Append x-space constraints a·x >= rhs, translated through the projection.
 
-    The point map is kept for the points whose lifted y satisfies the new
-    rows; the dual map is kept as it is, since Q's rows come first.
+    A translated row that Q already has is not appended again, so Q comes
+    back as it is when it has them all.  The point map is kept for the
+    points whose lifted y satisfies the new rows; the dual map is kept as it
+    is, since Q's rows come first.
     """
     if Q.empty_marker:
         return Q
@@ -444,7 +446,10 @@ def with_xspace_rows(Q: ExtendedFormulation, rows) -> ExtendedFormulation:
             raise ValueError(f"row has {len(a)} coefficients, expected {Q.n}")
         expr, off = lpsolve._y_objective(Q, a)
         extra.append((expr, _rational(rhs) - off))
-    extra = _int_rows(extra)
+    have = set(Q.rows)
+    extra = tuple(row for row in _int_rows(extra) if row not in have)
+    if not extra:
+        return Q
     return ExtendedFormulation(Q.n, Q.ydim, Q.rows + extra, Q.proj,
                                point_map=_cut_map(Q.point_map, extra), dual_map=Q.dual_map)
 
@@ -718,44 +723,73 @@ def to_text(Q: ExtendedFormulation) -> str:
     return text + "".join(wits)
 
 
-def _value(tok, where, memo) -> tuple:
-    """The (numerator, denominator) of a token in lowest terms, parsed once per
-    file: `memo` maps each token already read to its pair."""
-    v = memo.get(tok)
-    if v is None:
-        f = _parse_frac(tok, where)
-        v = memo[tok] = (f.numerator, f.denominator)
-    return v
+class _Reader:
+    """The int rows of one file, each token read once.
 
+    `values` maps every number token read, the c of a `j:c` token included,
+    to its (numerator, denominator) in lowest terms.  `pairs` maps every
+    `j:c` token read to its (column, numerator) pair, the column checked
+    against the width, and `odd` those of them whose value is zero or has a
+    denominator other than 1 to that denominator.  So a row of whole
+    nonzero tokens is its tuple of pairs.
+    """
 
-def _int_row(pairs, rhs, where, memo) -> tuple:
-    """The int row (a, b, l) of (column, token) pairs and a right-hand side
-    token, the row `lpsolve._int_rows` makes of its rationals; pairs whose
-    token spells zero are dropped."""
-    # a memo hit skips the call; a hit is a (numerator, denominator) pair, never falsy
-    vals = [(j, memo.get(tok) or _value(tok, where, memo)) for j, tok in pairs]
-    b, bd = memo.get(rhs) or _value(rhs, where, memo)
-    l = lcm(bd, *[d for _, (_, d) in vals])
-    return tuple([(j, c * (l // d)) for j, (c, d) in vals if c]), b * (l // bd), l
+    def __init__(self, width):
+        self.width = width
+        self.values, self.pairs, self.odd = {}, {}, {}
 
+    def _bad(self, tok):
+        return ValueError(f"bad row pair {tok!r}: need column:value, "
+                          f"columns increasing in 0..{self.width - 1}")
 
-def _row_pairs(toks, d):
-    """The (column, token) pairs of a `row` line's `j:c` tokens, columns
-    strictly increasing in 0..d-1."""
-    pairs = []
-    last = -1
-    for t in toks:
-        col, sep, tok = t.partition(":")
+    def value(self, tok, where) -> tuple:
+        """The (numerator, denominator) of a number token."""
+        v = self.values.get(tok)
+        if v is None:
+            f = _parse_frac(tok, where)
+            v = self.values[tok] = (f.numerator, f.denominator)
+        return v
+
+    def _pair(self, tok, where) -> tuple:
+        """The (column, numerator) pair of a `j:c` token not read before."""
+        col, sep, val = tok.partition(":")
         try:
             j = int(col)
         except ValueError:
             j = -1
-        if not (sep and last < j < d):
-            raise ValueError(f"bad row pair {t!r}: need column:value, "
-                             f"columns increasing in 0..{d - 1}")
-        pairs.append((j, tok))
-        last = j
-    return pairs
+        if not (sep and 0 <= j < self.width):
+            raise self._bad(tok)
+        c, den = self.values.get(val) or self.value(val, where)
+        if den != 1 or not c:
+            self.odd[tok] = den
+        v = self.pairs[tok] = (j, c)
+        return v
+
+    def row(self, toks, rhs, where) -> tuple:
+        """The int row (a, b, l) of the `j:c` tokens toks, columns strictly
+        increasing, over the right-hand side token rhs: the row
+        `lpsolve._int_rows` makes of their rationals, zeros dropped."""
+        pairs, odd = self.pairs, self.odd
+        # a memo hit skips the call; a hit is a pair, never falsy
+        vals = [pairs.get(t) or self._pair(t, where) for t in toks]
+        last = -1
+        for j, _ in vals:
+            if j <= last:  # name the first token out of order
+                raise self._bad(toks[next(k for k in range(1, len(vals))
+                                          if vals[k][0] <= vals[k - 1][0])])
+            last = j
+        b, bd = self.values.get(rhs) or self.value(rhs, where)
+        if bd == 1 and not (odd and any(t in odd for t in toks)):
+            return tuple(vals), b, 1
+        dens = [odd.get(t, 1) for t in toks]
+        l = lcm(bd, *dens)
+        a = tuple([(j, c * (l // den)) for (j, c), den in zip(vals, dens) if c])
+        return a, b * (l // bd), l
+
+    def dense(self, toks, rhs, where) -> tuple:
+        """The int row of a dense line's value tokens, read as the `j:c`
+        tokens of the entries not written `0`."""
+        return self.row([f"{j}:{t}" for j, t in enumerate(toks) if t != "0"], rhs, where)
 
 
 def from_text(text: str, check=None) -> ExtendedFormulation:
@@ -802,7 +836,10 @@ def _parse_text(text: str, check=None) -> tuple:
     line's 0/1 point to its tuple of indices.  Nothing is added or dropped.
     Malformed input raises ValueError.
     """
-    lines = [body for body in (raw.split("#", 1)[0].strip() for raw in text.splitlines()) if body]
+    raws = text.splitlines()
+    if "#" in text:
+        raws = [raw.split("#", 1)[0] for raw in raws]
+    lines = [body for body in map(str.strip, raws) if body]
     if not lines or lines[0] != "ef":
         raise ValueError("expected header line 'ef'")
     if len(lines) < 3 or not lines[1].startswith("xvars ") or not lines[2].startswith("yvars "):
@@ -817,8 +854,7 @@ def _parse_text(text: str, check=None) -> tuple:
     if check is not None:
         check(n)
 
-    width = n if d == 0 else d
-    memo = {}
+    read = _Reader(n if d == 0 else d)
     rows = []
     proj = {}
     wits = {}
@@ -829,12 +865,11 @@ def _parse_text(text: str, check=None) -> tuple:
                 raise ValueError("row line in an x-space formulation")
             if len(toks) < 3 or toks[-2] != ">=":
                 raise ValueError(f"bad row line: {line!r}")
-            rows.append(_int_row(_row_pairs(toks[1:-2], d), toks[-1], "row", memo))
+            rows.append(read.row(toks[1:-2], toks[-1], "row"))
         elif toks[0] == "ineq":
-            if len(toks) != width + 3 or toks[-2] != ">=":
+            if len(toks) != read.width + 3 or toks[-2] != ">=":
                 raise ValueError(f"bad ineq line: {line!r}")
-            rows.append(_int_row([(j, t) for j, t in enumerate(toks[1:-2]) if t != "0"],
-                                 toks[-1], "ineq", memo))
+            rows.append(read.dense(toks[1:-2], toks[-1], "ineq"))
         elif toks[0] == "proj":
             if d == 0:
                 raise ValueError("proj line in an x-space formulation")
@@ -846,9 +881,8 @@ def _parse_text(text: str, check=None) -> tuple:
                 raise ValueError(f"bad proj index {toks[1]!r}") from exc
             if not 1 <= i <= n or i in proj:
                 raise ValueError(f"bad or repeated proj index {i}")
-            _value(toks[2], "proj", memo)  # the offset is read first, as it comes first
-            proj[i] = _int_row([(j, t) for j, t in enumerate(toks[3:]) if t != "0"],
-                               toks[2], "proj", memo)
+            read.value(toks[2], "proj")  # the offset is read first, as it comes first
+            proj[i] = read.dense(toks[3:], toks[2], "proj")
         elif toks[0] == "wit":
             p, ones = _wit(toks, n, d, line)
             if p in wits:
@@ -867,7 +901,7 @@ def _wit(toks, n, d, line) -> tuple:
     if d == 0:
         raise ValueError("wit line in an x-space formulation")
     bits = toks[1] if len(toks) > 1 else ""
-    if len(bits) != n or not set(bits) <= {"0", "1"}:
+    if len(bits) != n or bits.strip("01"):
         raise ValueError(f"wit point must be {n} bits 0/1: {line!r}")
     try:
         ones = tuple(map(int, toks[2:]))

@@ -75,6 +75,33 @@ def test_optimize_spec_pipeline(tmp_path, capsys):
     assert out.strip() == "2"
 
 
+# The benchmark's ten bz5 objectives with the value and the point each
+# optimum was printed at on the bz5 round-1 file, and the pivots the ten
+# solves took together.  Bland's rule picks one optimal vertex among ties,
+# so a change of pivot path shows here first.
+BZ5_OPTIMA = (
+    ("min", "-2,-3,3,-3,2", "-8", "1 1 0 1 0"), ("max", "3,1,2,0,3", "9", "1 1 1 0 1"),
+    ("min", "0,-3,-1,1,-1", "-5", "0 1 1 0 1"), ("max", "-3,2,-2,-1,3", "5", "0 1 0 0 1"),
+    ("min", "3,-1,0,-1,1", "-2", "0 1 0 1 0"), ("max", "0,-3,-3,-1,1", "1", "1 0 0 0 1"),
+    ("min", "-1,-3,2,-3,3", "-7", "1 1 0 1 0"), ("max", "-3,3,-2,3,2", "8", "0 1 0 1 1"),
+    ("min", "-1,-3,-1,1,-3", "-8", "1 1 1 0 1"), ("min", "-2,-2,-3,2,-1", "-8", "1 1 1 0 1"),
+)
+BZ5_PIVOTS = 116
+
+
+def test_bz5_optima_keep_their_points_and_pivots(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "gen", "bz", "--n", "5")
+    assert run(capsys, "lift", "--formula", "bz5.bool", "--out", "l1.ef")[0] == 0
+    pivots = []
+    pivot = lp._pivot
+    monkeypatch.setattr(lp, "_pivot", lambda *args: pivots.append(1) or pivot(*args))
+    for sense, obj, value, at in BZ5_OPTIMA:
+        assert run(capsys, "-v", "optimize", "--ef", "l1.ef", f"--{sense}", f"--obj={obj}") == (
+            0, f"{value}\n", f"at {at}\n")
+    assert len(pivots) == BZ5_PIVOTS
+
+
 def test_member_exit_codes(tmp_path, capsys):
     f = tmp_path / "phi.bool"
     f.write_text("x1 & x2\n")
@@ -577,9 +604,13 @@ def test_lifted_file_with_witnesses_is_clamped_once(tmp_path, capsys):
     Q = pt._clamped(base)
     assert len(Q.rows) == len(base.rows) + 8 == 152
     assert Q.witnesses and all(lp._holds(Q.rows, y) for _, y in Q.witnesses)
-    _, rep = pt.lift(fm.reduce(fm.parse((tmp_path / "bz4.bool").read_text())), base)
+    phi = fm.reduce(fm.parse((tmp_path / "bz4.bool").read_text()))
+    _, rep = pt.lift(phi, base)
     assert rep.base_rows == 152
     assert rep.witnessed == len(rep.emptiness) == 15
+    # the clamped file has no dual map either, yet clamping it again adds no row
+    assert pt._clamped(Q) is Q
+    assert pt.lift(phi, pt.iterate_lift(phi, base, 0))[1].base_rows == 152
 
 
 def test_every_path_over_a_lifted_polytope_file_clamps_it_once(tmp_path, capsys, monkeypatch):
@@ -622,8 +653,12 @@ def test_every_path_over_a_lifted_polytope_file_clamps_it_once(tmp_path, capsys,
      "--polytope nonexistent.ef", "closure --ef takes no --polytope"),
     ("closure --mode pitch --level 1 --formula bz4.bool --ef bz4.ef --rounds 3",
      "closure --ef takes no --rounds"),
+    ("gen matching-k4 --n 5 --b 1,2", "gen matching-k4 takes no --n"),
+    ("gen bz --n 4 --matrix nonexistent.txt", "gen bz takes no --matrix"),
+    ("gen covering --matrix m.txt --b 1,2", "gen covering takes no --b"),
 ], ids=["complete-polytope", "pitch-polytope", "notch-polytope", "sandwich-covering-m",
-        "integral-rounds", "closure-ef-polytope", "closure-ef-rounds"])
+        "integral-rounds", "closure-ef-polytope", "closure-ef-rounds", "gen-matching-n",
+        "gen-bz-matrix", "gen-covering-b"])
 def test_a_flag_the_command_would_ignore_is_refused(tmp_path, capsys, monkeypatch, argv, message):
     monkeypatch.chdir(tmp_path)
     run(capsys, "gen", "bz", "--n", "4")
@@ -632,8 +667,12 @@ def test_a_flag_the_command_would_ignore_is_refused(tmp_path, capsys, monkeypatc
 
 def test_the_flags_each_command_uses_are_still_taken(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    run(capsys, "gen", "bz", "--n", "4")
-    for argv in ("verify size --formula bz4.bool --covering-m 3 --polytope cube",
+    (tmp_path / "m.txt").write_text("1 1 0\n0 1 1\n")
+    for argv in ("gen bz --n 4",
+                 "gen covering --matrix m.txt",
+                 "gen bounded --matrix m.txt --b 2,1",
+                 "gen matching-k4",
+                 "verify size --formula bz4.bool --covering-m 3 --polytope cube",
                  "verify complete --formula bz4.bool --rounds 2",
                  "verify sandwich --formula bz4.bool --polytope bz4.ef",
                  "closure --mode pitch --level 1 --formula bz4.bool --ef bz4.ef",

@@ -699,6 +699,41 @@ def test_row_lines_read_like_fraction_rows(width, data):
     assert pt._parse_text(text)[2] == lp._int_rows(rational)
 
 
+# Spellings a file may use: zeros, non-lowest terms, signs, exponents and
+# leading zeros.  Drawn from a small pool, they repeat across rows.
+_SPELLED = ("0", "-0", "+0", "0/3", "1", "+1", "1e0", "01", "-1", "-2/2", "2/4", "0.5",
+            "+5e-1", "-3/2", "-6/4", "2", "4/2", "7/6")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.booleans(), st.data())
+def test_a_file_reads_like_fraction_rows(width, xspace, data):
+    # yvars 0 files hold dense ineq lines, lifted ones sparse row lines whose
+    # columns may carry a sign or leading zeros; comments and blank lines
+    # may fall anywhere
+    pool = st.sampled_from(_SPELLED)
+    note = st.sampled_from(("", "  # note", "#"))
+    lines = ["ef" + data.draw(note), f"xvars {width if xspace else 1}",
+             f"yvars {0 if xspace else width}" + data.draw(note)]
+    rational = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        if xspace:
+            pairs = list(enumerate(data.draw(st.lists(pool, min_size=width, max_size=width))))
+            line = "ineq " + " ".join(t for _, t in pairs)
+        else:
+            cols = sorted(data.draw(st.sets(st.integers(0, width - 1))))
+            pairs = [(j, data.draw(pool)) for j in cols]
+            line = "row" + "".join(f" {data.draw(st.sampled_from(('', '0', '+')))}{j}:{t}"
+                                   for j, t in pairs)
+        rhs = data.draw(pool)
+        lines.append(f"{line} >= {rhs}" + data.draw(note))
+        lines.extend(data.draw(st.lists(st.sampled_from(("", "   ", "# a comment")), max_size=2)))
+        rational.append((tuple((j, F(t)) for j, t in pairs if F(t)), F(rhs)))
+    if not xspace:
+        lines.append("proj 1 0 " + " ".join(["1"] + ["0"] * (width - 1)))
+    assert pt._parse_text("\n".join(lines) + "\n")[2] == lp._int_rows(rational)
+
+
 def test_zero_spellings_are_dropped_and_decimals_read_exactly():
     Q = pt.from_text("ef\nxvars 1\nyvars 4\nineq 0/3 -0 00 1.5 >= 0/3\n"
                      "proj 1 -0 00 0/3 -0 1.5\n")
@@ -741,6 +776,10 @@ BAD_ROW = {
     "colon-missing": ("row 0:1 1 >= 0", "bad row pair '1'"),
     "column-repeated": ("row 0:1 0:2 >= 0", "bad row pair '0:2'"),
     "column-decreasing": ("row 1:1 0:2 >= 0", "bad row pair '0:2'"),
+    # a token's own fault is found before the order of the line's columns
+    "value-then-order": ("row 1:x 0:1 >= 0", "row: bad rational 'x'"),
+    "order-then-value": ("row 1:1 0:1 1:x >= 0", "row: bad rational 'x'"),
+    "order-then-right-side": ("row 1:1 0:1 >= x", "bad row pair '0:1'"),
     "value": ("row 0:1 1:x >= 0", "row: bad rational 'x'"),
     "value-empty": ("row 0: >= 0", "row: bad rational ''"),
     "zero-denominator": ("row 1:1/0 >= 0", "row: bad rational '1/0'"),
