@@ -1,28 +1,28 @@
 """Exact convex hulls in small dimension by the double description method.
 
-No floating point and no perturbation.  Facet enumeration of a point set
-reduces to vertex enumeration of the polar body inside the affine hull, and
-vertex enumeration of an inequality system runs double description on its
-homogenization.  The kernel runs on Python ints: rows, rays and points
-are primitive integer tuples (a point X/d is kept as (X, d)), Gaussian
-elimination is fraction-free, and each ray carries its zero set as a
-bitmask.  A FacetList holds int rows (a, b, l), as formulations do, and
-`fractions.Fraction` appears only at the edges: reading rational rows and
-points, a FacetList's `Fraction` rows, built when read, and the points and
-rays handed back to callers.  Inputs are capped at dimension HULL_LIMIT
-because the method is exponential in general.  The x-space lift runs one
-double description per OR chain: an OR node's points are the union of its
-arms' points, nested ORs included, and only the chain's root is hulled.
-Every AND, a literal included, lifts to the face of the box that its
-fixes cut from the points below it: the vertex list that each round
-carries to the next, its one OR child's points, or the vertices of the
-meet of its OR children's hulls.  Every FacetList answers `hvertices`,
-its vertex list certified from both sides: a round brings the list it
-was certified with where it was made, and any other FacetList gets its
-list from `certified_vertices`, with an exact LP proving each facet of
-the list's hull that no row states.  The next round,
-`verify.check_completeness` and the closure pricing of `measures` all
-rely on that list.
+No floating point and no perturbation.  The facets of a point set's hull
+are the extreme rays of the dual cone of the rows valid on its points,
+taken inside their affine hull, and vertex enumeration of an inequality
+system runs double description on its homogenization.  The kernel runs on
+Python ints: rows, rays and points are primitive integer tuples (a point
+X/d is kept as (X, d)), Gaussian elimination is fraction-free, and each
+ray carries its zero set as a bitmask.  A FacetList holds int rows
+(a, b, l), as formulations do, and `fractions.Fraction` appears only at the
+edges: reading rational rows and points, a FacetList's `Fraction` rows,
+built when read, and the points and rays handed back to callers.  Inputs
+are capped at dimension HULL_LIMIT because the method is exponential in
+general.  The x-space lift runs one double description per OR chain: an OR
+node's points are the union of its arms' points, nested ORs included, and
+only the chain's root is hulled.  Every AND, a literal included, lifts to
+the face of the box that its fixes cut from the points below it: the
+vertex list that each round carries to the next, its one OR child's
+points, or the vertices of the meet of its OR children's hulls.  Every
+FacetList answers `hvertices`, its vertex list certified from both sides:
+a round brings the list it was certified with where it was made, and any
+other FacetList gets its list from `certified_vertices`, with an exact LP
+proving each facet of the list's hull that no row states.  The next round,
+`verify.check_completeness` and the closure pricing of `measures` all rely
+on that list.
 """
 
 from __future__ import annotations
@@ -53,14 +53,11 @@ def _primitive(vec) -> tuple[int, ...]:
     return _reduced([v.numerator * (mult // v.denominator) for v in vec])
 
 
-def _sign_normalized(vec) -> tuple[int, ...]:
-    """Primitive vector with its first nonzero entry positive."""
-    p = _primitive(vec)
-    for v in p:
-        if v != 0:
-            if v < 0:
-                p = tuple(-x for x in p)
-            break
+def _sign_normalized(ints) -> tuple[int, ...]:
+    """An integer vector made primitive, with its first nonzero entry positive."""
+    p = _reduced(ints)
+    if next((v for v in p if v), 0) < 0:
+        p = tuple(-v for v in p)
     return p
 
 
@@ -209,37 +206,32 @@ def _dd_pointed(rows, dim):
     return sorted(set(rays))
 
 
-def _dd_cone(raw_rows, dim):
-    """Generators of {z : r·z >= 0}: (extreme rays, lineality basis).
-
-    Rows are integer tuples, at least one of them nonzero; the generators
-    are primitive integer tuples.
-    """
-    rows = sorted({_reduced(r) for r in raw_rows if any(r)})
-    rays = _dd_pointed(rows, dim)
-    if rays is not None:
-        return rays, []
-    rref, pivots = _rref(rows)
-    # Quotient out the lineality space: pivot coordinates of the row space
-    # parametrize representatives, and every row descends to them.
-    qrows = sorted({_reduced([r[p] for p in pivots]) for r in rows})
-    lifted = []
-    for w in _dd_pointed(qrows, len(pivots)):
-        vec = [0] * dim
-        for p, val in zip(pivots, w):
-            vec[p] = val
-        lifted.append(tuple(vec))
-    return sorted(lifted), [_sign_normalized(v) for v in _nullspace(rref, pivots, dim)]
-
-
 def vertices_of_rows(hrows, n):
     """Minimal V-description of {x : h·(x, 1) >= 0 for h in hrows}.
 
     Rows are integer tuples of length n + 1.  Returns (points, rays,
     lineality) as primitive int tuples; a point is homogeneous, (X, d) with
     d > 0 for the vertex X/d.  An empty polyhedron yields three empty lists.
+    Double description runs on the homogenization, the rows with
+    (0, ..., 0, 1) added, and a cone with a lineality space is quotiented
+    down to the pivot coordinates of its row space first.
     """
-    gens, lineality = _dd_cone(hrows + [(0,) * n + (1,)], n + 1)
+    rows = sorted({_reduced(r) for r in [*hrows, (0,) * n + (1,)] if any(r)})
+    gens = _dd_pointed(rows, n + 1)
+    lineality = []
+    if gens is None:
+        rref, pivots = _rref(rows)
+        # Pivot coordinates of the row space parametrize representatives
+        # modulo the lineality space, and every row descends to them.
+        qrows = sorted({_reduced([r[p] for p in pivots]) for r in rows})
+        gens = []
+        for w in _dd_pointed(qrows, len(pivots)):
+            vec = [0] * (n + 1)
+            for p, val in zip(pivots, w):
+                vec[p] = val
+            gens.append(tuple(vec))
+        gens.sort()
+        lineality = _nullspace(rref, pivots, n + 1)
     points = [g for g in gens if g[n] > 0]
     if not points:
         return [], [], []
@@ -254,11 +246,14 @@ def _hull(points, n):
     equations): primitive int rows h, with h·(x, 1) >= 0 for a facet and
     h·(x, 1) = 0 for an equation; an equation's first nonzero entry is
     positive.
-    The points are scaled to integers by their common denominator D.  The
-    equations come from fraction-free elimination; the facets from vertex
-    enumeration of the polar body around the centroid c inside the affine
-    hull, whose rows (c - w)·a >= -1 are multiplied by the point count so
-    that they stay integral too.
+    The points are scaled to integers by their common denominator D, and
+    w is each scaled point minus the first, in the q pivot coordinates of
+    their differences.  The equations come from fraction-free elimination
+    of those differences.  The facets are the extreme rays (a, t) of the
+    dual cone {(a, t) : a·w + t >= 0 at every w} of the rows valid on the
+    points, by one pointed double description, since the w span q
+    coordinates.  By Farkas' lemma the facets and (0, 1) generate that
+    cone, and (0, 1) is a positive sum of facets when q >= 1.
     """
     D = lcm(*(g[n] for g in points))
     X = sorted({tuple(v * (D // g[n]) for v in g[:n]) for g in points})
@@ -272,25 +267,25 @@ def _hull(points, n):
     if q == 0:
         return [], equations
 
-    m = len(X)
-    W = [[x[p] - x0[p] for p in pivots] for x in X]
-    S = [sum(col) for col in zip(*W)]
-    polar = [tuple(s - m * w for s, w in zip(S, wj)) + (m,) for wj in W]
-    pverts, prays, plin = vertices_of_rows(polar, q)
-    if prays or plin:
-        raise lpsolve.InternalError("polar of a full-dimensional hull must be bounded")
-    # a·(w - c) <= 1 for all w, tight on a facet, with a = g[:q]/g[q],
-    # w_i = X[pivots[i]] - x0[pivots[i]], c = S/m and X = D·x; times m·g[q]
-    # and flipped to >= form.  a = 0 is no vertex: every polar row is m there.
-    shift = [S[i] + m * x0[p] for i, p in enumerate(pivots)]
+    rays = _dd_pointed(sorted((*(x[p] - x0[p] for p in pivots), 1) for x in X), q + 1)
+    if rays is None:
+        raise lpsolve.InternalError("the valid rows of a hull must form a pointed cone")
+    # a·(D·x - x0) + t >= 0 over the pivot coordinates p
     facets = []
-    for g in pverts:
+    for g in rays:
         h = [0] * (n + 1)
-        for i, p in enumerate(pivots):
-            h[p] = -m * D * g[i]
-        h[n] = m * g[q] + sum(map(mul, g, shift))
+        for a, p in zip(g, pivots):
+            h[p] = D * a
+        h[n] = g[q] - sum(a * x0[p] for a, p in zip(g, pivots))
         facets.append(_reduced(h))
     return facets, equations
+
+
+def _hull_rows(points, n):
+    """`_hull`'s rows of conv(points) as rows h with h·(x, 1) >= 0: the
+    facets, then each equation both ways."""
+    facets, equations = _hull(points, n)
+    return facets + [r for h in equations for r in (h, tuple(-v for v in h))]
 
 
 # ---------------------------------------------------------------------------
@@ -369,10 +364,6 @@ class FacetList:
         return _write(self.n, 0, self.irows(), ())
 
 
-def _negated(h) -> tuple[int, ...]:
-    return tuple(-v for v in h)
-
-
 def _of_int_rows(n, facets, equations=(), vertices=None) -> FacetList:
     """The FacetList of canonical int rows as they are, with `vertices` when given."""
     F = object.__new__(FacetList)
@@ -398,8 +389,8 @@ def facets_of_points(points) -> FacetList:
     """Facets and affine-hull equations of the convex hull of finitely many points.
 
     Works in the affine hull: equations come from exact elimination, facets
-    from vertex enumeration of the polar body around the centroid.  Every
-    facet is valid for all points and tight on affinely many of them.
+    are the extreme rays of the dual cone of the rows valid on the points.
+    Every facet is valid for all points and tight on affinely many of them.
     """
     pts = [tuple(_rational(v) for v in p) for p in points]
     if not pts:
@@ -503,8 +494,8 @@ def lift_hrep(phi, base):
     sides (Mehlhorn et al., "Checking geometric programs", 1999):
     `_vertices` prunes the points to the hull's vertices and checks every
     row at every point, so conv(vertices) lies in the rows, and the rows'
-    own vertices, by the primal double description where `_hull` ran the
-    polar one, must be exactly that list, so no vertex was lost.
+    own vertices, by the primal double description where `_hull` ran it
+    on the dual cone, must be exactly that list, so no vertex was lost.
     Otherwise InternalError.
     """
     n = phi.n
@@ -572,9 +563,8 @@ def certified_vertices(rows, n):
         return points
     if rays or lin:
         return None
-    facets, equations = _hull(points, n)
     have = set(rows)
-    for h in (*facets, *equations, *map(_negated, equations)):
+    for h in _hull_rows(points, n):
         if h not in have:
             out = lpsolve.optimize_rows(dense, n, h[:n])
             if out.status != "optimal" or out.value < -h[n]:
@@ -659,8 +649,7 @@ def _points(node, verts, n):
             points = _points(child, verts, n)
             if not points:
                 return set()
-            facets, equations = _hull(points, n)
-            rows += facets + equations + [_negated(h) for h in equations]
+            rows += _hull_rows(points, n)
         below, rays, lin = vertices_of_rows(rows, n)
         if rays or lin:
             raise lpsolve.InternalError("lift arms must stay bounded inside the box")

@@ -183,8 +183,9 @@ def _combination(irows, u, E):
 
 
 def _holds(irows, y) -> bool:
-    """Every int row holds at the point y, exactly."""
-    return _holds_over(irows, *_common(y))
+    """Every int row holds at the point y, exactly: `_holds_over` with D = 1,
+    which is exact for rational entries too."""
+    return _holds_over(irows, y, 1)
 
 
 def _holds_over(irows, Y, D) -> bool:
@@ -556,7 +557,8 @@ def _project(Q, Y, D=1):
 def _lifts(Q, Y, D, X, d=1) -> bool:
     """Y/D is a point of Q over X/d, for int numerators Y over D > 0 and X
     over d > 0: the projection (a·Y + b·D)/(l·D) is X_i/d in each
-    coordinate, (a·Y + b·D)·d == X_i·l·D, and every row holds at Y/D."""
+    coordinate, (a·Y + b·D)·d == X_i·l·D, and every row holds at Y/D.
+    With D = 1 it is as exact for a rational Y, such as a point map's y."""
     return all((sum([c * Y[j] for j, c in a]) + b * D) * d == xi * l * D
                for xi, (a, b, l) in zip(X, Q.proj)) and _holds_over(Q.rows, Y, D)
 
@@ -674,7 +676,7 @@ def contains_point(Q, x) -> bool:
     if d == 1 and all(v == 0 or v == 1 for v in X):
         if Q.point_map is not None:
             y = Q.point_map(tuple(X))
-            if y is not None and _lifts(Q, *_common(y), X):
+            if y is not None and _lifts(Q, y, 1, X):
                 return True
         if proves_valid(Q, tuple(1 - 2 * v for v in X), 1 - sum(X)):
             return False

@@ -125,24 +125,17 @@ def notch_of_set(S: fm.PointSet01) -> int:
     """Smallest k such that every k-dimensional cube face contains a point of S.
 
     0 exactly when S is all of {0,1}^n; at most n for nonempty S since the
-    cube itself is an n-face.  Enumerates all 3^n faces; S must be nonempty.
+    cube itself is an n-face.  S must be nonempty.
     """
     n = S.n
     _check_faces(n)
     if not S.points:
         raise ValueError("the notch of the empty set is undefined")
-    pts = set(S.points)
+    # every k-face with free coordinates F holds a point of S exactly when S,
+    # restricted to the n - k coordinates outside F, takes all 2^(n-k) values
     for k in range(n + 1):
-        ok = True
-        for free in itertools.combinations(range(n), k):
-            fixed = [i for i in range(n) if i not in free]
-            for vals in itertools.product((0, 1), repeat=len(fixed)):
-                if not any(all(s[i] == v for i, v in zip(fixed, vals)) for s in pts):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(len({tuple(s[i] for i in fixed) for s in S.points}) == 1 << (n - k)
+               for fixed in itertools.combinations(range(n), n - k)):
             return k
     raise AssertionError("unreachable: the full cube contains every point of S")
 

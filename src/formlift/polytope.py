@@ -548,7 +548,7 @@ def _witness(arms, start=0):
                           start):
         for Q in arms[first:]:
             y = Q.point_map(p)
-            if y is None or not lpsolve._lifts(Q, *lpsolve._common(y), p):
+            if y is None or not lpsolve._lifts(Q, y, 1, p):
                 break
         else:
             return i
@@ -842,12 +842,13 @@ def _parse_text(text: str, check=None) -> tuple:
     lines = [body for body in map(str.strip, raws) if body]
     if not lines or lines[0] != "ef":
         raise ValueError("expected header line 'ef'")
-    if len(lines) < 3 or not lines[1].startswith("xvars ") or not lines[2].startswith("yvars "):
+    head = [line.split() for line in lines[1:3]]
+    if len(head) < 2 or head[0][0] != "xvars" or head[1][0] != "yvars":
         raise ValueError("expected 'xvars <n>' then 'yvars <d>'")
     try:
-        n = int(lines[1].split()[1])
-        d = int(lines[2].split()[1])
-    except (IndexError, ValueError) as exc:
+        (_, n), (_, d) = head
+        n, d = int(n), int(d)
+    except ValueError as exc:
         raise ValueError("bad xvars/yvars line") from exc
     if n < 1 or d < 0:
         raise ValueError("variable counts out of range")

@@ -494,10 +494,21 @@ def test_a_row_without_n_coefficients_is_refused(call):
         call()
 
 
-def _with_a_ray(monkeypatch, inside_hull):
-    """Make `vertices_of_rows` report a ray, for the calls `_hull` makes
-    when `inside_hull` is true and for every other call otherwise."""
-    real_rows, real_hull, depth = hull.vertices_of_rows, hull._hull, []
+def _with_a_ray(monkeypatch):
+    """Make every `vertices_of_rows` call report a ray."""
+    real = hull.vertices_of_rows
+
+    def planted(rows, n):
+        points, rays, lin = real(rows, n)
+        return points, rays + [(1,) + (0,) * (n - 1)], lin
+
+    monkeypatch.setattr(hull, "vertices_of_rows", planted)
+
+
+def test_a_dual_cone_with_a_line_is_an_internal_error(monkeypatch):
+    # the t column of every row (w, 1) is lost inside `_hull`, so (0, ±1)
+    # both lie in the cone its double description is handed
+    real_dd, real_hull, depth = hull._dd_pointed, hull._hull, []
 
     def spied_hull(points, n):
         depth.append(1)
@@ -506,26 +517,19 @@ def _with_a_ray(monkeypatch, inside_hull):
         finally:
             depth.pop()
 
-    def planted(rows, n):
-        points, rays, lin = real_rows(rows, n)
-        if bool(depth) == inside_hull:
-            rays = rays + [(1,) + (0,) * (n - 1)]
-        return points, rays, lin
+    def planted(rows, dim):
+        return real_dd([r[:-1] + (0,) for r in rows] if depth else rows, dim)
 
     monkeypatch.setattr(hull, "_hull", spied_hull)
-    monkeypatch.setattr(hull, "vertices_of_rows", planted)
-
-
-def test_an_unbounded_polar_is_an_internal_error(monkeypatch):
-    _with_a_ray(monkeypatch, inside_hull=True)
-    with pytest.raises(lp.InternalError, match="polar of a full-dimensional hull"):
+    monkeypatch.setattr(hull, "_dd_pointed", planted)
+    with pytest.raises(lp.InternalError, match="must form a pointed cone"):
         hull.facets_of_points([(0, 0), (1, 0), (0, 1)])
 
 
 def test_unbounded_and_arms_are_an_internal_error(monkeypatch):
     # an AND with two OR children meets its children's hulls by one double
     # description over the cube's corners, with no check before it
-    _with_a_ray(monkeypatch, inside_hull=False)
+    _with_a_ray(monkeypatch)
     with pytest.raises(lp.InternalError, match="lift arms must stay bounded"):
         hull.lift_hrep(fm.parse("(x1 | x2) & (x3 | x4)", 4), _CUBE4)
 
@@ -567,13 +571,13 @@ def test_an_equation_off_a_point_is_caught(monkeypatch):
 
 @pytest.mark.parametrize("text, hulls, enumerations", [
     # the face x1 = 1, x2 = 0 of conv(x3 | x4) is filtered from that chain's
-    # points: one hull for the top chain, its polar and the certificate
-    ("x1 & !x2 & (x3 | x4) | x2 & x4", 1, 2),
+    # points: one hull for the top chain, and one enumeration, the certificate
+    ("x1 & !x2 & (x3 | x4) | x2 & x4", 1, 1),
     # two OR children: each chain and the top are hulled, and the meet of
-    # the chains' hulls is enumerated once more
-    ("x1 & (x2 | x3) & (!x2 | x4)", 3, 5),
+    # the chains' hulls and the certificate are enumerated
+    ("x1 & (x2 | x3) & (!x2 | x4)", 3, 2),
     # an AND of fixes alone is filtered from the base's vertex list
-    ("x1 & !x2 | x3 & x4", 1, 2),
+    ("x1 & !x2 | x3 & x4", 1, 1),
 ])
 def test_an_and_beside_one_or_is_filtered_not_hulled(monkeypatch, text, hulls, enumerations):
     calls = []

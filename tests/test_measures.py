@@ -458,7 +458,7 @@ def test_a_facet_list_that_leaves_the_box_is_priced_clamped():
 
 def _faulty_first_vertex_list(monkeypatch, fault):
     """Make the first `vertices_of_rows` call, the relaxation's own, go
-    through `fault`; later calls (cone vertices, hull polars) are left alone."""
+    through `fault`; later calls (cone vertices, certificates) are left alone."""
     real = hull.vertices_of_rows
     calls = []
 

@@ -506,6 +506,22 @@ def test_from_text_rejects_garbage():
         pt.from_text("ef\nxvars 2\nyvars 0\nineq 1 >= 0\n")
 
 
+@pytest.mark.parametrize("header", [
+    "xvars 2 9\nyvars 0 junk",
+    "xvars 2\nyvars 0 0",
+    "xvars 2 2\nyvars 0",
+])
+def test_from_text_refuses_a_count_line_with_other_than_one_number(header):
+    # README documents `xvars n` and `yvars d`; a trailing token is not ignored
+    with pytest.raises(ValueError) as info:
+        pt.from_text(f"ef\n{header}\nineq 1 1 >= 1\n")
+    assert str(info.value) == "bad xvars/yvars line"
+
+
+def test_from_text_splits_the_header_on_any_whitespace_as_every_other_line():
+    assert pt.from_text("ef\nxvars\t2\nyvars  0\nineq 1\t1 >= 1\n").n == 2
+
+
 @pytest.mark.parametrize("family,rounds", [
     (("bz", "--n", "4"), 2),
     (("bz", "--n", "5"), 1),
