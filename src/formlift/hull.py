@@ -16,7 +16,10 @@ node's points are the union of its arms' points, nested ORs included, and
 only the chain's root is hulled.  Every AND, a literal included, lifts to
 the face of the box that its fixes cut from the points below it: the
 vertex list that each round carries to the next, its one OR child's
-points, or the vertices of the meet of its OR children's hulls.  Every
+points, or the vertices of the meet of its OR children's hulls.  Within
+one chain of rounds (`_rounds`) each distinct point set is hulled and
+certified once, and a round whose points repeat an earlier round's is that
+round's FacetList; nothing is kept beyond the chain.  Every
 FacetList answers `hvertices`, its vertex list certified from both sides:
 a round brings the list it was certified with where it was made, and any
 other FacetList gets its list from `certified_vertices`, with an exact LP
@@ -281,10 +284,17 @@ def _hull(points, n):
     return facets, equations
 
 
-def _hull_rows(points, n):
-    """`_hull`'s rows of conv(points) as rows h with h·(x, 1) >= 0: the
-    facets, then each equation both ways."""
-    facets, equations = _hull(points, n)
+def _hull_of(points, n, made):
+    """`_hull(points, n)`, run once per distinct point set in the dict `made`."""
+    key = ("hull", frozenset(points))
+    if key not in made:
+        made[key] = _hull(points, n)
+    return made[key]
+
+
+def _hull_rows(facets, equations):
+    """`_hull`'s rows as rows h with h·(x, 1) >= 0: the facets, then each
+    equation both ways."""
     return facets + [r for h in equations for r in (h, tuple(-v for v in h))]
 
 
@@ -475,7 +485,7 @@ def equals_hull(Q, V) -> HullCheck:
 # computed directly as an H-description at small dimension
 
 
-def lift_hrep(phi, base):
+def lift_hrep(phi, base, *, made=None):
     """Apply a reduced formula to a polytope inside the unit box, in x-space.
 
     Literals restrict to faces, AND intersects row systems, OR takes the
@@ -497,6 +507,14 @@ def lift_hrep(phi, base):
     own vertices, by the primal double description where `_hull` ran it
     on the dual cone, must be exactly that list, so no vertex was lost.
     Otherwise InternalError.
+
+    `made`, which `_rounds` passes, is one dict for all the rounds of a
+    chain.  It maps ("hull", points) to `_hull` of the points of an OR
+    child or of a round, and ("round", points) to the certified FacetList
+    of a round's points, each point set a frozenset.  Both depend on the
+    point set alone, so each distinct point set is hulled and certified
+    once per chain, and a round whose points repeat an earlier round's is
+    that round's FacetList, certified for exactly those points.
     """
     n = phi.n
     if not isinstance(base, FacetList):
@@ -504,15 +522,19 @@ def lift_hrep(phi, base):
     _check_lift(phi, base)
     if base.hvertices is None:
         raise ValueError("the base of a lift must be a polytope inside the unit box")
-    points = _points(phi, base.hvertices, n)
+    made = {} if made is None else made
+    points = _points(phi, base.hvertices, n, made)
     if not points:
         return None
-    facets, equations = _hull(points, n)
-    F = _facet_list(n, facets, equations, _vertices(points, facets, equations))
-    points, rays, lin = vertices_of_rows(F.hrows(), n)
-    if rays or lin or set(points) != set(F.hvertices):
-        raise lpsolve.InternalError("a hull's rows and its vertex list disagree")
-    return F
+    key = ("round", frozenset(points))
+    if key not in made:
+        facets, equations = _hull_of(points, n, made)
+        F = _facet_list(n, facets, equations, _vertices(points, facets, equations))
+        points, rays, lin = vertices_of_rows(F.hrows(), n)
+        if rays or lin or set(points) != set(F.hvertices):
+            raise lpsolve.InternalError("a hull's rows and its vertex list disagree")
+        made[key] = F
+    return made[key]
 
 
 def _check_lift(phi, base):
@@ -529,9 +551,13 @@ def _rounds(phi, base):
     `base` is as for `lift_hrep`.  Yields each round's canonical FacetList,
     each lifted once by `lift_hrep` from the round before, whose rows and
     vertices it carries as ints, and None from the first empty round on.
+    The rounds share one `made` dict of `lift_hrep`, kept as long as the
+    generator, so a round whose points repeat an earlier round's is that
+    round's FacetList.
     """
+    made = {}
     while base is not None:
-        base = lift_hrep(phi, base)
+        base = lift_hrep(phi, base, made=made)
         yield base
     yield from itertools.repeat(None)
 
@@ -564,7 +590,7 @@ def certified_vertices(rows, n):
     if rays or lin:
         return None
     have = set(rows)
-    for h in _hull_rows(points, n):
+    for h in _hull_rows(*_hull(points, n)):
         if h not in have:
             out = lpsolve.optimize_rows(dense, n, h[:n])
             if out.status != "optimal" or out.value < -h[n]:
@@ -621,7 +647,7 @@ def _vertices(points, facets, equations):
     return tuple(out)
 
 
-def _points(node, verts, n):
+def _points(node, verts, n, made):
     """Homogeneous int points whose convex hull is the lift of `node`, as a set.
 
     `verts` is the base's vertex list.  An OR node gives the union of its
@@ -629,12 +655,13 @@ def _points(node, verts, n):
     node is an AND of fixes x_F = v and OR children, a literal or a
     constant being the AND of itself.  It first takes a point set `below`:
     the base's vertices when it has no OR child, its one OR child's points,
-    or the vertices of the meet of its OR children's hulls.  conv(below)
+    or the vertices of the meet of its OR children's hulls, each child's
+    hull taken from `lift_hrep`'s dict `made`.  conv(below)
     lies in the box, so {x_F = v} cuts a face of it, and the node's lift,
     that face, is the hull of the points of `below` on it.
     """
     if node.kind is fm.Kind.OR:
-        return set().union(*(_points(arm, verts, n) for arm in node.children))
+        return set().union(*(_points(arm, verts, n, made) for arm in node.children))
     split = fm.fixings(node)
     if split is None:
         return set()
@@ -642,14 +669,14 @@ def _points(node, verts, n):
     if not rest:
         below = verts
     elif len(rest) == 1:
-        below = _points(rest[0], verts, n)
+        below = _points(rest[0], verts, n, made)
     else:
         rows = []
         for child in rest:
-            points = _points(child, verts, n)
+            points = _points(child, verts, n, made)
             if not points:
                 return set()
-            rows += _hull_rows(points, n)
+            rows += _hull_rows(*_hull_of(points, n, made))
         below, rays, lin = vertices_of_rows(rows, n)
         if rays or lin:
             raise lpsolve.InternalError("lift arms must stay bounded inside the box")

@@ -15,7 +15,10 @@ inequality of bounded pitch or notch that a relaxation violates: for each
 support (pitch mode, uncomplemented) or complementation pattern (notch
 mode), the feasible coefficient vectors with delta normalized to 1 form a
 polyhedron whose vertices are enumerated exactly, and each vertex is priced
-against the relaxation.
+against the relaxation.  Within one search each distinct polyhedron is
+enumerated once: scopes whose validity rows state the same one, as a
+symmetric set gives many, share its vertex list, and nothing is kept
+beyond the search.
 
 An x-space relaxation R is priced over its vertex list in Python ints:
 the `hvertices` of a FacetList, or of the FacetList of an x-space
@@ -224,7 +227,7 @@ def _cone_generators(dim, level, valid_rows):
     coefficients and right-hand side 0 or 1, so each goes to the double
     description as the homogeneous int row (a, -rhs).  At level 1 every
     c_i >= 1, so each row d·c >= 1 with d != 0 holds and the only vertex is
-    all ones; `_price` passes no zero d.
+    all ones; `_price` passes no zero d, and no d that a level row implies.
     """
     if level == 1 and all(any(d) for d in valid_rows):
         return [(1,) * (dim + 1)]
@@ -340,8 +343,9 @@ def _search(query):
         scopes = [(everything, tuple(i + 1 for i in range(n) if mask >> i & 1))
                   for mask in range(1 << n)]
     examined = skipped = priced = 0
+    cones = {}
     for I, neg in scopes:
-        viol, cost = _price(query, I, neg, V)
+        viol, cost = _price(query, I, neg, V, cones)
         examined += 1
         skipped += cost == 0
         priced += cost
@@ -357,30 +361,39 @@ def _priced_minimum(R, a, const):
     return out.value + const, out.x
 
 
-def _price(query, I, neg, V):
+def _price(query, I, neg, V, cones):
     """Price the cone vertices of one scope: support I, complemented indices neg.
 
     Pitch scopes are (support, ()); notch scopes are (all variables,
     pattern).  `V` is R's certified vertex list, or None for a lifted R, to
-    price each cone vertex with an LP.  Returns (violation or None,
-    vertices priced).
+    price each cone vertex with an LP.  `cones` is the search's dict from
+    (len(I), the validity rows that state the cone) to `_cone_generators`'
+    list, which depends on nothing else within one search.  Returns
+    (violation or None, vertices priced).
     """
     # validity rows restricted to I; an all-zero row means no nonnegative
     # inequality on the scope can be valid (in notch mode: the point that
-    # agrees with the pattern everywhere forces lhs = 0 < 1), so it is skipped
+    # agrees with the pattern everywhere forces lhs = 0 < 1), so it is
+    # skipped.  Since c >= 0, a row with min(level, |I|) ones or more is
+    # implied by a level row, so the cone is stated by the rows with fewer.
     S, R = query.S, query.R
     ns = set(neg)
+    k = min(query.level, len(I))
     dvecs = set()
     for s in S.points:
         d = tuple((1 - s[i - 1]) if i in ns else s[i - 1] for i in I)
         if not any(d):
             return None, 0
-        dvecs.add(d)
+        if sum(d) < k:
+            dvecs.add(d)
     W = None if V is None else [
         (tuple(g[-1] - g[i - 1] if i in ns else g[i - 1] for i in I), g[-1]) for g in V]
+    key = (len(I), tuple(sorted(dvecs)))
+    if key not in cones:
+        cones[key] = _cone_generators(len(I), query.level, key[1])
     n = S.n
     priced = 0
-    for *C, e in _cone_generators(len(I), query.level, sorted(dvecs)):
+    for *C, e in cones[key]:
         priced += 1
         if W is not None:
             # the least standard-form value over R is (s/D)/e; priced by LP below 1

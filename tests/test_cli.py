@@ -731,9 +731,11 @@ def test_progression_lifts_each_round_once(tmp_path, capsys, monkeypatch):
 
 
 def test_progression_hulls_each_or_chain_once_per_round(tmp_path, capsys, monkeypatch):
-    # bz4 is an AND of four OR chains: each round hulls every chain once and
-    # then its own rows once, and closure pricing takes the round's certified
-    # vertex list, so `measures` hulls nothing
+    # bz4 is an AND of four OR chains, and its rounds hull each distinct
+    # point set once per chain: round 1 hulls the four chains and then its
+    # own points; in round 2 all four chains and the round take the same
+    # points, the 0/1 vertices of round 1, hulled once.  Closure pricing
+    # takes the round's certified vertex list, so `measures` hulls nothing
     from formlift import hull
     _closure_inputs(tmp_path, capsys)
     callers = []
@@ -750,8 +752,26 @@ def test_progression_hulls_each_or_chain_once_per_round(tmp_path, capsys, monkey
     monkeypatch.setattr(hull, "_hull", counting)
     got = run(capsys, "verify", "pitch", "--formula", str(tmp_path / "bz4.bool"), "--rounds", "2")
     assert got[:2] == (0, PINNED_LINES["pitch", "bz4"])
-    assert len(callers) == 2 * (4 + 1)
+    assert len(callers) == (4 + 1) + 1
     assert not any("formlift.measures" in names for names in callers)
+
+
+def test_successive_commands_share_no_hulls(tmp_path, capsys, monkeypatch):
+    # the rounds' hulls live as long as one command's chain, so the same
+    # command run twice in one process hulls the same number of times
+    from formlift import hull
+    _closure_inputs(tmp_path, capsys)
+    calls = []
+    real = hull._hull
+    monkeypatch.setattr(hull, "_hull", lambda points, n: calls.append(n) or real(points, n))
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        got = run(capsys, "verify", "pitch", "--formula", str(tmp_path / "bz5.bool"),
+                  "--rounds", "2")
+        assert got[:2] == (0, PINNED_LINES["pitch", "bz5"])
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_progression_stops_at_the_first_empty_round(tmp_path, capsys, monkeypatch):

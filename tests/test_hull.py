@@ -188,6 +188,24 @@ def test_lift_hrep_hulls_an_or_chain_once(monkeypatch):
     assert Fl == hull.facets_of_points(ones)
 
 
+def test_a_round_equal_to_the_one_before_is_made_once(monkeypatch):
+    # a minterm DNF's first round over the cube is conv(S) already, so the
+    # second round lifts the same points and gets the same FacetList back,
+    # with no hull and no vertex enumeration of its own
+    S = fm.point_set(4, [(0, 0, 0, 1), (0, 1, 1, 0), (1, 0, 1, 1), (1, 1, 0, 0)])
+    phi = fm.reduce(fm.minterm_dnf(S))
+    rounds = hull._rounds(phi, pt.cube(4).xspace_rows())
+    first = next(rounds)
+    assert set(first.hvertices) == {(*p, 1) for p in S.points}
+    calls = []
+    for name in ("_hull", "vertices_of_rows"):
+        real = getattr(hull, name)
+        monkeypatch.setattr(hull, name, lambda *a, real=real, name=name:
+                            calls.append(name) or real(*a))
+    assert next(rounds) is first
+    assert calls == []
+
+
 def test_hull_limit_enforced():
     with pytest.raises(ValueError):
         hull.facets_of_points([tuple(0 for _ in range(9)), tuple(1 for _ in range(9))])
@@ -452,6 +470,25 @@ def test_rounds_match_one_double_description_per_arm(case):
         assert rays == () and sorted(map(hull._point, Fl.hvertices)) == list(verts)
     if got[0] is not None:
         assert hull.lift_hrep(phi, got[0]) == (want[1] if len(want) > 1 else None)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 5), st.integers(1, 8), st.integers(0, 10**6))
+def test_a_chain_of_rounds_matches_fresh_lifts(n, size, seed):
+    # `_rounds` shares its hulls and rounds across the chain; a fresh
+    # `lift_hrep` from each round before makes every one of them anew
+    from formlift import verify as vf
+    phi = fm.reduce(vf.random_reduced_formula(n, size, neg_density=0.3, seed=seed))
+    cur = pt.cube(phi.n).xspace_rows()
+    for Fl in itertools.islice(hull._rounds(phi, cur), 3):
+        fresh = hull.lift_hrep(phi, cur)
+        if fresh is None:
+            assert Fl is None
+            break
+        assert set(Fl.ifacets) == set(fresh.ifacets)
+        assert set(Fl.iequations) == set(fresh.iequations)
+        assert set(Fl.hvertices) == set(fresh.hvertices)
+        cur = fresh
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

@@ -220,6 +220,17 @@ def test_int_cone_vertices_match_fraction_rows(case):
     assert [hull._point(g) for g in ms._cone_generators(dim, level, dvecs)] == list(verts)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_cone_inputs())
+def test_a_cone_is_stated_by_its_rows_below_the_level(case):
+    # `_price` passes only the validity rows with fewer ones than
+    # min(level, dim); every other row is implied by a level row, so the
+    # vertices are those of all the rows
+    dim, level, dvecs = case
+    fewer = [d for d in dvecs if sum(d) < min(level, dim)]
+    assert ms._cone_generators(dim, level, fewer) == ms._cone_generators(dim, level, dvecs)
+
+
 def test_level_one_cone_is_its_all_ones_vertex():
     # at level 1 the cone's only vertex is all ones; the double description
     # of the same rows must agree for any nonzero 0/1 validity rows
@@ -265,6 +276,24 @@ def test_closure_lines_are_pinned():
     assert sum("violation=none" not in line for line in lines) == 74
     got = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     assert got == "da41708d76b3004481002564763b1cbe68eb5d95e2b706047be89348a1a65698"
+
+
+def test_a_search_enumerates_each_cone_once(monkeypatch):
+    # bz5 is symmetric: its six priced pitch scopes at level 2 over round 2
+    # state two cones, one per support size, and each is enumerated once
+    phi = fm.reduce(instances.gen_bz(5).formula)
+    rounds = hull._rounds(phi, pt.cube(5).xspace_rows())
+    next(rounds)
+    R = next(rounds)
+    calls = []
+    real = ms._cone_generators
+    monkeypatch.setattr(ms, "_cone_generators", lambda *a: calls.append(a) or real(*a))
+    rep = ms.verify_closure(ms.ClosureQuery("pitch", 2, fm.enumerate_set(phi), R))
+    assert rep.line() == ("closure mode=pitch level=2 examined=31 skipped=25 priced=11 "
+                          "violation=none")
+    assert rep.examined - rep.skipped == 6
+    keys = [(dim, tuple(rows)) for dim, _level, rows in calls]
+    assert len(keys) == len(set(keys)) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -318,18 +347,22 @@ def _xspace_relaxations(draw):
 
 def _spied_search(monkeypatch, S, R, mode, level):
     """The report, plus (I, neg, C, e, (s, D)) for every direction priced
-    over R's vertex list, in pricing order."""
+    over R's vertex list, in pricing order.  A scope reads its cone's list
+    from the search's dict once, whether it was enumerated there or before."""
     events = []
-    price, gens, vmin = ms._price, ms._cone_generators, ms._vertex_minimum
+    price, vmin = ms._price, ms._vertex_minimum
 
-    def spy_price(query, I, neg, V):
+    class Cones(dict):
+        def __getitem__(self, key):
+            out = super().__getitem__(key)
+            events.append(("gens", out))
+            return out
+
+    cones = Cones()  # stands in for the one search's own dict
+
+    def spy_price(query, I, neg, V, _cones):
         events.append(("scope", I, neg))
-        return price(query, I, neg, V)
-
-    def spy_gens(*args):
-        out = gens(*args)
-        events.append(("gens", out))
-        return out
+        return price(query, I, neg, V, cones)
 
     def spy_vmin(W, C):
         out = vmin(W, C)
@@ -337,7 +370,6 @@ def _spied_search(monkeypatch, S, R, mode, level):
         return out
 
     monkeypatch.setattr(ms, "_price", spy_price)
-    monkeypatch.setattr(ms, "_cone_generators", spy_gens)
     monkeypatch.setattr(ms, "_vertex_minimum", spy_vmin)
     rep = ms.verify_closure(ms.ClosureQuery(mode, level, S, R))
     monkeypatch.undo()

@@ -7,7 +7,11 @@ Each workload of bench/workloads.py is set up in a fresh temporary directory
 and run for the given number of passes, every operation in-process through
 `formlift.cli.dispatch` from this checkout's `src/`.  One line is printed
 per workload, seed and operation label (`optimize bz5`, `lift bz4`,
-`pitch`, ...) with the count and the median wall time of its operations.
+`pitch`, ...) with the count and the median wall time of its operations,
+and `dd=` the mean number of double descriptions (`hull._dd_pointed`
+calls) per operation.  Those are counted in a second, untimed run of the
+same passes, under a counting wrapper that only this tool installs, so the
+timed run calls the kernel unwrapped.
 For lift-optimize one more line splits the bz5 `optimize` query into its
 layers, each timed alone over the ten `BZ5_OBJECTIVES` for every pass:
 `read=` the file read, `parse=` `polytope.from_text` of its text and
@@ -54,6 +58,29 @@ def _split(mods, ef, passes) -> dict:
     return times
 
 
+def _dd_counts(mods, plan, passes) -> dict:
+    """Double descriptions per operation label over the passes, run again
+    with `hull._dd_pointed` wrapped by a counter that is removed after."""
+    hull = mods["hull"]
+    real, calls = hull._dd_pointed, [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    by_label = {}
+    hull._dd_pointed = counting
+    try:
+        for ops in itertools.islice(plan.passes(), passes):
+            for op in ops:
+                calls[0] = 0
+                _captured(mods["cli"].dispatch, list(op.argv))
+                by_label.setdefault(op.label, []).append(calls[0])
+    finally:
+        hull._dd_pointed = real
+    return by_label
+
+
 def _times(name: str, seed: int, passes: int) -> list[str]:
     """The report lines of one workload at one seed."""
     mods = {m: importlib.import_module(f"formlift.{m}") for m in MODULES}
@@ -66,8 +93,10 @@ def _times(name: str, seed: int, passes: int) -> list[str]:
                 t0 = time.perf_counter()
                 _captured(mods["cli"].dispatch, list(op.argv))
                 by_label.setdefault(op.label, []).append(time.perf_counter() - t0)
+        dd = _dd_counts(mods, plan, passes)
         head = f"{name} seed={seed} passes={passes}"
-        out = [f"{head} op={label.replace(' ', '-')} n={len(ts)} p50={_ms(ts)}"
+        out = [f"{head} op={label.replace(' ', '-')} n={len(ts)} p50={_ms(ts)} "
+               f"dd={statistics.mean(dd[label]):.1f}"
                for label, ts in sorted(by_label.items())]
         if name == "lift-optimize":
             split = _split(mods, workdir / "bz5.lift.ef", passes)
