@@ -46,7 +46,6 @@ from .measures import (
     ClosureReport,
     StandardFormInequality,
     Violation,
-    closure_violation,
     notch_of,
     notch_of_set,
     pitch_of,

@@ -142,7 +142,7 @@ def _cmd_reduce(args):
 def _cmd_lift(args):
     phi = fm.reduce(_load_formula(args.formula))
     Q = _load_polytope(args.polytope, phi.n)
-    ef, reports = pt.iterate_lift(phi, Q, args.rounds, with_reports=True)
+    ef, reports = pt.iterate_lift(phi, Q, args.rounds)
     _emit(_printable("a number of the lifted formulation", pt.to_text, ef), args.out)
     for i, rep in enumerate(reports, start=1):
         print(f"round {i}: {rep.summary_line()}", file=sys.stderr)
@@ -230,7 +230,7 @@ def _cmd_closure(args):
                      lambda m: f"{args.ef} is over {m} variables, the formula over {phi.n}")
     else:
         rounds = args.rounds if args.rounds is not None else args.level
-        R = pt.iterate_lift(phi, _load_polytope(args.polytope, phi.n), rounds)
+        R, _ = pt.iterate_lift(phi, _load_polytope(args.polytope, phi.n), rounds)
     rep = measures.verify_closure(measures.ClosureQuery(args.mode, args.level, S, R))
     print(rep.line())
     return 0 if rep.closed else 1
@@ -247,17 +247,21 @@ def _cmd_gen(args):
         raise InputError("gen bounded needs --b")
     if args.family == "bz":
         inst = instances.gen_bz(args.n)
-    elif args.family == "covering":
-        inst = instances.gen_covering(_int_lines(args.matrix, "an integer row", "rows"))
-    elif args.family == "bounded":
-        b = _parse_vector(args.b, "--b")
-        if any(v.denominator != 1 for v in b):
-            raise InputError(f"--b thresholds must be integers, got {args.b!r}")
-        b = tuple(int(v) for v in b)
-        inst = instances.gen_bounded_covering(
-            _int_lines(args.matrix, "an integer row", "rows"), b)
-    else:
+    elif args.family == "matching-k4":
         inst = instances.gen_matching_k4()
+    else:
+        b = None
+        if args.family == "bounded":
+            b = _parse_vector(args.b, "--b")
+            if any(v.denominator != 1 for v in b):
+                raise InputError(f"--b thresholds must be integers, got {args.b!r}")
+            b = tuple(int(v) for v in b)
+        A = _int_lines(args.matrix, "an integer row", "rows")
+        try:
+            inst = (instances.gen_covering(A) if b is None else
+                    instances.gen_bounded_covering(A, b))
+        except ValueError as exc:
+            raise InputError(f"{args.matrix}: {exc}") from exc
     paths = instances.save_bundle(inst, args.out or ".")
     print(f"instance {inst.name} n={inst.n}")
     if args.verbose:

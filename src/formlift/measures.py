@@ -170,32 +170,25 @@ class ClosureQuery:
 class Violation:
     """A valid inequality of bounded measure that the relaxation cuts off.
 
-    In standard form with delta = 1: coefficient i is complemented iff i is
-    in `neg`.  `point` lies in the relaxation and `value` = lhs(point) < 1.
+    `ineq` is in standard form with delta = 1; `point` lies in the
+    relaxation and `value` = ineq.lhs(point) < 1.
     """
 
-    n: int
-    neg: tuple
-    coeffs: tuple
-    delta: Fraction
+    ineq: StandardFormInequality
     point: tuple
     value: Fraction
-    support: tuple
-
-    def standard(self) -> StandardFormInequality:
-        return StandardFormInequality(self.n, self.neg, self.coeffs, self.delta)
 
     def describe(self) -> str:
         terms = []
-        ns = set(self.neg)
-        for i, c in enumerate(self.coeffs, start=1):
+        ns = set(self.ineq.neg)
+        for i, c in enumerate(self.ineq.coeffs, start=1):
             if c == 0:
                 continue
             cs = "" if c == 1 else f"{c}*"
             terms.append(f"{cs}(1-x{i})" if i in ns else f"{cs}x{i}")
         lhs = " + ".join(terms) if terms else "0"
         pt = " ".join(str(v) for v in self.point)
-        return f"{lhs} >= {self.delta} violated at ({pt}): lhs = {self.value}"
+        return f"{lhs} >= {self.ineq.delta} violated at ({pt}): lhs = {self.value}"
 
 
 @dataclass(frozen=True)
@@ -262,7 +255,7 @@ def _formulation(R):
 
 
 def _check_violation(query, viol, R):
-    ineq = viol.standard()
+    ineq = viol.ineq
     if not ineq.is_valid_on(query.S.points):
         raise lpsolve.InternalError("closure oracle produced an inequality invalid on S")
     measure = pitch_of(ineq) if query.mode == "pitch" else notch_of(ineq)
@@ -275,31 +268,6 @@ def _check_violation(query, viol, R):
     return viol
 
 
-def closure_violation(query: ClosureQuery):
-    """First violated valid inequality within the query's scope, or None.
-
-    The search is complete: if None comes back, no inequality of the given
-    mode and level that is valid for S cuts off any point of R.  Normalizing
-    delta to 1 loses nothing (delta = 0 inequalities cannot be violated
-    inside the cube, positive delta scales away), and for a fixed support
-    or pattern the worst violation is attained at a vertex of the
-    coefficient polyhedron because the pricing objective is nonnegative on
-    its recession directions.  Each such vertex is priced by its least
-    value over R: over an x-space R the least value at R's vertices, whose
-    list is certified to be all of R (see the module docstring), and over a
-    lifted R an exact LP.  Every reported violation comes from an exact
-    LP, which must agree with the vertex minimum where there is one, and is
-    re-verified exactly before being returned.
-    """
-    return _search(query)[0]
-
-
-def verify_closure(query: ClosureQuery) -> ClosureReport:
-    """Run the oracle and report the outcome with search statistics."""
-    viol, examined, skipped, priced = _search(query)
-    return ClosureReport(query.mode, query.level, viol, examined, skipped, priced)
-
-
 def _check_search(mode, n):
     """Refuse a `mode` search above its limit; asked before S or R is built."""
     limit = PITCH_SEARCH_LIMIT if mode == "pitch" else NOTCH_SEARCH_LIMIT
@@ -307,8 +275,19 @@ def _check_search(mode, n):
         raise ValueError(f"dimension {n} exceeds {mode} search limit {limit}")
 
 
-def _search(query):
-    """(violation or None, examined, skipped, priced) of one query.
+def verify_closure(query: ClosureQuery) -> ClosureReport:
+    """The first violated valid inequality within the query's scope, or
+    None, with search statistics.
+
+    The search is complete: if the report is closed, no inequality of the
+    given mode and level that is valid for S cuts off any point of R.
+    Normalizing delta to 1 loses nothing (delta = 0 inequalities cannot be
+    violated inside the cube, positive delta scales away), and for a fixed
+    support or pattern the worst violation is attained at a vertex of the
+    coefficient polyhedron because the pricing objective is nonnegative on
+    its recession directions.  Each such vertex is priced over R as the
+    module docstring says, and a violation is re-verified exactly before
+    it is returned.
 
     `_check_search` refuses a dimension above the search limit before any LP.
     R's vertex list is `hvertices`, of R itself when it is a FacetList and
@@ -329,11 +308,10 @@ def _search(query):
     V = R.hvertices if isinstance(R, hull.FacetList) else None
     if V is None:
         R = _formulation(R)
-        query = ClosureQuery(query.mode, query.level, S, R)
         if R.is_hrep:
             V = hull._of_int_rows(n, R.rows).hvertices
     if lpsolve.is_empty(R) if V is None else not V:
-        return None, 0, 0, 0
+        return ClosureReport(query.mode, query.level, None, 0, 0, 0)
 
     if query.mode == "pitch":
         scopes = [(I, ()) for k in range(1, n + 1)
@@ -343,15 +321,15 @@ def _search(query):
         scopes = [(everything, tuple(i + 1 for i in range(n) if mask >> i & 1))
                   for mask in range(1 << n)]
     examined = skipped = priced = 0
-    cones = {}
+    viol, cones = None, {}
     for I, neg in scopes:
-        viol, cost = _price(query, I, neg, V, cones)
+        viol, cost = _price(query, R, I, neg, V, cones)
         examined += 1
         skipped += cost == 0
         priced += cost
         if viol is not None:
-            return viol, examined, skipped, priced
-    return None, examined, skipped, priced
+            break
+    return ClosureReport(query.mode, query.level, viol, examined, skipped, priced)
 
 
 def _priced_minimum(R, a, const):
@@ -361,12 +339,14 @@ def _priced_minimum(R, a, const):
     return out.value + const, out.x
 
 
-def _price(query, I, neg, V, cones):
-    """Price the cone vertices of one scope: support I, complemented indices neg.
+def _price(query, R, I, neg, V, cones):
+    """Price the cone vertices of one scope against the relaxation R:
+    support I, complemented indices neg.
 
     Pitch scopes are (support, ()); notch scopes are (all variables,
     pattern).  `V` is R's certified vertex list, or None for a lifted R, to
-    price each cone vertex with an LP.  `cones` is the search's dict from
+    price each cone vertex with an LP; a FacetList R is made a formulation
+    only at a violation.  `cones` is the search's dict from
     (len(I), the validity rows that state the cone) to `_cone_generators`'
     list, which depends on nothing else within one search.  Returns
     (violation or None, vertices priced).
@@ -376,7 +356,7 @@ def _price(query, I, neg, V, cones):
     # agrees with the pattern everywhere forces lhs = 0 < 1), so it is
     # skipped.  Since c >= 0, a row with min(level, |I|) ones or more is
     # implied by a level row, so the cone is stated by the rows with fewer.
-    S, R = query.S, query.R
+    S = query.S
     ns = set(neg)
     k = min(query.level, len(I))
     dvecs = set()
@@ -410,9 +390,6 @@ def _price(query, I, neg, V, cones):
         if W is not None and value != Fraction(s, e * D):
             raise lpsolve.InternalError("pricing LP disagrees with the relaxation's vertices")
         if value < 1:
-            viol = Violation(
-                n=n, neg=neg, coeffs=tuple(coeffs), delta=Fraction(1),
-                point=point, value=value,
-                support=tuple(i for i, ci in zip(I, C) if ci != 0))
-            return _check_violation(query, viol, Q), priced
+            ineq = StandardFormInequality(n, neg, tuple(coeffs), Fraction(1))
+            return _check_violation(query, Violation(ineq, point, value), Q), priced
     return None, priced

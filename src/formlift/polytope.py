@@ -31,9 +31,10 @@ from row index to multiplier (rows not listed weigh 0), with u·A = a·T and
 u·b = beta - a·t exactly, where x = T y + t is the projection; or None.
 Each call returns a new dict, which the composing map may extend.  Such a
 u proves the inequality valid (Balas's disjunctive duality); `_box_dual`,
-`_face_dual`, `_meet_dual` and `_union_dual` give each construction's
-rule.  A u is a proposal, checked on the rows by `lpsolve` before it
-decides anything.
+`_face_dual`, `_meet_dual`, `_union_dual` and `_cut_dual` give each
+construction's rule, and `_stated` the rule that a stated row proves itself.
+A u is a proposal, checked on the rows by `lpsolve` before it decides
+anything.
 """
 
 from __future__ import annotations
@@ -158,7 +159,8 @@ def _clamped(Q) -> ExtendedFormulation:
     """Q within the unit box, refused above BOX_LIMIT variables first.  An
     x-space Q lists the box rows or gets them as `_boxed` appends them; a
     lifted Q keeps each box row that its dual map proves and gets the
-    others through its projection: all 2n for a file or a hand-built Q."""
+    others through its projection: all 2n for a file or a hand-built Q,
+    none for a Q clamped before (`_cut_dual`) or a lift of one."""
     # Why proofs are enough.  Proved box rows put the projection inside the
     # box.  Proofs u, v of a coordinate's bounds x_i >= L and -x_i >= -U
     # (an appended box row proves itself) add up to 0·y >= L - U over Q's
@@ -184,7 +186,7 @@ def _box_dual(rows, a, beta):
     beta), a_i goes on x_i >= 0 for a_i > 0 and -a_i on -x_i >= -1 for
     a_i < 0; the slack e goes on both box rows of x_1, which add 0 >= -e,
     so that u·b is exactly beta.  Otherwise a row equal to the inequality
-    gets multiplier 1.
+    proves itself (`_stated`).
     """
     low = sum(v for v in a if v < 0)
     if low >= beta:
@@ -197,7 +199,11 @@ def _box_dual(rows, a, beta):
                 k = rows.index(row)
                 u[k] = u.get(k, 0) + low - beta
         return u
-    row = _int_rows(((_pairs(a), beta),))[0]
+    return _stated(rows, _int_rows(((_pairs(a), beta),))[0])
+
+
+def _stated(rows, row):
+    """Multiplier 1 on `row` when `rows` state it: a stated row proves itself."""
     return {rows.index(row): 1} if row in rows else None
 
 
@@ -323,6 +329,15 @@ def _cut_map(base, rows):
     return point_map
 
 
+def _cut_dual(Q, rows):
+    """Dual map of rows appended to Q, all `rows`: Q's, else `_stated`."""
+    def dual_map(a, beta):
+        u = None if Q.dual_map is None else Q.dual_map(a, beta)
+        return u if u is not None else _stated(rows, _y_row(Q, a, beta))
+
+    return dual_map
+
+
 def face_restrict(Q: ExtendedFormulation, fixings) -> ExtendedFormulation:
     """Restrict to the face x_var = value (var 1-based, value 0 or 1) of
     each item of `fixings`, as `formula.fixings` gives them, in one pass:
@@ -434,8 +449,9 @@ def with_xspace_rows(Q: ExtendedFormulation, rows) -> ExtendedFormulation:
 
     A translated row that Q already has is not appended again, so Q comes
     back as it is when it has them all.  The point map is kept for the
-    points whose lifted y satisfies the new rows; the dual map is kept as it
-    is, since Q's rows come first.
+    points whose lifted y satisfies the new rows; the dual map asks Q's
+    first, since Q's rows come first, and then lets any stated row prove
+    itself, so a Q clamped to the box proves all 2n box rows.
     """
     if Q.empty_marker:
         return Q
@@ -444,14 +460,21 @@ def with_xspace_rows(Q: ExtendedFormulation, rows) -> ExtendedFormulation:
         a = lpsolve._ints(a)
         if len(a) != Q.n:
             raise ValueError(f"row has {len(a)} coefficients, expected {Q.n}")
-        expr, off = lpsolve._y_objective(Q, a)
-        extra.append((expr, _rational(rhs) - off))
+        extra.append(_y_row(Q, a, rhs))
     have = set(Q.rows)
-    extra = tuple(row for row in _int_rows(extra) if row not in have)
+    extra = tuple(row for row in extra if row not in have)
     if not extra:
         return Q
-    return ExtendedFormulation(Q.n, Q.ydim, Q.rows + extra, Q.proj,
-                               point_map=_cut_map(Q.point_map, extra), dual_map=Q.dual_map)
+    rows = Q.rows + extra
+    return ExtendedFormulation(Q.n, Q.ydim, rows, Q.proj,
+                               point_map=_cut_map(Q.point_map, extra),
+                               dual_map=_cut_dual(Q, rows))
+
+
+def _y_row(Q, a, rhs):
+    """The int row over Q's y of a·x >= rhs, through the projection."""
+    expr, off = lpsolve._y_objective(Q, a)
+    return _int_rows(((expr, _rational(rhs) - off),))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -608,29 +631,24 @@ def lift(phi: fm.Formula, Q: ExtendedFormulation):
     before the union is formed.
     """
     hull._check_lift(phi, Q)
-    return _lift(phi, _clamped(Q))
-
-
-def _lift(phi, Q):
-    """`lift` over a base already clamped to the unit box."""
+    Q = _clamped(Q)
     stats = {"blocks": 0, "elided_arms": 0, "emptiness": [], "witnessed": 0}
     ef = Q if Q.empty_marker else _lift_collapse(phi, Q, stats)
     stats["emptiness"] = tuple(stats["emptiness"])
     return ef, _report(phi, len(Q.rows), len(ef.rows), ef.ydim, "ef", **stats)
 
 
-def iterate_lift(phi: fm.Formula, Q: ExtendedFormulation, k: int,
-                 with_reports: bool = False):
-    """k-fold lift phi(phi(...(Q))); Q is clamped to the unit box once,
-    before round 1, and k = 0 returns the clamped base.
+def iterate_lift(phi: fm.Formula, Q: ExtendedFormulation, k: int):
+    """(phi(phi(...(Q))), reports) for k rounds, one LiftReport per round
+    computed; Q is clamped to the unit box first, and k = 0 returns it.
 
     When the base is an x-space formulation in at most hull.HULL_LIMIT variables,
     rounds 1..k-1 are computed as exact facet lists by vertex enumeration
     and only the final round is built as an extended formulation; this keeps
     the row count of round k proportional to the facet count of round k-1
-    instead of growing geometrically.  With with_reports=True the result is
-    (formulation, reports), one report per computed round; the loop stops
-    early if a round comes out empty.
+    instead of growing geometrically.  Each explicit round is one `lift`,
+    whose clamp of a clamped base or of a lift of one adds no row; the loop
+    stops early if a round comes out empty.
     """
     if k < 0:
         raise ValueError("round count must be nonnegative")
@@ -653,9 +671,9 @@ def iterate_lift(phi: fm.Formula, Q: ExtendedFormulation, k: int,
     for _ in range(k):
         if ef.empty_marker:
             break
-        ef, rep = _lift(phi, ef)
+        ef, rep = lift(phi, ef)
         reports.append(rep)
-    return (ef, reports) if with_reports else ef
+    return ef, reports
 
 
 # ---------------------------------------------------------------------------

@@ -56,7 +56,7 @@ def test_criterion_01_bz5_optima():
         v1 = lp.optimize(ef1, ones, "min").value
         assert v1 >= F(5, 4)
         assert v1 == F(5, 4)  # observed exactly: the symmetric point survives
-        ef2, reps2 = pt.iterate_lift(b.formula, pt.cube(5), 2, with_reports=True)
+        ef2, reps2 = pt.iterate_lift(b.formula, pt.cube(5), 2)
         _collect("bz5-r2", reps2)
         v2 = lp.optimize(ef2, ones, "min").value
         assert v2 == F(2)
@@ -71,7 +71,7 @@ def test_criterion_02_three_round_completeness():
         for mask in range(1, 256):
             S = fm.point_set(3, [p for i, p in enumerate(pts3) if mask >> i & 1])
             phi = fm.reduce(fm.minterm_dnf(S))
-            ef, reps = pt.iterate_lift(phi, pt.cube(3), 3, with_reports=True)
+            ef, reps = pt.iterate_lift(phi, pt.cube(3), 3)
             _collect(f"minterm-{mask}", reps)
             chk = hull.equals_hull(ef, S)
             assert chk, (mask, chk.reason, chk.facet, chk.point)
@@ -115,9 +115,9 @@ def test_criterion_04_pitch_chains_with_cross_check():
         _collect("bz4-r1", rep1)
         for a in system:
             assert lp.optimize(ef, a, "min").value >= 1, a
-        assert ms.closure_violation(ms.ClosureQuery("pitch", 1, S, ef)) is None
+        assert ms.verify_closure(ms.ClosureQuery("pitch", 1, S, ef)).violation is None
         # and on the unlifted cube both routes must report a violation
-        viol = ms.closure_violation(ms.ClosureQuery("pitch", 1, S, pt.cube(4)))
+        viol = ms.verify_closure(ms.ClosureQuery("pitch", 1, S, pt.cube(4))).violation
         assert viol is not None
         assert any(lp.optimize(pt.cube(4), a, "min").value < 1 for a in system)
     _verdict(4, body)

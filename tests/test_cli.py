@@ -239,6 +239,22 @@ def test_gen_bounded_rejects_fractional_thresholds(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("family, text, message", [
+    ("covering", "1 1\n1 1 0\n", "row 2 has length 3, expected 2"),
+    ("covering", "1 1\n1 2\n", "row 2 is not 0/1"),
+    ("bounded", "1 1\n1 4\n", "row 2 has an entry outside 0..3"),
+    ("bounded", "1 1\n", "1 rows but 2 thresholds"),
+], ids=["ragged", "not-0-1", "entry-above-limit", "thresholds"])
+def test_a_bad_matrix_is_named_in_its_diagnostic(tmp_path, capsys, monkeypatch,
+                                                 family, text, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.txt").write_text(text)
+    b = ["--b", "1,1"] if family == "bounded" else []
+    assert run(capsys, "gen", family, "--matrix", "m.txt", *b) == (
+        2, "", f"formlift: m.txt: {message}\n")
+    assert list(tmp_path.iterdir()) == [tmp_path / "m.txt"]
+
+
 def test_verify_subcommand_several_formulas(tmp_path, capsys):
     run(capsys, "gen", "bz", "--n", "4", "--out", str(tmp_path))
     run(capsys, "gen", "matching-k4", "--out", str(tmp_path))
@@ -347,13 +363,19 @@ UNBOUNDED_EF = ("ef\nxvars 2\nyvars 3\nineq 1 0 -1 >= 0\nineq 0 1 0 >= 0\n"
 IDENTITY_EF = "ef\nxvars 2\nyvars 2\nineq 1 0 >= 0\nineq 0 1 >= 0\nproj 1 0 1 0\nproj 2 0 0 1\n"
 
 
-# Files whose only fault is one `wit` line; without it, member finds (0, 0) inside.
-BAD_WIT_EF = {
+# Files whose only fault is one `wit` or `proj` line, a missing `proj` line or
+# the header; without it, member finds (0, 0) inside.
+BAD_EF = {
     "wit-bits": UNBOUNDED_EF + "wit 001 0\n",
     "wit-bit": UNBOUNDED_EF + "wit 02 1\n",
     "wit-index": UNBOUNDED_EF + "wit 00 3\n",
     "wit-token": UNBOUNDED_EF + "wit 00 1/2\n",
     "wit-xspace": "ef\nxvars 2\nyvars 0\nineq 1 1 >= 0\nwit 00\n",
+    "wit-repeated": UNBOUNDED_EF + "wit 00\nwit 00\n",
+    "proj-xspace": "ef\nxvars 2\nyvars 0\nineq 1 1 >= 0\nproj 1 0 1 0\n",
+    "proj-repeated": UNBOUNDED_EF + "proj 1 0 1 0 0\n",
+    "proj-missing": UNBOUNDED_EF.replace("proj 2 0 0 1 0\n", ""),
+    "xvars-zero": "ef\nxvars 0\nyvars 0\n",
 }
 
 
@@ -362,7 +384,7 @@ def lifted_inputs(tmp_path):
     (tmp_path / "nand.bool").write_text("!(x1 & x2)\n")
     (tmp_path / "unb.ef").write_text(UNBOUNDED_EF)
     (tmp_path / "id.ef").write_text(IDENTITY_EF)
-    for name, text in BAD_WIT_EF.items():
+    for name, text in BAD_EF.items():
         (tmp_path / f"{name}.ef").write_text(text)
     return tmp_path
 
@@ -373,7 +395,7 @@ def lifted_inputs(tmp_path):
     "closure --mode pitch --level 1 --rounds -1 --formula nand.bool",
     "optimize --ef unb.ef --max --obj=1,0",
     "closure --mode notch --level 1 --formula nand.bool --ef unb.ef",
-    *(f"member --ef {name}.ef --point 0,0" for name in BAD_WIT_EF),
+    *(f"member --ef {name}.ef --point 0,0" for name in BAD_EF),
     "measure --ineq 'x1 + >= 1' --n 2",
     "measure --ineq 'x1 ++ x2 >= 1' --n 2",
     "measure --ineq '1.2.3 x1 >= 1' --n 2",
@@ -381,7 +403,7 @@ def lifted_inputs(tmp_path):
     "measure --ineq 'x1 >= 1' --n 0",
     "measure --ineq 'x1 >= 1' --n -1",
 ], ids=["lift-rounds", "closure-level", "closure-rounds", "optimize-unbounded",
-        "closure-ef-unbounded", *BAD_WIT_EF, "ineq-trailing-sign", "ineq-double-sign",
+        "closure-ef-unbounded", *BAD_EF, "ineq-trailing-sign", "ineq-double-sign",
         "ineq-bad-coefficient", "ineq-signed-exponent",
         "measure-n-zero", "measure-n-negative"])
 def test_bad_input_is_one_line_exit_two(lifted_inputs, capsys, monkeypatch, argv):
@@ -608,15 +630,15 @@ def test_lifted_file_with_witnesses_is_clamped_once(tmp_path, capsys):
     _, rep = pt.lift(phi, base)
     assert rep.base_rows == 152
     assert rep.witnessed == len(rep.emptiness) == 15
-    # the clamped file has no dual map either, yet clamping it again adds no row
+    # the clamped file's box rows prove themselves, so clamping it again adds no row
     assert pt._clamped(Q) is Q
-    assert pt.lift(phi, pt.iterate_lift(phi, base, 0))[1].base_rows == 152
+    assert pt.lift(phi, pt.iterate_lift(phi, base, 0)[0])[1].base_rows == 152
 
 
 def test_every_path_over_a_lifted_polytope_file_clamps_it_once(tmp_path, capsys, monkeypatch):
     # the bytes each command printed and wrote when the CLI appended the box
-    # rows itself; a lift over a file has no dual map, so a second clamp in
-    # round 2 would read base=1880
+    # rows itself; a lift over a file proves the box only through the rows
+    # its clamp stated, and without that round 2's clamp would read base=1880
     monkeypatch.chdir(tmp_path)
     run(capsys, "gen", "bz", "--n", "4")
     assert run(capsys, "lift", "--formula", "bz4.bool", "--out", "l1.ef")[0] == 0

@@ -231,7 +231,7 @@ def test_built_int_rows_match_a_fresh_conversion(inst, data):
     for ef in (pt.intersect(A, B), pt.intersect(B, A), pt.face_restrict(A, {var: 0}),
                pt.face_restrict(pt.intersect(A, Q), {var: 1}), pt.face_restrict(C, {var: 1}),
                pt.intersect(A, C), pt.intersect(C, C), pt.balas_union(C, A, C),
-               pt.with_xspace_rows(built[0], [(a, 1)]), pt.iterate_lift(phi, Q, 2),
+               pt.with_xspace_rows(built[0], [(a, 1)]), pt.iterate_lift(phi, Q, 2)[0],
                cut, Q, A, B, C, *built):
         for X in (ef, pt.from_text(pt.to_text(ef))):
             assert X.rows == lp._int_rows(_written_rows(X))

@@ -122,12 +122,12 @@ def test_closure_query_validation():
     S = fm.point_set(2, [(1, 1)])
     R = pt.cube(2)
     with pytest.raises(ValueError):
-        ms.closure_violation(ms.ClosureQuery("width", 1, S, R))
+        ms.verify_closure(ms.ClosureQuery("width", 1, S, R))
     with pytest.raises(ValueError):
-        ms.closure_violation(ms.ClosureQuery("pitch", 0, S, R))
+        ms.verify_closure(ms.ClosureQuery("pitch", 0, S, R))
     big = fm.point_set(9, [tuple(1 for _ in range(9))])
     with pytest.raises(ValueError):
-        ms.closure_violation(ms.ClosureQuery("pitch", 1, big, pt.cube(9)))
+        ms.verify_closure(ms.ClosureQuery("pitch", 1, big, pt.cube(9)))
 
 
 def test_the_search_limit_is_checked_before_any_lp(monkeypatch):
@@ -146,9 +146,9 @@ def test_closure_finds_cube_violation():
     # the cube contains the origin
     tri = instances.gen_covering([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
     q = ms.ClosureQuery("pitch", 1, tri.points, pt.cube(3))
-    viol = ms.closure_violation(q)
+    viol = ms.verify_closure(q).violation
     assert viol is not None
-    std = viol.standard()
+    std = viol.ineq
     assert ms.pitch_of(std) == 1
     assert std.is_valid_on(tri.points.points)
     assert std.lhs(viol.point) < std.delta
@@ -157,7 +157,7 @@ def test_closure_finds_cube_violation():
 
 def test_closure_closed_after_one_round():
     tri = instances.gen_covering([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
-    R = pt.iterate_lift(tri.formula, pt.cube(3), 1)
+    R, _ = pt.iterate_lift(tri.formula, pt.cube(3), 1)
     rep = ms.verify_closure(ms.ClosureQuery("pitch", 1, tri.points, R))
     assert rep.closed
     assert rep.priced > 0
@@ -175,9 +175,9 @@ def test_closure_notch_mode_uses_sign_patterns():
     # complemented row (1-x1) + (1-x2) >= 1 also fails; both are invalid on S,
     # while |x1 - x2| style rows are valid with notch 2
     S = fm.point_set(2, [(0, 0), (1, 1)])
-    viol = ms.closure_violation(ms.ClosureQuery("notch", 2, S, pt.cube(2)))
+    viol = ms.verify_closure(ms.ClosureQuery("notch", 2, S, pt.cube(2))).violation
     assert viol is not None
-    std = viol.standard()
+    std = viol.ineq
     assert ms.notch_of(std) <= 2
     assert std.is_valid_on(S.points)
 
@@ -185,14 +185,14 @@ def test_closure_notch_mode_uses_sign_patterns():
 def test_closure_notch_closed_on_hull():
     S = fm.point_set(2, [(0, 0), (1, 1)])
     phi = fm.reduce(fm.minterm_dnf(S))
-    R = pt.iterate_lift(phi, pt.cube(2), 2)
+    R, _ = pt.iterate_lift(phi, pt.cube(2), 2)
     rep = ms.verify_closure(ms.ClosureQuery("notch", 2, S, R))
     assert rep.closed
 
 
 def test_violation_describe_is_exact():
     tri = instances.gen_covering([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
-    viol = ms.closure_violation(ms.ClosureQuery("pitch", 1, tri.points, pt.cube(3)))
+    viol = ms.verify_closure(ms.ClosureQuery("pitch", 1, tri.points, pt.cube(3))).violation
     text = viol.describe()
     assert ">=" in text and "violated at" in text
 
@@ -360,9 +360,9 @@ def _spied_search(monkeypatch, S, R, mode, level):
 
     cones = Cones()  # stands in for the one search's own dict
 
-    def spy_price(query, I, neg, V, _cones):
+    def spy_price(query, R, I, neg, V, _cones):
         events.append(("scope", I, neg))
-        return price(query, I, neg, V, cones)
+        return price(query, R, I, neg, V, cones)
 
     def spy_vmin(W, C):
         out = vmin(W, C)

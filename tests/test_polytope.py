@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from formlift import cli
 from formlift import formula as fm
 from formlift import hull
+from formlift import instances
 from formlift import lpsolve as lp
 from formlift import polytope as pt
 from formlift import verify as vf
@@ -421,8 +422,8 @@ def test_lift_clamps_a_hand_built_base_to_the_box():
     bare = pt.ExtendedFormulation(lifted.n, lifted.ydim, lifted.rows, lifted.proj)
     assert pt.lift(phi, lifted)[1].base_rows == len(lifted.rows)
     assert pt.lift(phi, bare)[1].base_rows == len(lifted.rows) + 4
-    assert pt.iterate_lift(phi, bare, 0) == pt.with_xspace_rows(bare, pt.cube(2).xspace_rows())
-    assert pt.iterate_lift(phi, lifted, 0) is lifted
+    assert pt.iterate_lift(phi, bare, 0)[0] == pt.with_xspace_rows(bare, pt.cube(2).xspace_rows())
+    assert pt.iterate_lift(phi, lifted, 0)[0] is lifted
 
 
 def test_a_lift_over_an_x_space_base_proves_no_box_row(monkeypatch):
@@ -440,10 +441,10 @@ def test_a_lift_over_an_x_space_base_proves_no_box_row(monkeypatch):
 
 def test_iterate_lift_rounds():
     phi = fm.reduce(fm.parse("(x1 | x2) & (!x1 | !x2)", 2))
-    assert pt.iterate_lift(phi, pt.cube(2), 0) is not None
-    q0 = pt.iterate_lift(phi, pt.cube(2), 0)
+    assert pt.iterate_lift(phi, pt.cube(2), 0)[0] is not None
+    q0, _ = pt.iterate_lift(phi, pt.cube(2), 0)
     assert q0.is_hrep and len(q0.rows) == 4
-    ef1, reps = pt.iterate_lift(phi, pt.cube(2), 2, with_reports=True)
+    ef1, reps = pt.iterate_lift(phi, pt.cube(2), 2)
     assert len(reps) == 2
     assert reps[0].route == "hull"
     assert reps[1].route == "ef"
@@ -457,7 +458,7 @@ def test_iterate_lift_compaction_agrees_with_plain():
     rng = random.Random(31)
     for _ in range(10):
         phi = fm.reduce(_random_reduced(rng, 3))
-        a = pt.iterate_lift(phi, pt.cube(3), 2)
+        a, _ = pt.iterate_lift(phi, pt.cube(3), 2)
         b = pt.lift(phi, pt.lift(phi, pt.cube(3))[0])[0]
         assert a.empty_marker == b.empty_marker
         if a.empty_marker:
@@ -468,7 +469,7 @@ def test_iterate_lift_compaction_agrees_with_plain():
 
 
 def test_iterate_lift_stops_at_an_empty_hull_round():
-    ef, reps = pt.iterate_lift(fm.parse("x1 & !x1", 2), pt.cube(2), 2, with_reports=True)
+    ef, reps = pt.iterate_lift(fm.parse("x1 & !x1", 2), pt.cube(2), 2)
     assert ef.empty_marker
     assert [r.route for r in reps] == ["hull"] and reps[0].ef_rows == 1
 
@@ -476,6 +477,26 @@ def test_iterate_lift_stops_at_an_empty_hull_round():
 def test_iterate_lift_rejects_negative():
     with pytest.raises(ValueError):
         pt.iterate_lift(fm.parse("x1", 1), pt.cube(1), -1)
+
+
+def test_every_explicit_round_is_one_lift_and_adds_no_box_row_twice(monkeypatch):
+    # a file has no dual map, so its clamp states the 2n box rows; a lift
+    # over the clamped file proves them through those stated rows, so the
+    # clamp of the next round, inside `lift`, adds none
+    bz4, bz5 = instances.gen_bz(4).formula, instances.gen_bz(5).formula
+    l1 = pt.from_text(pt.to_text(pt.lift(bz4, pt.cube(4))[0]))
+    ef, rep = pt.lift(bz4, l1)
+    assert rep.base_rows == len(l1.rows) + 8 == 152
+    assert pt._clamped(ef) is ef
+    calls = []
+    real = pt.lift
+    monkeypatch.setattr(pt, "lift", lambda phi, Q: calls.append(Q) or real(phi, Q))
+    pt.iterate_lift(bz5, pt.cube(5), 1)
+    assert len(calls) == 1
+    ef2, reps = pt.iterate_lift(bz4, l1, 2)
+    assert len(calls) == 3
+    assert [(r.base_rows, r.ef_rows) for r in reps] == [(152, 1872), (1872, 22512)]
+    assert len(ef2.rows) == 22512
 
 
 def test_text_round_trip_hrep():
@@ -538,7 +559,7 @@ def test_text_round_trip_of_written_lift_files(tmp_path, capsys, family, rounds)
     back = pt.from_text(text)
     assert pt.to_text(back) == text
     phi = fm.reduce(fm.parse(formula.read_text()))
-    Q = pt.iterate_lift(phi, pt.cube(phi.n), rounds)
+    Q, _ = pt.iterate_lift(phi, pt.cube(phi.n), rounds)
     assert back == Q
     assert (back.rows, back.proj, back.witnesses) == (Q.rows, Q.proj, Q.witnesses)
     # a lifted file lists its rows as pairs only; spelled out densely it reads the same

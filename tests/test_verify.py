@@ -84,7 +84,7 @@ def test_completeness_fails_on_wrong_target():
     assert "reason=" in rep.certificate
     # re-verify: the lift after two rounds keeps (1,0), which the claimed
     # target hull (the single point (1,1)) cannot contain
-    ef = pt.iterate_lift(fm.reduce(phi), pt.cube(2), 2)
+    ef, _ = pt.iterate_lift(fm.reduce(phi), pt.cube(2), 2)
     assert lp.contains_point(ef, (1, 0))
 
 
@@ -236,7 +236,7 @@ def test_the_hull_route_makes_no_fraction(monkeypatch, text):
         raise AssertionError("a Fraction was made")
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(refuse))
-    pt.to_text(pt.iterate_lift(phi, cube, 3))
+    pt.to_text(pt.iterate_lift(phi, cube, 3)[0])
     checks = [vf.check_completeness(phi, 4), vf.check_notch_progression(phi, 2)]
     if phi.is_monotone():
         checks.append(vf.check_pitch_progression(phi, 2))
@@ -280,9 +280,9 @@ def test_pitch_progression_fails_on_unlifted_relaxation():
     assert not rep.passed
     assert "violated at" in rep.certificate
     # the oracle's finding re-verifies from scratch on the same inputs
-    viol = ms.closure_violation(
-        ms.ClosureQuery("pitch", 1, tri.points, pt.cube(3)))
-    std = viol.standard()
+    viol = ms.verify_closure(
+        ms.ClosureQuery("pitch", 1, tri.points, pt.cube(3))).violation
+    std = viol.ineq
     assert std.is_valid_on(tri.points.points)
     assert std.lhs(viol.point) < std.delta
 

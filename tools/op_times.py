@@ -3,6 +3,9 @@
     python3 tools/op_times.py --passes 5 --seeds 7
     python3 tools/op_times.py --workloads lift-optimize --passes 5
 
+The first line printed is `lines=`, the total that `wc -l src/formlift/*.py`
+gives for this checkout, so that every timing comes with the size of the
+code it timed.
 Each workload of bench/workloads.py is set up in a fresh temporary directory
 and run for the given number of passes, every operation in-process through
 `formlift.cli.dispatch` from this checkout's `src/`.  One line is printed
@@ -32,11 +35,16 @@ import tempfile
 import time
 from pathlib import Path
 
-from same_outputs import MODULES, _captured, workloads
+from same_outputs import MODULES, ROOT, _captured, workloads
 
 
 def _ms(times) -> str:
     return f"{statistics.median(times) * 1e3:.3f}ms"
+
+
+def _line_count() -> int:
+    """The total of `wc -l src/formlift/*.py`: the newlines in those files."""
+    return sum(p.read_bytes().count(b"\n") for p in (ROOT / "src" / "formlift").glob("*.py"))
 
 
 def _split(mods, ef, passes) -> dict:
@@ -114,6 +122,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.passes < 1:
         ap.error("--passes must be at least 1")
+    print(f"lines={_line_count()}", flush=True)
     for name in args.workloads:
         for seed in args.seeds:
             print("\n".join(_times(name, seed, args.passes)), flush=True)
